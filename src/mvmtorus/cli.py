@@ -195,17 +195,19 @@ def _manifest(command: str, seed, config: dict, started: float, **extra) -> dict
     return doc
 
 
+def _json_text(doc: dict) -> str:
+    """Indented standard JSON; a NaN or infinity raises ``ValueError``
+    before anything is written."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(args, payload: dict, text: str) -> None:
     """Print text or JSON to stdout; write JSON to --out when given."""
+    body = _json_text(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(text)
+            fh.write(body)
+    sys.stdout.write(body if args.json else text)
 
 
 def _write_text(path_or_stdout, body: str) -> None:
@@ -351,20 +353,19 @@ def _cmd_sample(args) -> int:
         trials=batch.trials,
         empirical_acceptance=batch.empirical_acceptance,
     )
-    body = _sample_csv(batch.draws)
     if args.json:
         payload = {"manifest": manifest, "draws": _matrix(batch.draws)}
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(payload))
         return EXIT_OK
+    body = _sample_csv(batch.draws)
     if args.out:
+        manifest_text = _json_text(manifest)
         _write_text(args.out, body)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.out + ".manifest.json", manifest_text)
     else:
+        manifest_line = json.dumps(manifest, allow_nan=False)
         sys.stdout.write(body)
-        print(json.dumps(manifest), file=sys.stderr)
+        print(manifest_line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -428,8 +429,7 @@ def _cmd_cube(args) -> int:
             "best_vertices": [list(v) for v in analysis.best_vertices],
             "top_eigenvalue": analysis.top_eigenpair[0],
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(payload))
         return EXIT_OK
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
@@ -451,12 +451,14 @@ def _cmd_grid(args) -> int:
         if args.degrees:
             slice_point = np.deg2rad(slice_point)
     try:
-        buf = io.StringIO()
-        oracle.write_density_grid_csv(buf, params, dims, args.n, slice_point)
+        if args.json:
+            values = oracle.density_grid(params, dims, args.n, slice_point)
+        else:
+            buf = io.StringIO()
+            oracle.write_density_grid_csv(buf, params, dims, args.n, slice_point)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if args.json:
-        values = oracle.density_grid(params, dims, args.n, slice_point)
         payload = {
             "manifest": _manifest(
                 "grid",
@@ -466,8 +468,7 @@ def _cmd_grid(args) -> int:
             ),
             "values": values.tolist(),
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(payload))
         return EXIT_OK
     _write_text(args.out, buf.getvalue())
     return EXIT_OK

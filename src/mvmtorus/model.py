@@ -77,19 +77,22 @@ def angular_distance(a, b) -> float:
 class TorusPoint:
     """A point on the flat torus [0, 2*pi)^p.
 
-    Angles are wrapped once, on construction, and never re-wrapped inside
-    evaluations (re-wrapping intermediate results loses precision near
-    2*pi).  The stored array is read-only.
+    Angles must be finite.  They are wrapped once, on construction, and
+    never re-wrapped inside evaluations (re-wrapping intermediate results
+    loses precision near 2*pi).  The stored array is read-only.
     """
 
     angles: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(wrap_angles(self.angles))
+        a = np.atleast_1d(np.asarray(self.angles, dtype=float))
         if a.ndim != 1:
             raise ValueError("TorusPoint requires a 1-d vector of angles")
         if a.size == 0:
             raise ValueError("TorusPoint requires at least one angle")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"angles must be finite, got {a.tolist()}")
+        a = wrap_angles(a)
         a.setflags(write=False)
         object.__setattr__(self, "angles", a)
 
@@ -135,7 +138,7 @@ class MvmParams:
     * ``lam`` is a symmetric p x p matrix with zero diagonal; asymmetry or
       a nonzero diagonal beyond ``LAMBDA_ATOL`` is a hard error, never
       silently repaired,
-    * ``mu`` is wrapped to [0, 2*pi) via :class:`TorusPoint`.
+    * ``mu`` is finite and wrapped to [0, 2*pi) via :class:`TorusPoint`.
 
     Below the tolerance the upper triangle of ``lam`` is mirrored and the
     diagonal zeroed, so the stored matrix is exactly symmetric and the
@@ -147,7 +150,10 @@ class MvmParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        mu = as_torus_point(self.mu)
+        try:
+            mu = as_torus_point(self.mu)
+        except ValueError as exc:
+            raise ValueError(f"mu: {exc}") from None
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
         lam = np.asarray(self.lam, dtype=float)
 

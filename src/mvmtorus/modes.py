@@ -16,7 +16,9 @@ Two complementary tools:
 The search is organized in three passes per start (ascent toward maxima,
 descent toward minima, and a plain root pass on the gradient that also
 lands on saddles).  All passes run batched over the start set with plain
-numpy; for a fixed seed the result is deterministic.
+numpy; for a fixed seed the result is deterministic.  The converged pool
+is deduplicated (greedy, first kept, in pool order) before classification,
+so only the surviving points are classified.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 
 from . import spectral
 from .model import (
+    TWO_PI,
     MvmParams,
     TorusPoint,
-    angular_distance,
     as_torus_point,
     exponent_many,
     grad_many,
@@ -149,6 +151,23 @@ def _degeneracy_threshold(hessian: np.ndarray, degeneracy_tol: float) -> float:
     return degeneracy_tol * max(1.0, norm_inf)
 
 
+def _classified(
+    params: MvmParams, theta: TorusPoint, grad_norm: float, degeneracy_tol: float
+) -> CriticalPoint:
+    hessian = hessian_f(params, theta)
+    eigenvalues = spectral.sym_eigen(hessian).values
+    kind = _classify_eigenvalues(
+        eigenvalues, _degeneracy_threshold(hessian, degeneracy_tol)
+    )
+    return CriticalPoint(
+        theta=theta,
+        f_value=exponent_f(params, theta),
+        grad_norm=grad_norm,
+        hessian_eigenvalues=eigenvalues,
+        kind=kind,
+    )
+
+
 def classify_critical(
     params: MvmParams,
     theta,
@@ -168,18 +187,7 @@ def classify_critical(
         raise ValueError(
             f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {grad_tol:.0e}"
         )
-    hessian = hessian_f(params, theta)
-    eigenvalues = spectral.sym_eigen(hessian).values
-    kind = _classify_eigenvalues(
-        eigenvalues, _degeneracy_threshold(hessian, degeneracy_tol)
-    )
-    return CriticalPoint(
-        theta=theta,
-        f_value=exponent_f(params, theta),
-        grad_norm=grad_norm,
-        hessian_eigenvalues=eigenvalues,
-        kind=kind,
-    )
+    return _classified(params, theta, grad_norm, degeneracy_tol)
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,8 @@ class SearchConfig:
     odd multiples of pi/m so starts never coincide with the kappa=0
     extremum grid), truncated to ``max_lattice_starts`` by a seeded
     subsample when ``m**p`` exceeds it, plus ``n_random_starts`` seeded
-    uniform starts (defaults to 32 for p <= 4, else 256).
+    uniform starts (defaults to 32 for p <= 4, else 256).  Out-of-range
+    values raise ``ValueError`` on construction.
     """
 
     starts_per_dim: int = 4
@@ -202,6 +211,24 @@ class SearchConfig:
     dedup_radius: float = 1e-4
     degeneracy_tol: float = 1e-6
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (
+            ("starts_per_dim", 1),
+            ("max_lattice_starts", 1),
+            ("max_iter", 0),
+            ("max_halvings", 0),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.n_random_starts is not None and self.n_random_starts < 0:
+            raise ValueError(
+                f"n_random_starts must be >= 0, got {self.n_random_starts}"
+            )
+        for name in ("grad_tol", "dedup_radius", "degeneracy_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -412,17 +439,30 @@ def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
     return best
 
 
+def _first_kept(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the rows kept by greedy first-kept dedup: a row is kept
+    when its angular sup-metric distance to every row kept before it is at
+    least ``radius``.  Rows must already be wrapped to [0, 2*pi)."""
+    kept = np.empty_like(rows)
+    index = []
+    for i, row in enumerate(rows):
+        d = np.abs(row - kept[: len(index)])
+        if np.all(np.minimum(d, TWO_PI - d).max(axis=1) >= radius):
+            kept[len(index)] = row
+            index.append(i)
+    return np.array(index, dtype=int)
+
+
 def deduplicate(criticals: list[CriticalPoint], radius: float) -> list[CriticalPoint]:
     """Greedy first-kept dedup under the angular sup-metric.
 
     Kept points are pairwise at least ``radius`` apart, which makes the
     operation idempotent.
     """
-    kept: list[CriticalPoint] = []
-    for cand in criticals:
-        if all(cand.theta.distance(k.theta) >= radius for k in kept):
-            kept.append(cand)
-    return kept
+    if not criticals:
+        return []
+    rows = np.stack([c.theta.angles for c in criticals])
+    return [criticals[i] for i in _first_kept(rows, radius)]
 
 
 def critical_points(
@@ -453,26 +493,12 @@ def critical_points(
     converged_mask = norms < cfg.grad_tol
     converged = pool[converged_mask]
     converged_norms = norms[converged_mask]
-
-    points: list[CriticalPoint] = []
-    for angles, gnorm in zip(converged, converged_norms):
-        theta = TorusPoint(angles)
-        hessian = hessian_f(params, theta)
-        eigenvalues = spectral.sym_eigen(hessian).values
-        kind = _classify_eigenvalues(
-            eigenvalues, _degeneracy_threshold(hessian, cfg.degeneracy_tol)
+    unique = [
+        _classified(
+            params, TorusPoint(converged[i]), float(converged_norms[i]), cfg.degeneracy_tol
         )
-        points.append(
-            CriticalPoint(
-                theta=theta,
-                f_value=exponent_f(params, theta),
-                grad_norm=float(gnorm),
-                hessian_eigenvalues=eigenvalues,
-                kind=kind,
-            )
-        )
-
-    unique = deduplicate(points, cfg.dedup_radius)
+        for i in _first_kept(converged, cfg.dedup_radius)
+    ]
     unique.sort(
         key=lambda c: (-c.f_value, c.kind.value, tuple(c.theta.angles.tolist()))
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mvmtorus import MvmParams
+from mvmtorus import MvmParams, angular_distance
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})
@@ -117,6 +117,17 @@ def random_params(
         kappa=rng.uniform(*kappa_range, size=p),
         lam=random_symmetric_coupling(rng, p, coupling_scale),
     )
+
+
+def first_kept_oracle(rows, radius: float) -> list[int]:
+    """Greedy first-kept dedup with one ``angular_distance`` call per pair:
+    row i is kept when it is at least ``radius`` from every row kept before
+    it.  Reference for the vectorised dedup in ``mvmtorus.modes``."""
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        if all(angular_distance(row, rows[k]) >= radius for k in kept):
+            kept.append(i)
+    return kept
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING
+from mvmtorus import cli, oracle
 
 
 def run_cli(*argv, cwd=None):
@@ -169,6 +170,25 @@ def test_modes_ring_flags_extended_mode(ring_file, tmp_path):
     assert len(lines) == 1 + len(doc["report"]["criticals"])
 
 
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [
+        ("--starts-per-dim", "0", "starts_per_dim"),
+        ("--n-random", "-1", "n_random_starts"),
+        ("--max-iter", "-1", "max_iter"),
+        ("--grad-tol", "-1", "grad_tol"),
+        ("--dedup-radius", "-1", "dedup_radius"),
+        ("--dedup-radius", "nan", "dedup_radius"),
+        ("--degeneracy-tol", "nan", "degeneracy_tol"),
+    ],
+)
+def test_modes_rejects_bad_search_flags(reference_file, capsys, flag, value, field):
+    assert cli.main(["modes", "--params", reference_file, flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {field} must be")
+    assert out.out == ""
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -324,6 +344,32 @@ def test_grid_csv_matches_library(tmp_path):
         assert float(parts[4]) == values[i, j]
 
 
+def test_grid_json_matches_csv_and_evaluates_once(tmp_path, capsys, monkeypatch):
+    path = write_params(
+        tmp_path / "pair.json",
+        kappa=[1.0, 2.0],
+        **{"lambda": [[0.0, 0.7], [0.7, 0.0]]},
+    )
+    calls = []
+    original = oracle.density_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "density_grid", counted)
+    argv = ["grid", "--params", path, "--n", "7"]
+    assert cli.main(argv + ["--json"]) == 0
+    assert len(calls) == 1
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 49
+    for line in rows:
+        i, j, _, _, value = line.split(",")
+        assert float(value) == values[int(i)][int(j)]
+
+
 def test_grid_rejects_bad_dims(tmp_path):
     path = write_params(tmp_path / "p1.json", kappa=[1.0], **{"lambda": [[0.0]]})
     out = run_cli("grid", "--params", path, "--dims", "0,5", "--n", "8")
@@ -355,3 +401,33 @@ def test_eta_conflicts_with_explicit_coupling(tmp_path):
     out = run_cli("certify", "--params", path)
     assert out.returncode == 1
     assert "eta" in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (("certify",), float("nan")),
+        (("certify",), float("inf")),
+        (("modes",), float("nan")),
+        (("forecast",), float("nan")),
+        (("sample", "--n", "10"), float("nan")),
+        (("grid", "--n", "4"), float("nan")),
+    ],
+)
+def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
+    path = write_params(
+        tmp_path / "nan_mu.json",
+        mu=[bad, 0.0, 0.0],
+        kappa=[3.0, 3.0, 3.0],
+        **{"lambda": [list(r) for r in REFERENCE_COUPLING]},
+    )
+    out_path = tmp_path / "out"
+    assert cli.main([*argv, "--params", path, "--out", str(out_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: mu: angles must be finite")
+    assert out.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_mu.json"]

@@ -64,8 +64,19 @@ def test_torus_point_arithmetic():
     assert (theta - theta).angles == pytest.approx([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_torus_point_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite"):
+        TorusPoint(np.array([0.5, bad, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
+
+
+def test_params_reject_non_finite_mu():
+    with pytest.raises(ValueError, match="mu: angles must be finite"):
+        MvmParams(mu=np.array([np.nan, 0.0]), kappa=np.ones(2), lam=np.zeros((2, 2)))
 
 
 def test_params_reject_negative_kappa():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_COUPLING,
     RING_COUPLING,
     TWO_MODE_COUPLING,
+    first_kept_oracle,
     random_params,
     random_symmetric_coupling,
     six_mode_params,
@@ -20,8 +23,9 @@ from mvmtorus import (
     classify_critical,
     critical_points,
     grad_f,
+    wrap_angles,
 )
-from mvmtorus.modes import deduplicate
+from mvmtorus.modes import CriticalPoint, _first_kept, deduplicate
 
 TWO_PI = 2.0 * np.pi
 
@@ -229,6 +233,95 @@ def test_reported_points_recheck_gradient(rng):
         assert fresh < cfg.grad_tol
 
 
+def test_search_points_match_classify_critical():
+    params = six_mode_params(0.1)
+    cfg = SearchConfig()
+    report = critical_points(params, cfg)
+    assert report.n_maxima == 6
+    for c in report.criticals:
+        ref = classify_critical(params, c.theta, cfg.degeneracy_tol, cfg.grad_tol)
+        assert ref.kind is c.kind
+        assert np.array_equal(ref.hessian_eigenvalues, c.hessian_eigenvalues)
+        assert ref.f_value == c.f_value
+
+
+def _as_criticals(rows):
+    p = rows.shape[1]
+    return [
+        CriticalPoint(TorusPoint(row), 0.0, 0.0, np.zeros(p), PointKind.SADDLE)
+        for row in rows
+    ]
+
+
+def _assert_dedup_matches_oracle(rows, radius):
+    expected = first_kept_oracle(rows, radius)
+    assert _first_kept(rows, radius).tolist() == expected
+    points = _as_criticals(rows)
+    kept = deduplicate(points, radius)
+    assert len(kept) == len(expected)
+    assert all(k is points[i] for k, i in zip(kept, expected))
+
+
+_SEAM = 1e-3
+#: coordinates that land on the 0/2*pi seam, on a dyadic grid (so that
+#: differences of exactly ``radius`` are representable), or anywhere
+_coords = st.one_of(
+    st.sampled_from([0.0, _SEAM, TWO_PI - _SEAM, np.nextafter(TWO_PI, 0.0)]),
+    st.integers(0, 100).map(lambda k: k / 16.0),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+
+
+@st.composite
+def _clustered_rows(draw):
+    """Rows clustered around a few centres: exact repeats, offsets of
+    exactly +-radius, and offsets just inside or outside it."""
+    p = draw(st.integers(1, 8))
+    radius = draw(st.sampled_from([1e-4, 2 * _SEAM, 0.0625, 0.5]))
+    centres = draw(
+        st.lists(st.lists(_coords, min_size=p, max_size=p), min_size=1, max_size=4)
+    )
+    offsets = st.sampled_from(
+        [0.0, radius, -radius, 0.5 * radius, -0.5 * radius, 1.5 * radius]
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(centres) - 1),
+                st.lists(offsets, min_size=p, max_size=p),
+            ),
+            max_size=24,
+        )
+    )
+    rows = np.array([np.add(centres[c], off) for c, off in picks]).reshape(-1, p)
+    return wrap_angles(rows), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_rows())
+def test_dedup_matches_pairwise_oracle(case):
+    rows, radius = case
+    _assert_dedup_matches_oracle(rows, radius)
+
+
+@pytest.mark.parametrize(
+    "rows,radius,expected",
+    [
+        (np.empty((0, 3)), 1e-4, []),
+        (np.array([[1.0, 2.0]]), 1e-4, [0]),
+        # exact duplicates keep the first copy
+        (np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]), 1e-4, [0, 1]),
+        # exactly radius apart counts as distinct (>=)
+        (np.array([[1.0], [1.5], [1.25]]), 0.5, [0, 1]),
+        # a cluster straddling the seam collapses to its first member
+        (np.array([[TWO_PI - 0.01, 3.0], [0.01, 3.0], [0.0, 3.05]]), 0.1, [0]),
+    ],
+)
+def test_dedup_edge_cases(rows, radius, expected):
+    assert first_kept_oracle(rows, radius) == expected
+    _assert_dedup_matches_oracle(rows, radius)
+
+
 def test_deduplication_is_idempotent():
     report = critical_points(_params([0.0, 0.0, 0.0], RING_COUPLING))
     once = deduplicate(report.criticals, 1e-4)
@@ -256,3 +349,42 @@ def test_search_is_deterministic():
         assert np.array_equal(ca.theta.angles, cb.theta.angles)
         assert ca.f_value == cb.f_value
         assert ca.kind is cb.kind
+
+
+# ---------------------------------------------------------------------------
+# search configuration
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("starts_per_dim", 0),
+        ("max_lattice_starts", 0),
+        ("n_random_starts", -1),
+        ("max_iter", -1),
+        ("max_halvings", -1),
+        ("grad_tol", -1.0),
+        ("grad_tol", float("inf")),
+        ("dedup_radius", 0.0),
+        ("dedup_radius", float("nan")),
+        ("degeneracy_tol", float("nan")),
+    ],
+)
+def test_search_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_smallest_values():
+    cfg = SearchConfig(
+        starts_per_dim=1,
+        max_lattice_starts=1,
+        n_random_starts=0,
+        max_iter=0,
+        max_halvings=0,
+        grad_tol=1e-300,
+        dedup_radius=1e-300,
+        degeneracy_tol=1e-300,
+    )
+    report = critical_points(six_mode_params(0.1), cfg)
+    assert report.search_meta.starts_used == 1
