@@ -1,19 +1,30 @@
 """Exact rejection sampling for the multivariate von Mises distribution in
 the positive-definite-P (certified unimodal) regime.
 
-Proposal: each coordinate independently follows the doubled-angle density
+Proposal: coordinate i independently follows the doubled-angle density
 
-    g_1(t) = exp(b/4 * cos(2 t)) / (2 pi I0(b/4)),
+    g_i(t) = exp(d_i/4 * cos(2 t)) / (2 pi I0(d_i/4)),
 
-where b is a positive lower bound on the eigenvalues of P.  A draw is
-produced by sampling t_tilde ~ VM(0, b/4) on (-pi, pi], halving it, adding
-pi with probability 1/2 and wrapping to [0, 2*pi).  The envelope constant
+where d >= 0 is a vector with P - diag(d) positive semidefinite.  A draw
+is produced by sampling t_tilde ~ VM(0, d_i/4) on (-pi, pi], halving it,
+adding pi with probability 1/2 and wrapping to [0, 2*pi).  Because
+kappa_i (c_i - 1) <= -kappa_i s_i^2 / 2, the exponent obeys
+f - sum(kappa) <= -s^T P s / 2 <= -s^T diag(d) s / 2, so the envelope
+constant
 
-    log C = -p*b/4 + sum(kappa) + p * log(2 pi I0(b/4))
+    log C = sum(kappa) - sum(d)/4 + sum_i log(2 pi I0(d_i/4))
 
-satisfies exp(f) <= C g everywhere, so accepting a proposal theta with
-probability exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + b I) s) yields
-exact draws; accepted proposals are shifted by mu on output.
+satisfies exp(f) <= C g everywhere, and accepting a proposal theta with
+probability exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + diag(d)) s)
+yields exact draws; accepted proposals are shifted by mu on output.  In
+the high-concentration limit the acceptance rate tends to
+2**-p * sqrt(prod(d) / |P|).
+
+The source paper uses d = b*1 with b a lower bound on the eigenvalues of
+P.  :meth:`ProposalSpec.from_params` also tries the Jacobi-scaled
+d = t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), and keeps the
+one with the larger prod(d); with a constant diagonal the two coincide
+and the scalar is kept.
 
 Reproducibility contract: a batch is produced in fixed-size blocks of
 ``BLOCK_SIZE`` draws, each block consuming its own generator spawned from
@@ -67,6 +78,13 @@ __all__ = [
 BLOCK_SIZE = 4096
 #: stall guard: a batch may not consume more than n * 1e6 proposals
 STALL_FACTOR = 1e6
+#: slack subtracted from computed eigenvalues when building an envelope,
+#: so eigen-solver rounding cannot push diag(d) past P
+ENVELOPE_SLACK = 1e-12
+#: per-coordinate gain in log d below which the Jacobi envelope counts as
+#: a tie with the scalar one (a constant diagonal gives the scalar back up
+#: to rounding) and the scalar is kept
+TIE_LOG_GAIN = 1e-9
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -82,6 +100,16 @@ class BoundViolationError(RuntimeError):
 class AcceptanceStallError(RuntimeError):
     """The rejection loop exceeded the proposal budget; the eigenvalue
     bound is likely far too small for this distribution."""
+
+
+def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
+    smallest = float(spectral.sym_eigen(p_matrix).values[0])
+    if smallest <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue of P is {smallest:.6g}; "
+            "see modes.certify_unimodal"
+        )
+    return smallest
 
 
 def bessel_i0(x):
@@ -104,36 +132,63 @@ def log_bessel_i0(x):
 
 @dataclass(frozen=True)
 class ProposalSpec:
-    """Doubled-angle proposal, parameterized by a positive lower bound on
-    the eigenvalues of P.  The per-coordinate von Mises concentration is
-    a quarter of the bound."""
+    """Doubled-angle proposal with per-coordinate von Mises concentrations
+    d_i / 4.
+
+    ``lambda_min_bound`` is a positive lower bound b on the eigenvalues of
+    P; ``d`` is the envelope diagonal, a vector with P - diag(d) positive
+    semidefinite, and defaults to the paper's scalar envelope b*1."""
 
     lambda_min_bound: float
     p: int
+    d: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        d = (self.lambda_min_bound,) * self.p if self.d is None else self.d
+        d = tuple(float(x) for x in d)
+        if len(d) != self.p or not all(np.isfinite(x) and x >= 0.0 for x in d):
+            raise ValueError(f"d must hold {self.p} finite values >= 0, got {d}")
+        object.__setattr__(self, "d", d)
+
+    @property
+    def concentrations(self) -> np.ndarray:
+        """Per-coordinate von Mises concentrations d / 4."""
+        return np.asarray(self.d) / 4.0
 
     @property
     def concentration(self) -> float:
+        """Concentration of the scalar envelope, b / 4."""
         return self.lambda_min_bound / 4.0
 
     @classmethod
     def from_params(
         cls, params: MvmParams, lambda_min: float | None = None
     ) -> "ProposalSpec":
-        """Build a spec for ``params``; ``lambda_min`` may be any value in
-        (0, min eigenvalue of P] and defaults to the computed smallest
-        eigenvalue minus a 1e-12 slack."""
-        eigenvalues = spectral.sym_eigen(params.p_matrix()).values
-        smallest = float(eigenvalues[0])
-        if smallest <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue of P is {smallest:.6g}; "
-                "see modes.certify_unimodal"
-            )
-        bound = smallest - 1e-12 if lambda_min is None else float(lambda_min)
+        """Build a spec for ``params``.
+
+        ``lambda_min`` may be any value in (0, min eigenvalue of P] and
+        forces the scalar envelope d = lambda_min * 1.  By default b is the
+        computed smallest eigenvalue minus ``ENVELOPE_SLACK``, and d is the
+        better (larger sum of log d_i) of b*1 and the Jacobi-scaled
+        t*diag(P), where t is the smallest eigenvalue of
+        diag(P)^-1/2 P diag(P)^-1/2 minus ``ENVELOPE_SLACK``.  A gain of
+        at most ``TIE_LOG_GAIN`` per coordinate keeps the scalar."""
+        p_matrix = params.p_matrix()
+        smallest = _smallest_eigenvalue(p_matrix)
+        bound = smallest - ENVELOPE_SLACK if lambda_min is None else float(lambda_min)
         if not 0.0 < bound <= smallest:
             raise ValueError(
                 f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}"
             )
+        if lambda_min is None:
+            diag = np.diag(p_matrix)
+            scale = 1.0 / np.sqrt(diag)
+            t = _smallest_eigenvalue(p_matrix * np.outer(scale, scale)) - ENVELOPE_SLACK
+            if t > 0.0:
+                jacobi = t * diag
+                gain = np.sum(np.log(jacobi)) - params.p * np.log(bound)
+                if gain > params.p * TIE_LOG_GAIN:
+                    return cls(lambda_min_bound=bound, p=params.p, d=tuple(jacobi))
         return cls(lambda_min_bound=bound, p=params.p)
 
 
@@ -162,7 +217,7 @@ class SampleBatch:
 @dataclass(frozen=True)
 class AcceptanceForecast:
     """Predicted acceptance rate: the high-concentration asymptote
-    2**-p * sqrt(bound**p / |P|), and optionally the exact rate Z/C with
+    2**-p * sqrt(prod(d) / |P|), and optionally the exact rate Z/C with
     Z from quadrature (p <= 4)."""
 
     asymptotic_rate: float
@@ -184,7 +239,11 @@ def sample_vm1(kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
 def _raw_proposals(spec: ProposalSpec, p: int, m: int, rng: np.random.Generator):
     """m proposal rows in the mean-zero frame.  Stream order per call:
     von Mises block, coin block."""
-    tilde = rng.vonmises(0.0, spec.concentration, size=(m, p))
+    conc = spec.concentrations
+    # a shared concentration takes numpy's faster scalar-kappa path; the
+    # stream is the same either way
+    kappa = conc[0] if np.all(conc == conc[0]) else conc
+    tilde = rng.vonmises(0.0, kappa, size=(m, p))
     coins = rng.integers(0, 2, size=(m, p))
     return wrap_angles(0.5 * tilde + np.pi * coins)
 
@@ -204,38 +263,36 @@ def sample_proposal_g(spec: ProposalSpec, p: int, rng: np.random.Generator) -> T
 def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
     """log g at points with shape (..., p) in the mean-zero frame."""
     thetas = np.asarray(thetas, dtype=float)
-    conc = spec.concentration
+    conc = spec.concentrations
     per_coord = conc * np.cos(2.0 * thetas) - (np.log(TWO_PI) + log_bessel_i0(conc))
     return np.sum(per_coord, axis=-1)
 
 
 def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
-    """log C for the bound exp(f) <= C g."""
-    b = spec.lambda_min_bound
+    """log C = sum(kappa) - sum(d)/4 + sum_i log(2 pi I0(d_i/4)) for the
+    bound exp(f) <= C g."""
+    conc = spec.concentrations
     return float(
-        -params.p * b / 4.0
-        + np.sum(params.kappa)
-        + params.p * (np.log(TWO_PI) + log_bessel_i0(b / 4.0))
+        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + log_bessel_i0(conc) - conc)
     )
 
 
 def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
-    quad = np.einsum("...i,ij,...j->...", s, params.lam, s)
-    ssq = np.sum(s * s, axis=-1)
-    return (c - 1.0) @ params.kappa + 0.5 * (quad + spec.lambda_min_bound * ssq)
+    quad = np.einsum("...i,ij,...j->...", s, params.lam + np.diag(spec.d), s)
+    return (c - 1.0) @ params.kappa + 0.5 * quad
 
 
 def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> float:
     """Probability of accepting proposal ``theta``:
-    exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + bound I) s), which is <= 1
-    whenever the spec's bound really is a lower eigenvalue bound for P.
+    exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + diag(d)) s), which is <= 1
+    whenever P - diag(d) is positive semidefinite.
     """
     t = trig_cache(params, as_torus_point(theta))
     prob = float(np.exp(_log_acceptance(params, spec, t.c, t.s)))
     if prob > 1.0 + 1e-12:
         raise BoundViolationError(
-            f"acceptance probability {prob} exceeds 1: lambda_min bound "
-            f"{spec.lambda_min_bound} is not a valid lower bound for P"
+            f"acceptance probability {prob} exceeds 1: envelope d = "
+            f"{spec.d} is not below P"
         )
     return min(prob, 1.0)
 
@@ -264,7 +321,7 @@ def _sample_block(
         log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
         if np.any(log_acc > 1e-12):
             raise BoundViolationError(
-                "acceptance exponent positive: invalid lambda_min bound"
+                "acceptance exponent positive: invalid envelope d"
             )
         acc_idx = np.flatnonzero(u <= np.exp(log_acc))
         need = quota - got
@@ -282,6 +339,30 @@ def _sample_block(
                 f"{trials} proposals produced only {got}/{quota} draws"
             )
     return out, trials
+
+
+def _check_spec(params: MvmParams, spec: ProposalSpec) -> None:
+    """Revalidate a caller-supplied spec against ``params``; a stale spec
+    would break the bound.  P - diag(d) must pass the Cholesky test at
+    -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
+    the eigen-solver that built d."""
+    if spec.p != params.p:
+        raise ValueError(
+            f"spec is for p = {spec.p}, but the parameters have p = {params.p}"
+        )
+    p_matrix = params.p_matrix()
+    smallest = _smallest_eigenvalue(p_matrix)
+    if not 0.0 < spec.lambda_min_bound <= smallest:
+        raise ValueError(
+            f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
+        )
+    norm_inf = float(np.max(np.sum(np.abs(p_matrix), axis=1)))
+    slack = ENVELOPE_SLACK * max(1.0, norm_inf)
+    if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=-slack):
+        raise ValueError(
+            f"spec envelope d = {spec.d} does not bound these parameters: "
+            "P - diag(d) is not positive semidefinite"
+        )
 
 
 def sample_mvm(
@@ -303,17 +384,7 @@ def sample_mvm(
     if spec is None:
         spec = ProposalSpec.from_params(params)
     else:
-        # revalidate against these params; a stale spec would break the bound
-        smallest = float(spectral.sym_eigen(params.p_matrix()).values[0])
-        if smallest <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue of P is {smallest:.6g}; "
-                "see modes.certify_unimodal"
-            )
-        if not 0.0 < spec.lambda_min_bound <= smallest:
-            raise ValueError(
-                f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
-            )
+        _check_spec(params, spec)
 
     quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
     if n % BLOCK_SIZE:
@@ -358,8 +429,7 @@ def forecast_acceptance(
             "P is not positive definite; see modes.certify_unimodal"
         )
     det = float(np.prod(eigenvalues))
-    b = spec.lambda_min_bound
-    asymptotic = float(2.0 ** (-params.p) * np.sqrt(b**params.p / det))
+    asymptotic = float(2.0 ** (-params.p) * np.sqrt(np.prod(spec.d) / det))
     exact = None
     if with_exact and params.p <= oracle.MAX_QUADRATURE_DIM:
         log_z = oracle.log_partition(params, n_per_dim)

@@ -119,6 +119,21 @@ def random_params(
     )
 
 
+def heterogeneous_params(rng: np.random.Generator, p: int) -> MvmParams:
+    """Random p >= 2 parameters whose kappa spans a factor of 10 to 30
+    (smallest entry in [1, 3]) with couplings in [-1, 1]: the regime where
+    the per-coordinate envelope beats the scalar one."""
+    low = rng.uniform(1.0, 3.0)
+    ratio = rng.uniform(10.0, 30.0)
+    kappa = low * ratio ** rng.uniform(0.0, 1.0, size=p)
+    kappa[:2] = (low, low * ratio)
+    return MvmParams(
+        mu=rng.uniform(0.0, 2.0 * np.pi, size=p),
+        kappa=rng.permutation(kappa),
+        lam=random_symmetric_coupling(rng, p, 1.0),
+    )
+
+
 def first_kept_oracle(rows, radius: float) -> list[int]:
     """Greedy first-kept dedup with one ``angular_distance`` call per pair:
     row i is kept when it is at least ``radius`` from every row kept before

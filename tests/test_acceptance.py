@@ -14,6 +14,7 @@ from conftest import (
     REFERENCE_COUPLING,
     RING_COUPLING,
     TWO_MODE_COUPLING,
+    heterogeneous_params,
     random_params,
     six_mode_params,
     six_mode_table,
@@ -162,6 +163,45 @@ def test_c06_sampler_exactness():
         assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
 
+def test_c06b_sampler_exactness_heterogeneous_p4():
+    with criterion(
+        "C6b",
+        "p=4, kappa=(2,8,8,30), Jacobi envelope: marginals within 4 SE per bin, "
+        "acceptance within 3 SE",
+    ):
+        rng = np.random.default_rng(5)
+        lam = np.triu(rng.uniform(-0.5, 0.5, size=(4, 4)), k=1)
+        params = MvmParams(
+            mu=rng.uniform(0.0, TWO_PI, size=4),
+            kappa=np.array([2.0, 8.0, 8.0, 30.0]),
+            lam=lam + lam.T,
+        )
+        spec = ProposalSpec.from_params(params)
+        assert spec.d != (spec.lambda_min_bound,) * 4
+        n = 20_000
+        batch = sample_mvm(params, n, spec, seed=0)
+        n_per_dim = 32  # log Z within 1e-7 of n = 48 here
+        bins = 64
+        edges = TWO_PI * np.arange(bins + 1) / bins
+        grids = np.linspace(edges[:-1], edges[1:], 17, axis=1)
+        for dim in range(4):
+            counts, _ = np.histogram(batch.draws[:, dim], bins=edges)
+            dens = marginal_density(params, dim, grids, n_per_dim)
+            q = np.trapezoid(dens, grids, axis=1)
+            # the kappa = 30 marginal leaves tail bins expecting far below
+            # one draw, where a binomial SE means nothing: pool those bins
+            sparse = n * q < 5.0
+            counts = np.append(counts[~sparse], counts[sparse].sum())
+            q = np.append(q[~sparse], q[sparse].sum())
+            se = np.sqrt(n * q * (1.0 - q))
+            assert np.all(np.abs(counts - n * q) <= 4.0 * se)
+        rate = forecast_acceptance(
+            params, spec, with_exact=True, n_per_dim=n_per_dim
+        ).exact_rate
+        se = np.sqrt(rate * (1.0 - rate) / batch.trials)
+        assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
+
+
 def test_c07_acceptance_rate_asymptotics():
     with criterion(
         "C7", "acceptance rate approaches the asymptote as concentration grows"
@@ -220,7 +260,9 @@ def test_c08_derivatives_match_finite_differences():
 
 def test_c09_envelope_bound_validity():
     with criterion(
-        "C9", "1e6 random points across 10 certified sets: f <= log C + log g"
+        "C9",
+        "1e6 random points across 10 certified sets, plus 1e5 on each of 6 "
+        "with a kappa spread >= 10x: f <= log C + log g",
     ):
         rng = np.random.default_rng(4242)
         sets = []
@@ -229,6 +271,12 @@ def test_c09_envelope_bound_validity():
             params = random_params(rng, p, kappa_range=(1.0, 6.0), coupling_scale=1.0)
             if certify_unimodal(params).prop1_holds:
                 sets.append(params)
+        hetero_rng = np.random.default_rng(4343)
+        for p in (2, 2, 3, 3, 4, 4):
+            params = heterogeneous_params(hetero_rng, p)
+            while not certify_unimodal(params).prop1_holds:
+                params = heterogeneous_params(hetero_rng, p)
+            sets.append(params)
         for params in sets:
             spec = ProposalSpec.from_params(params)
             log_c = log_envelope_constant(params, spec)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING
-from mvmtorus import cli, oracle
+from mvmtorus import ProposalSpec, cli, oracle
 
 
 def run_cli(*argv, cwd=None):
@@ -45,6 +47,17 @@ def ring_file(tmp_path):
 def univariate_file(tmp_path):
     return write_params(
         tmp_path / "vm1.json", kappa=[2.0], **{"lambda": [[0.0]]}, seed=99
+    )
+
+
+@pytest.fixture
+def heterogeneous_file(tmp_path):
+    return write_params(
+        tmp_path / "hetero.json",
+        kappa=[2.0, 8.0, 30.0],
+        mu=[1.0, 2.0, 3.0],
+        seed=5,
+        **{"lambda": [[0.0, 0.4, -0.3], [0.4, 0.0, 0.2], [-0.3, 0.2, 0.0]]},
     )
 
 
@@ -241,6 +254,44 @@ def test_sample_seed_flag_overrides_file_seed(univariate_file, tmp_path):
     assert a.stdout != b.stdout
 
 
+def _csv_writer_text(draws):
+    """The sample CSV as csv.writer with repr(float) cells writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"theta{i + 1}" for i in range(draws.shape[1])])
+    for row in draws:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue()
+
+
+def test_sample_csv_matches_csv_writer():
+    tiny = np.finfo(float).tiny
+    edge = np.array(
+        [
+            [0.0, np.nextafter(2.0 * np.pi, 0.0), 5e-324],
+            [tiny / 2.0, tiny, 3.0],
+            [1e-300, 6.283185307179586, 0.1 + 0.2],
+            [np.pi, 1.0, 2.5e-17],
+        ]
+    )
+    assert cli._sample_csv(edge) == _csv_writer_text(edge)
+    draws = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(500, 4))
+    assert cli._sample_csv(draws) == _csv_writer_text(draws)
+
+
+def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
+    out_path = tmp_path / "draws.csv"
+    assert cli.main(
+        ["sample", "--params", heterogeneous_file, "--n", "200", "--out", str(out_path)]
+    ) == 0
+    manifest = json.loads((tmp_path / "draws.csv.manifest.json").read_text())
+    params, _ = cli.load_param_file(heterogeneous_file)
+    spec = ProposalSpec.from_params(params)
+    assert manifest["config"]["proposal_d"] == list(spec.d)
+    assert manifest["config"]["lambda_min_bound"] == spec.lambda_min_bound
+    assert len(set(spec.d)) > 1  # the per-coordinate envelope is in use
+
+
 def test_sample_rejects_indefinite_p(ring_file):
     out = run_cli("sample", "--params", ring_file, "--n", "10")
     assert out.returncode == 3
@@ -270,6 +321,25 @@ def test_forecast_reference(reference_file):
     assert doc["forecast"]["asymptotic_rate"] == pytest.approx(
         0.125 / np.sqrt(7.0), abs=1e-12
     )
+
+
+def test_forecast_reports_proposal_d(heterogeneous_file, capsys):
+    params, _ = cli.load_param_file(heterogeneous_file)
+    spec = ProposalSpec.from_params(params)
+    assert cli.main(["forecast", "--params", heterogeneous_file, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for section in (doc["forecast"], doc["manifest"]["config"]):
+        assert section["proposal_d"] == list(spec.d)
+        assert section["lambda_min_bound"] == spec.lambda_min_bound
+    assert cli.main(["forecast", "--params", heterogeneous_file]) == 0
+    text = capsys.readouterr().out
+    assert f"proposal d: [{', '.join(f'{x:.12g}' for x in spec.d)}]" in text
+    # the scalar override puts b in every coordinate
+    argv = ["forecast", "--params", heterogeneous_file, "--lambda-min", "1", "--json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["forecast"]["proposal_d"] == [1.0, 1.0, 1.0]
+    assert doc["forecast"]["lambda_min_bound"] == 1.0
 
 
 def test_forecast_rejects_indefinite_p(ring_file):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_COUPLING,
     RING_COUPLING,
     bessel_i0_series,
     bessel_i1_series,
+    heterogeneous_params,
     random_params,
 )
 from mvmtorus import (
@@ -18,13 +21,17 @@ from mvmtorus import (
     certify_unimodal,
     exponent_many,
     forecast_acceptance,
+    is_positive_definite,
     sample_mvm,
     sample_proposal_g,
     sample_vm1,
+    sym_eigen,
 )
 from mvmtorus.sampler import (
+    ENVELOPE_SLACK,
     AcceptanceStallError,
     BoundViolationError,
+    _log_acceptance,
     log_bessel_i0,
     log_envelope_constant,
     log_proposal_density,
@@ -45,6 +52,20 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
     fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+def _certified_heterogeneous(rng, dims) -> list[MvmParams]:
+    """One certified ``heterogeneous_params`` set per entry of ``dims``;
+    each must pick the Jacobi envelope over the scalar one."""
+    sets = []
+    for p in dims:
+        params = heterogeneous_params(rng, p)
+        while not certify_unimodal(params).prop1_holds:
+            params = heterogeneous_params(rng, p)
+        spec = ProposalSpec.from_params(params)
+        assert spec.d != (spec.lambda_min_bound,) * p
+        sets.append(params)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +230,15 @@ def test_acceptance_probability_flags_invalid_bound():
 
 
 def test_envelope_bounds_exponent_everywhere(rng):
-    # ten certified parameter sets, 1e5 points each
+    # ten certified parameter sets plus six with a kappa spread >= 10x (two
+    # each at p = 2, 3, 4, where the Jacobi envelope wins), 1e5 points each
     sets = []
     while len(sets) < 10:
         p = int(rng.integers(1, 4))
         params = random_params(rng, p, kappa_range=(1.0, 6.0), coupling_scale=1.0)
         if certify_unimodal(params).prop1_holds:
             sets.append(params)
+    sets += _certified_heterogeneous(np.random.default_rng(808), (2, 2, 3, 3, 4, 4))
     for params in sets:
         spec = ProposalSpec.from_params(params)
         log_c = log_envelope_constant(params, spec)
@@ -377,3 +400,130 @@ def test_forecast_rate_bounded_by_isotropic_case(rng):
             continue
         found += 1
         assert 0.0 < forecast.asymptotic_rate <= 2.0 ** (-p) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# per-coordinate (Jacobi-scaled) envelope
+
+_HETERO_LAM = np.array(
+    [
+        [0.0, 0.3, -0.2, 0.4],
+        [0.3, 0.0, 0.1, -0.3],
+        [-0.2, 0.1, 0.0, 0.2],
+        [0.4, -0.3, 0.2, 0.0],
+    ]
+)
+
+
+def test_reference_spec_keeps_scalar_envelope():
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
+    spec = ProposalSpec.from_params(params)
+    assert spec.d == (spec.lambda_min_bound,) * 3
+    assert spec == ProposalSpec(lambda_min_bound=spec.lambda_min_bound, p=3)
+
+
+def test_jacobi_envelope_chosen_for_heterogeneous_kappa():
+    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
+    spec = ProposalSpec.from_params(params)
+    p_matrix = params.p_matrix()
+    diag = np.diag(p_matrix)
+    ratio = np.asarray(spec.d) / diag
+    assert np.allclose(ratio, ratio[0], rtol=1e-14)  # d = t * diag(P)
+    scaled = p_matrix / np.sqrt(np.outer(diag, diag))
+    assert ratio[0] == pytest.approx(sym_eigen(scaled).values[0], abs=1e-11)
+    assert np.sum(np.log(spec.d)) > 4 * np.log(spec.lambda_min_bound) + 1.0
+    scalar = ProposalSpec.from_params(params, lambda_min=spec.lambda_min_bound)
+    assert forecast_acceptance(params, spec).asymptotic_rate > 10.0 * (
+        forecast_acceptance(params, scalar).asymptotic_rate
+    )
+
+
+def test_lambda_min_override_forces_scalar_envelope():
+    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
+    spec = ProposalSpec.from_params(params, lambda_min=1.5)
+    assert spec.lambda_min_bound == 1.5
+    assert spec.d == (1.5,) * 4
+    assert spec.concentrations == pytest.approx([0.375] * 4)
+
+
+def test_envelope_quantities_use_vector_d():
+    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
+    spec = ProposalSpec.from_params(params)
+    d = np.asarray(spec.d)
+    expected = (
+        np.sum(params.kappa)
+        - np.sum(d) / 4.0
+        + sum(np.log(TWO_PI * bessel_i0_series(x / 4.0)) for x in d)
+    )
+    assert log_envelope_constant(params, spec) == pytest.approx(expected, abs=1e-12)
+    det = np.prod(sym_eigen(params.p_matrix()).values)
+    assert forecast_acceptance(params, spec).asymptotic_rate == pytest.approx(
+        2.0**-4 * np.sqrt(np.prod(d) / det), rel=1e-12
+    )
+    # log acceptance = f - log C - log g at arbitrary points
+    thetas = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(64, 4))
+    delta = thetas - params.mu.angles
+    direct = exponent_many(params, thetas) - log_envelope_constant(params, spec)
+    direct -= log_proposal_density(spec, delta)
+    log_acc = _log_acceptance(params, spec, np.cos(delta), np.sin(delta))
+    assert log_acc == pytest.approx(direct, abs=1e-10)
+    assert np.max(log_acc) <= 1e-12
+
+
+def test_spec_d_must_match_p_and_be_nonnegative():
+    with pytest.raises(ValueError, match="d must hold 3"):
+        ProposalSpec(lambda_min_bound=1.0, p=3, d=(1.0, 1.0))
+    with pytest.raises(ValueError, match="d must hold 2"):
+        ProposalSpec(lambda_min_bound=1.0, p=2, d=(1.0, -0.5))
+
+
+def test_sampler_rejects_spec_that_does_not_bound_params():
+    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
+    spec = ProposalSpec.from_params(params)
+    # the same couplings with kappa reversed: lambda_min(P) still exceeds
+    # the spec's scalar bound, but d_4 ~ 29 is far above P_44 = 2
+    swapped = _params([30.0, 8.0, 8.0, 2.0], _HETERO_LAM)
+    assert spec.lambda_min_bound <= sym_eigen(swapped.p_matrix()).values[0]
+    with pytest.raises(ValueError, match="does not bound these parameters"):
+        sample_mvm(swapped, 10, spec, seed=0)
+    assert sample_mvm(params, 10, spec, seed=0).n == 10
+
+
+def test_sampler_rejects_spec_of_other_dimension():
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
+    spec = ProposalSpec(lambda_min_bound=0.5, p=2)
+    with pytest.raises(ValueError, match="spec is for p = 2"):
+        sample_mvm(params, 10, spec, seed=0)
+
+
+@st.composite
+def _definite_params(draw):
+    p = draw(st.integers(1, 4))
+    entries = st.floats(-5.0, 5.0, allow_nan=False)
+    upper = draw(st.lists(entries, min_size=p * p, max_size=p * p))
+    lam = np.triu(np.reshape(upper, (p, p)), k=1)
+    lam = lam + lam.T
+    rows = np.sum(np.abs(lam), axis=1)
+    scales = draw(st.lists(st.floats(0.0, 3.0), min_size=p, max_size=p))
+    extras = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 60.0)), min_size=p, max_size=p
+        )
+    )
+    kappa = rows * np.asarray(scales) + np.asarray(extras)
+    params = _params(kappa, lam)
+    assume(sym_eigen(params.p_matrix()).values[0] > 1e-9)
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_definite_params())
+def test_from_params_envelope_is_valid_and_no_worse_than_scalar(params):
+    spec = ProposalSpec.from_params(params)
+    p_matrix = params.p_matrix()
+    gap = p_matrix - np.diag(spec.d)
+    norm = max(1.0, float(np.max(np.sum(np.abs(p_matrix), axis=1))))
+    assert is_positive_definite(gap, tol=-ENVELOPE_SLACK * norm)
+    assert min(spec.d) > 0.0
+    b = spec.lambda_min_bound
+    assert np.sum(np.log(spec.d)) >= params.p * np.log(b) - 1e-12 * params.p
