@@ -7,7 +7,9 @@ the resolved configuration and seed so any run can be replayed
 bit-for-bit.
 
 Exit codes: 0 success / certified, 1 input error, 2 inconclusive
-certification, 3 sampler precondition failure (P not positive definite).
+certification, 3 sampler precondition failure (P not positive definite,
+or the envelope fails at run time: an acceptance exponent above 0 or a
+stalled rejection loop).
 """
 
 from __future__ import annotations
@@ -332,7 +334,11 @@ def _cmd_sample(args) -> int:
     try:
         spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
         batch = sampler.sample_mvm(params, args.n, spec, seed=seed, workers=args.shards)
-    except sampler.NotPositiveDefiniteError as exc:
+    except (
+        sampler.NotPositiveDefiniteError,
+        sampler.BoundViolationError,
+        sampler.AcceptanceStallError,
+    ) as exc:
         print(
             f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
             file=sys.stderr,

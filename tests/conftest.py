@@ -1,6 +1,7 @@
 """Shared fixtures: reference matrices, the six-mode benchmark family, and
 small independent oracles (power-series Bessel functions, cofactor
-determinants) used to cross-check the library paths."""
+determinants, dense-grid quadrature) used to cross-check the library
+paths."""
 
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ def six_mode_table(eta: float):
 
 
 def bessel_i0_series(x: float, terms: int = 30) -> float:
-    """Power series sum_k (x/2)^(2k) / (k!)^2, independent of scipy."""
+    """Power series sum_k (x/2)^(2k) / (k!)^2."""
     total = 0.0
     term = 1.0
     for k in range(terms):
@@ -143,6 +144,52 @@ def first_kept_oracle(rows, radius: float) -> list[int]:
         if all(angular_distance(row, rows[k]) >= radius for k in kept):
             kept.append(i)
     return kept
+
+
+def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:
+    """Exponent on the full tensor product of the per-coordinate angle
+    vectors ``axes``, built by axis broadcasting in one dense array.
+    Reference for the slab-by-slab quadrature in ``mvmtorus.oracle``."""
+    p = params.p
+    total = np.zeros((1,) * p)
+    sines = []
+    for i, angles in enumerate(axes):
+        shape = [1] * p
+        shape[i] = len(angles)
+        d = np.asarray(angles, dtype=float) - params.mu.angles[i]
+        total = total + (params.kappa[i] * np.cos(d)).reshape(shape)
+        sines.append(np.sin(d).reshape(shape))
+    for i in range(p):
+        for j in range(i + 1, p):
+            total = total + params.lam[i, j] * (sines[i] * sines[j])
+    return total
+
+
+def logsumexp_oracle(values: np.ndarray, axis=None) -> np.ndarray:
+    """log(sum(exp(values))) with one max shift over ``axis``."""
+    shift = np.max(values, axis=axis, keepdims=True)
+    summed = np.sum(np.exp(values - shift), axis=axis, keepdims=True)
+    return np.squeeze(shift + np.log(summed), axis=axis)
+
+
+def dense_log_partition(params: MvmParams, n: int) -> float:
+    """Trapezoid-rule log Z from one dense (n,)*p exponent grid."""
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    values = exponent_on_axes(params, [nodes] * params.p)
+    return float(logsumexp_oracle(values) + params.p * np.log(2.0 * np.pi / n))
+
+
+def dense_marginal_density(params: MvmParams, dim: int, angles, n: int) -> np.ndarray:
+    """Marginal density of coordinate ``dim`` at ``angles`` from a dense
+    grid with that axis replaced by the angles."""
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    axes = [nodes] * params.p
+    axes[dim] = np.asarray(angles, dtype=float)
+    values = exponent_on_axes(params, axes)
+    others = tuple(i for i in range(params.p) if i != dim)
+    log_marg = logsumexp_oracle(values, axis=others) if others else values
+    log_marg = log_marg + (params.p - 1) * np.log(2.0 * np.pi / n)
+    return np.exp(log_marg - dense_log_partition(params, n))
 
 
 @pytest.fixture

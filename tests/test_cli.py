@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING
-from mvmtorus import ProposalSpec, cli, oracle
+from mvmtorus import ProposalSpec, cli, oracle, sampler
 
 
 def run_cli(*argv, cwd=None):
@@ -296,6 +296,63 @@ def test_sample_rejects_indefinite_p(ring_file):
     out = run_cli("sample", "--params", ring_file, "--n", "10")
     assert out.returncode == 3
     assert "certify" in out.stderr
+
+
+def test_sample_envelope_failure_is_a_precondition_error(tmp_path):
+    # kappa_1 = 1e200: rounding in kappa (c - 1) turns the acceptance
+    # exponent positive, which the sampler reports as a bound violation
+    path = write_params(
+        tmp_path / "huge.json",
+        kappa=[1e200, 1.0, 1.0],
+        mu=[0.0, 0.0, 0.0],
+        **{"lambda": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    )
+    out_csv = tmp_path / "draws.csv"
+    out = run_cli("sample", "--params", path, "--n", "100", "--out", str(out_csv))
+    assert out.returncode == cli.EXIT_SAMPLER_PRECONDITION == 3
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+    assert "mvmtorus certify" in out.stderr
+    assert list(tmp_path.iterdir()) == [tmp_path / "huge.json"]
+
+
+def test_sample_stall_is_a_precondition_error(reference_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise sampler.AcceptanceStallError("simulated")
+
+    monkeypatch.setattr(sampler, "sample_mvm", fail)
+    assert cli.main(["sample", "--params", reference_file, "--n", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: simulated\nhint: run `mvmtorus certify")
+
+
+def test_runs_without_scipy(tmp_path, reference_file):
+    # importing any scipy module raises once sys.modules["scipy"] is None
+    p4 = write_params(
+        tmp_path / "p4.json",
+        kappa=[2.0, 8.0, 8.0, 30.0],
+        mu=[0.5, 1.0, 1.5, 2.0],
+        **{"lambda": [[0.0, 0.3, -0.2, 0.1], [0.3, 0.0, 0.2, -0.1],
+                      [-0.2, 0.2, 0.0, 0.3], [0.1, -0.1, 0.3, 0.0]]},
+    )
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import mvmtorus
+from mvmtorus import cli
+loaded = [name for name, mod in sys.modules.items()
+          if name.startswith("scipy") and mod is not None]
+assert not loaded, loaded
+assert cli.main(["forecast", "--params", {p4!r}, "--json"]) == 0
+assert cli.main(["sample", "--params", {reference_file!r}, "--n", "2000",
+                 "--out", {str(tmp_path / "draws.csv")!r}]) == 0
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert 0.0 < doc["forecast"]["exact_rate"] < 1.0
+    assert len((tmp_path / "draws.csv").read_text().splitlines()) == 2001
 
 
 # ---------------------------------------------------------------------------

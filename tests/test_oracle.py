@@ -1,13 +1,18 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_COUPLING,
     RING_COUPLING,
     TWO_MODE_COUPLING,
     bessel_i0_series,
+    dense_log_partition,
+    dense_marginal_density,
     random_symmetric_coupling,
 )
 from mvmtorus import MvmParams, TorusPoint, exponent_f, log_density
@@ -150,6 +155,55 @@ def test_marginal_vectorized_matches_scalar():
     batch = marginal_density(params, 1, angles, 64)
     singles = [marginal_density(params, 1, float(a), 64) for a in angles]
     assert batch == pytest.approx(singles, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# streamed quadrature against the dense-grid oracle
+
+
+@st.composite
+def _quadrature_cases(draw):
+    p = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([16, 32, 48]))
+    angles = st.floats(0.0, TWO_PI, exclude_max=True)
+    upper = draw(st.lists(st.floats(-3.0, 3.0), min_size=p * p, max_size=p * p))
+    lam = np.triu(np.reshape(upper, (p, p)), k=1)
+    params = MvmParams(
+        mu=np.array(draw(st.lists(angles, min_size=p, max_size=p))),
+        kappa=np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=p, max_size=p))),
+        lam=lam + lam.T,
+    )
+    thetas = np.array(draw(st.lists(angles, min_size=1, max_size=5)))
+    return params, n, thetas
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quadrature_cases())
+def test_streamed_quadrature_matches_dense_oracle(case):
+    params, n, thetas = case
+    expected = dense_log_partition(params, n)
+    assert abs(log_partition(params, n) - expected) <= 1e-13 * abs(expected)
+    for dim in range(params.p):
+        got = marginal_density(params, dim, thetas, n)
+        want = dense_marginal_density(params, dim, thetas, n)
+        assert got.shape == thetas.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_log_partition_workspace_is_one_slab():
+    # p = 4, n = 48: the dense grid alone is 48**4 doubles (42 MB); the
+    # streamed reduction keeps a few 48**3 slabs (under 1 MB each)
+    params = _params(
+        [2.0, 8.0, 8.0, 30.0],
+        random_symmetric_coupling(np.random.default_rng(3), 4, 1.0),
+    )
+    tracemalloc.start()
+    try:
+        log_partition(params, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from mvmtorus import (
 )
 from mvmtorus.sampler import (
     ENVELOPE_SLACK,
+    LOG_I0_SWITCH,
     AcceptanceStallError,
     BoundViolationError,
     _log_acceptance,
@@ -92,6 +93,32 @@ def test_bessel_i0_scaled_asymptote():
     x = 1000.0
     scaled = np.sqrt(TWO_PI * x) * np.exp(log_bessel_i0(x) - x)
     assert 0.999 < scaled < 1.001
+
+
+def test_log_bessel_i0_matches_power_series():
+    for x in (0.5, 5.0, 20.0, 50.0, 100.0):
+        expected = np.log(bessel_i0_series(x, terms=200))
+        assert abs(log_bessel_i0(x) - expected) <= 1e-13 * expected
+
+
+def test_log_bessel_i0_continuous_at_series_switch():
+    below = log_bessel_i0(LOG_I0_SWITCH)
+    above = log_bessel_i0(np.nextafter(LOG_I0_SWITCH, np.inf))
+    assert LOG_I0_SWITCH == 700.0
+    assert abs(above - below) < 1e-13 * below
+    # far past the point where I0 itself overflows, log I0 stays finite
+    assert log_bessel_i0(1e200) == pytest.approx(1e200, rel=1e-15)
+
+
+def test_bessel_functions_keep_array_shape():
+    x = np.array([[0.0, 1.0, 699.0], [700.0, 701.0, 5e3]])
+    assert bessel_i0(x[:, :2]).shape == (2, 2)
+    logs = log_bessel_i0(x)
+    assert logs.shape == x.shape
+    for value, expected in zip(logs.ravel(), x.ravel()):
+        assert value == pytest.approx(log_bessel_i0(float(expected)), rel=1e-15)
+    assert isinstance(log_bessel_i0(2.0), float)
+    assert isinstance(bessel_i0(2.0), float)
 
 
 def test_bessel_i0_rejects_negative():
