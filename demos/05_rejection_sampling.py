@@ -1,13 +1,13 @@
 """Exact sampling in the concentrated regime.
 
 When P = diag(kappa) - Lambda is positive definite, a product of
-doubled-angle von Mises proposals envelopes the target density, so plain
-rejection sampling yields exact draws.  Coordinate i of the proposal has
-concentration d_i / 4, for any d with P - diag(d) positive semidefinite;
-the acceptance rate is forecastable, and approaches
-2^-p sqrt(prod(d) / |P|) as the concentration grows.  The paper's choice
-is d = b * 1 with b a lower bound on the eigenvalues of P; when kappa is
-heterogeneous the Jacobi-scaled d = t * diag(P) fits far better.
+von Mises proposals envelopes the target density, so plain rejection
+sampling yields exact draws.  Coordinate i of the proposal is VM(0, d_i),
+for any d with P - diag(d) positive semidefinite; the acceptance rate is
+forecastable, and approaches sqrt(prod(d) / |P|) as the concentration
+grows.  The paper's choice is d = b * 1 with b a lower bound on the
+eigenvalues of P; when kappa is heterogeneous the Jacobi-scaled
+d = t * diag(P) fits far better.
 
 The demo draws a sample, compares empirical against forecast acceptance,
 validates a marginal histogram against quadrature ground truth, shows

@@ -212,6 +212,12 @@ def _emit(args, payload: dict, text: str) -> None:
     sys.stdout.write(body if args.json else text)
 
 
+def _check_count(value: int | None, flag: str, minimum: int = 1) -> None:
+    """Reject a size or count flag below ``minimum`` (None means unset)."""
+    if value is not None and value < minimum:
+        raise InputError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _write_text(path_or_stdout, body: str) -> None:
     if path_or_stdout:
         with open(path_or_stdout, "w", encoding="utf-8", newline="") as fh:
@@ -319,16 +325,21 @@ def _cmd_modes(args) -> int:
     return EXIT_OK
 
 
-def _sample_csv(draws: np.ndarray) -> str:
+def _write_sample_csv(fh, draws: np.ndarray) -> None:
+    """Header, then the rows one sampler block at a time, so the CSV text
+    never sits in memory whole."""
     # repr of a float never needs CSV quoting, so plain joins give the
     # csv.writer bytes at a fraction of the cost
-    header = ",".join(f"theta{i + 1}" for i in range(draws.shape[1]))
-    rows = (",".join(map(repr, row)) for row in draws.tolist())
-    return "\n".join([header, *rows]) + "\n"
+    fh.write(",".join(f"theta{i + 1}" for i in range(draws.shape[1])) + "\n")
+    for start in range(0, draws.shape[0], sampler.BLOCK_SIZE):
+        rows = draws[start : start + sampler.BLOCK_SIZE].tolist()
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def _cmd_sample(args) -> int:
     started = time.perf_counter()
+    _check_count(args.n, "--n")
+    _check_count(args.shards, "--shards")
     params, file_seed = load_param_file(args.params, args.degrees)
     seed = args.seed if args.seed is not None else (file_seed or 0)
     try:
@@ -363,20 +374,21 @@ def _cmd_sample(args) -> int:
         payload = {"manifest": manifest, "draws": _matrix(batch.draws)}
         sys.stdout.write(_json_text(payload))
         return EXIT_OK
-    body = _sample_csv(batch.draws)
     if args.out:
         manifest_text = _json_text(manifest)
-        _write_text(args.out, body)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_sample_csv(fh, batch.draws)
         _write_text(args.out + ".manifest.json", manifest_text)
     else:
         manifest_line = json.dumps(manifest, allow_nan=False)
-        sys.stdout.write(body)
+        _write_sample_csv(sys.stdout, batch.draws)
         print(manifest_line, file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_forecast(args) -> int:
     started = time.perf_counter()
+    _check_count(args.n_per_dim, "--n-per-dim")
     params, _ = load_param_file(args.params, args.degrees)
     try:
         spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
@@ -413,6 +425,7 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_cube(args) -> int:
     started = time.perf_counter()
+    _check_count(args.grid_n, "--grid-n", minimum=0)
     params, _ = load_param_file(args.params, args.degrees)
     if np.any(params.kappa != 0.0):
         print(
@@ -445,6 +458,7 @@ def _cmd_cube(args) -> int:
 
 def _cmd_grid(args) -> int:
     started = time.perf_counter()
+    _check_count(args.n, "--n")
     params, _ = load_param_file(args.params, args.degrees)
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
@@ -561,11 +575,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # a size flag too large for this machine (numpy's message names
+        # the allocation it could not make)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -124,7 +124,8 @@ def log_partition(params: MvmParams, n_per_dim: int | None = None) -> float:
     """Log of the trapezoid-rule integral of exp(exponent) over the torus,
     reduced slab by slab along the first coordinate."""
     _check_quadrature_dim(params.p)
-    grid = quadrature_grid(n_per_dim or default_n_per_dim(params.p))
+    n = default_n_per_dim(params.p) if n_per_dim is None else n_per_dim
+    grid = quadrature_grid(n)
     slabs = _log_slab_sums(params, 0, grid.nodes, grid)
     shift = slabs.max()
     log_sum = shift + np.log(np.sum(np.exp(slabs - shift)))
@@ -153,7 +154,7 @@ def marginal_density(
     _check_quadrature_dim(p)
     if not 0 <= dim < p:
         raise ValueError(f"dim must be in [0, {p}), got {dim}")
-    n = n_per_dim or default_n_per_dim(p)
+    n = default_n_per_dim(p) if n_per_dim is None else n_per_dim
     log_z = log_partition(params, n)
     grid = quadrature_grid(n)
     theta_arr = np.atleast_1d(np.asarray(theta_i, dtype=float))

@@ -1,38 +1,44 @@
 """Exact rejection sampling for the multivariate von Mises distribution in
 the positive-definite-P (certified unimodal) regime.
 
-Proposal: coordinate i independently follows the doubled-angle density
+Proposal: coordinate i independently follows the von Mises density
 
-    g_i(t) = exp(d_i/4 * cos(2 t)) / (2 pi I0(d_i/4)),
+    g_i(t) = exp(d_i cos t) / (2 pi I0(d_i)),
 
-where d >= 0 is a vector with P - diag(d) positive semidefinite.  A draw
-is produced by sampling t_tilde ~ VM(0, d_i/4) on (-pi, pi], halving it,
-adding pi with probability 1/2 and wrapping to [0, 2*pi).  Because
-kappa_i (c_i - 1) <= -kappa_i s_i^2 / 2, the exponent obeys
-f - sum(kappa) <= -s^T P s / 2 <= -s^T diag(d) s / 2, so the envelope
-constant
+where d >= 0 is a vector with P - diag(d) positive semidefinite (which
+implies d_i <= kappa_i); a draw is one numpy von Mises variate VM(0, d_i).
+The paper's inequality kappa_i (c_i - 1) <= -kappa_i s_i^2 / 2, applied
+only to the kappa - d part of kappa, gives
 
-    log C = sum(kappa) - sum(d)/4 + sum_i log(2 pi I0(d_i/4))
+    sum (kappa_i - d_i)(c_i - 1) + s^T Lambda s / 2 <= -s^T (P - diag(d)) s / 2 <= 0,
 
-satisfies exp(f) <= C g everywhere, and accepting a proposal theta with
-probability exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + diag(d)) s)
-yields exact draws; accepted proposals are shifted by mu on output.  In
-the high-concentration limit the acceptance rate tends to
-2**-p * sqrt(prod(d) / |P|).
+so exp(f) <= exp(sum(kappa) - sum(d)) prod_i exp(d_i c_i) = C g with
+
+    log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)),
+
+and accepting a proposal theta with probability
+exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) yields exact draws;
+accepted proposals are shifted by mu on output.  In the high-concentration
+limit the acceptance rate tends to sqrt(prod(d) / |P|) <= 1, with equality
+only when Lambda = 0.
+
+The source paper bounds f with the same condition on d but proposes from
+the doubled-angle density exp(-d_i sin^2(t) / 2), which puts a copy of the
+mode at the antipode.  Because d (c - 1) <= -d s^2 / 2, the envelope here
+lies pointwise below that one, so its log C is smaller for every d.
 
 The source paper uses d = b*1 with b a lower bound on the eigenvalues of
 P.  :meth:`ProposalSpec.from_params` also tries the Jacobi-scaled
 d = t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), and keeps the
-one with the larger prod(d); with a constant diagonal the two coincide
-and the scalar is kept.
+one with the smaller log C; with a constant diagonal the two coincide and
+the scalar is kept.
 
 Reproducibility contract: a batch is produced in fixed-size blocks of
 ``BLOCK_SIZE`` draws, each block consuming its own generator spawned from
 the master seed.  Within a block, each attempt chunk consumes, in order,
-(1) the von Mises block, (2) the +pi coin block, (3) the uniform block.
-Worker threads only schedule whole blocks and results concatenate in block
-order, so output is bit-identical for a fixed seed no matter how many
-workers run.
+(1) the von Mises block, (2) the uniform block.  Worker threads only
+schedule whole blocks and results concatenate in block order, so output is
+bit-identical for a fixed seed no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ STALL_FACTOR = 1e6
 #: slack subtracted from computed eigenvalues when building an envelope,
 #: so eigen-solver rounding cannot push diag(d) past P
 ENVELOPE_SLACK = 1e-12
-#: per-coordinate gain in log d below which the Jacobi envelope counts as
+#: per-coordinate drop in log C below which the Jacobi envelope counts as
 #: a tie with the scalar one (a constant diagonal gives the scalar back up
 #: to rounding) and the scalar is kept
 TIE_LOG_GAIN = 1e-9
@@ -123,27 +129,36 @@ def bessel_i0(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _log_i0e(x: np.ndarray) -> np.ndarray:
+    """log(exp(-x) I0(x)) for an array x >= 0: log(numpy.i0(x)) - x up to
+    ``LOG_I0_SWITCH``, below the point where numpy.i0 overflows, and the
+    large-x asymptotic series -log(2 pi x)/2 + log(1 + 1/(8x) + 9/(128x^2)
+    + 225/(3072x^3) + 11025/(98304x^4)) above it (truncation error below
+    1e-15 there).  The scaling keeps log I0(d) - d accurate for huge d,
+    where log I0(d) alone rounds to d."""
+    small = np.minimum(x, LOG_I0_SWITCH)
+    big = np.maximum(x, LOG_I0_SWITCH)
+    inv = 1.0 / big
+    series = inv * (1 / 8 + inv * (9 / 128 + inv * (225 / 3072 + inv * 11025 / 98304)))
+    large = np.log1p(series) - 0.5 * np.log(TWO_PI * big)
+    return np.where(x <= LOG_I0_SWITCH, np.log(np.i0(small)) - small, large)
+
+
 def log_bessel_i0(x):
-    """log I0(x): log of ``numpy.i0`` up to ``LOG_I0_SWITCH``, below the
-    point where numpy.i0 overflows, and the large-x asymptotic series
-    x - log(2 pi x)/2 + log(1 + 1/(8x) + 9/(128x^2) + 225/(3072x^3)
-    + 11025/(98304x^4)) above it (truncation error below 1e-15 there)."""
+    """log I0(x): log of ``numpy.i0`` up to ``LOG_I0_SWITCH`` and the
+    large-x asymptotic series of :func:`_log_i0e`, plus x, above it."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("log_bessel_i0 requires x >= 0")
     small = np.log(np.i0(np.minimum(x, LOG_I0_SWITCH)))
-    big = np.maximum(x, LOG_I0_SWITCH)
-    inv = 1.0 / big
-    series = inv * (1 / 8 + inv * (9 / 128 + inv * (225 / 3072 + inv * 11025 / 98304)))
-    large = big - 0.5 * np.log(TWO_PI * big) + np.log1p(series)
-    out = np.where(x <= LOG_I0_SWITCH, small, large)
+    out = np.where(x <= LOG_I0_SWITCH, small, x + _log_i0e(x))
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class ProposalSpec:
-    """Doubled-angle proposal with per-coordinate von Mises concentrations
-    d_i / 4.
+    """Product of von Mises proposals with per-coordinate concentrations
+    d_i.
 
     ``lambda_min_bound`` is a positive lower bound b on the eigenvalues of
     P; ``d`` is the envelope diagonal, a vector with P - diag(d) positive
@@ -162,13 +177,13 @@ class ProposalSpec:
 
     @property
     def concentrations(self) -> np.ndarray:
-        """Per-coordinate von Mises concentrations d / 4."""
-        return np.asarray(self.d) / 4.0
+        """Per-coordinate von Mises concentrations d, as an array."""
+        return np.asarray(self.d)
 
     @property
     def concentration(self) -> float:
-        """Concentration of the scalar envelope, b / 4."""
-        return self.lambda_min_bound / 4.0
+        """Concentration of the scalar envelope, b."""
+        return self.lambda_min_bound
 
     @classmethod
     def from_params(
@@ -179,10 +194,12 @@ class ProposalSpec:
         ``lambda_min`` may be any value in (0, min eigenvalue of P] and
         forces the scalar envelope d = lambda_min * 1.  By default b is the
         computed smallest eigenvalue minus ``ENVELOPE_SLACK``, and d is the
-        better (larger sum of log d_i) of b*1 and the Jacobi-scaled
-        t*diag(P), where t is the smallest eigenvalue of
-        diag(P)^-1/2 P diag(P)^-1/2 minus ``ENVELOPE_SLACK``.  A gain of
-        at most ``TIE_LOG_GAIN`` per coordinate keeps the scalar."""
+        better (smaller log C) of b*1 and the Jacobi-scaled t*diag(P),
+        where t is the smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2
+        minus ``ENVELOPE_SLACK``.  A drop in log C of at most
+        ``TIE_LOG_GAIN`` per coordinate keeps the scalar.  (At low
+        concentration the larger sum of log d_i can be the worse choice:
+        d = (0.2, 2, 2) beats (1, 1, 1).)"""
         p_matrix = params.p_matrix()
         smallest = _smallest_eigenvalue(p_matrix)
         bound = smallest - ENVELOPE_SLACK if lambda_min is None else float(lambda_min)
@@ -196,7 +213,8 @@ class ProposalSpec:
             t = _smallest_eigenvalue(p_matrix * np.outer(scale, scale)) - ENVELOPE_SLACK
             if t > 0.0:
                 jacobi = t * diag
-                gain = np.sum(np.log(jacobi)) - params.p * np.log(bound)
+                # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
+                gain = params.p * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi))
                 if gain > params.p * TIE_LOG_GAIN:
                     return cls(lambda_min_bound=bound, p=params.p, d=tuple(jacobi))
         return cls(lambda_min_bound=bound, p=params.p)
@@ -227,7 +245,7 @@ class SampleBatch:
 @dataclass(frozen=True)
 class AcceptanceForecast:
     """Predicted acceptance rate: the high-concentration asymptote
-    2**-p * sqrt(prod(d) / |P|), and optionally the exact rate Z/C with
+    sqrt(prod(d) / |P|), and optionally the exact rate Z/C with
     Z from quadrature (p <= 4)."""
 
     asymptotic_rate: float
@@ -246,55 +264,55 @@ def sample_vm1(kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return wrap_angles(rng.vonmises(0.0, kappa, size=n))
 
 
-def _raw_proposals(spec: ProposalSpec, p: int, m: int, rng: np.random.Generator):
-    """m proposal rows in the mean-zero frame.  Stream order per call:
-    von Mises block, coin block."""
-    conc = spec.concentrations
+def _raw_proposals(spec: ProposalSpec, m: int, rng: np.random.Generator):
+    """m proposal rows in the mean-zero frame, on [-pi, pi]: one von Mises
+    block."""
+    d = spec.concentrations
     # a shared concentration takes numpy's faster scalar-kappa path; the
     # stream is the same either way
-    kappa = conc[0] if np.all(conc == conc[0]) else conc
-    tilde = rng.vonmises(0.0, kappa, size=(m, p))
-    coins = rng.integers(0, 2, size=(m, p))
-    return wrap_angles(0.5 * tilde + np.pi * coins)
+    kappa = d[0] if np.all(d == d[0]) else d
+    return rng.vonmises(0.0, kappa, size=(m, spec.p))
 
 
 def sample_proposal_batch(
     spec: ProposalSpec, p: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m independent draws from the proposal density g, shape (m, p)."""
-    return _raw_proposals(spec, p, m, rng)
+    """m independent draws from the proposal density g, wrapped to
+    [0, 2*pi), shape (m, p); ``p`` must equal ``spec.p``."""
+    if p != spec.p:
+        raise ValueError(f"spec is for p = {spec.p}, got p = {p}")
+    return wrap_angles(_raw_proposals(spec, m, rng))
 
 
 def sample_proposal_g(spec: ProposalSpec, p: int, rng: np.random.Generator) -> TorusPoint:
     """One draw from the proposal density g."""
-    return TorusPoint(_raw_proposals(spec, p, 1, rng)[0])
+    return TorusPoint(sample_proposal_batch(spec, p, 1, rng)[0])
 
 
 def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
     """log g at points with shape (..., p) in the mean-zero frame."""
     thetas = np.asarray(thetas, dtype=float)
-    conc = spec.concentrations
-    per_coord = conc * np.cos(2.0 * thetas) - (np.log(TWO_PI) + log_bessel_i0(conc))
+    d = spec.concentrations
+    per_coord = d * (np.cos(thetas) - 1.0) - (np.log(TWO_PI) + _log_i0e(d))
     return np.sum(per_coord, axis=-1)
 
 
 def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
-    """log C = sum(kappa) - sum(d)/4 + sum_i log(2 pi I0(d_i/4)) for the
-    bound exp(f) <= C g."""
-    conc = spec.concentrations
+    """log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)) for the bound
+    exp(f) <= C g."""
     return float(
-        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + log_bessel_i0(conc) - conc)
+        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + _log_i0e(spec.concentrations))
     )
 
 
 def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
-    quad = np.einsum("...i,ij,...j->...", s, params.lam + np.diag(spec.d), s)
-    return (c - 1.0) @ params.kappa + 0.5 * quad
+    quad = np.einsum("...i,ij,...j->...", s, params.lam, s)
+    return (c - 1.0) @ (params.kappa - spec.concentrations) + 0.5 * quad
 
 
 def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> float:
     """Probability of accepting proposal ``theta``:
-    exp(sum kappa_i (c_i - 1) + 0.5 s^T (Lambda + diag(d)) s), which is <= 1
+    exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s), which is <= 1
     whenever P - diag(d) is positive semidefinite.
     """
     t = trig_cache(params, as_torus_point(theta))
@@ -319,14 +337,13 @@ def _sample_block(
 ) -> tuple[np.ndarray, int]:
     """Run the rejection loop until ``quota`` draws are accepted."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    p = params.p
-    out = np.empty((quota, p))
+    out = np.empty((quota, params.p))
     got = 0
     trials = 0
     budget = int(quota * STALL_FACTOR)
     while got < quota:
         m = min(1 << 16, max(1024, 4 * (quota - got)))
-        props = _raw_proposals(spec, p, m, rng)
+        props = _raw_proposals(spec, m, rng)
         u = rng.random(m)
         log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
         if np.any(log_acc > 1e-12):
@@ -391,6 +408,8 @@ def sample_mvm(
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if spec is None:
         spec = ProposalSpec.from_params(params)
     else:
@@ -439,7 +458,7 @@ def forecast_acceptance(
             "P is not positive definite; see modes.certify_unimodal"
         )
     det = float(np.prod(eigenvalues))
-    asymptotic = float(2.0 ** (-params.p) * np.sqrt(np.prod(spec.d) / det))
+    asymptotic = float(np.sqrt(np.prod(spec.d) / det))
     exact = None
     if with_exact and params.p <= oracle.MAX_QUADRATURE_DIM:
         log_z = oracle.log_partition(params, n_per_dim)

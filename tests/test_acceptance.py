@@ -209,7 +209,7 @@ def test_c07_acceptance_rate_asymptotics():
         asym3 = forecast_acceptance(
             MvmParams(mu=np.zeros(3), kappa=np.full(3, 3.0), lam=REFERENCE_COUPLING)
         ).asymptotic_rate
-        assert abs(asym3 - 0.125 / np.sqrt(7.0)) < 1e-12
+        assert abs(asym3 - 1.0 / np.sqrt(7.0)) < 1e-12
 
         deviations = []
         slacks = []

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ def _csv_writer_text(draws):
     return buf.getvalue()
 
 
+def _streamed_csv(draws):
+    buf = io.StringIO()
+    cli._write_sample_csv(buf, draws)
+    return buf.getvalue()
+
+
 def test_sample_csv_matches_csv_writer():
     tiny = np.finfo(float).tiny
     edge = np.array(
@@ -274,9 +281,33 @@ def test_sample_csv_matches_csv_writer():
             [np.pi, 1.0, 2.5e-17],
         ]
     )
-    assert cli._sample_csv(edge) == _csv_writer_text(edge)
-    draws = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(500, 4))
-    assert cli._sample_csv(draws) == _csv_writer_text(draws)
+    assert _streamed_csv(edge) == _csv_writer_text(edge)
+    # rows on both sides of each block boundary
+    rows = 2 * sampler.BLOCK_SIZE + 3
+    draws = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=(rows, 4))
+    assert _streamed_csv(draws) == _csv_writer_text(draws)
+    assert _streamed_csv(draws[:0]) == "theta1,theta2,theta3,theta4\n"
+
+
+def test_sample_csv_streams_in_bounded_memory():
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    draws = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=(100_000, 3))
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        cli._write_sample_csv(sink, draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole text is ~6 MB; one block of rows as Python floats and text
+    # stays near 1 MB
+    assert sink.size > 5_000_000
+    assert peak < 4_000_000
 
 
 def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
@@ -298,9 +329,26 @@ def test_sample_rejects_indefinite_p(ring_file):
     assert "certify" in out.stderr
 
 
-def test_sample_envelope_failure_is_a_precondition_error(tmp_path):
-    # kappa_1 = 1e200: rounding in kappa (c - 1) turns the acceptance
-    # exponent positive, which the sampler reports as a bound violation
+def test_sample_envelope_failure_is_a_precondition_error(
+    reference_file, tmp_path, capsys, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise sampler.BoundViolationError("acceptance exponent positive")
+
+    monkeypatch.setattr(sampler, "sample_mvm", fail)
+    out_csv = tmp_path / "draws.csv"
+    argv = ["sample", "--params", reference_file, "--n", "100", "--out", str(out_csv)]
+    assert cli.main(argv) == cli.EXIT_SAMPLER_PRECONDITION == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: acceptance exponent positive\n")
+    assert "mvmtorus certify" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+def test_sample_huge_kappa_concentrates_at_mu(tmp_path):
+    # kappa_1 = 1e200 puts the first coordinate at mu_1 to ~1e-100; the
+    # acceptance exponent (c - 1) @ (kappa - d) has no 1e200-sized
+    # cancellation, so sampling runs normally
     path = write_params(
         tmp_path / "huge.json",
         kappa=[1e200, 1.0, 1.0],
@@ -308,12 +356,12 @@ def test_sample_envelope_failure_is_a_precondition_error(tmp_path):
         **{"lambda": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
     )
     out_csv = tmp_path / "draws.csv"
-    out = run_cli("sample", "--params", path, "--n", "100", "--out", str(out_csv))
-    assert out.returncode == cli.EXIT_SAMPLER_PRECONDITION == 3
-    assert out.stderr.startswith("error: ")
-    assert "Traceback" not in out.stderr
-    assert "mvmtorus certify" in out.stderr
-    assert list(tmp_path.iterdir()) == [tmp_path / "huge.json"]
+    assert cli.main(["sample", "--params", path, "--n", "500", "--out", str(out_csv)]) == 0
+    rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    assert rows.shape == (500, 3)
+    first = rows[:, 0]
+    assert np.max(np.minimum(first, 2.0 * np.pi - first)) <= 1e-90
+    assert np.std(np.cos(rows[:, 2])) > 0.1  # the other coordinates still vary
 
 
 def test_sample_stall_is_a_precondition_error(reference_file, capsys, monkeypatch):
@@ -368,15 +416,15 @@ def test_forecast_isotropic(tmp_path):
     out = run_cli("forecast", "--params", path, "--json")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
-    assert doc["forecast"]["asymptotic_rate"] == pytest.approx(0.125, rel=1e-9)
-    assert doc["forecast"]["exact_rate"] is not None
+    assert doc["forecast"]["asymptotic_rate"] == pytest.approx(1.0, rel=1e-9)
+    assert doc["forecast"]["exact_rate"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_forecast_reference(reference_file):
     out = run_cli("forecast", "--params", reference_file, "--json")
     doc = json.loads(out.stdout)
     assert doc["forecast"]["asymptotic_rate"] == pytest.approx(
-        0.125 / np.sqrt(7.0), abs=1e-12
+        1.0 / np.sqrt(7.0), abs=1e-12
     )
 
 
@@ -558,3 +606,45 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
     assert out.err.startswith("error: mu: angles must be finite")
     assert out.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_mu.json"]
+
+
+# ---------------------------------------------------------------------------
+# size and count flags
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("sample", "--n", "10", "--shards", "-3"), "--shards"),
+        (("sample", "--n", "10", "--shards", "0"), "--shards"),
+        (("sample", "--n", "0"), "--n"),
+        (("grid", "--n", "0"), "--n"),
+        (("grid", "--n", "-3"), "--n"),
+        (("cube", "--grid-n", "-2"), "--grid-n"),
+        (("forecast", "--n-per-dim", "0"), "--n-per-dim"),
+    ],
+)
+def test_size_flags_below_minimum_are_input_errors(
+    reference_file, tmp_path, capsys, argv, flag
+):
+    out_path = tmp_path / "out"
+    assert cli.main([*argv, "--params", reference_file, "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be >= ")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+def test_out_of_memory_is_an_input_error(reference_file, tmp_path, capsys, monkeypatch):
+    # stands in for `grid --n 200000`, whose 2e5 x 2e5 grid numpy cannot
+    # allocate; the test does not try the allocation itself
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB")
+
+    monkeypatch.setattr(oracle, "write_density_grid_csv", fail)
+    out_path = tmp_path / "grid.csv"
+    argv = ["grid", "--params", reference_file, "--n", "200000", "--out", str(out_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 596. GiB\n"
+    assert not out_path.exists()

@@ -74,6 +74,14 @@ def test_quadrature_grid_total_weight():
         quadrature_grid(8)
 
 
+def test_zero_nodes_per_dim_is_rejected_not_defaulted():
+    params = _params([1.0, 2.0], np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="n_per_dim must be >= 16, got 0"):
+        log_partition(params, 0)
+    with pytest.raises(ValueError, match="n_per_dim must be >= 16, got 0"):
+        marginal_density(params, 0, [0.5], 0)
+
+
 def test_quadrature_converged_at_paper_scale():
     for params in (
         _params([3.0, 3.0, 3.0], REFERENCE_COUPLING),

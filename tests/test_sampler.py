@@ -161,7 +161,7 @@ def test_vm1_rejects_negative_kappa(rng):
 
 
 # ---------------------------------------------------------------------------
-# doubled-angle proposal
+# von Mises proposal
 
 
 def test_proposal_uniform_at_zero_concentration(rng):
@@ -176,33 +176,44 @@ def test_proposal_uniform_at_zero_concentration(rng):
 
 def test_proposal_histogram_matches_density():
     n = 100_000
-    spec = ProposalSpec(lambda_min_bound=4.0, p=1)
+    spec = ProposalSpec(lambda_min_bound=2.0, p=1)
     draws = sample_proposal_batch(spec, 1, n, np.random.default_rng(0)).ravel()
     bins = 64
     edges = TWO_PI * np.arange(bins + 1) / bins
     counts, _ = np.histogram(draws, bins=edges)
-    # bin probabilities of exp(cos 2t)/(2 pi I0(1)) by fine trapezoid
+    # bin probabilities of exp(d cos t)/(2 pi I0(d)), d = 2, by fine trapezoid
     fine = 32
     for b in range(bins):
         grid = np.linspace(edges[b], edges[b + 1], fine + 1)
-        dens = np.exp(np.cos(2.0 * grid)) / (TWO_PI * bessel_i0_series(1.0))
+        dens = np.exp(2.0 * np.cos(grid)) / (TWO_PI * bessel_i0_series(2.0))
         q = np.trapezoid(dens, grid)
         se = np.sqrt(n * q * (1.0 - q))
         assert abs(counts[b] - n * q) <= 3.0 * se
 
 
 def test_proposal_halves_mass_on_each_semicircle(rng):
+    # VM(0, d) is symmetric about 0, so [0, pi) and [pi, 2 pi) each hold
+    # half the mass, while the half circle around the mode holds the
+    # share of exp(d cos t) there (there is no copy at the antipode)
     n = 100_000
     spec = ProposalSpec(lambda_min_bound=4.0, p=1)
     draws = sample_proposal_batch(spec, 1, n, rng).ravel()
     frac = np.mean(draws < np.pi)
     assert abs(frac - 0.5) < 4.0 / np.sqrt(n)
+    grid = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 4097)
+    dens = np.exp(4.0 * np.cos(grid)) / (TWO_PI * bessel_i0_series(4.0))
+    q = np.trapezoid(dens, grid)
+    assert q > 0.9
+    near_mode = np.mean(np.cos(draws) > 0.0)
+    assert abs(near_mode - q) < 4.0 * np.sqrt(q * (1.0 - q) / n)
 
 
 def test_proposal_single_draw(rng):
     point = sample_proposal_g(ProposalSpec(lambda_min_bound=2.0, p=3), 3, rng)
     assert isinstance(point, TorusPoint)
     assert point.p == 3
+    with pytest.raises(ValueError, match="spec is for p = 3"):
+        sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=3), 2, 5, rng)
 
 
 def test_proposal_log_density_normalizes():
@@ -294,13 +305,17 @@ def test_sampler_marginals_match_quadrature():
     batch = sample_mvm(params, n, seed=0)
     bins = 64
     edges = TWO_PI * np.arange(bins + 1) / bins
+    grids = np.linspace(edges[:-1], edges[1:], 17, axis=1)
     for dim in (0, 1):
         counts, _ = np.histogram(batch.draws[:, dim], bins=edges)
-        for b in range(bins):
-            grid = np.linspace(edges[b], edges[b + 1], 17)
-            q = np.trapezoid(marginal_density(params, dim, grid, 128), grid)
-            se = np.sqrt(n * q * (1.0 - q))
-            assert abs(counts[b] - n * q) <= 3.0 * se
+        q = np.trapezoid(marginal_density(params, dim, grids, 128), grids, axis=1)
+        # tail bins expecting under 5 draws are pooled, as in C6b: a
+        # binomial SE means nothing for a bin expecting 0.08 draws
+        sparse = n * q < 5.0
+        counts = np.append(counts[~sparse], counts[sparse].sum())
+        q = np.append(q[~sparse], q[sparse].sum())
+        se = np.sqrt(n * q * (1.0 - q))
+        assert np.all(np.abs(counts - n * q) <= 3.0 * se)
 
 
 def test_sampler_acceptance_matches_exact_rate():
@@ -345,6 +360,13 @@ def test_sampler_workers_do_not_change_output():
     assert a.trials == b.trials
 
 
+def test_sampler_rejects_fewer_than_one_worker():
+    params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sample_mvm(params, 10, seed=0, workers=workers)
+
+
 def test_sampler_accounting_identity():
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
     batch = sample_mvm(params, 4_321, seed=2)
@@ -382,7 +404,7 @@ def test_proposal_spec_default_bound():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     spec = ProposalSpec.from_params(params)
     assert spec.lambda_min_bound == pytest.approx(1.0, abs=1e-9)
-    assert spec.concentration == spec.lambda_min_bound / 4.0
+    assert spec.concentration == spec.lambda_min_bound
 
 
 def test_proposal_spec_rejects_bad_bounds():
@@ -395,18 +417,22 @@ def test_proposal_spec_rejects_bad_bounds():
         ProposalSpec.from_params(_params([0.0, 0.0, 0.0], RING_COUPLING))
 
 
-def test_forecast_isotropic_rate_is_two_to_minus_p():
+def test_forecast_isotropic_rate_is_one():
+    # Lambda = 0: the target is itself a product of von Mises densities,
+    # d = kappa up to the slack, and nearly every proposal is accepted
     params = _params([5.0, 5.0, 5.0], np.zeros((3, 3)))
-    forecast = forecast_acceptance(params)
-    assert forecast.asymptotic_rate == pytest.approx(0.125, rel=1e-9)
+    spec = ProposalSpec.from_params(params)
+    forecast = forecast_acceptance(params, spec, with_exact=True)
+    assert forecast.asymptotic_rate == pytest.approx(1.0, rel=1e-9)
+    assert forecast.exact_rate == pytest.approx(1.0, rel=1e-9)
+    batch = sample_mvm(params, 10_000, spec, seed=4)
+    assert batch.empirical_acceptance == pytest.approx(1.0, abs=1e-9)
 
 
 def test_forecast_reference_rate():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     forecast = forecast_acceptance(params)
-    assert forecast.asymptotic_rate == pytest.approx(
-        0.125 / np.sqrt(7.0), abs=1e-12
-    )
+    assert forecast.asymptotic_rate == pytest.approx(1.0 / np.sqrt(7.0), abs=1e-12)
 
 
 def test_forecast_exact_approaches_asymptote():
@@ -426,7 +452,7 @@ def test_forecast_rate_bounded_by_isotropic_case(rng):
         except NotPositiveDefiniteError:
             continue
         found += 1
-        assert 0.0 < forecast.asymptotic_rate <= 2.0 ** (-p) + 1e-15
+        assert 0.0 < forecast.asymptotic_rate <= 1.0 + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +496,7 @@ def test_lambda_min_override_forces_scalar_envelope():
     spec = ProposalSpec.from_params(params, lambda_min=1.5)
     assert spec.lambda_min_bound == 1.5
     assert spec.d == (1.5,) * 4
-    assert spec.concentrations == pytest.approx([0.375] * 4)
+    assert spec.concentrations == pytest.approx([1.5] * 4)
 
 
 def test_envelope_quantities_use_vector_d():
@@ -479,13 +505,13 @@ def test_envelope_quantities_use_vector_d():
     d = np.asarray(spec.d)
     expected = (
         np.sum(params.kappa)
-        - np.sum(d) / 4.0
-        + sum(np.log(TWO_PI * bessel_i0_series(x / 4.0)) for x in d)
+        - np.sum(d)
+        + sum(np.log(TWO_PI * bessel_i0_series(x, terms=200)) for x in d)
     )
     assert log_envelope_constant(params, spec) == pytest.approx(expected, abs=1e-12)
     det = np.prod(sym_eigen(params.p_matrix()).values)
     assert forecast_acceptance(params, spec).asymptotic_rate == pytest.approx(
-        2.0**-4 * np.sqrt(np.prod(d) / det), rel=1e-12
+        np.sqrt(np.prod(d) / det), rel=1e-12
     )
     # log acceptance = f - log C - log g at arbitrary points
     thetas = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(64, 4))
@@ -552,5 +578,33 @@ def test_from_params_envelope_is_valid_and_no_worse_than_scalar(params):
     norm = max(1.0, float(np.max(np.sum(np.abs(p_matrix), axis=1))))
     assert is_positive_definite(gap, tol=-ENVELOPE_SLACK * norm)
     assert min(spec.d) > 0.0
-    b = spec.lambda_min_bound
-    assert np.sum(np.log(spec.d)) >= params.p * np.log(b) - 1e-12 * params.p
+    scalar = ProposalSpec(lambda_min_bound=spec.lambda_min_bound, p=params.p)
+    assert log_envelope_constant(params, spec) <= log_envelope_constant(params, scalar)
+
+
+def _doubled_angle_log_c(params, d) -> float:
+    """log C of the paper's doubled-angle envelope, whose coordinate i
+    proposes exp((d_i / 4) cos 2t) / (2 pi I0(d_i / 4))."""
+    quarter = np.asarray(d) / 4.0
+    return float(
+        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + log_bessel_i0(quarter) - quarter)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_definite_params(), st.integers(0, 2**32 - 1))
+def test_vm_envelope_bounds_f_and_lies_below_doubled_angle(params, seed):
+    rng = np.random.default_rng(seed)
+    half_bound = 0.5 * sym_eigen(params.p_matrix()).values[0]
+    for spec in (
+        ProposalSpec.from_params(params),
+        ProposalSpec.from_params(params, lambda_min=half_bound),
+    ):
+        log_c = log_envelope_constant(params, spec)
+        thetas = rng.uniform(0.0, TWO_PI, size=(2000, params.p))
+        thetas[0] = params.mu.angles  # the mode, where the bound is tightest
+        f = exponent_many(params, thetas)
+        log_g = log_proposal_density(spec, thetas - params.mu.angles)
+        scale = max(1.0, float(np.sum(params.kappa)))
+        assert np.max(f - (log_c + log_g)) <= 1e-12 * scale
+        assert log_c <= _doubled_angle_log_c(params, spec.d) + 1e-12 * scale
