@@ -34,7 +34,6 @@ params = MvmParams(
 spec = ProposalSpec.from_params(params)
 print("eigenvalue lower bound:", spec.lambda_min_bound)
 print("envelope diagonal d:", spec.d)
-print("per-coordinate proposal concentrations:", spec.concentrations)
 
 forecast = forecast_acceptance(params, spec, with_exact=True)
 print("forecast acceptance: asymptotic", round(forecast.asymptotic_rate, 5),

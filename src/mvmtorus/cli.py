@@ -338,8 +338,6 @@ def _write_sample_csv(fh, draws: np.ndarray) -> None:
 
 def _cmd_sample(args) -> int:
     started = time.perf_counter()
-    _check_count(args.n, "--n")
-    _check_count(args.shards, "--shards")
     params, file_seed = load_param_file(args.params, args.degrees)
     seed = args.seed if args.seed is not None else (file_seed or 0)
     try:
@@ -388,7 +386,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_forecast(args) -> int:
     started = time.perf_counter()
-    _check_count(args.n_per_dim, "--n-per-dim")
     params, _ = load_param_file(args.params, args.degrees)
     try:
         spec = sampler.ProposalSpec.from_params(params, args.lambda_min)

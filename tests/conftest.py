@@ -5,18 +5,10 @@ paths."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from mvmtorus import MvmParams, angular_distance
-
-# HYPOTHESIS_PROFILE=ci fixes the examples, so a property failure in CI
-# replays the same way, and prints the blob that reproduces it
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})

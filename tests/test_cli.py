@@ -612,25 +612,27 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
 # size and count flags
 
 
+# sample and forecast pass the value on and report the library's check
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,message",
     [
-        (("sample", "--n", "10", "--shards", "-3"), "--shards"),
-        (("sample", "--n", "10", "--shards", "0"), "--shards"),
-        (("sample", "--n", "0"), "--n"),
-        (("grid", "--n", "0"), "--n"),
-        (("grid", "--n", "-3"), "--n"),
-        (("cube", "--grid-n", "-2"), "--grid-n"),
-        (("forecast", "--n-per-dim", "0"), "--n-per-dim"),
+        (("sample", "--n", "10", "--shards", "-3"), "workers must be >= 1, got -3"),
+        (("sample", "--n", "10", "--shards", "0"), "workers must be >= 1, got 0"),
+        (("sample", "--n", "0"), "n must be >= 1, got 0"),
+        (("grid", "--n", "0"), "--n must be >= 1, got 0"),
+        (("grid", "--n", "-3"), "--n must be >= 1, got -3"),
+        (("cube", "--grid-n", "-2"), "--grid-n must be >= 0, got -2"),
+        (("forecast", "--n-per-dim", "0"), "n_per_dim must be >= 16, got 0"),
+        (("forecast", "--n-per-dim", "15"), "n_per_dim must be >= 16, got 15"),
     ],
 )
 def test_size_flags_below_minimum_are_input_errors(
-    reference_file, tmp_path, capsys, argv, flag
+    reference_file, tmp_path, capsys, argv, message
 ):
     out_path = tmp_path / "out"
     assert cli.main([*argv, "--params", reference_file, "--out", str(out_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {flag} must be >= ")
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
 

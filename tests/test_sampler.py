@@ -160,6 +160,20 @@ def test_vm1_rejects_negative_kappa(rng):
         sample_vm1(-0.5, 10, rng)
 
 
+def test_numpy_vonmises_switches_to_wrapped_normal_above_1e6():
+    # the proposal is exact VM(0, d_i) only up to d_i = 1e6, where numpy
+    # falls back to a wrapped normal; the README states this threshold
+    def draws(kappa):
+        return np.random.default_rng(5).vonmises(0.0, kappa, size=1000)
+
+    def normal(kappa):
+        return np.sqrt(1.0 / kappa) * np.random.default_rng(5).standard_normal(1000)
+
+    for kappa in (1e6 + 1.0, 3e7):
+        assert np.array_equal(draws(kappa), normal(kappa))
+    assert not np.allclose(draws(1e6), normal(1e6), rtol=0.0, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # von Mises proposal
 
@@ -496,7 +510,6 @@ def test_lambda_min_override_forces_scalar_envelope():
     spec = ProposalSpec.from_params(params, lambda_min=1.5)
     assert spec.lambda_min_bound == 1.5
     assert spec.d == (1.5,) * 4
-    assert spec.concentrations == pytest.approx([1.5] * 4)
 
 
 def test_envelope_quantities_use_vector_d():
