@@ -14,9 +14,9 @@ import numpy as np
 from mvmtorus import (
     MvmParams,
     TorusPoint,
-    evaluate_all,
     exponent_f,
     grad_f,
+    hessian_f,
     log_density,
     log_partition,
 )
@@ -45,7 +45,7 @@ print("  P     =\n", params.p_matrix())
 print("\nf(mu) =", exponent_f(params, params.mu), "= sum(kappa) =", params.kappa.sum())
 
 theta = TorusPoint(rng.uniform(0.0, 2.0 * np.pi, size=3))
-f, grad, hess = evaluate_all(params, theta)
+f, grad, hess = exponent_f(params, theta), grad_f(params, theta), hessian_f(params, theta)
 print("\nat a random point", theta.angles)
 print("  f        =", f)
 print("  gradient =", grad)

@@ -12,9 +12,7 @@ from .model import (
     DimensionMismatchError,
     MvmParams,
     TorusPoint,
-    TrigCache,
     angular_distance,
-    evaluate_all,
     exponent_f,
     exponent_many,
     grad_f,
@@ -22,7 +20,6 @@ from .model import (
     hessian_f,
     hessian_many,
     log_density,
-    trig_cache,
     wrap_angles,
 )
 from .spectral import (
@@ -72,9 +69,7 @@ __all__ = [
     "DimensionMismatchError",
     "MvmParams",
     "TorusPoint",
-    "TrigCache",
     "angular_distance",
-    "evaluate_all",
     "exponent_f",
     "exponent_many",
     "grad_f",
@@ -82,7 +77,6 @@ __all__ = [
     "hessian_f",
     "hessian_many",
     "log_density",
-    "trig_cache",
     "wrap_angles",
     "GershgorinReport",
     "SymEigen",

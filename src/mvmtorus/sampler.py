@@ -52,11 +52,11 @@ import numpy as np
 
 from . import oracle, spectral
 from .model import (
+    DimensionMismatchError,
     MvmParams,
     TorusPoint,
     TWO_PI,
     as_torus_point,
-    trig_cache,
     wrap_angles,
 )
 
@@ -86,7 +86,8 @@ BLOCK_SIZE = 4096
 #: stall guard: a batch may not consume more than n * 1e6 proposals
 STALL_FACTOR = 1e6
 #: slack subtracted from computed eigenvalues when building an envelope,
-#: so eigen-solver rounding cannot push diag(d) past P
+#: so eigen-solver rounding cannot push diag(d) past P; scaled by
+#: min(1, inf-norm of P) so a P with tiny entries keeps a positive bound
 ENVELOPE_SLACK = 1e-12
 #: per-coordinate drop in log C below which the Jacobi envelope counts as
 #: a tie with the scalar one (a constant diagonal gives the scalar back up
@@ -95,6 +96,9 @@ TIE_LOG_GAIN = 1e-9
 #: argument above which log I0 switches from log(numpy.i0) to its
 #: asymptotic series (numpy.i0 overflows near 713)
 LOG_I0_SWITCH = 700.0
+#: Z <= C always holds, so an exact acceptance rate Z/C above 1 + this
+#: tolerance is a quadrature failure
+EXACT_RATE_TOL = 1e-9
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -120,6 +124,10 @@ def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
             "see modes.certify_unimodal"
         )
     return smallest
+
+
+def _norm_inf(a: np.ndarray) -> float:
+    return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 def bessel_i0(x):
@@ -191,7 +199,8 @@ class ProposalSpec:
 
         ``lambda_min`` may be any value in (0, min eigenvalue of P] and
         forces the scalar envelope d = lambda_min * 1.  By default b is the
-        computed smallest eigenvalue minus ``ENVELOPE_SLACK``, and d is the
+        computed smallest eigenvalue minus ``ENVELOPE_SLACK`` times
+        min(1, inf-norm of P), and d is the
         better (smaller log C) of b*1 and the Jacobi-scaled t*diag(P),
         where t is the smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2
         minus ``ENVELOPE_SLACK``.  A drop in log C of at most
@@ -200,7 +209,10 @@ class ProposalSpec:
         d = (0.2, 2, 2) beats (1, 1, 1).)"""
         p_matrix = params.p_matrix()
         smallest = _smallest_eigenvalue(p_matrix)
-        bound = smallest - ENVELOPE_SLACK if lambda_min is None else float(lambda_min)
+        if lambda_min is None:
+            bound = smallest - ENVELOPE_SLACK * min(1.0, _norm_inf(p_matrix))
+        else:
+            bound = float(lambda_min)
         if not 0.0 < bound <= smallest:
             raise ValueError(
                 f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}"
@@ -315,8 +327,11 @@ def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> floa
     exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s), which is <= 1
     whenever P - diag(d) is positive semidefinite.
     """
-    t = trig_cache(params, as_torus_point(theta))
-    prob = float(np.exp(_log_acceptance(params, spec, t.c, t.s)))
+    theta = as_torus_point(theta)
+    if theta.p != params.p:
+        raise DimensionMismatchError(f"theta has length {theta.p}, expected p={params.p}")
+    delta = theta.angles - params.mu.angles
+    prob = float(np.exp(_log_acceptance(params, spec, np.cos(delta), np.sin(delta))))
     if prob > 1.0 + 1e-12:
         raise BoundViolationError(
             f"acceptance probability {prob} exceeds 1: envelope d = "
@@ -383,8 +398,7 @@ def _check_spec(params: MvmParams, spec: ProposalSpec) -> None:
         raise ValueError(
             f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
         )
-    norm_inf = float(np.max(np.sum(np.abs(p_matrix), axis=1)))
-    slack = ENVELOPE_SLACK * max(1.0, norm_inf)
+    slack = ENVELOPE_SLACK * max(1.0, _norm_inf(p_matrix))
     if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=-slack):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "
@@ -447,7 +461,9 @@ def forecast_acceptance(
 
     The asymptotic rate is exact in the high-concentration limit; the
     exact rate integrates the density by quadrature and is available for
-    p <= 4 only (None otherwise).
+    p <= 4 only (None otherwise).  An exact rate above 1 +
+    ``EXACT_RATE_TOL`` means the grid missed the peak, and raises
+    ``ValueError``.
     """
     if spec is None:
         spec = ProposalSpec.from_params(params)
@@ -457,10 +473,19 @@ def forecast_acceptance(
         raise NotPositiveDefiniteError(
             "P is not positive definite; see modes.certify_unimodal"
         )
-    det = float(np.prod(eigenvalues))
-    asymptotic = float(np.sqrt(np.prod(spec.d) / det))
+    # in log space: prod(d) and |P| both underflow for tiny kappa
+    with np.errstate(divide="ignore"):
+        log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))
+    asymptotic = float(np.exp(0.5 * log_ratio))
     exact = None
     if with_exact and params.p <= oracle.MAX_QUADRATURE_DIM:
-        log_z = oracle.log_partition(params, n_per_dim)
+        n = oracle.default_n_per_dim(params.p) if n_per_dim is None else n_per_dim
+        log_z = oracle.log_partition(params, n)
         exact = float(np.exp(log_z - log_envelope_constant(params, spec)))
+        if exact > 1.0 + EXACT_RATE_TOL:
+            raise ValueError(
+                f"quadrature failed: exact acceptance rate {exact:.6g} exceeds 1, "
+                f"so {n} nodes per dimension miss the density peak; "
+                "raise n_per_dim (--n-per-dim)"
+            )
     return AcceptanceForecast(asymptotic_rate=asymptotic, exact_rate=exact)

@@ -5,6 +5,9 @@ paths."""
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,19 @@ def dense_marginal_density(params: MvmParams, dim: int, angles, n: int) -> np.nd
     log_marg = logsumexp_oracle(values, axis=others) if others else values
     log_marg = log_marg + (params.p - 1) * np.log(2.0 * np.pi / n)
     return np.exp(log_marg - dense_log_partition(params, n))
+
+
+def csv_writer_text(rows) -> str:
+    """The text ``csv.writer`` (with "\\n" line ends) writes for ``rows``,
+    each float cell given as ``repr(float(x))``.  Reference for the
+    package's CSV writers, which join the cells themselves."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(
+            [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+        )
+    return buf.getvalue()
 
 
 @pytest.fixture

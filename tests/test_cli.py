@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import subprocess
@@ -8,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING
-from mvmtorus import ProposalSpec, cli, oracle, sampler
+from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING, csv_writer_text
+from mvmtorus import MvmParams, ProposalSpec, cli, modes, oracle, sampler
 
 
 def run_cli(*argv, cwd=None):
@@ -184,6 +183,22 @@ def test_modes_ring_flags_extended_mode(ring_file, tmp_path):
     assert len(lines) == 1 + len(doc["report"]["criticals"])
 
 
+@pytest.mark.parametrize("coupling", [RING_COUPLING, REFERENCE_COUPLING])
+def test_criticals_csv_matches_csv_writer(coupling):
+    params = MvmParams(mu=np.array([0.5, 6.0, 3.0]), kappa=np.full(3, 0.1), lam=coupling)
+    report = modes.critical_points(params)
+    header = (
+        ["kind", "f_value", "grad_norm"] + [f"theta{i}" for i in (1, 2, 3)]
+        + [f"eig{i}" for i in (1, 2, 3)]
+    )
+    rows = [
+        [c.kind.value, c.f_value, c.grad_norm, *c.theta.angles, *c.hessian_eigenvalues]
+        for c in report.criticals
+    ]
+    assert len(rows) > 1
+    assert cli._criticals_csv(report, 3) == csv_writer_text([header] + rows)
+
+
 @pytest.mark.parametrize(
     "flag,value,field",
     [
@@ -257,12 +272,8 @@ def test_sample_seed_flag_overrides_file_seed(univariate_file, tmp_path):
 
 def _csv_writer_text(draws):
     """The sample CSV as csv.writer with repr(float) cells writes it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"theta{i + 1}" for i in range(draws.shape[1])])
-    for row in draws:
-        writer.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
+    header = [f"theta{i + 1}" for i in range(draws.shape[1])]
+    return csv_writer_text([header] + list(draws))
 
 
 def _streamed_csv(draws):
@@ -650,3 +661,93 @@ def test_out_of_memory_is_an_input_error(reference_file, tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.err == "error: out of memory: Unable to allocate 596. GiB\n"
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# overflow, tiny concentration and impossible rates
+
+
+@pytest.mark.parametrize(
+    "command,lam12",
+    [("certify", 1.0), ("modes", 1.0), ("forecast", 1.0), ("certify", 1e308)],
+)
+def test_overflowing_parameters_are_input_errors(tmp_path, capsys, command, lam12):
+    path = write_params(
+        tmp_path / "huge.json", kappa=[1e308, 1e308], **{"lambda": [[0.0, lam12], [lam12, 0.0]]}
+    )
+    assert cli.main([command, "--params", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: kappa and lambda are too large: the range of f, sum(kappa) + "
+        "0.5 * sum |lambda_ij|, overflows a float\n"
+    )
+    assert captured.out == ""
+
+
+def test_tiny_kappa_samples_and_forecasts(tmp_path, capsys):
+    path = write_params(
+        tmp_path / "tiny.json", kappa=[1e-300, 1e-300], **{"lambda": [[0.0, 0.0], [0.0, 0.0]]}
+    )
+    assert cli.main(["forecast", "--params", path, "--json"]) == 0
+    forecast = json.loads(capsys.readouterr().out)["forecast"]
+    assert forecast["asymptotic_rate"] == pytest.approx(1.0, abs=1e-9)
+    assert forecast["exact_rate"] == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 < forecast["lambda_min_bound"] <= 1e-300
+    out_csv = tmp_path / "draws.csv"
+    assert cli.main(["sample", "--params", path, "--n", "200", "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 201
+
+
+def test_forecast_rejects_an_exact_rate_above_one(tmp_path, capsys):
+    # 128 nodes alias exp(1e4 cos t): the trapezoid sum overshoots Z ~4x
+    path = write_params(
+        tmp_path / "sharp.json", kappa=[1e4, 1e4], **{"lambda": [[0.0, 1.0], [1.0, 0.0]]}
+    )
+    assert cli.main(["forecast", "--params", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: quadrature failed: exact acceptance rate 3.8")
+    assert "128 nodes per dimension" in captured.err
+    assert "--n-per-dim" in captured.err
+    assert captured.out == ""
+    assert cli.main(["forecast", "--params", path, "--n-per-dim", "4096", "--json"]) == 0
+    assert 0.999 < json.loads(capsys.readouterr().out)["forecast"]["exact_rate"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("forecast", "--n", "1000"), "unrecognized arguments: --n 1000"),
+        (("modes", "--n", "5"), "unrecognized arguments: --n 5"),
+        (("sample", "--n", "ten"), "argument --n: invalid int value: 'ten'"),
+        (("sample",), "the following arguments are required: --n"),
+        (("grid", "--dim", "0,1"), "unrecognized arguments: --dim 0,1"),
+    ],
+)
+def test_usage_errors_exit_1_without_abbreviations(reference_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--params", reference_file, *argv[1:]])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: mvmtorus")
+    assert captured.err.rstrip().endswith(f"error: {message}")
+    assert captured.out == ""
+
+
+def test_usage_error_exit_code_from_the_shell():
+    out = run_cli("no-such-command")
+    assert out.returncode == 1
+    assert "invalid choice: 'no-such-command'" in out.stderr
+    assert run_cli("--version").returncode == 0
+
+
+def test_cube_json_formats_no_csv(ring_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the surface CSV was formatted on the JSON path")
+
+    monkeypatch.setattr(oracle, "write_cube_surface_csv", fail)
+    assert cli.main(["cube", "--params", ring_file, "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["best_vertices"]) == 6

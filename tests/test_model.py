@@ -14,7 +14,6 @@ from mvmtorus import (
     grad_many,
     hessian_f,
     log_density,
-    trig_cache,
     wrap_angles,
 )
 from mvmtorus.model import TWO_PI
@@ -101,6 +100,21 @@ def test_params_reject_nonzero_diagonal():
         MvmParams(mu=np.zeros(2), kappa=np.ones(2), lam=lam)
 
 
+def test_params_reject_an_overflowing_exponent_range():
+    with pytest.raises(ValueError, match="kappa and lambda are too large"):
+        MvmParams(mu=np.zeros(2), kappa=[1e308, 1e308], lam=[[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="kappa and lambda are too large"):
+        MvmParams(mu=np.zeros(2), kappa=[1e308, 0.0], lam=[[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(ValueError, match="kappa and lambda are too large"):
+        MvmParams(mu=np.zeros(2), kappa=[0.0, 0.0], lam=[[0.0, 1e308], [1e308, 0.0]])
+    # just below the limit every evaluation stays finite
+    params = MvmParams(mu=np.zeros(2), kappa=[0.0, 0.0], lam=[[0.0, 8e307], [8e307, 0.0]])
+    theta = [np.pi / 2, np.pi / 2]
+    assert exponent_f(params, theta) == 8e307
+    assert np.all(np.isfinite(grad_f(params, theta)))
+    assert np.all(np.isfinite(hessian_f(params, theta)))
+
+
 def test_params_reject_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         MvmParams(mu=np.zeros(3), kappa=np.ones(2), lam=np.zeros((2, 2)))
@@ -116,7 +130,7 @@ def test_evaluations_reject_wrong_length_theta():
 
 
 # ---------------------------------------------------------------------------
-# trig cache
+# trig identity
 
 
 @given(angle_lists, angle_lists)
@@ -125,8 +139,8 @@ def test_trig_identity_tight(mu, theta):
     params = MvmParams(
         mu=np.array(mu[:n]), kappa=np.ones(n), lam=np.zeros((n, n))
     )
-    cache = trig_cache(params, TorusPoint(np.array(theta[:n])))
-    assert np.max(np.abs(cache.c**2 + cache.s**2 - 1.0)) < 1e-14
+    delta = TorusPoint(np.array(theta[:n])).angles - params.mu.angles
+    assert np.max(np.abs(np.cos(delta) ** 2 + np.sin(delta) ** 2 - 1.0)) < 1e-14
 
 
 # ---------------------------------------------------------------------------

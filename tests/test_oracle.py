@@ -11,8 +11,10 @@ from conftest import (
     RING_COUPLING,
     TWO_MODE_COUPLING,
     bessel_i0_series,
+    csv_writer_text,
     dense_log_partition,
     dense_marginal_density,
+    random_params,
     random_symmetric_coupling,
 )
 from mvmtorus import MvmParams, TorusPoint, exponent_f, log_density
@@ -374,6 +376,25 @@ def test_density_grid_csv_round_trips():
     assert float(first[4]) == values[0, 0]  # repr round-trip is lossless
 
 
+@pytest.mark.parametrize("dims,n", [((0, 2), 37), ((2, 1), 16), (1, 50), ((0, 0), 9)])
+def test_density_grid_csv_matches_csv_writer(rng, dims, n):
+    params = random_params(rng, 3)
+    buf = io.StringIO()
+    write_density_grid_csv(buf, params, dims, n, slice_point=[0.0, np.pi, 6.0])
+    dims = (dims,) if np.isscalar(dims) else tuple(dict.fromkeys(dims))
+    values = density_grid(params, dims, n, slice_point=[0.0, np.pi, 6.0])
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    if len(dims) == 1:
+        rows = [["i", f"theta{dims[0] + 1}", "value"]]
+        rows += [[i, nodes[i], values[i]] for i in range(n)]
+    else:
+        rows = [["i", "j", f"theta{dims[0] + 1}", f"theta{dims[1] + 1}", "value"]]
+        rows += [
+            [i, j, nodes[i], nodes[j], values[i, j]] for i in range(n) for j in range(n)
+        ]
+    assert buf.getvalue() == csv_writer_text(rows)
+
+
 def test_cube_surface_csv_layout():
     analysis = kappa_zero_analysis(RING_COUPLING, grid_n=5)
     buf = io.StringIO()
@@ -387,3 +408,20 @@ def test_cube_surface_csv_layout():
     parts = vertex_lines[0].split(",")
     key = tuple(int(x) for x in parts[4:7])
     assert float(parts[7]) == analysis.vertex_values[key]
+
+
+@pytest.mark.parametrize("p,grid_n", [(3, 7), (3, 0), (4, 0)])
+def test_cube_surface_csv_matches_csv_writer(rng, p, grid_n):
+    analysis = kappa_zero_analysis(random_symmetric_coupling(rng, p), grid_n=grid_n)
+    buf = io.StringIO()
+    write_cube_surface_csv(buf, analysis)
+    rows = [["record", "face", "row", "col"] + [f"s{i + 1}" for i in range(p)] + ["value"]]
+    for vertex in sorted(analysis.vertex_values):
+        rows.append(
+            ["vertex", "", "", ""] + [str(x) for x in vertex] + [analysis.vertex_values[vertex]]
+        )
+    for face in analysis.surface_grid or []:
+        for i in range(grid_n):
+            for j in range(grid_n):
+                rows.append(["face", face.label, i, j, *face.s[i, j], face.values[i, j]])
+    assert buf.getvalue() == csv_writer_text(rows)

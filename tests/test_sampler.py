@@ -456,6 +456,30 @@ def test_forecast_exact_approaches_asymptote():
     assert abs(forecast.exact_rate / forecast.asymptotic_rate - 1.0) < 0.05
 
 
+def test_forecast_rejects_an_exact_rate_above_one():
+    # the 128-node grid aliases a peak of width 1e-2: Z comes out ~4x too big
+    params = _params([1e4, 1e4], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="n_per_dim"):
+        forecast_acceptance(params, with_exact=True)
+    assert forecast_acceptance(params).exact_rate is None
+    fine = forecast_acceptance(params, with_exact=True, n_per_dim=4096)
+    assert 0.999 < fine.exact_rate <= 1.0
+
+
+def test_tiny_kappa_envelope_keeps_a_positive_bound():
+    # the slack scales with min(1, |P|_inf): at kappa = 1e-300 an absolute
+    # 1e-12 would leave no bound; at |P|_inf >= 1 it is the plain 1e-12
+    params = _params([1e-300, 1e-300], np.zeros((2, 2)))
+    spec = ProposalSpec.from_params(params)
+    assert spec.d == pytest.approx((1e-300 * (1.0 - ENVELOPE_SLACK),) * 2, rel=1e-15)
+    forecast = forecast_acceptance(params, spec, with_exact=True)
+    assert forecast.asymptotic_rate == pytest.approx(1.0, abs=1e-9)
+    assert forecast.exact_rate == pytest.approx(1.0, abs=1e-9)
+    reference = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
+    smallest = sym_eigen(reference.p_matrix()).values[0]
+    assert ProposalSpec.from_params(reference).lambda_min_bound == smallest - ENVELOPE_SLACK
+
+
 def test_forecast_rate_bounded_by_isotropic_case(rng):
     found = 0
     while found < 20:
