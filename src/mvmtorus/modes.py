@@ -13,16 +13,18 @@ Two complementary tools:
   classifies each one through its Hessian spectrum, flagging extended
   (degenerate) maxima such as flat ridges.
 
-The search is organized in three passes per start (ascent toward maxima,
-descent toward minima, and a plain root pass on the gradient that also
-lands on saddles).  All passes run batched over the start set with plain
-numpy; for a fixed seed the result is deterministic.  The converged pool
-is deduplicated (greedy, first kept, in pool order) before classification,
-so only the surviving points are classified.  They are classified in one
-batch: stacked Hessians from :func:`mvmtorus.model.hessian_many`, their
-spectra from one stacked ``eigvalsh``, and f from
-:func:`mvmtorus.model.exponent_many`.  :func:`classify_critical` runs the
-same batch path on a single row, so both give identical results.
+The search runs one damped-Newton driver three times over the start set,
+once per target (ascent toward maxima, descent toward minima, and a plain
+root pass on the gradient that also lands on saddles), then polishes each
+pass's result with pseudo-inverse Newton.  Everything runs batched over
+the start set with plain numpy; for a fixed seed the result is
+deterministic.  The converged pool is deduplicated (greedy, first kept,
+in pool order) before classification, so only the surviving points are
+classified.  They are classified in one batch: stacked Hessians from
+:func:`mvmtorus.model.hessian_many`, their spectra from one stacked
+``eigvalsh``, and f from :func:`mvmtorus.model.exponent_many`.
+:func:`classify_critical` runs the same batch path on a single row, so
+both give identical results.
 """
 
 from __future__ import annotations
@@ -150,12 +152,6 @@ def _classify_eigenvalues(eigenvalues: np.ndarray, tol: np.ndarray) -> list[Poin
     return [_KINDS[k] for k in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
 
 
-def _degeneracy_threshold(hessians: np.ndarray, degeneracy_tol: float) -> np.ndarray:
-    """degeneracy_tol * max(1, inf-norm) for each Hessian in a stack."""
-    norm_inf = np.max(np.sum(np.abs(hessians), axis=-1), axis=-1)
-    return degeneracy_tol * np.maximum(1.0, norm_inf)
-
-
 def _classified(
     params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float
 ) -> list[CriticalPoint]:
@@ -163,9 +159,8 @@ def _classified(
     in one batch: stacked Hessians, their spectra, and f."""
     hessians = hessian_many(params, rows)
     eigenvalues = np.linalg.eigvalsh(hessians)
-    kinds = _classify_eigenvalues(
-        eigenvalues, _degeneracy_threshold(hessians, degeneracy_tol)
-    )
+    tol = degeneracy_tol * np.maximum(1.0, spectral.norm_inf(hessians))
+    kinds = _classify_eigenvalues(eigenvalues, tol)
     f_values = exponent_many(params, rows).tolist()
     return [
         CriticalPoint(TorusPoint(row), f, float(g), eig, kind)
@@ -286,12 +281,12 @@ def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
 
 
 def _eigh_directions(hessians: np.ndarray, gradients: np.ndarray):
-    """Eigen-decompose a stack of Hessians and return (w, gproj, habs) where
-    gproj are the gradients rotated into the eigenbases."""
+    """Eigen-decompose a stack of Hessians and return (w, v, gproj, habs):
+    gproj are the gradients rotated into the eigenbases and habs is
+    max(1, inf-norm) of each Hessian."""
     w, v = np.linalg.eigh(hessians)
     gproj = np.einsum("nik,ni->nk", v, gradients)
-    habs = np.maximum(1.0, np.max(np.sum(np.abs(hessians), axis=2), axis=1))
-    return w, v, gproj, habs
+    return w, v, gproj, np.maximum(1.0, spectral.norm_inf(hessians))
 
 
 def _cap_steps(steps: np.ndarray) -> np.ndarray:
@@ -300,15 +295,20 @@ def _cap_steps(steps: np.ndarray) -> np.ndarray:
     return steps * scale[:, None]
 
 
-def _damped_extremum_pass(
+def _damped_pass(
     params: MvmParams, starts: np.ndarray, sign: float, cfg: SearchConfig
 ) -> np.ndarray:
-    """Monotone ascent (sign=+1) or descent (sign=-1) on f.
+    """Damped Newton iteration from every start toward a maximum of f
+    (sign=+1), a minimum (sign=-1) or any root of grad f (sign=0), which
+    lands on saddles as readily as on extrema.
 
-    Newton steps are taken only where the Hessian has the definiteness
-    matching the target; elsewhere a capped gradient step is used.  Steps
-    are halved until sign*f does not decrease (up to roundoff slack); a
-    start that cannot improve after ``max_halvings`` halvings is frozen.
+    Newton steps are taken where the Hessian suits the target: definite
+    with the matching sign for an extremum, nonsingular for a root.
+    Elsewhere the step is the capped gradient step sign*g, or for a root
+    the steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
+    until sign*f does not decrease (up to roundoff slack), or for a root
+    until |grad|_inf falls by the factor (1 - 1e-4*step); a start that
+    cannot improve after ``max_halvings`` halvings is frozen.
     """
     th = starts.copy()
     alive = np.ones(len(th), dtype=bool)
@@ -324,79 +324,21 @@ def _damped_extremum_pass(
         keep = ~done
         if not keep.any():
             continue
-        idx = idx[keep]
-        cur = cur[keep]
-        g = g[keep]
+        idx, cur, g, gnorm = idx[keep], cur[keep], g[keep], gnorm[keep]
 
         h = hessian_many(params, cur)
         w, v, gproj, habs = _eigh_directions(h, g)
-        floor = 1e-8 * habs
-        definite = (
-            np.all(w < -floor[:, None], axis=1)
-            if sign > 0
-            else np.all(w > floor[:, None], axis=1)
-        )
+        if sign:
+            suited = np.all(sign * w < -1e-8 * habs[:, None], axis=1)
+            fallback = sign * g
+            f0 = exponent_many(params, cur)
+            slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
+        else:
+            suited = np.min(np.abs(w), axis=1) >= 1e-10 * habs
+            fallback = -np.einsum("nij,nj->ni", h, g)
         newton = -np.einsum("nik,nk->ni", v, gproj / np.where(w == 0.0, 1.0, w))
-        small = np.max(np.abs(newton), axis=1) <= _MAX_STEP
-        use_newton = definite & small
-        direction = np.where(use_newton[:, None], newton, _cap_steps(sign * g))
-
-        f0 = exponent_many(params, cur)
-        slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
-        step = np.ones(len(cur))
-        pending = np.ones(len(cur), dtype=bool)
-        moved = np.zeros(len(cur), dtype=bool)
-        new = cur.copy()
-        for _ in range(cfg.max_halvings + 1):
-            if not pending.any():
-                break
-            rows = np.flatnonzero(pending)
-            cand = cur[rows] + step[rows, None] * direction[rows]
-            f1 = exponent_many(params, cand)
-            ok = sign * (f1 - f0[rows]) >= -slack[rows]
-            new[rows[ok]] = cand[ok]
-            moved[rows[ok]] = True
-            pending[rows[ok]] = False
-            step[rows[~ok]] *= 0.5
-        th[idx] = wrap_angles(new)
-        alive[idx[~moved]] = False  # stalled: no step length improved f
-    return th
-
-
-def _damped_root_pass(
-    params: MvmParams, starts: np.ndarray, cfg: SearchConfig
-) -> np.ndarray:
-    """Newton iteration on grad f = 0, damped on the residual norm; this
-    pass converges to saddles as readily as to extrema."""
-    th = starts.copy()
-    alive = np.ones(len(th), dtype=bool)
-    for _ in range(cfg.max_iter):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        cur = th[idx]
-        g = grad_many(params, cur)
-        gnorm = np.max(np.abs(g), axis=1)
-        done = gnorm <= _POLISH_TRIGGER
-        alive[idx[done]] = False
-        keep = ~done
-        if not keep.any():
-            continue
-        idx = idx[keep]
-        cur = cur[keep]
-        g = g[keep]
-        gnorm = gnorm[keep]
-
-        h = hessian_many(params, cur)
-        w, v, gproj, habs = _eigh_directions(h, g)
-        floor = 1e-10 * habs
-        nonsing = np.min(np.abs(w), axis=1) >= floor
-        newton = -np.einsum("nik,nk->ni", v, gproj / np.where(w == 0.0, 1.0, w))
-        small = np.max(np.abs(newton), axis=1) <= _MAX_STEP
-        use_newton = nonsing & small
-        # fallback: steepest descent on 0.5*|grad|^2, which is -H g
-        fallback = _cap_steps(-np.einsum("nij,nj->ni", h, g))
-        direction = np.where(use_newton[:, None], newton, fallback)
+        use_newton = suited & (np.max(np.abs(newton), axis=1) <= _MAX_STEP)
+        direction = np.where(use_newton[:, None], newton, _cap_steps(fallback))
 
         step = np.ones(len(cur))
         pending = np.ones(len(cur), dtype=bool)
@@ -407,14 +349,17 @@ def _damped_root_pass(
                 break
             rows = np.flatnonzero(pending)
             cand = cur[rows] + step[rows, None] * direction[rows]
-            g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
-            ok = g1 <= (1.0 - 1e-4 * step[rows]) * gnorm[rows]
+            if sign:
+                ok = sign * (exponent_many(params, cand) - f0[rows]) >= -slack[rows]
+            else:
+                g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
+                ok = g1 <= (1.0 - 1e-4 * step[rows]) * gnorm[rows]
             new[rows[ok]] = cand[ok]
             moved[rows[ok]] = True
             pending[rows[ok]] = False
             step[rows[~ok]] *= 0.5
         th[idx] = wrap_angles(new)
-        alive[idx[~moved]] = False
+        alive[idx[~moved]] = False  # stalled: no step length improved the merit
     return th
 
 
@@ -426,17 +371,16 @@ def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
     transverse error contracts quadratically down to roundoff.  The
     iterate with the smallest gradient norm wins.
     """
-    best = points.copy()
-    best_norm = np.max(np.abs(grad_many(params, best)), axis=1)
     cur = points.copy()
+    g = grad_many(params, cur)
+    best, best_norm = cur.copy(), np.max(np.abs(g), axis=1)
     for _ in range(_POLISH_ROUNDS):
-        g = grad_many(params, cur)
-        h = hessian_many(params, cur)
-        w, v, gproj, habs = _eigh_directions(h, g)
+        w, v, gproj, habs = _eigh_directions(hessian_many(params, cur), g)
         thresh = 1e-8 * habs
         winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
         cur = wrap_angles(cur - _cap_steps(np.einsum("nik,nk->ni", v, winv * gproj)))
-        norm = np.max(np.abs(grad_many(params, cur)), axis=1)
+        g = grad_many(params, cur)
+        norm = np.max(np.abs(g), axis=1)
         better = norm < best_norm
         best[better] = cur[better]
         best_norm[better] = norm[better]
@@ -483,14 +427,9 @@ def critical_points(
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(params, cfg, rng)
 
-    candidates = []
-    for pass_points in (
-        _damped_extremum_pass(params, starts, +1.0, cfg),
-        _damped_extremum_pass(params, starts, -1.0, cfg),
-        _damped_root_pass(params, starts, cfg),
-    ):
-        candidates.append(_polish(params, pass_points))
-    pool = np.vstack(candidates)
+    pool = np.vstack(
+        [_polish(params, _damped_pass(params, starts, sign, cfg)) for sign in (1.0, -1.0, 0.0)]
+    )
 
     grads = grad_many(params, pool)
     norms = np.max(np.abs(grads), axis=1)

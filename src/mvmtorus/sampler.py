@@ -126,10 +126,6 @@ def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
     return smallest
 
 
-def _norm_inf(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
 def bessel_i0(x):
     """Modified Bessel function I0 (order zero, first kind); x >= 0."""
     x = np.asarray(x, dtype=float)
@@ -200,7 +196,8 @@ class ProposalSpec:
         ``lambda_min`` may be any value in (0, min eigenvalue of P] and
         forces the scalar envelope d = lambda_min * 1.  By default b is the
         computed smallest eigenvalue minus ``ENVELOPE_SLACK`` times
-        min(1, inf-norm of P), and d is the
+        min(1, inf-norm of P); a P whose smallest eigenvalue does not exceed
+        that slack raises ``ValueError``.  d is the
         better (smaller log C) of b*1 and the Jacobi-scaled t*diag(P),
         where t is the smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2
         minus ``ENVELOPE_SLACK``.  A drop in log C of at most
@@ -210,7 +207,13 @@ class ProposalSpec:
         p_matrix = params.p_matrix()
         smallest = _smallest_eigenvalue(p_matrix)
         if lambda_min is None:
-            bound = smallest - ENVELOPE_SLACK * min(1.0, _norm_inf(p_matrix))
+            slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
+            bound = smallest - slack
+            if bound <= 0.0:
+                raise ValueError(
+                    f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
+                    f"slack {slack:.6g}: P is too close to singular to sample"
+                )
         else:
             bound = float(lambda_min)
         if not 0.0 < bound <= smallest:
@@ -383,11 +386,14 @@ def _sample_block(
     return out, trials
 
 
-def _check_spec(params: MvmParams, spec: ProposalSpec) -> None:
-    """Revalidate a caller-supplied spec against ``params``; a stale spec
-    would break the bound.  P - diag(d) must pass the Cholesky test at
+def _resolve_spec(params: MvmParams, spec: ProposalSpec | None) -> ProposalSpec:
+    """The default spec for ``params`` when ``spec`` is None; otherwise
+    ``spec`` revalidated against ``params``, since a stale spec would break
+    the bound.  P - diag(d) must pass the Cholesky test at
     -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
     the eigen-solver that built d."""
+    if spec is None:
+        return ProposalSpec.from_params(params)
     if spec.p != params.p:
         raise ValueError(
             f"spec is for p = {spec.p}, but the parameters have p = {params.p}"
@@ -398,12 +404,13 @@ def _check_spec(params: MvmParams, spec: ProposalSpec) -> None:
         raise ValueError(
             f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
         )
-    slack = ENVELOPE_SLACK * max(1.0, _norm_inf(p_matrix))
+    slack = ENVELOPE_SLACK * max(1.0, float(spectral.norm_inf(p_matrix)))
     if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=-slack):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "
             "P - diag(d) is not positive semidefinite"
         )
+    return spec
 
 
 def sample_mvm(
@@ -424,10 +431,7 @@ def sample_mvm(
         raise ValueError(f"n must be >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if spec is None:
-        spec = ProposalSpec.from_params(params)
-    else:
-        _check_spec(params, spec)
+    spec = _resolve_spec(params, spec)
 
     quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
     if n % BLOCK_SIZE:
@@ -457,7 +461,8 @@ def forecast_acceptance(
     with_exact: bool = False,
     n_per_dim: int | None = None,
 ) -> AcceptanceForecast:
-    """Predict the acceptance rate of :func:`sample_mvm`.
+    """Predict the acceptance rate of :func:`sample_mvm` with ``spec``,
+    which is built or checked as :func:`sample_mvm` does.
 
     The asymptotic rate is exact in the high-concentration limit; the
     exact rate integrates the density by quadrature and is available for
@@ -465,14 +470,8 @@ def forecast_acceptance(
     ``EXACT_RATE_TOL`` means the grid missed the peak, and raises
     ``ValueError``.
     """
-    if spec is None:
-        spec = ProposalSpec.from_params(params)
-    p_matrix = params.p_matrix()
-    eigenvalues = spectral.sym_eigen(p_matrix).values
-    if eigenvalues[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "P is not positive definite; see modes.certify_unimodal"
-        )
+    spec = _resolve_spec(params, spec)
+    eigenvalues = spectral.sym_eigen(params.p_matrix()).values
     # in log space: prod(d) and |P| both underflow for tiny kappa
     with np.errstate(divide="ignore"):
         log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))

@@ -23,6 +23,7 @@ __all__ = [
     "SymEigen",
     "GershgorinReport",
     "sym_eigen",
+    "norm_inf",
     "default_pd_tol",
     "is_positive_definite",
     "gershgorin",
@@ -68,13 +69,18 @@ def sym_eigen(a) -> SymEigen:
     return SymEigen(values=values, vectors=vectors)
 
 
+def norm_inf(a):
+    """Inf-norm max_i sum_j |a_ij| of a matrix, or of each matrix in a stack
+    of shape (..., n, n); 0 for an empty matrix.  Every norm-scaled
+    tolerance in the package reads it from here."""
+    return np.max(np.sum(np.abs(a), axis=-1), axis=-1, initial=0.0)
+
+
 def default_pd_tol(a: np.ndarray) -> float:
     """Definiteness threshold 1e-10 * max(1, inf-norm): large enough to keep
     a semidefinite boundary matrix (e.g. one with an exactly-zero eigenvalue)
     out of the positive-definite class despite roundoff."""
-    a = _as_square(a)
-    norm_inf = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
-    return 1e-10 * max(1.0, norm_inf)
+    return 1e-10 * max(1.0, float(norm_inf(_as_square(a))))
 
 
 def is_positive_definite(a, tol: float | None = None) -> bool:

@@ -463,6 +463,24 @@ def test_forecast_rejects_indefinite_p(ring_file):
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("command", [["forecast"], ["sample", "--n", "10"]])
+def test_near_singular_certified_p_is_an_input_error(tmp_path, capsys, command):
+    # certifies with exit 0, but lambda_min(P) = 1e-13 is below the
+    # envelope slack; the error must not name --lambda-min, which was not passed
+    near = 1.0 - 1e-13
+    path = write_params(
+        tmp_path / "near.json", kappa=[1.0, 1.0], **{"lambda": [[0.0, near], [near, 0.0]]}
+    )
+    assert cli.main(["certify", "--params", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    assert cli.main([command[0], "--params", path, *command[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda_min(P) = 1.00031e-13 does not exceed the envelope slack")
+    assert "bound must lie in" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cube and grid
 

@@ -15,6 +15,8 @@ from conftest import (
 )
 from mvmtorus import (
     MvmParams,
+    exponent_many,
+    grad_many,
     PointKind,
     SearchConfig,
     TorusPoint,
@@ -25,7 +27,8 @@ from mvmtorus import (
     grad_f,
     wrap_angles,
 )
-from mvmtorus.modes import CriticalPoint, _first_kept, deduplicate
+from mvmtorus.modes import CriticalPoint, _damped_pass, _first_kept, deduplicate
+from mvmtorus.spectral import norm_inf
 
 TWO_PI = 2.0 * np.pi
 
@@ -349,6 +352,46 @@ def test_search_is_deterministic():
         assert np.array_equal(ca.theta.angles, cb.theta.angles)
         assert ca.f_value == cb.f_value
         assert ca.kind is cb.kind
+
+
+# ---------------------------------------------------------------------------
+# damped-Newton driver
+
+
+@st.composite
+def _pass_case(draw):
+    """Random kappa in [0, 5], |Lambda_ij| <= 2 and mu at p = 1..5, with a
+    few random starts in [0, 2*pi)."""
+    p = draw(st.integers(1, 5))
+    angles = st.floats(0.0, TWO_PI, exclude_max=True)
+    kappa = draw(st.lists(st.floats(0.0, 5.0), min_size=p, max_size=p))
+    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=p * p, max_size=p * p))
+    upper = np.triu(np.reshape(entries, (p, p)), k=1)
+    mu = draw(st.lists(angles, min_size=p, max_size=p))
+    n = draw(st.integers(1, 6))
+    starts = np.reshape(draw(st.lists(angles, min_size=n * p, max_size=n * p)), (n, p))
+    return MvmParams(mu=np.array(mu), kappa=np.array(kappa), lam=upper + upper.T), starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pass_case(), st.sampled_from([1.0, -1.0, 0.0]), st.integers(1, 8))
+def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
+    # with max_iter = k the driver returns its k-th iterate, so checking every
+    # k checks every step: ascent may not lower f, descent may not raise it,
+    # and the root pass may not raise |grad|_inf, beyond accumulated roundoff
+    params, starts = case
+    f_start = exponent_many(params, starts)
+    g_start = np.max(np.abs(grad_many(params, starts)), axis=1)
+    assert np.array_equal(_damped_pass(params, starts, sign, SearchConfig(max_iter=0)), starts)
+    for k in range(1, max_iter + 1):
+        out = _damped_pass(params, starts, sign, SearchConfig(max_iter=k))
+        if sign:
+            f_out = exponent_many(params, out)
+            slack = k * 1e-14 * np.maximum(1.0, np.maximum(np.abs(f_start), np.abs(f_out)))
+            assert np.all(sign * (f_out - f_start) >= -slack)
+        else:
+            g_out = np.max(np.abs(grad_many(params, out)), axis=1)
+            assert np.all(g_out <= g_start + k * 1e-14 * max(1.0, norm_inf(params.p_matrix())))
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,33 @@ def test_sampler_rejects_spec_of_other_dimension():
         sample_mvm(params, 10, spec, seed=0)
 
 
+@pytest.mark.parametrize("with_exact", [False, True])
+def test_forecast_checks_a_supplied_spec(with_exact):
+    # a spec that sample_mvm refuses must not get a rate either, nor a
+    # quadrature error that blames the grid
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
+    other_p = ProposalSpec(lambda_min_bound=0.5, p=4)
+    with pytest.raises(ValueError, match="spec is for p = 4"):
+        forecast_acceptance(params, other_p, with_exact=with_exact)
+    stale = ProposalSpec(lambda_min_bound=0.5, p=3, d=(3.0, 3.0, 3.0))
+    with pytest.raises(ValueError, match="does not bound these parameters"):
+        forecast_acceptance(params, stale, with_exact=with_exact)
+
+
+def test_near_singular_certified_p_names_the_envelope_slack():
+    # row dominance holds by 1e-13, so P certifies, but lambda_min(P) lies
+    # below the envelope slack and no positive bound is left
+    near = 1.0 - 1e-13
+    params = _params([1.0, 1.0], np.array([[0.0, near], [near, 0.0]]))
+    assert certify_unimodal(params).cor1_holds
+    for call in (ProposalSpec.from_params, forecast_acceptance):
+        with pytest.raises(ValueError, match=r"lambda_min\(P\) = .* envelope slack") as err:
+            call(params)
+        assert err.type is ValueError
+    with pytest.raises(ValueError, match="envelope slack"):
+        sample_mvm(params, 10, seed=0)
+
+
 @st.composite
 def _definite_params(draw):
     p = draw(st.integers(1, 4))

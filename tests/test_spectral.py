@@ -12,6 +12,7 @@ from mvmtorus.spectral import (
     determinant,
     gershgorin,
     is_positive_definite,
+    norm_inf,
     sym_eigen,
 )
 
@@ -87,6 +88,14 @@ def test_pd_rejects_indefinite_antipodal_hessian():
 def test_pd_rejects_zero_matrix():
     # semidefinite boundary: all eigenvalues 0 must not count as definite
     assert not is_positive_definite(np.zeros((3, 3)))
+
+
+def test_norm_inf_of_a_stack_is_per_matrix(rng):
+    stack = rng.normal(size=(5, 4, 4))
+    assert np.array_equal(norm_inf(stack), [norm_inf(a) for a in stack])
+    assert norm_inf(np.diag([3.0, 3.0, 3.0]) - REFERENCE_COUPLING) == 7.0
+    assert norm_inf(np.zeros((0, 0))) == 0.0
+    assert default_pd_tol(np.zeros((0, 0))) == 1e-10
 
 
 def test_pd_agrees_with_eigenvalue_path(rng):
