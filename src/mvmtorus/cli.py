@@ -1,29 +1,43 @@
 """Command-line front-end.
 
 Subcommands: ``certify``, ``modes``, ``sample``, ``forecast``, ``cube``,
-``grid``.  Parameters are read from a JSON file; outputs are plain text,
-JSON (``--json``) or CSV, each accompanied by a run manifest that records
-the resolved configuration and seed so any run can be replayed
-bit-for-bit.
+``grid``.  Parameters are read from a JSON file.  Every finished run
+(exit 0 or 2) leaves exactly one run record, the manifest: command,
+version, seed, resolved configuration (parameters under ``params``) and
+wall time, plus ``trials`` and ``empirical_acceptance`` for ``sample``.
+With the seed it records, any run can be replayed bit-for-bit.  All six
+commands place their output by one rule:
+
+* ``--json``: stdout gets the payload ``{"manifest": ..., <body>}``, and
+  so does ``--out`` when given;
+* otherwise ``certify``, ``modes`` and ``forecast`` print a text summary
+  (``--out`` gets the payload), and ``sample``, ``cube`` and ``grid``
+  write CSV to ``--out`` or stdout;
+* when no payload is written anywhere, the manifest goes to
+  ``<out>.manifest.json`` beside the CSV, or as one JSON line on stderr.
 
 Exit codes: 0 success / certified, 1 input error (usage errors included),
 2 inconclusive certification, 3 sampler precondition failure (P not
 positive definite, or the envelope fails at run time: an acceptance
-exponent above 0 or a stalled rejection loop).
+exponent above 0 or a stalled rejection loop).  Runs that exit 1 or 3
+write no record and no file.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
 from . import __version__, modes, oracle, sampler
-from .model import MvmParams, TWO_PI
+from .model import MvmParams
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -125,20 +139,12 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
 # serialization helpers
 
 
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(a)]
-
-
-def _vector(a: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(a)]
-
-
 def params_dict(params: MvmParams) -> dict:
     return {
         "p": params.p,
-        "mu": _vector(params.mu.angles),
-        "kappa": _vector(params.kappa),
-        "lambda": _matrix(params.lam),
+        "mu": params.mu.angles.tolist(),
+        "kappa": params.kappa.tolist(),
+        "lambda": params.lam.tolist(),
     }
 
 
@@ -147,11 +153,11 @@ def certificate_dict(cert: modes.UnimodalityCertificate) -> dict:
         "verdict": cert.verdict.value,
         "prop1_holds": cert.prop1_holds,
         "cor1_holds": cert.cor1_holds,
-        "p_matrix": _matrix(cert.p_matrix),
-        "p_eigenvalues": _vector(cert.p_eigenvalues),
+        "p_matrix": cert.p_matrix.tolist(),
+        "p_eigenvalues": cert.p_eigenvalues.tolist(),
         "gershgorin": {
-            "centers": _vector(cert.gershgorin.centers),
-            "radii": _vector(cert.gershgorin.radii),
+            "centers": cert.gershgorin.centers.tolist(),
+            "radii": cert.gershgorin.radii.tolist(),
             "excludes_zero": cert.gershgorin.excludes_zero,
         },
     }
@@ -159,10 +165,10 @@ def certificate_dict(cert: modes.UnimodalityCertificate) -> dict:
 
 def critical_dict(point: modes.CriticalPoint) -> dict:
     return {
-        "theta": _vector(point.theta.angles),
+        "theta": point.theta.angles.tolist(),
         "f_value": float(point.f_value),
         "grad_norm": float(point.grad_norm),
-        "hessian_eigenvalues": _vector(point.hessian_eigenvalues),
+        "hessian_eigenvalues": point.hessian_eigenvalues.tolist(),
         "kind": point.kind.value,
     }
 
@@ -180,31 +186,10 @@ def mode_report_dict(report: modes.ModeReport) -> dict:
     }
 
 
-def _manifest(command: str, seed, config: dict, started: float, **extra) -> dict:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config": config,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    doc.update(extra)
-    return doc
-
-
 def _json_text(doc: dict) -> str:
     """Indented standard JSON; a NaN or infinity raises ``ValueError``
     before anything is written."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    """Print text or JSON to stdout; write JSON to --out when given."""
-    body = _json_text(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    sys.stdout.write(body if args.json else text)
 
 
 def _check_count(value: int | None, flag: str, minimum: int = 1) -> None:
@@ -213,26 +198,76 @@ def _check_count(value: int | None, flag: str, minimum: int = 1) -> None:
         raise InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
-def _write_text(path_or_stdout, body: str) -> None:
-    if path_or_stdout:
-        with open(path_or_stdout, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+def _write(path: str, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a new UTF-8 file at ``path``; a write that raises
+    (say, a grid too large to allocate) leaves no file behind."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            write(fh)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 # ---------------------------------------------------------------------------
-# commands
+# the run record
 
 
-def _cmd_certify(args) -> int:
-    started = time.perf_counter()
-    params, _ = load_param_file(args.params, args.degrees)
-    cert = modes.certify_unimodal(params)
-    payload = {
-        "manifest": _manifest("certify", None, params_dict(params), started),
-        "certificate": certificate_dict(cert),
+@dataclass(frozen=True)
+class _Run:
+    """What one command computed, for :func:`_emit` to place: the resolved
+    config beside ``params``, a payload body built only when written, a
+    text summary or a CSV writer, the seed (None if nothing is drawn),
+    extra manifest fields and the exit code."""
+
+    config: dict
+    body: Callable[[], dict]
+    text: str = ""
+    csv: Callable[[TextIO], None] | None = None
+    seed: int | None = None
+    extras: dict = field(default_factory=dict)
+    code: int = EXIT_OK
+
+
+def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
+    """Write the outputs of ``run`` and its one record by the rule in the
+    module docstring; return the run's exit code.  The record is formatted
+    before any file is opened."""
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "seed": run.seed,
+        "config": {"params": params_dict(params), **run.config},
+        "wall_time_s": time.perf_counter() - started,
+        **run.extras,
     }
+    if args.json or (args.out and run.csv is None):
+        payload = _json_text({"manifest": manifest, **run.body()})
+        if args.out:
+            _write(args.out, lambda fh: fh.write(payload))
+        sys.stdout.write(payload if args.json else run.text)
+    elif args.out:
+        record = _json_text(manifest)
+        _write(args.out, run.csv)
+        _write(args.out + ".manifest.json", lambda fh: fh.write(record))
+    else:
+        record = json.dumps(manifest, allow_nan=False)
+        if run.csv is None:
+            sys.stdout.write(run.text)
+        else:
+            run.csv(sys.stdout)
+        print(record, file=sys.stderr)
+    return run.code
+
+
+# ---------------------------------------------------------------------------
+# commands: each takes the parsed flags, the loaded parameters and the
+# resolved seed, and returns a _Run
+
+
+def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
+    cert = modes.certify_unimodal(params)
     lines = [
         f"verdict: {cert.verdict.value}",
         f"P positive definite (unique maximum at mu): {cert.prop1_holds}",
@@ -242,25 +277,25 @@ def _cmd_certify(args) -> int:
     ]
     for c, r in zip(cert.gershgorin.centers, cert.gershgorin.radii):
         lines.append(f"  {c:.12g}  {r:.12g}")
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK if cert.verdict is not modes.Verdict.INCONCLUSIVE else EXIT_INCONCLUSIVE
+    inconclusive = cert.verdict is modes.Verdict.INCONCLUSIVE
+    return _Run(
+        config={},
+        body=lambda: {"certificate": certificate_dict(cert)},
+        text="\n".join(lines) + "\n",
+        code=EXIT_INCONCLUSIVE if inconclusive else EXIT_OK,
+    )
 
 
-def _search_config(args, seed: int) -> modes.SearchConfig:
-    kwargs = {"seed": seed}
-    if args.starts_per_dim is not None:
-        kwargs["starts_per_dim"] = args.starts_per_dim
-    if args.n_random is not None:
-        kwargs["n_random_starts"] = args.n_random
-    if args.grad_tol is not None:
-        kwargs["grad_tol"] = args.grad_tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    if args.dedup_radius is not None:
-        kwargs["dedup_radius"] = args.dedup_radius
-    if args.degeneracy_tol is not None:
-        kwargs["degeneracy_tol"] = args.degeneracy_tol
-    return modes.SearchConfig(**kwargs)
+#: ``modes`` flags, their types and the SearchConfig fields they set (and
+#: that argparse stores them under)
+_SEARCH_FLAGS = (
+    ("--starts-per-dim", int, "starts_per_dim"),
+    ("--n-random", int, "n_random_starts"),
+    ("--grad-tol", float, "grad_tol"),
+    ("--max-iter", int, "max_iter"),
+    ("--dedup-radius", float, "dedup_radius"),
+    ("--degeneracy-tol", float, "degeneracy_tol"),
+)
 
 
 def _criticals_csv(report: modes.ModeReport, p: int) -> str:
@@ -277,27 +312,11 @@ def _criticals_csv(report: modes.ModeReport, p: int) -> str:
     return "".join(lines)
 
 
-def _cmd_modes(args) -> int:
-    started = time.perf_counter()
-    params, file_seed = load_param_file(args.params, args.degrees)
-    seed = args.seed if args.seed is not None else (file_seed or 0)
-    cfg = _search_config(args, seed)
+def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
+    fields = [name for _, _, name in _SEARCH_FLAGS]
+    given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
+    cfg = modes.SearchConfig(seed=seed, **given)
     report = modes.critical_points(params, cfg)
-    config = {
-        "params": params_dict(params),
-        "search": {
-            "starts_per_dim": cfg.starts_per_dim,
-            "n_random_starts": cfg.n_random_starts,
-            "grad_tol": cfg.grad_tol,
-            "max_iter": cfg.max_iter,
-            "dedup_radius": cfg.dedup_radius,
-            "degeneracy_tol": cfg.degeneracy_tol,
-        },
-    }
-    payload = {
-        "manifest": _manifest("modes", seed, config, started),
-        "report": mode_report_dict(report),
-    }
     lines = [
         f"critical points found: {len(report.criticals)} "
         f"(from {report.search_meta.starts_used} starts, "
@@ -312,9 +331,13 @@ def _cmd_modes(args) -> int:
             f"{c.kind.value:<11} {c.f_value:>14.8f} {c.grad_norm:>10.2e}  {theta}"
         )
     if args.criticals_csv:
-        _write_text(args.criticals_csv, _criticals_csv(report, params.p))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK
+        _write(args.criticals_csv, lambda fh: fh.write(_criticals_csv(report, params.p)))
+    return _Run(
+        config={"search": {name: getattr(cfg, name) for name in fields}},
+        body=lambda: {"report": mode_report_dict(report)},
+        text="\n".join(lines) + "\n",
+        seed=seed,
+    )
 
 
 def _write_sample_csv(fh, draws: np.ndarray) -> None:
@@ -328,94 +351,55 @@ def _write_sample_csv(fh, draws: np.ndarray) -> None:
         fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def _cmd_sample(args) -> int:
-    started = time.perf_counter()
-    params, file_seed = load_param_file(args.params, args.degrees)
-    seed = args.seed if args.seed is not None else (file_seed or 0)
-    try:
-        spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-        batch = sampler.sample_mvm(params, args.n, spec, seed=seed, workers=args.shards)
-    except (
-        sampler.NotPositiveDefiniteError,
-        sampler.BoundViolationError,
-        sampler.AcceptanceStallError,
-    ) as exc:
-        print(
-            f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
-            file=sys.stderr,
-        )
-        return EXIT_SAMPLER_PRECONDITION
-    config = {
-        "params": params_dict(params),
-        "n": args.n,
-        "lambda_min_bound": spec.lambda_min_bound,
-        "proposal_d": list(spec.d),
-        "shards": args.shards,
-    }
-    manifest = _manifest(
-        "sample",
-        seed,
-        config,
-        started,
-        trials=batch.trials,
-        empirical_acceptance=batch.empirical_acceptance,
-    )
-    if args.json:
-        payload = {"manifest": manifest, "draws": _matrix(batch.draws)}
-        sys.stdout.write(_json_text(payload))
-        return EXIT_OK
-    if args.out:
-        manifest_text = _json_text(manifest)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_sample_csv(fh, batch.draws)
-        _write_text(args.out + ".manifest.json", manifest_text)
-    else:
-        manifest_line = json.dumps(manifest, allow_nan=False)
-        _write_sample_csv(sys.stdout, batch.draws)
-        print(manifest_line, file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_forecast(args) -> int:
-    started = time.perf_counter()
-    params, _ = load_param_file(args.params, args.degrees)
-    try:
-        spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-        forecast = sampler.forecast_acceptance(
-            params,
-            spec,
-            with_exact=params.p <= oracle.MAX_QUADRATURE_DIM,
-            n_per_dim=args.n_per_dim,
-        )
-    except sampler.NotPositiveDefiniteError as exc:
-        print(
-            f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
-            file=sys.stderr,
-        )
-        return EXIT_SAMPLER_PRECONDITION
-    envelope = {"lambda_min_bound": spec.lambda_min_bound, "proposal_d": list(spec.d)}
-    config = {"params": params_dict(params), **envelope}
-    payload = {
-        "manifest": _manifest("forecast", None, config, started),
-        "forecast": {
-            "asymptotic_rate": forecast.asymptotic_rate,
-            "exact_rate": forecast.exact_rate,
-            **envelope,
+def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
+    spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
+    batch = sampler.sample_mvm(params, args.n, spec, seed=seed, workers=args.shards)
+    return _Run(
+        config={
+            "n": args.n,
+            "lambda_min_bound": spec.lambda_min_bound,
+            "proposal_d": list(spec.d),
+            "shards": args.shards,
         },
-    }
+        body=lambda: {"draws": batch.draws.tolist()},
+        csv=lambda fh: _write_sample_csv(fh, batch.draws),
+        seed=seed,
+        extras={
+            "trials": batch.trials,
+            "empirical_acceptance": batch.empirical_acceptance,
+        },
+    )
+
+
+def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
+    spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
+    forecast = sampler.forecast_acceptance(
+        params,
+        spec,
+        with_exact=params.p <= oracle.MAX_QUADRATURE_DIM,
+        n_per_dim=args.n_per_dim,
+    )
+    envelope = {"lambda_min_bound": spec.lambda_min_bound, "proposal_d": list(spec.d)}
     lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]
     if forecast.exact_rate is not None:
         lines.append(f"exact acceptance rate (quadrature): {forecast.exact_rate:.12g}")
     lines.append(f"lambda_min bound: {spec.lambda_min_bound:.12g}")
     lines.append(f"proposal d: [{', '.join(f'{x:.12g}' for x in spec.d)}]")
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _Run(
+        config=envelope,
+        body=lambda: {
+            "forecast": {
+                "asymptotic_rate": forecast.asymptotic_rate,
+                "exact_rate": forecast.exact_rate,
+                **envelope,
+            }
+        },
+        text="\n".join(lines) + "\n",
+    )
 
 
-def _cmd_cube(args) -> int:
-    started = time.perf_counter()
+def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
     _check_count(args.grid_n, "--grid-n", minimum=0)
-    params, _ = load_param_file(args.params, args.degrees)
     if np.any(params.kappa != 0.0):
         print(
             "notice: cube analysis assumes kappa = 0; the kappa in the "
@@ -425,30 +409,22 @@ def _cmd_cube(args) -> int:
     analysis = oracle.kappa_zero_analysis(
         params.lam, grid_n=args.grid_n if params.p == 3 else 0
     )
-    if args.json:
-        payload = {
-            "manifest": _manifest(
-                "cube", None, {"params": params_dict(params), "grid_n": args.grid_n}, started
-            ),
+    return _Run(
+        config={"grid_n": args.grid_n},
+        body=lambda: {
             "vertices": {
                 ",".join(str(x) for x in k): v
                 for k, v in sorted(analysis.vertex_values.items())
             },
             "best_vertices": [list(v) for v in analysis.best_vertices],
             "top_eigenvalue": analysis.top_eigenpair[0],
-        }
-        sys.stdout.write(_json_text(payload))
-        return EXIT_OK
-    buf = io.StringIO()
-    oracle.write_cube_surface_csv(buf, analysis)
-    _write_text(args.out, buf.getvalue())
-    return EXIT_OK
+        },
+        csv=lambda fh: oracle.write_cube_surface_csv(fh, analysis),
+    )
 
 
-def _cmd_grid(args) -> int:
-    started = time.perf_counter()
+def _cmd_grid(args, params: MvmParams, seed: int) -> _Run:
     _check_count(args.n, "--n")
-    params, _ = load_param_file(args.params, args.degrees)
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError:
@@ -461,28 +437,12 @@ def _cmd_grid(args) -> int:
             raise InputError("--slice must be comma-separated angles") from None
         if args.degrees:
             slice_point = np.deg2rad(slice_point)
-    try:
-        if args.json:
-            values = oracle.density_grid(params, dims, args.n, slice_point)
-        else:
-            buf = io.StringIO()
-            oracle.write_density_grid_csv(buf, params, dims, args.n, slice_point)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.json:
-        payload = {
-            "manifest": _manifest(
-                "grid",
-                None,
-                {"params": params_dict(params), "dims": list(dims), "n": args.n},
-                started,
-            ),
-            "values": values.tolist(),
-        }
-        sys.stdout.write(_json_text(payload))
-        return EXIT_OK
-    _write_text(args.out, buf.getvalue())
-    return EXIT_OK
+    grid = (params, dims, args.n, slice_point)
+    return _Run(
+        config={"dims": list(dims), "n": args.n},
+        body=lambda: {"values": oracle.density_grid(*grid).tolist()},
+        csv=lambda fh: oracle.write_density_grid_csv(fh, *grid),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +464,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 _LAMBDA_MIN_HELP = "force the scalar envelope d = B*1, for B in (0, lambda_min(P)]"
+_SEED_HELP = "override the file seed"
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--params", required=True, help="JSON parameter file")
-    common.add_argument("--seed", type=int, default=None, help="override the file seed")
     common.add_argument("--out", default=None, help="write the main artifact here")
     common.add_argument("--json", action="store_true", help="machine-readable stdout")
     common.add_argument(
@@ -530,12 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes = sub.add_parser(
         "modes", parents=[common], help="locate and classify all critical points"
     )
-    p_modes.add_argument("--starts-per-dim", type=int, default=None)
-    p_modes.add_argument("--n-random", type=int, default=None)
-    p_modes.add_argument("--grad-tol", type=float, default=None)
-    p_modes.add_argument("--max-iter", type=int, default=None)
-    p_modes.add_argument("--dedup-radius", type=float, default=None)
-    p_modes.add_argument("--degeneracy-tol", type=float, default=None)
+    p_modes.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
+    for flag, kind, name in _SEARCH_FLAGS:
+        p_modes.add_argument(flag, type=kind, default=None, dest=name)
     p_modes.add_argument("--criticals-csv", default=None, help="CSV of critical points")
     p_modes.set_defaults(func=_cmd_modes)
 
@@ -543,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", parents=[common], help="exact rejection sampling (CSV rows)"
     )
     p_sample.add_argument("--n", type=int, required=True, help="number of draws")
+    p_sample.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_sample.add_argument(
         "--lambda-min", type=float, default=None, metavar="B", help=_LAMBDA_MIN_HELP
     )
@@ -575,10 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        params, file_seed = load_param_file(args.params, args.degrees)
+        seed = getattr(args, "seed", None)  # only modes and sample take --seed
+        seed = (file_seed or 0) if seed is None else seed
+        return _emit(args, params, args.func(args, params, seed), started)
+    except (
+        sampler.NotPositiveDefiniteError,
+        sampler.BoundViolationError,
+        sampler.AcceptanceStallError,
+    ) as exc:
+        print(
+            f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
+            file=sys.stderr,
+        )
+        return EXIT_SAMPLER_PRECONDITION
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -112,8 +112,10 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     # row dominance: centers are exactly kappa (Lambda has zero diagonal)
     cor1 = bool(np.all(report.centers > report.radii))
     # dominance implies definiteness exactly, even when the margin is below
-    # the numerical Cholesky tolerance
-    prop1 = cor1 or spectral.is_positive_definite(p_matrix)
+    # the numerical Cholesky tolerance; otherwise definiteness is decided on
+    # the Jacobi-scaled P, so neither the scale of P nor of its rows matters
+    scaled = spectral._jacobi_scaled(p_matrix)
+    prop1 = cor1 or (scaled is not None and spectral.is_positive_definite(scaled))
     eigenvalues = spectral.sym_eigen(p_matrix).values
     if cor1:
         verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM

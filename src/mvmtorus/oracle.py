@@ -135,12 +135,13 @@ def high_concentration_log_partition(params: MvmParams) -> float:
     """Laplace-type closed form (p/2) log(2*pi) - 0.5 log|P| + sum(kappa),
     valid when P = diag(kappa) - Lambda is positive definite."""
     p_matrix = params.p_matrix()
-    if not spectral.is_positive_definite(p_matrix):
+    scaled = spectral._jacobi_scaled(p_matrix)
+    if scaled is None or not spectral.is_positive_definite(scaled):
         raise ValueError("high-concentration approximation requires positive definite P")
-    det = spectral.determinant(p_matrix)
-    return float(
-        0.5 * params.p * np.log(TWO_PI) - 0.5 * np.log(det) + np.sum(params.kappa)
-    )
+    # log|P| = log|S| + sum(log diag(P)): no determinant of a badly scaled P
+    # to overflow or underflow
+    log_det = np.log(spectral.determinant(scaled)) + np.sum(np.log(np.diag(p_matrix)))
+    return float(0.5 * params.p * np.log(TWO_PI) - 0.5 * log_det + np.sum(params.kappa))
 
 
 def marginal_density(

@@ -221,11 +221,11 @@ class ProposalSpec:
                 f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}"
             )
         if lambda_min is None:
-            diag = np.diag(p_matrix)
-            scale = 1.0 / np.sqrt(diag)
-            t = _smallest_eigenvalue(p_matrix * np.outer(scale, scale)) - ENVELOPE_SLACK
+            scaled = spectral._jacobi_scaled(p_matrix)
+            # None only for a subnormal diagonal entry; the scalar is kept then
+            t = -1.0 if scaled is None else _smallest_eigenvalue(scaled) - ENVELOPE_SLACK
             if t > 0.0:
-                jacobi = t * diag
+                jacobi = t * np.diag(p_matrix)
                 # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
                 gain = params.p * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi))
                 if gain > params.p * TIE_LOG_GAIN:

@@ -102,6 +102,26 @@ def is_positive_definite(a, tol: float | None = None) -> bool:
     return True
 
 
+def _jacobi_scaled(a: np.ndarray) -> np.ndarray | None:
+    """S = D^-1/2 A D^-1/2 with D = diag(A), for a symmetric A.
+
+    S has a unit diagonal and, by Sylvester's law of inertia, the inertia
+    of A, so a definiteness test on S answers the same for c*A and for
+    E A E (c > 0, E a positive diagonal) as for A.  None when A is not
+    positive definite on sight: a diagonal entry below the smallest normal
+    float (a subnormal entry counts as zero, which also keeps the scaling
+    finite), or an entry of S too large for a float (off the diagonal,
+    |s_ij| >= 1 already rules definiteness out).
+    """
+    diag = np.diag(a)
+    if not np.all(diag >= np.finfo(float).tiny):
+        return None
+    scale = 1.0 / np.sqrt(diag)
+    with np.errstate(over="ignore"):
+        s = a * np.outer(scale, scale)
+    return s if np.all(np.isfinite(s)) else None
+
+
 @dataclass(frozen=True)
 class GershgorinReport:
     """Gershgorin discs of a symmetric matrix: intervals centered at the

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING, csv_writer_text
+import mvmtorus
 from mvmtorus import MvmParams, ProposalSpec, cli, modes, oracle, sampler
 
 
@@ -79,6 +80,27 @@ def test_certify_ring_is_inconclusive(ring_file):
     out = run_cli("certify", "--params", ring_file)
     assert out.returncode == 2
     assert "Inconclusive" in out.stdout
+    # an inconclusive certificate is a finished run: it leaves its record
+    (record,) = [json.loads(line) for line in out.stderr.splitlines()]
+    assert record["command"] == "certify"
+    assert record["config"]["params"]["kappa"] == [0.0, 0.0, 0.0]
+
+
+def test_certify_and_sample_agree_on_a_badly_scaled_p(tmp_path, capsys):
+    # kappa_1 = 1e10 puts an inf-norm of 1e10 on P, whose smallest
+    # eigenvalue is still ~1; the definiteness test must not depend on that
+    path = write_params(
+        tmp_path / "scaled.json",
+        kappa=[1e10, 1.0, 1.0],
+        **{"lambda": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    )
+    assert cli.main(["certify", "--params", path]) == 0
+    assert "P positive definite (unique maximum at mu): True" in capsys.readouterr().out
+    assert cli.main(["certify", "--params", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["verdict"] == "CertifiedUnimodal"
+    out_csv = tmp_path / "draws.csv"
+    assert cli.main(["sample", "--params", path, "--n", "100", "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 101
 
 
 def test_certify_rejects_asymmetric_coupling(tmp_path):
@@ -375,15 +397,20 @@ def test_sample_huge_kappa_concentrates_at_mu(tmp_path):
     assert np.std(np.cos(rows[:, 2])) > 0.1  # the other coordinates still vary
 
 
-def test_sample_stall_is_a_precondition_error(reference_file, capsys, monkeypatch):
+def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise sampler.AcceptanceStallError("simulated")
 
     monkeypatch.setattr(sampler, "sample_mvm", fail)
-    assert cli.main(["sample", "--params", reference_file, "--n", "10"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: simulated\nhint: run `mvmtorus certify")
+    for out in ([], ["--out", str(tmp_path / "draws.csv")]):
+        assert cli.main(["sample", "--params", reference_file, "--n", "10", *out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the error and its hint, and no run record
+        assert captured.err == (
+            f"error: simulated\nhint: run `mvmtorus certify --params {reference_file}`\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
 
 
 def test_runs_without_scipy(tmp_path, reference_file):
@@ -630,11 +657,14 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
         **{"lambda": [list(r) for r in REFERENCE_COUPLING]},
     )
     out_path = tmp_path / "out"
-    assert cli.main([*argv, "--params", path, "--out", str(out_path)]) == 1
-    out = capsys.readouterr()
-    assert out.err.startswith("error: mu: angles must be finite")
-    assert out.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_mu.json"]
+    for out_flag in (["--out", str(out_path)], []):
+        assert cli.main([*argv, "--params", path, *out_flag]) == 1
+        out = capsys.readouterr()
+        # the one error line: no run record on stderr or beside --out
+        assert out.err.startswith("error: mu: angles must be finite")
+        assert out.err.count("\n") == 1
+        assert out.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_mu.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +773,11 @@ def test_forecast_rejects_an_exact_rate_above_one(tmp_path, capsys):
         (("sample", "--n", "ten"), "argument --n: invalid int value: 'ten'"),
         (("sample",), "the following arguments are required: --n"),
         (("grid", "--dim", "0,1"), "unrecognized arguments: --dim 0,1"),
+        # --seed belongs to the two commands that draw: modes and sample
+        (("certify", "--seed", "3"), "unrecognized arguments: --seed 3"),
+        (("forecast", "--seed", "3"), "unrecognized arguments: --seed 3"),
+        (("cube", "--seed", "3"), "unrecognized arguments: --seed 3"),
+        (("grid", "--seed", "3"), "unrecognized arguments: --seed 3"),
     ],
 )
 def test_usage_errors_exit_1_without_abbreviations(reference_file, capsys, argv, message):
@@ -769,3 +804,76 @@ def test_cube_json_formats_no_csv(ring_file, capsys, monkeypatch):
     monkeypatch.setattr(oracle, "write_cube_surface_csv", fail)
     assert cli.main(["cube", "--params", ring_file, "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["best_vertices"]) == 6
+
+
+# ---------------------------------------------------------------------------
+# the run record
+
+
+#: small runs of every subcommand on the reference file
+RECORD_ARGV = {
+    "certify": [],
+    "modes": [],
+    "forecast": [],
+    "sample": ["--n", "50"],
+    "cube": ["--grid-n", "2"],
+    "grid": ["--n", "4"],
+}
+
+
+def _records(captured, directory):
+    """Every run record a run left, with where it was found: JSON lines on
+    stderr, and each JSON document on stdout or in a new file (a payload's
+    record is its ``manifest``)."""
+    found = [("stderr", json.loads(l)) for l in captured.err.splitlines() if l.startswith("{")]
+    texts = [("stdout", captured.out)] + [
+        (p.name, p.read_text()) for p in sorted(directory.iterdir()) if p.name != "reference.json"
+    ]
+    for place, text in texts:
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            continue
+        found.append((place, doc.get("manifest", doc)))
+    return found
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "out"])
+@pytest.mark.parametrize("command", sorted(RECORD_ARGV))
+def test_every_run_leaves_one_record(reference_file, tmp_path, capsys, command, mode):
+    csv_command = command in ("sample", "cube", "grid")
+    out = "out.csv" if csv_command else "out.json"
+    flags = {"text": [], "json": ["--json"], "out": ["--out", str(tmp_path / out)]}[mode]
+    assert cli.main([command, "--params", reference_file, *RECORD_ARGV[command], *flags]) == 0
+    captured = capsys.readouterr()
+    expected_place = {
+        "text": "stderr",
+        "json": "stdout",
+        "out": out + ".manifest.json" if csv_command else out,
+    }[mode]
+    ((place, record),) = _records(captured, tmp_path)
+    assert place == expected_place
+    keys = ["command", "version", "seed", "config", "wall_time_s"]
+    if command == "sample":
+        keys += ["trials", "empirical_acceptance"]
+    assert list(record) == keys
+    assert record["command"] == command
+    assert record["version"] == mvmtorus.__version__
+    # the reference file has no seed key: the drawing commands use seed 0
+    assert record["seed"] == (0 if command in ("modes", "sample") else None)
+    assert record["config"]["params"]["kappa"] == [3.0, 3.0, 3.0]
+    assert record["wall_time_s"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,body", [(["sample", "--n", "20"], "draws"), (["grid", "--n", "3"], "values")]
+)
+def test_json_with_out_writes_the_payload_to_both(reference_file, tmp_path, capsys, argv, body):
+    out = tmp_path / "payload.json"
+    assert cli.main([*argv, "--params", reference_file, "--json", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert out.read_text() == captured.out
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert list(doc) == ["manifest", body]
+    assert doc["manifest"]["command"] == argv[0]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,8 +25,10 @@ from mvmtorus import (
     classify_critical,
     critical_points,
     grad_f,
+    high_concentration_log_partition,
     wrap_angles,
 )
+from mvmtorus import spectral
 from mvmtorus.modes import CriticalPoint, _damped_pass, _first_kept, deduplicate
 from mvmtorus.spectral import norm_inf
 
@@ -79,6 +81,60 @@ def test_certificate_dominance_implies_definiteness(rng):
             else Verdict.INCONCLUSIVE
         )
         assert cert.verdict is expected
+
+
+_BADLY_SCALED = [
+    # the reference set (P eigenvalues 1, 1, 7) times 1e-12 and 1e-120
+    # (|P| = 7e-360 underflows)
+    ([3e-12] * 3, 1e-12 * REFERENCE_COUPLING),
+    ([3e-120] * 3, 1e-120 * REFERENCE_COUPLING),
+    # the reference set under D = diag(1e5, 1, 1): lambda_min(P) = 1
+    ([3e10, 3.0, 3.0], np.outer([1e5, 1.0, 1.0], [1e5, 1.0, 1.0]) * REFERENCE_COUPLING),
+    ([1e10, 1.0, 1.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ([1e200, 1.0, 1.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("kappa,lam", _BADLY_SCALED)
+def test_certify_does_not_depend_on_the_scale_of_p(kappa, lam):
+    params = _params(kappa, lam)
+    assert certify_unimodal(params).verdict is Verdict.CERTIFIED_UNIMODAL
+    assert np.isfinite(high_concentration_log_partition(params))
+
+
+def test_certify_subnormal_kappa_warns_nothing():
+    # P = [[5e-324, -1], [-1, 1]] is indefinite; scaling by 1/sqrt(5e-324)
+    # must neither overflow nor warn
+    cert = certify_unimodal(_params([5e-324, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+    assert cert.verdict is Verdict.INCONCLUSIVE
+
+
+@st.composite
+def _congruence_case(draw):
+    """(kappa, Lambda, d) with p in 1..4, kappa zero or in [1e-3, 5],
+    |lambda_ij| <= 3 and d log-uniform in [1e-6, 1e6]^p."""
+    p = draw(st.integers(1, 4))
+    kappa = draw(st.lists(st.just(0.0) | st.floats(1e-3, 5.0), min_size=p, max_size=p))
+    upper = draw(st.lists(st.floats(-3.0, 3.0), min_size=p * p, max_size=p * p))
+    lam = np.triu(np.reshape(upper, (p, p)), 1)
+    exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=p, max_size=p))
+    return np.array(kappa), lam + lam.T, 10.0 ** np.array(exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_congruence_case())
+def test_prop1_verdict_is_invariant_under_congruence(case):
+    # P -> D P D with D = diag(d) is (kappa, Lambda) -> (d^2 kappa, d d^T o Lambda);
+    # Prop. 1's P > 0 is invariant under it (and under P -> cP, d = c^1/2 * 1)
+    kappa, lam, d = case
+    params = _params(kappa, lam)
+    scaled = spectral._jacobi_scaled(params.p_matrix())
+    if scaled is not None:
+        # rounding may flip a set on the definiteness boundary
+        smallest = np.linalg.eigvalsh(scaled)[0]
+        assume(abs(smallest - spectral.default_pd_tol(scaled)) > 1e-6)
+    congruent = _params(d**2 * kappa, np.outer(d, d) * lam)
+    assert certify_unimodal(congruent).prop1_holds == certify_unimodal(params).prop1_holds
 
 
 # ---------------------------------------------------------------------------
