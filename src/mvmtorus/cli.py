@@ -16,11 +16,18 @@ commands place their output by one rule:
 * when no payload is written anywhere, the manifest goes to
   ``<out>.manifest.json`` beside the CSV, or as one JSON line on stderr.
 
+The record is formatted after the payload or CSV is produced, so it can
+count what was produced (``sample`` streams its CSV block by block and
+learns ``trials`` only at the end) and its ``wall_time_s`` includes the
+writing.
+
 Exit codes: 0 success / certified, 1 input error (usage errors included),
 2 inconclusive certification, 3 sampler precondition failure (P not
 positive definite, or the envelope fails at run time: an acceptance
-exponent above 0 or a stalled rejection loop).  Runs that exit 1 or 3
-write no record and no file.
+exponent above 0 or a stalled rejection loop).  An output path that
+cannot be written is an input error.  Runs that exit 1 or 3 write no
+record and no file: what a run wrote before it failed is removed (CSV rows
+already printed on stdout stay).
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -218,46 +225,65 @@ def _write(path: str, write: Callable[[TextIO], None]) -> None:
 class _Run:
     """What one command computed, for :func:`_emit` to place: the resolved
     config beside ``params``, a payload body built only when written, a
-    text summary or a CSV writer, the seed (None if nothing is drawn),
-    extra manifest fields and the exit code."""
+    text summary or a CSV writer, extra files (path and writer), the seed
+    (None if nothing is drawn), extra manifest fields (read once the
+    payload or CSV is produced) and the exit code."""
 
     config: dict
     body: Callable[[], dict]
     text: str = ""
     csv: Callable[[TextIO], None] | None = None
+    files: tuple[tuple[str, Callable[[TextIO], None]], ...] = ()
     seed: int | None = None
-    extras: dict = field(default_factory=dict)
+    extras: Callable[[], dict] = dict
     code: int = EXIT_OK
 
 
 def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
-    """Write the outputs of ``run`` and its one record by the rule in the
-    module docstring; return the run's exit code.  The record is formatted
-    before any file is opened."""
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "seed": run.seed,
-        "config": {"params": params_dict(params), **run.config},
-        "wall_time_s": time.perf_counter() - started,
-        **run.extras,
-    }
-    if args.json or (args.out and run.csv is None):
-        payload = _json_text({"manifest": manifest, **run.body()})
-        if args.out:
-            _write(args.out, lambda fh: fh.write(payload))
-        sys.stdout.write(payload if args.json else run.text)
-    elif args.out:
-        record = _json_text(manifest)
-        _write(args.out, run.csv)
-        _write(args.out + ".manifest.json", lambda fh: fh.write(record))
-    else:
-        record = json.dumps(manifest, allow_nan=False)
-        if run.csv is None:
-            sys.stdout.write(run.text)
+    """Write the outputs of ``run`` and then its one record by the rule in
+    the module docstring; return the run's exit code.  If anything fails,
+    formatting the record included, every file written so far is
+    removed."""
+
+    def record() -> dict:
+        return {
+            "command": args.command,
+            "version": __version__,
+            "seed": run.seed,
+            "config": {"params": params_dict(params), **run.config},
+            "wall_time_s": time.perf_counter() - started,
+            **run.extras(),
+        }
+
+    written = []
+
+    def write(path: str, writer: Callable[[TextIO], None]) -> None:
+        _write(path, writer)
+        written.append(path)
+
+    try:
+        for path, writer in run.files:
+            write(path, writer)
+        if args.json or (args.out and run.csv is None):
+            body = run.body()
+            payload = _json_text({"manifest": record(), **body})
+            if args.out:
+                write(args.out, lambda fh: fh.write(payload))
+            sys.stdout.write(payload if args.json else run.text)
+        elif args.out:
+            write(args.out, run.csv)
+            text = _json_text(record())
+            write(args.out + ".manifest.json", lambda fh: fh.write(text))
         else:
-            run.csv(sys.stdout)
-        print(record, file=sys.stderr)
+            if run.csv is None:
+                sys.stdout.write(run.text)
+            else:
+                run.csv(sys.stdout)
+            print(json.dumps(record(), allow_nan=False), file=sys.stderr)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
     return run.code
 
 
@@ -330,30 +356,41 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
         lines.append(
             f"{c.kind.value:<11} {c.f_value:>14.8f} {c.grad_norm:>10.2e}  {theta}"
         )
+    files = ()
     if args.criticals_csv:
-        _write(args.criticals_csv, lambda fh: fh.write(_criticals_csv(report, params.p)))
+        files = ((args.criticals_csv, lambda fh: fh.write(_criticals_csv(report, params.p))),)
     return _Run(
         config={"search": {name: getattr(cfg, name) for name in fields}},
         body=lambda: {"report": mode_report_dict(report)},
         text="\n".join(lines) + "\n",
+        files=files,
         seed=seed,
     )
 
 
-def _write_sample_csv(fh, draws: np.ndarray) -> None:
-    """Header, then the rows one sampler block at a time, so the CSV text
-    never sits in memory whole."""
+def _write_sample_csv(fh, blocks: Iterable[np.ndarray]) -> None:
+    """The header with the first block of rows, then one block at a time,
+    so neither the draws nor the CSV text sit in memory whole.  A run
+    whose first block fails writes nothing, not even the header."""
     # repr of a float never needs CSV quoting, so plain joins give the
     # csv.writer bytes at a fraction of the cost
-    fh.write(",".join(f"theta{i + 1}" for i in range(draws.shape[1])) + "\n")
-    for start in range(0, draws.shape[0], sampler.BLOCK_SIZE):
-        rows = draws[start : start + sampler.BLOCK_SIZE].tolist()
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    for i, block in enumerate(blocks):
+        text = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        if i == 0:
+            text = ",".join(f"theta{j + 1}" for j in range(block.shape[1])) + "\n" + text
+        fh.write(text)
 
 
 def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-    batch = sampler.sample_mvm(params, args.n, spec, seed=seed, workers=args.shards)
+    blocks = sampler.sample_blocks(params, args.n, spec, seed=seed, workers=args.shards)
+    trials = []
+
+    def draws():
+        for block, block_trials in blocks:
+            trials.append(block_trials)
+            yield block
+
     return _Run(
         config={
             "n": args.n,
@@ -361,13 +398,10 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
             "proposal_d": list(spec.d),
             "shards": args.shards,
         },
-        body=lambda: {"draws": batch.draws.tolist()},
-        csv=lambda fh: _write_sample_csv(fh, batch.draws),
+        body=lambda: {"draws": [row for block in draws() for row in block.tolist()]},
+        csv=lambda fh: _write_sample_csv(fh, draws()),
         seed=seed,
-        extras={
-            "trials": batch.trials,
-            "empirical_acceptance": batch.empirical_acceptance,
-        },
+        extras=lambda: {"trials": sum(trials), "empirical_acceptance": args.n / sum(trials)},
     )
 
 
@@ -550,7 +584,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_SAMPLER_PRECONDITION
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written (the parameter
+        # file's read errors are already InputErrors)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

@@ -38,15 +38,22 @@ the scalar is kept.
 Reproducibility contract: a batch is produced in fixed-size blocks of
 ``BLOCK_SIZE`` draws, each block consuming its own generator spawned from
 the master seed.  Within a block, each attempt chunk consumes, in order,
-(1) the von Mises block, (2) the uniform block.  Worker threads only
-schedule whole blocks and results concatenate in block order, so output is
-bit-identical for a fixed seed no matter how many workers run.
+(1) the von Mises block, (2) the uniform block.  :func:`sample_blocks`
+yields the blocks in block order, and :func:`sample_mvm` stacks them.
+Worker threads only run whole blocks, at most ``workers`` of them in
+flight: the next block is submitted only when the consumer asks for
+another, and pending blocks are cancelled if it stops early.  So output is
+bit-identical for a fixed seed no matter how many workers run, and memory
+is O(``BLOCK_SIZE`` * p * workers) whatever n is.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -76,6 +83,7 @@ __all__ = [
     "log_proposal_density",
     "log_envelope_constant",
     "acceptance_probability",
+    "sample_blocks",
     "sample_mvm",
     "forecast_acceptance",
 ]
@@ -413,6 +421,59 @@ def _resolve_spec(params: MvmParams, spec: ProposalSpec | None) -> ProposalSpec:
     return spec
 
 
+def sample_blocks(
+    params: MvmParams,
+    n: int,
+    spec: ProposalSpec | None = None,
+    seed: int = 0,
+    workers: int = 1,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """n exact draws from MVM(mu, kappa, Lambda), one block at a time;
+    requires positive definite P.
+
+    The arguments are checked, and ``spec`` built or revalidated, before
+    this returns.  The iterator then yields ``(draws, trials)`` per block
+    of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
+    order, with the draws shifted by mu and wrapped to [0, 2*pi).  Each
+    block has its own generator spawned from ``seed``; ``workers`` > 1
+    runs up to that many blocks at once and never changes the output.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    spec = _resolve_spec(params, spec)
+    quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
+    if n % BLOCK_SIZE:
+        quotas.append(n % BLOCK_SIZE)
+    jobs = zip(quotas, np.random.SeedSequence(seed).spawn(len(quotas)))
+
+    def block(job):
+        centered, trials = _sample_block(params, spec, *job)
+        return wrap_angles(centered + params.mu.angles), trials
+
+    if workers == 1:
+        return (block(job) for job in jobs)
+    return _in_flight(block, jobs, workers)
+
+
+def _in_flight(block, jobs, workers: int):
+    """``block(job)`` for each job, in order, with at most ``workers``
+    jobs submitted and not yet consumed; closing the iterator cancels the
+    ones not started."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(block, job) for job in islice(jobs, workers))
+        try:
+            while pending:
+                yield pending.popleft().result()
+                job = next(jobs, None)
+                if job is not None:
+                    pending.append(pool.submit(block, job))
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def sample_mvm(
     params: MvmParams,
     n: int,
@@ -420,39 +481,15 @@ def sample_mvm(
     seed: int = 0,
     workers: int = 1,
 ) -> SampleBatch:
-    """n exact draws from MVM(mu, kappa, Lambda); requires positive
-    definite P.
-
-    Draws are produced in blocks of ``BLOCK_SIZE`` with per-block
-    generators spawned from ``seed``; ``workers`` > 1 only parallelizes
-    block execution and never changes the output.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    spec = _resolve_spec(params, spec)
-
-    quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
-    if n % BLOCK_SIZE:
-        quotas.append(n % BLOCK_SIZE)
-    seeds = np.random.SeedSequence(seed).spawn(len(quotas))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda args: _sample_block(params, spec, *args),
-                    zip(quotas, seeds),
-                )
-            )
-    else:
-        results = [_sample_block(params, spec, q, s) for q, s in zip(quotas, seeds)]
-
-    centered = np.vstack([r[0] for r in results])
-    trials = int(sum(r[1] for r in results))
-    draws = wrap_angles(centered + params.mu.angles)
-    return SampleBatch(draws=draws, trials=trials, seed=seed)
+    """n exact draws from MVM(mu, kappa, Lambda) in one batch; requires
+    positive definite P.  The blocks of :func:`sample_blocks`, stacked,
+    with their trials summed."""
+    blocks = list(sample_blocks(params, n, spec, seed, workers))
+    return SampleBatch(
+        draws=np.vstack([draws for draws, _ in blocks]),
+        trials=sum(trials for _, trials in blocks),
+        seed=seed,
+    )
 
 
 def forecast_acceptance(

@@ -298,9 +298,16 @@ def _csv_writer_text(draws):
     return csv_writer_text([header] + list(draws))
 
 
+def _blocks(draws):
+    """``draws`` cut into sampler blocks, as ``sampler.sample_blocks`` yields
+    them (an empty array gives one empty block)."""
+    size = sampler.BLOCK_SIZE
+    return [draws[i : i + size] for i in range(0, max(len(draws), 1), size)]
+
+
 def _streamed_csv(draws):
     buf = io.StringIO()
-    cli._write_sample_csv(buf, draws)
+    cli._write_sample_csv(buf, _blocks(draws))
     return buf.getvalue()
 
 
@@ -333,7 +340,7 @@ def test_sample_csv_streams_in_bounded_memory():
     sink = Sink()
     tracemalloc.start()
     try:
-        cli._write_sample_csv(sink, draws)
+        cli._write_sample_csv(sink, _blocks(draws))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,6 +348,50 @@ def test_sample_csv_streams_in_bounded_memory():
     # stays near 1 MB
     assert sink.size > 5_000_000
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sample_command_memory_is_bounded_in_n(univariate_file, tmp_path, shards):
+    # draws are written block by block as they are accepted, so 64 blocks
+    # peak where 2 do; holding all the draws would add ~2 MB per copy.  How
+    # far the worker threads' blocks overlap varies from run to run, so the
+    # 2-block peak is the highest of five runs
+    out = tmp_path / "draws.csv"
+
+    def peak(blocks):
+        n = blocks * sampler.BLOCK_SIZE
+        argv = ["sample", "--params", univariate_file, "--n", str(n),
+                "--shards", str(shards), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 1 + n
+        return traced
+
+    small = max(peak(2) for _ in range(5))
+    assert peak(64) <= 1.5 * small
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_sample_stream_equals_the_stacked_batch(heterogeneous_file, tmp_path, capsys, shards):
+    # rows on both sides of each block boundary, and a short last block
+    n = 2 * sampler.BLOCK_SIZE + 17
+    out = tmp_path / "draws.csv"
+    argv = ["sample", "--params", heterogeneous_file, "--n", str(n), "--shards", str(shards)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    params, seed = cli.load_param_file(heterogeneous_file)
+    batch = sampler.sample_mvm(params, n, seed=seed)
+    assert out.read_text() == _csv_writer_text(batch.draws)
+    manifest = json.loads((tmp_path / "draws.csv.manifest.json").read_text())
+    assert manifest["trials"] == batch.trials
+    assert manifest["empirical_acceptance"] == batch.empirical_acceptance
+    assert cli.main([*argv, "--json"]) == 0
+    draws = json.loads(capsys.readouterr().out)["draws"]
+    assert np.array_equal(draws, np.loadtxt(out, delimiter=",", skiprows=1))
+    assert np.array_equal(draws, batch.draws)
 
 
 def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
@@ -368,7 +419,7 @@ def test_sample_envelope_failure_is_a_precondition_error(
     def fail(*args, **kwargs):
         raise sampler.BoundViolationError("acceptance exponent positive")
 
-    monkeypatch.setattr(sampler, "sample_mvm", fail)
+    monkeypatch.setattr(sampler, "sample_blocks", fail)
     out_csv = tmp_path / "draws.csv"
     argv = ["sample", "--params", reference_file, "--n", "100", "--out", str(out_csv)]
     assert cli.main(argv) == cli.EXIT_SAMPLER_PRECONDITION == 3
@@ -401,7 +452,7 @@ def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, 
     def fail(*args, **kwargs):
         raise sampler.AcceptanceStallError("simulated")
 
-    monkeypatch.setattr(sampler, "sample_mvm", fail)
+    monkeypatch.setattr(sampler, "sample_blocks", fail)
     for out in ([], ["--out", str(tmp_path / "draws.csv")]):
         assert cli.main(["sample", "--params", reference_file, "--n", "10", *out]) == 3
         captured = capsys.readouterr()
@@ -411,6 +462,36 @@ def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, 
             f"error: simulated\nhint: run `mvmtorus certify --params {reference_file}`\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sample_stall_after_the_first_block(
+    univariate_file, tmp_path, capsys, monkeypatch, shards
+):
+    real = sampler._sample_block
+
+    def second_block_stalls(params, spec, quota, seed_seq):
+        # the second block: the second call when blocks run in order
+        if seed_seq.spawn_key == (1,):
+            raise sampler.AcceptanceStallError("simulated")
+        return real(params, spec, quota, seed_seq)
+
+    monkeypatch.setattr(sampler, "_sample_block", second_block_stalls)
+    argv = ["sample", "--params", univariate_file, "--n", str(sampler.BLOCK_SIZE + 1),
+            "--shards", str(shards)]
+    out_csv = tmp_path / "draws.csv"
+    assert cli.main([*argv, "--out", str(out_csv)]) == 3
+    assert capsys.readouterr().out == ""
+    # the first block's rows were written, then removed with the file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vm1.json"]
+
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    # the rows printed before the failure stay; no record follows them
+    lines = captured.out.splitlines()
+    assert lines[0] == "theta1" and len(lines) == 1 + sampler.BLOCK_SIZE
+    assert captured.err.startswith("error: simulated\nhint: ")
+    assert not any(line.startswith("{") for line in captured.err.splitlines())
 
 
 def test_runs_without_scipy(tmp_path, reference_file):
@@ -694,6 +775,41 @@ def test_size_flags_below_minimum_are_input_errors(
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify"], ["sample", "--n", "10"], ["grid", "--n", "3"], ["modes"]]
+)
+def test_unwritable_out_is_an_input_error(reference_file, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    extra = ["--criticals-csv", str(tmp_path / "crit.csv")] if argv == ["modes"] else []
+    assert cli.main([*argv, "--params", reference_file, "--out", str(out), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert captured.out == ""
+    # nothing is left, not even the criticals CSV written before --out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+@pytest.mark.parametrize("argv", [["sample", "--n", "10"], ["grid", "--n", "3"]])
+def test_unwritable_manifest_removes_the_csv(reference_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert cli.main([*argv, "--params", reference_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv.manifest.json", "reference.json"
+    ]
+
+
+def test_unwritable_criticals_csv_is_an_input_error(reference_file, tmp_path, capsys):
+    crit = tmp_path / "missing" / "crit.csv"
+    argv = ["modes", "--params", reference_file, "--criticals-csv", str(crit)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{crit}'\n"
+    assert captured.out == ""
 
 
 def test_out_of_memory_is_an_input_error(reference_file, tmp_path, capsys, monkeypatch):

@@ -22,12 +22,15 @@ from mvmtorus import (
     exponent_many,
     forecast_acceptance,
     is_positive_definite,
+    sample_blocks,
     sample_mvm,
     sample_proposal_g,
     sample_vm1,
     sym_eigen,
 )
+from mvmtorus import sampler
 from mvmtorus.sampler import (
+    BLOCK_SIZE,
     ENVELOPE_SLACK,
     LOG_I0_SWITCH,
     AcceptanceStallError,
@@ -372,6 +375,33 @@ def test_sampler_workers_do_not_change_output():
     b = sample_mvm(params, 12_345, seed=13, workers=4)
     assert np.array_equal(a.draws, b.draws)
     assert a.trials == b.trials
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sample_blocks_keep_at_most_workers_in_flight(monkeypatch, workers):
+    params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
+    n = 10 * BLOCK_SIZE + 5
+    batch = sample_mvm(params, n, seed=13)
+    started = []
+    real = sampler._sample_block
+
+    def counted(*args):
+        started.append(args[3].spawn_key)
+        return real(*args)
+
+    monkeypatch.setattr(sampler, "_sample_block", counted)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sample_blocks(params, n, workers=0)  # checked before any iteration
+    blocks = sample_blocks(params, n, seed=13, workers=workers)
+    assert started == []
+    for k in range(1, 4):
+        draws, trials = next(blocks)
+        assert np.array_equal(draws, batch.draws[(k - 1) * BLOCK_SIZE : k * BLOCK_SIZE])
+        # the next block is submitted only once one has been consumed
+        assert len(started) <= workers + k - 1
+    blocks.close()
+    # closing cancels the blocks not yet started
+    assert len(started) <= workers + 2
 
 
 def test_sampler_rejects_fewer_than_one_worker():
