@@ -274,7 +274,8 @@ def grad_many(params: MvmParams, thetas) -> np.ndarray:
 def hessian_many(params: MvmParams, thetas) -> np.ndarray:
     """Hessian of f over an array of points; output shape (..., p, p)."""
     c, s = _trig_many(params, thetas)
-    h = params.lam * (c[..., :, None] * c[..., None, :])
+    h = c[..., :, None] * c[..., None, :]
+    h *= params.lam
     idx = np.arange(params.p)
     h[..., idx, idx] -= params.kappa * c + s * (s @ params.lam)
     return h

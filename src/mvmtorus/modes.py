@@ -71,6 +71,8 @@ _POLISH_ROUNDS = 8
 _F_SLACK = 1e-14
 #: largest per-coordinate step the solver will take
 _MAX_STEP = np.pi / 2
+#: most lattice points the start set can index (the int64 range)
+_MAX_LATTICE_SIZE = 2**63 - 1
 
 
 class Verdict(enum.Enum):
@@ -199,7 +201,11 @@ class SearchConfig:
     odd multiples of pi/m so starts never coincide with the kappa=0
     extremum grid), truncated to ``max_lattice_starts`` by a seeded
     subsample when ``m**p`` exceeds it, plus ``n_random_starts`` seeded
-    uniform starts (defaults to 32 for p <= 4, else 256).  Out-of-range
+    uniform starts (defaults to 32 for p <= 4, else 256).  The subsample
+    is drawn as lattice indices and only the chosen rows are built, so the
+    start set takes O((max_lattice_starts + n_random_starts) * p) memory
+    whatever ``m**p`` is; ``m**p`` may not exceed 2**63 - 1, and
+    :func:`critical_points` raises ``ValueError`` above that.  Out-of-range
     values raise ``ValueError`` on construction.
     """
 
@@ -266,14 +272,28 @@ class ModeReport:
 
 
 def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
+    """The lattice starts (all ``m**p`` rows in C order, or the seeded
+    subsample of ``max_lattice_starts`` of them, kept in lattice order)
+    followed by the random starts, shifted by mu and wrapped.  Lattice rows
+    are built from their indices alone, so memory is
+    O((max_lattice_starts + n_random) * p) however large ``m**p`` is."""
     p = params.p
     m = cfg.starts_per_dim
+    size = m**p
+    if size > _MAX_LATTICE_SIZE:
+        raise ValueError(
+            f"the start lattice has starts_per_dim**p = {m}**{p} points, more than "
+            f"2**63 - 1; lower starts_per_dim (--starts-per-dim) for p = {p}"
+        )
+    if size > cfg.max_lattice_starts:
+        index = np.sort(rng.choice(size, size=cfg.max_lattice_starts, replace=False))
+    else:
+        index = np.arange(size)
+    # base-m digits of each index, most significant first, so the rows
+    # follow the lattice's C (row-major) order
+    digits = index[:, None] // m ** np.arange(p - 1, -1, -1) % m
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
-    grids = np.meshgrid(*([offsets] * p), indexing="ij")
-    lattice = np.stack([g.ravel() for g in grids], axis=-1)
-    if len(lattice) > cfg.max_lattice_starts:
-        pick = rng.choice(len(lattice), size=cfg.max_lattice_starts, replace=False)
-        lattice = lattice[np.sort(pick)]
+    lattice = offsets[digits]
     n_random = cfg.n_random_starts
     if n_random is None:
         n_random = 32 if p <= 4 else 256

@@ -44,14 +44,14 @@ Worker threads only run whole blocks, at most ``workers`` of them in
 flight: the next block is submitted only when the consumer asks for
 another, and pending blocks are cancelled if it stops early.  So output is
 bit-identical for a fixed seed no matter how many workers run, and memory
-is O(``BLOCK_SIZE`` * p * workers) whatever n is.
+is O(``BLOCK_SIZE`` * p * workers) whatever n is.  The thread pool
+(``concurrent.futures``) is imported only when ``workers`` > 1.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -461,6 +461,9 @@ def _in_flight(block, jobs, workers: int):
     """``block(job)`` for each job, in order, with at most ``workers``
     jobs submitted and not yet consumed; closing the iterator cancels the
     ones not started."""
+    # imported here so that runs without worker threads never load it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(block, job) for job in islice(jobs, workers))
         try:

@@ -11,7 +11,7 @@ import io
 import numpy as np
 import pytest
 
-from mvmtorus import MvmParams, angular_distance
+from mvmtorus import MvmParams, angular_distance, wrap_angles
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})
@@ -147,6 +147,26 @@ def first_kept_oracle(rows, radius: float) -> list[int]:
         if all(angular_distance(row, rows[k]) >= radius for k in kept):
             kept.append(i)
     return kept
+
+
+def start_points_oracle(params: MvmParams, cfg, rng) -> np.ndarray:
+    """The mode-search start set from the whole ``m**p`` lattice, built by
+    ``meshgrid`` and stacked before the seeded subsample is taken.
+    Reference for the index-built start set in ``mvmtorus.modes``."""
+    p = params.p
+    m = cfg.starts_per_dim
+    offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
+    grids = np.meshgrid(*([offsets] * p), indexing="ij")
+    lattice = np.stack([g.ravel() for g in grids], axis=-1)
+    if len(lattice) > cfg.max_lattice_starts:
+        pick = rng.choice(len(lattice), size=cfg.max_lattice_starts, replace=False)
+        lattice = lattice[np.sort(pick)]
+    n_random = cfg.n_random_starts
+    if n_random is None:
+        n_random = 32 if p <= 4 else 256
+    random_starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_random, p))
+    starts = np.vstack([lattice, random_starts]) if n_random else lattice
+    return wrap_angles(starts + params.mu.angles)
 
 
 def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:

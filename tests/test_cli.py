@@ -240,6 +240,43 @@ def test_modes_rejects_bad_search_flags(reference_file, capsys, flag, value, fie
     assert out.out == ""
 
 
+def test_modes_lattice_beyond_int64_is_an_input_error(tmp_path, capsys):
+    # 4**32 lattice points: more than the start set can index
+    params = write_params(tmp_path / "p32.json", kappa=[1.0] * 32, **{"lambda": [[0.0] * 32] * 32})
+    out, crit = tmp_path / "modes.json", tmp_path / "crit.csv"
+    argv = ["modes", "--params", params, "--out", str(out), "--criticals-csv", str(crit)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "starts_per_dim (--starts-per-dim) for p = 32" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p32.json"]
+
+
+def test_modes_runs_where_the_lattice_cannot_be_stacked(tmp_path, capsys):
+    # 4**16 lattice rows: stacking them (and meshgrid's 16 copies) would
+    # take about 1.1 TB; the start set holds only the rows it uses
+    rng = np.random.default_rng(16)
+    p = 16
+    lam = np.triu(rng.uniform(-2.0, 2.0, size=(p, p)), k=1)
+    params = write_params(
+        tmp_path / "p16.json",
+        kappa=rng.uniform(0.0, 5.0, size=p).tolist(),
+        mu=rng.uniform(0.0, 2.0 * np.pi, size=p).tolist(),
+        **{"lambda": (lam + lam.T).tolist()},
+    )
+    assert cli.main(["modes", "--params", params, "--max-iter", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["search_meta"]["starts_used"] == 512
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    code = "import sys, mvmtorus.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # sample
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from conftest import (
     random_symmetric_coupling,
     six_mode_params,
     six_mode_table,
+    start_points_oracle,
 )
 from mvmtorus import (
     MvmParams,
@@ -29,7 +32,13 @@ from mvmtorus import (
     wrap_angles,
 )
 from mvmtorus import spectral
-from mvmtorus.modes import CriticalPoint, _damped_pass, _first_kept, deduplicate
+from mvmtorus.modes import (
+    CriticalPoint,
+    _damped_pass,
+    _first_kept,
+    _start_points,
+    deduplicate,
+)
 from mvmtorus.spectral import norm_inf
 
 TWO_PI = 2.0 * np.pi
@@ -487,3 +496,60 @@ def test_search_config_accepts_smallest_values():
     )
     report = critical_points(six_mode_params(0.1), cfg)
     assert report.search_meta.starts_used == 1
+
+
+# ---------------------------------------------------------------------------
+# start set
+
+
+@st.composite
+def _start_case(draw):
+    p = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    cfg = SearchConfig(
+        starts_per_dim=m,
+        max_lattice_starts=draw(st.integers(1, m**p + 2)),
+        n_random_starts=draw(st.one_of(st.none(), st.integers(0, 8))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    mu = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, size=p)
+    return MvmParams(mu=mu, kappa=np.ones(p), lam=np.zeros((p, p))), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_start_case())
+def test_start_points_match_the_stacked_lattice(case):
+    params, cfg = case
+    rng, oracle_rng = (np.random.default_rng(cfg.seed) for _ in range(2))
+    starts = _start_points(params, cfg, rng)
+    expected = start_points_oracle(params, cfg, oracle_rng)
+    assert starts.shape == expected.shape
+    assert starts.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_start_points_memory_is_independent_of_the_lattice_size():
+    # the 4**20-point lattice would need 176 TB as a stacked array
+    p = 20
+    params = MvmParams(mu=np.zeros(p), kappa=np.ones(p), lam=np.zeros((p, p)))
+    cfg = SearchConfig()
+    tracemalloc.start()
+    try:
+        starts = _start_points(params, cfg, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts.shape == (cfg.max_lattice_starts + 256, p)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m,p,fits", [(2, 62, True), (2, 63, False), (4, 32, False)])
+def test_start_lattice_size_limit(m, p, fits):
+    params = MvmParams(mu=np.zeros(p), kappa=np.ones(p), lam=np.zeros((p, p)))
+    cfg = SearchConfig(starts_per_dim=m, n_random_starts=0)
+    if fits:
+        starts = _start_points(params, cfg, np.random.default_rng(0))
+        assert starts.shape == (cfg.max_lattice_starts, p)
+        return
+    with pytest.raises(ValueError, match=rf"starts_per_dim\*\*p = {m}\*\*{p} .*p = {p}$"):
+        critical_points(params, cfg)
