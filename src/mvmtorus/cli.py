@@ -28,6 +28,11 @@ exponent above 0 or a stalled rejection loop).  An output path that
 cannot be written is an input error.  Runs that exit 1 or 3 write no
 record and no file: what a run wrote before it failed is removed (CSV rows
 already printed on stdout stay).
+
+Each command imports the modules it uses when it runs (``modes`` for
+``certify`` and ``modes``, ``sampler`` for ``sample`` and ``forecast``,
+``oracle`` for ``forecast``, ``cube`` and ``grid``), so a run does not pay
+to load the others.  The sampler's errors come from :mod:`mvmtorus.model`.
 """
 
 from __future__ import annotations
@@ -39,12 +44,20 @@ import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
-from . import __version__, modes, oracle, sampler
-from .model import MvmParams
+from . import __version__
+from .model import (
+    AcceptanceStallError,
+    BoundViolationError,
+    MvmParams,
+    NotPositiveDefiniteError,
+)
+
+if TYPE_CHECKING:
+    from . import modes
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -289,10 +302,12 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
 
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed flags, the loaded parameters and the
-# resolved seed, and returns a _Run
+# resolved seed, and returns a _Run; each imports the modules it uses
 
 
 def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
+    from . import modes
+
     cert = modes.certify_unimodal(params)
     lines = [
         f"verdict: {cert.verdict.value}",
@@ -339,6 +354,8 @@ def _criticals_csv(report: modes.ModeReport, p: int) -> str:
 
 
 def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
+    from . import modes
+
     fields = [name for _, _, name in _SEARCH_FLAGS]
     given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     cfg = modes.SearchConfig(seed=seed, **given)
@@ -382,6 +399,8 @@ def _write_sample_csv(fh, blocks: Iterable[np.ndarray]) -> None:
 
 
 def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
+    from . import sampler
+
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
     blocks = sampler.sample_blocks(params, args.n, spec, seed=seed, workers=args.shards)
     trials = []
@@ -406,6 +425,8 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
 
 
 def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
+    from . import oracle, sampler
+
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
     forecast = sampler.forecast_acceptance(
         params,
@@ -433,6 +454,8 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
 
 
 def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
+    from . import oracle
+
     _check_count(args.grid_n, "--grid-n", minimum=0)
     if np.any(params.kappa != 0.0):
         print(
@@ -458,6 +481,8 @@ def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
 
 
 def _cmd_grid(args, params: MvmParams, seed: int) -> _Run:
+    from . import oracle
+
     _check_count(args.n, "--n")
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
@@ -574,11 +599,7 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)  # only modes and sample take --seed
         seed = (file_seed or 0) if seed is None else seed
         return _emit(args, params, args.func(args, params, seed), started)
-    except (
-        sampler.NotPositiveDefiniteError,
-        sampler.BoundViolationError,
-        sampler.AcceptanceStallError,
-    ) as exc:
+    except (NotPositiveDefiniteError, BoundViolationError, AcceptanceStallError) as exc:
         print(
             f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
             file=sys.stderr,

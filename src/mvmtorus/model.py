@@ -6,8 +6,10 @@ The distribution MVM(mu, kappa, Lambda) has unnormalized log-density
     f(theta) = kappa^T c(theta) + 0.5 * s(theta)^T Lambda s(theta)
 
 with c_i = cos(theta_i - mu_i) and s_i = sin(theta_i - mu_i).  This module
-holds the parameter and point types and exact evaluation of f, its gradient
-and its Hessian.  Normalization constants live in :mod:`mvmtorus.oracle`.
+holds the parameter and point types, exact evaluation of f, its gradient
+and its Hessian, and the sampler's error types (here so that the CLI can
+map them to its exit code without importing :mod:`mvmtorus.sampler`).
+Normalization constants live in :mod:`mvmtorus.oracle`.
 
 All functions here are pure; nothing is mutated after construction, so every
 operation is safe to call concurrently.
@@ -28,6 +30,9 @@ __all__ = [
     "TWO_PI",
     "LAMBDA_ATOL",
     "DimensionMismatchError",
+    "NotPositiveDefiniteError",
+    "BoundViolationError",
+    "AcceptanceStallError",
     "TorusPoint",
     "MvmParams",
     "wrap_angles",
@@ -45,6 +50,21 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """A point or vector does not match the dimension p of the distribution."""
+
+
+class NotPositiveDefiniteError(ValueError):
+    """P = diag(kappa) - Lambda is not positive definite; the rejection
+    sampler does not apply.  Run modes.certify_unimodal for diagnostics."""
+
+
+class BoundViolationError(RuntimeError):
+    """An acceptance probability exceeded 1, signalling an invalid
+    eigenvalue lower bound."""
+
+
+class AcceptanceStallError(RuntimeError):
+    """The rejection loop exceeded the proposal budget; the eigenvalue
+    bound is likely far too small for this distribution."""
 
 
 def wrap_angles(angles) -> np.ndarray:

@@ -45,7 +45,10 @@ flight: the next block is submitted only when the consumer asks for
 another, and pending blocks are cancelled if it stops early.  So output is
 bit-identical for a fixed seed no matter how many workers run, and memory
 is O(``BLOCK_SIZE`` * p * workers) whatever n is.  The thread pool
-(``concurrent.futures``) is imported only when ``workers`` > 1.
+(``concurrent.futures``) is imported only when ``workers`` > 1, and the
+quadrature (:mod:`mvmtorus.oracle`) only by :func:`forecast_acceptance`.
+
+The error types are defined in :mod:`mvmtorus.model` and re-exported here.
 """
 
 from __future__ import annotations
@@ -57,10 +60,13 @@ from itertools import islice
 
 import numpy as np
 
-from . import oracle, spectral
+from . import spectral
 from .model import (
+    AcceptanceStallError,
+    BoundViolationError,
     DimensionMismatchError,
     MvmParams,
+    NotPositiveDefiniteError,
     TorusPoint,
     TWO_PI,
     as_torus_point,
@@ -107,21 +113,6 @@ LOG_I0_SWITCH = 700.0
 #: Z <= C always holds, so an exact acceptance rate Z/C above 1 + this
 #: tolerance is a quadrature failure
 EXACT_RATE_TOL = 1e-9
-
-
-class NotPositiveDefiniteError(ValueError):
-    """P = diag(kappa) - Lambda is not positive definite; the rejection
-    sampler does not apply.  Run modes.certify_unimodal for diagnostics."""
-
-
-class BoundViolationError(RuntimeError):
-    """An acceptance probability exceeded 1, signalling an invalid
-    eigenvalue lower bound."""
-
-
-class AcceptanceStallError(RuntimeError):
-    """The rejection loop exceeded the proposal budget; the eigenvalue
-    bound is likely far too small for this distribution."""
 
 
 def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
@@ -510,6 +501,9 @@ def forecast_acceptance(
     ``EXACT_RATE_TOL`` means the grid missed the peak, and raises
     ``ValueError``.
     """
+    # imported here so that sampling alone never loads the quadrature
+    from . import oracle
+
     spec = _resolve_spec(params, spec)
     eigenvalues = spectral.sym_eigen(params.p_matrix()).values
     # in log space: prod(d) and |P| both underflow for tiny kappa
