@@ -61,12 +61,9 @@ _EXPORTS_BY_MODULE = {
         "ProposalSpec",
         "SampleBatch",
         "acceptance_probability",
-        "bessel_i0",
         "forecast_acceptance",
         "sample_blocks",
         "sample_mvm",
-        "sample_proposal_g",
-        "sample_vm1",
     ),
     "oracle": (
         "CubeAnalysis",

@@ -25,9 +25,10 @@ Exit codes: 0 success / certified, 1 input error (usage errors included),
 2 inconclusive certification, 3 sampler precondition failure (P not
 positive definite, or the envelope fails at run time: an acceptance
 exponent above 0 or a stalled rejection loop).  An output path that
-cannot be written is an input error.  Runs that exit 1 or 3 write no
-record and no file: what a run wrote before it failed is removed (CSV rows
-already printed on stdout stay).
+cannot be written is an input error, as are two of ``--params``, ``--out``,
+``<out>.manifest.json`` and ``--criticals-csv`` that name one file.  Runs
+that exit 1 or 3 write no record and no file: what a run wrote before it
+failed is removed (CSV rows already printed on stdout stay).
 
 Each command imports the modules it uses when it runs (``modes`` for
 ``certify`` and ``modes``, ``sampler`` for ``sample`` and ``forecast``,
@@ -238,15 +239,15 @@ def _write(path: str, write: Callable[[TextIO], None]) -> None:
 class _Run:
     """What one command computed, for :func:`_emit` to place: the resolved
     config beside ``params``, a payload body built only when written, a
-    text summary or a CSV writer, extra files (path and writer), the seed
-    (None if nothing is drawn), extra manifest fields (read once the
+    text summary or a CSV writer, extra files (flag, path and writer), the
+    seed (None if nothing is drawn), extra manifest fields (read once the
     payload or CSV is produced) and the exit code."""
 
     config: dict
     body: Callable[[], dict]
     text: str = ""
     csv: Callable[[TextIO], None] | None = None
-    files: tuple[tuple[str, Callable[[TextIO], None]], ...] = ()
+    files: tuple[tuple[str, str, Callable[[TextIO], None]], ...] = ()
     seed: int | None = None
     extras: Callable[[], dict] = dict
     code: int = EXIT_OK
@@ -254,7 +255,8 @@ class _Run:
 
 def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
     """Write the outputs of ``run`` and then its one record by the rule in
-    the module docstring; return the run's exit code.  If anything fails,
+    the module docstring; return the run's exit code.  Paths that name one
+    file are rejected before anything is written.  If anything fails,
     formatting the record included, every file written so far is
     removed."""
 
@@ -268,6 +270,18 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
             **run.extras(),
         }
 
+    manifest = bool(args.out) and not args.json and run.csv is not None
+    named = [("--params", args.params), *((flag, path) for flag, path, _ in run.files)]
+    if args.out:
+        named.append(("--out", args.out))
+    if manifest:
+        named.append(("the manifest beside --out", args.out + ".manifest.json"))
+    seen: dict[str, str] = {}
+    for flag, path in named:
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise InputError(f"{first} and {flag} name the same file: {path}")
+
     written = []
 
     def write(path: str, writer: Callable[[TextIO], None]) -> None:
@@ -275,18 +289,18 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
         written.append(path)
 
     try:
-        for path, writer in run.files:
+        for _, path, writer in run.files:
             write(path, writer)
-        if args.json or (args.out and run.csv is None):
+        if manifest:
+            write(args.out, run.csv)
+            text = _json_text(record())
+            write(args.out + ".manifest.json", lambda fh: fh.write(text))
+        elif args.json or args.out:
             body = run.body()
             payload = _json_text({"manifest": record(), **body})
             if args.out:
                 write(args.out, lambda fh: fh.write(payload))
             sys.stdout.write(payload if args.json else run.text)
-        elif args.out:
-            write(args.out, run.csv)
-            text = _json_text(record())
-            write(args.out + ".manifest.json", lambda fh: fh.write(text))
         else:
             if run.csv is None:
                 sys.stdout.write(run.text)
@@ -375,7 +389,8 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
         )
     files = ()
     if args.criticals_csv:
-        files = ((args.criticals_csv, lambda fh: fh.write(_criticals_csv(report, params.p))),)
+        text = _criticals_csv(report, params.p)
+        files = (("--criticals-csv", args.criticals_csv, lambda fh: fh.write(text)),)
     return _Run(
         config={"search": {name: getattr(cfg, name) for name in fields}},
         body=lambda: {"report": mode_report_dict(report)},

@@ -7,9 +7,10 @@ The distribution MVM(mu, kappa, Lambda) has unnormalized log-density
 
 with c_i = cos(theta_i - mu_i) and s_i = sin(theta_i - mu_i).  This module
 holds the parameter and point types, exact evaluation of f, its gradient
-and its Hessian, and the sampler's error types (here so that the CLI can
-map them to its exit code without importing :mod:`mvmtorus.sampler`).
-Normalization constants live in :mod:`mvmtorus.oracle`.
+and its Hessian, :func:`lattice_rows` (the one product-grid builder), and
+the sampler's error types (here so that the CLI can map them to its exit
+code without importing :mod:`mvmtorus.sampler`).  Normalization constants
+live in :mod:`mvmtorus.oracle`.
 
 All functions here are pure; nothing is mutated after construction, so every
 operation is safe to call concurrently.
@@ -38,6 +39,7 @@ __all__ = [
     "wrap_angles",
     "angular_distance",
     "as_torus_point",
+    "lattice_rows",
     "exponent_f",
     "grad_f",
     "hessian_f",
@@ -143,6 +145,17 @@ class TorusPoint:
 
 def as_torus_point(theta) -> TorusPoint:
     return theta if isinstance(theta, TorusPoint) else TorusPoint(np.asarray(theta))
+
+
+def lattice_rows(axis_nodes, p: int, index=None) -> np.ndarray:
+    """Rows of the product grid ``axis_nodes ** p`` in C order (last
+    coordinate fastest), or only the rows numbered ``index``.  Row k holds
+    the nodes at the base-m digits of k, so memory is O(len(index) * p)
+    however large m**p is; the caller keeps m**p within int64."""
+    nodes = np.asarray(axis_nodes)
+    m = nodes.size
+    index = np.arange(m**p) if index is None else np.asarray(index)
+    return nodes[index[:, None] // m ** np.arange(p - 1, -1, -1) % m]
 
 
 @dataclass(frozen=True, eq=False)

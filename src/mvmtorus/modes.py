@@ -44,6 +44,7 @@ from .model import (
     grad_f,
     grad_many,
     hessian_many,
+    lattice_rows,
     wrap_angles,
 )
 # not used here: the benchmark's tracer wraps these two names on this module
@@ -285,15 +286,11 @@ def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
             f"the start lattice has starts_per_dim**p = {m}**{p} points, more than "
             f"2**63 - 1; lower starts_per_dim (--starts-per-dim) for p = {p}"
         )
+    index = None
     if size > cfg.max_lattice_starts:
         index = np.sort(rng.choice(size, size=cfg.max_lattice_starts, replace=False))
-    else:
-        index = np.arange(size)
-    # base-m digits of each index, most significant first, so the rows
-    # follow the lattice's C (row-major) order
-    digits = index[:, None] // m ** np.arange(p - 1, -1, -1) % m
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
-    lattice = offsets[digits]
+    lattice = lattice_rows(offsets, p, index)
     n_random = cfg.n_random_starts
     if n_random is None:
         n_random = 32 if p <= 4 else 256

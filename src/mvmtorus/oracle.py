@@ -11,17 +11,18 @@ with its own max shift; the per-slab log sums are then combined in slab
 order.  The reduction order is fixed, so results are deterministic, and
 the workspace is O(n**(p-1)) (under 1 MB per buffer at p = 4, n = 48).
 Quadrature time is still n**p, so these helpers are restricted to p <= 4.
+The slabs are built by broadcasting per-axis terms, not from
+:func:`mvmtorus.model.lattice_rows`, which sets their memory and float order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .model import MvmParams, TWO_PI, as_torus_point, exponent_many
+from .model import MvmParams, TWO_PI, as_torus_point, exponent_many, lattice_rows
 
 __all__ = [
     "MAX_QUADRATURE_DIM",
@@ -206,7 +207,7 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
     # reuse the parameter validation (symmetry, zero diagonal)
     MvmParams(mu=np.zeros(p), kappa=np.zeros(p), lam=lam)
 
-    vertices = np.array(list(itertools.product((-1, 1), repeat=p)), dtype=float)
+    vertices = lattice_rows(np.array([-1.0, 1.0]), p)
     values = _quadratic_form(lam, vertices)
     vertex_values = {
         tuple(int(x) for x in v): float(g) for v, g in zip(vertices, values)
@@ -223,16 +224,13 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
         if p != 3:
             raise ValueError("surface grids are only defined for p=3 cubes")
         surface = []
-        u = np.linspace(-1.0, 1.0, grid_n)
-        uu, vv = np.meshgrid(u, u, indexing="ij")
+        face = lattice_rows(np.linspace(-1.0, 1.0, grid_n), 2)
         for label in CUBE_FACE_ORDER:
-            sign = 1.0 if label[0] == "+" else -1.0
             axis = int(label[1]) - 1
-            s = np.empty((grid_n, grid_n, 3))
-            others = [i for i in range(3) if i != axis]
-            s[..., axis] = sign
-            s[..., others[0]] = uu
-            s[..., others[1]] = vv
+            s = np.empty((grid_n * grid_n, 3))
+            s[:, axis] = 1.0 if label[0] == "+" else -1.0
+            s[:, [i for i in range(3) if i != axis]] = face
+            s = s.reshape(grid_n, grid_n, 3)
             surface.append(
                 CubeFace(label=label, s=s, values=_quadratic_form(lam, s))
             )
@@ -267,16 +265,10 @@ def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarra
     if slice_point.p != params.p:
         raise ValueError("slice point dimension mismatch")
 
-    nodes = TWO_PI * np.arange(n) / n
-    if len(dims) == 1:
-        thetas = np.tile(slice_point.angles, (n, 1))
-        thetas[:, dims[0]] = nodes
-        return exponent_many(params, thetas)
-    ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
-    thetas = np.tile(slice_point.angles, (n, n, 1))
-    thetas[..., dims[0]] = ti
-    thetas[..., dims[1]] = tj
-    return exponent_many(params, thetas)
+    k = len(dims)
+    thetas = np.tile(slice_point.angles, (n**k, 1))
+    thetas[:, dims] = lattice_rows(TWO_PI * np.arange(n) / n, k)
+    return exponent_many(params, thetas.reshape((n,) * k + (params.p,)))
 
 
 def write_density_grid_csv(

@@ -20,7 +20,9 @@ so exp(f) <= exp(sum(kappa) - sum(d)) prod_i exp(d_i c_i) = C g with
 
 and accepting a proposal theta with probability
 exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) yields exact draws;
-accepted proposals are shifted by mu on output.  In the high-concentration
+accepted proposals are shifted by mu on output.  ``_log_acceptance`` forms
+that exponent and is the one run-time test of the envelope; ``_log_i0e``,
+log I0(x) - x, is the one Bessel routine.  In the high-concentration
 limit the acceptance rate tends to sqrt(prod(d) / |P|) <= 1, with equality
 only when Lambda = 0.
 
@@ -81,10 +83,6 @@ __all__ = [
     "ProposalSpec",
     "SampleBatch",
     "AcceptanceForecast",
-    "bessel_i0",
-    "log_bessel_i0",
-    "sample_vm1",
-    "sample_proposal_g",
     "sample_proposal_batch",
     "log_proposal_density",
     "log_envelope_constant",
@@ -125,15 +123,6 @@ def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
     return smallest
 
 
-def bessel_i0(x):
-    """Modified Bessel function I0 (order zero, first kind); x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel_i0 requires x >= 0")
-    out = np.i0(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def _log_i0e(x: np.ndarray) -> np.ndarray:
     """log(exp(-x) I0(x)) for an array x >= 0: log(numpy.i0(x)) - x up to
     ``LOG_I0_SWITCH``, below the point where numpy.i0 overflows, and the
@@ -147,17 +136,6 @@ def _log_i0e(x: np.ndarray) -> np.ndarray:
     series = inv * (1 / 8 + inv * (9 / 128 + inv * (225 / 3072 + inv * 11025 / 98304)))
     large = np.log1p(series) - 0.5 * np.log(TWO_PI * big)
     return np.where(x <= LOG_I0_SWITCH, np.log(np.i0(small)) - small, large)
-
-
-def log_bessel_i0(x):
-    """log I0(x): log of ``numpy.i0`` up to ``LOG_I0_SWITCH`` and the
-    large-x asymptotic series of :func:`_log_i0e`, plus x, above it."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("log_bessel_i0 requires x >= 0")
-    small = np.log(np.i0(np.minimum(x, LOG_I0_SWITCH)))
-    out = np.where(x <= LOG_I0_SWITCH, small, x + _log_i0e(x))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -268,14 +246,6 @@ class AcceptanceForecast:
 # generators
 
 
-def sample_vm1(kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from the univariate von Mises VM(0, kappa), wrapped
-    to [0, 2*pi); kappa = 0 gives uniform angles."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
-    return wrap_angles(rng.vonmises(0.0, kappa, size=n))
-
-
 def _raw_proposals(spec: ProposalSpec, m: int, rng: np.random.Generator):
     """m proposal rows in the mean-zero frame, on [-pi, pi]: one von Mises
     block."""
@@ -298,11 +268,6 @@ def sample_proposal_batch(
     return wrap_angles(_raw_proposals(spec, m, rng))
 
 
-def sample_proposal_g(spec: ProposalSpec, p: int, rng: np.random.Generator) -> TorusPoint:
-    """One draw from the proposal density g."""
-    return TorusPoint(sample_proposal_batch(spec, p, 1, rng)[0])
-
-
 def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
     """log g at points with shape (..., p) in the mean-zero frame."""
     thetas = np.asarray(thetas, dtype=float)
@@ -320,26 +285,29 @@ def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
 
 
 def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
+    """log acceptance probability from cos and sin (shape (..., p)) in the
+    mean-zero frame; <= 0 when P - diag(d) is positive semidefinite, and a
+    value above 1e-12 raises ``BoundViolationError``."""
     quad = np.einsum("...i,ij,...j->...", s, params.lam, s)
-    return (c - 1.0) @ (params.kappa - np.asarray(spec.d)) + 0.5 * quad
+    log_acc = (c - 1.0) @ (params.kappa - np.asarray(spec.d)) + 0.5 * quad
+    if np.any(log_acc > 1e-12):
+        raise BoundViolationError(
+            f"acceptance exponent {np.max(log_acc):.6g} is positive: envelope "
+            f"d = {spec.d} is not below P"
+        )
+    return log_acc
 
 
 def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> float:
-    """Probability of accepting proposal ``theta``:
-    exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s), which is <= 1
-    whenever P - diag(d) is positive semidefinite.
-    """
+    """Probability of accepting proposal ``theta``,
+    exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) clamped to <= 1; an
+    exponent above 1e-12 raises ``BoundViolationError``."""
     theta = as_torus_point(theta)
     if theta.p != params.p:
         raise DimensionMismatchError(f"theta has length {theta.p}, expected p={params.p}")
     delta = theta.angles - params.mu.angles
-    prob = float(np.exp(_log_acceptance(params, spec, np.cos(delta), np.sin(delta))))
-    if prob > 1.0 + 1e-12:
-        raise BoundViolationError(
-            f"acceptance probability {prob} exceeds 1: envelope d = "
-            f"{spec.d} is not below P"
-        )
-    return min(prob, 1.0)
+    log_acc = _log_acceptance(params, spec, np.cos(delta), np.sin(delta))
+    return min(float(np.exp(log_acc)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +331,6 @@ def _sample_block(
         props = _raw_proposals(spec, m, rng)
         u = rng.random(m)
         log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
-        if np.any(log_acc > 1e-12):
-            raise BoundViolationError(
-                "acceptance exponent positive: invalid envelope d"
-            )
         acc_idx = np.flatnonzero(u <= np.exp(log_acc))
         need = quota - got
         if len(acc_idx) <= need:

@@ -2,10 +2,11 @@
 meets: eigen-decomposition, positive-definiteness, Gershgorin discs and
 determinants.
 
-Dimensions here are tiny (p rarely above 4, never large), so everything
-is delegated to LAPACK through numpy; the value added by this module is
-the validated, ascending-ordered contract the rest of the package relies
-on, plus a Cholesky-based definiteness test that is independent of the
+Matrices here are p x p with p the torus dimension: at most 4 for the
+quadrature, while the mode search and the sampler run at p = 8, 12 or 16
+as well.  Everything is delegated to LAPACK through numpy; the value
+added by this module is the validated, ascending-ordered contract the rest
+of the package relies on, plus a Cholesky-based definiteness test that is independent of the
 eigen path (the two are cross-checked in the test suite).
 """
 

@@ -849,6 +849,49 @@ def test_unwritable_criticals_csv_is_an_input_error(reference_file, tmp_path, ca
     assert captured.out == ""
 
 
+def test_criticals_csv_on_the_out_file_is_an_input_error(reference_file, tmp_path, capsys):
+    same = str(tmp_path / "same.json")
+    argv = ["modes", "--params", reference_file, "--out", same, "--criticals-csv", same]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --criticals-csv and --out name the same file: {same}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,params_name,out_name,message",
+    [
+        (["certify"], "p.json", "./p.json", "--params and --out"),
+        (["sample", "--n", "10", "--json"], "p.json", "p.json", "--params and --out"),
+        (
+            ["grid", "--n", "3"],
+            "g.csv.manifest.json",
+            "g.csv",
+            "--params and the manifest beside --out",
+        ),
+    ],
+    ids=["certify", "sample-json", "grid-manifest"],
+)
+def test_out_over_the_params_file_is_an_input_error(
+    tmp_path, capsys, argv, params_name, out_name, message
+):
+    params = write_params(
+        tmp_path / params_name,
+        kappa=[3.0, 3.0, 3.0],
+        **{"lambda": [list(r) for r in REFERENCE_COUPLING]},
+    )
+    before = (tmp_path / params_name).read_bytes()
+    out = f"{tmp_path}/{out_name}"
+    assert cli.main([*argv, "--params", params, "--out", out]) == 1
+    captured = capsys.readouterr()
+    clobbered = out + (".manifest.json" if argv[0] == "grid" else "")
+    assert captured.err == f"error: {message} name the same file: {clobbered}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [params_name]
+    assert (tmp_path / params_name).read_bytes() == before
+
+
 def test_out_of_memory_is_an_input_error(reference_file, tmp_path, capsys, monkeypatch):
     # stands in for `grid --n 200000`, whose 2e5 x 2e5 grid numpy cannot
     # allocate; the test does not try the allocation itself

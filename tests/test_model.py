@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from mvmtorus import (
     log_density,
     wrap_angles,
 )
-from mvmtorus.model import TWO_PI
+from mvmtorus.model import TWO_PI, lattice_rows
 from mvmtorus.oracle import log_partition
 
 angle_lists = st.lists(
@@ -24,6 +26,36 @@ angle_lists = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+# ---------------------------------------------------------------------------
+# product grids
+
+
+@st.composite
+def _lattice_case(draw):
+    p = draw(st.integers(1, 5))
+    nodes = draw(
+        st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=5, unique=True
+        )
+    )
+    size = len(nodes) ** p
+    index = sorted(draw(st.sets(st.integers(0, size - 1), max_size=size)))
+    return np.array(nodes), p, index
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_case())
+def test_lattice_rows_match_itertools_product(case):
+    nodes, p, index = case
+    expected = np.array(list(itertools.product(nodes, repeat=p))).reshape(-1, p)
+    rows = lattice_rows(nodes, p)
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+    picked = lattice_rows(nodes, p, np.array(index, dtype=np.int64))
+    assert picked.shape == (len(index), p)
+    assert picked.tobytes() == expected[index].tobytes()
 
 
 # ---------------------------------------------------------------------------

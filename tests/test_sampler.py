@@ -17,16 +17,14 @@ from mvmtorus import (
     ProposalSpec,
     TorusPoint,
     acceptance_probability,
-    bessel_i0,
     certify_unimodal,
     exponent_many,
     forecast_acceptance,
     is_positive_definite,
     sample_blocks,
     sample_mvm,
-    sample_proposal_g,
-    sample_vm1,
     sym_eigen,
+    wrap_angles,
 )
 from mvmtorus import sampler
 from mvmtorus.sampler import (
@@ -36,7 +34,7 @@ from mvmtorus.sampler import (
     AcceptanceStallError,
     BoundViolationError,
     _log_acceptance,
-    log_bessel_i0,
+    _log_i0e,
     log_envelope_constant,
     log_proposal_density,
     sample_proposal_batch,
@@ -73,94 +71,80 @@ def _certified_heterogeneous(rng, dims) -> list[MvmParams]:
 
 
 # ---------------------------------------------------------------------------
-# Bessel I0
+# log I0(x) - x, the one Bessel routine
+
+
+def _log_i0e_at(x: float) -> float:
+    return float(_log_i0e(np.asarray(x)))
 
 
 def test_bessel_i0_at_zero():
-    assert bessel_i0(0.0) == 1.0
+    assert _log_i0e_at(0.0) == 0.0
 
 
 def test_bessel_i0_matches_power_series():
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         oracle = bessel_i0_series(x)
-        assert abs(bessel_i0(x) - oracle) / oracle < 1e-12
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
+        assert abs(np.exp(_log_i0e_at(x) + x) - oracle) / oracle < 1e-12
+    assert np.exp(_log_i0e_at(1.0) + 1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
 
 
 def test_bessel_i0_scaled_asymptote():
     # sqrt(2 pi x) e^-x I0(x) = 1 + 1/(8x) + O(x^-2): at x=100 the true
     # value is 1.00126, so the band must leave room for the 1/(8x) term
     x = 100.0
-    scaled = np.sqrt(TWO_PI * x) * np.exp(log_bessel_i0(x) - x)
+    scaled = np.sqrt(TWO_PI * x) * np.exp(_log_i0e_at(x))
     assert abs(scaled - 1.0) < 1.05 / (8.0 * x)
     x = 1000.0
-    scaled = np.sqrt(TWO_PI * x) * np.exp(log_bessel_i0(x) - x)
+    scaled = np.sqrt(TWO_PI * x) * np.exp(_log_i0e_at(x))
     assert 0.999 < scaled < 1.001
 
 
 def test_log_bessel_i0_matches_power_series():
+    # the bound is relative to log I0(x), as when log I0 itself was tested
     for x in (0.5, 5.0, 20.0, 50.0, 100.0):
         expected = np.log(bessel_i0_series(x, terms=200))
-        assert abs(log_bessel_i0(x) - expected) <= 1e-13 * expected
+        assert abs(_log_i0e_at(x) - (expected - x)) <= 1e-13 * expected
 
 
 def test_log_bessel_i0_continuous_at_series_switch():
-    below = log_bessel_i0(LOG_I0_SWITCH)
-    above = log_bessel_i0(np.nextafter(LOG_I0_SWITCH, np.inf))
+    below = _log_i0e_at(LOG_I0_SWITCH)
+    above = _log_i0e_at(np.nextafter(LOG_I0_SWITCH, np.inf))
     assert LOG_I0_SWITCH == 700.0
-    assert abs(above - below) < 1e-13 * below
-    # far past the point where I0 itself overflows, log I0 stays finite
-    assert log_bessel_i0(1e200) == pytest.approx(1e200, rel=1e-15)
+    # the bound is relative to log I0(700), as when log I0 itself was tested
+    assert abs(above - below) < 1e-13 * (below + LOG_I0_SWITCH)
+    # far past the point where I0 itself overflows, log I0(x) - x stays
+    # finite and follows the leading term -log(2 pi x) / 2
+    assert _log_i0e_at(1e200) == pytest.approx(-0.5 * np.log(TWO_PI * 1e200), rel=1e-15)
 
 
 def test_bessel_functions_keep_array_shape():
     x = np.array([[0.0, 1.0, 699.0], [700.0, 701.0, 5e3]])
-    assert bessel_i0(x[:, :2]).shape == (2, 2)
-    logs = log_bessel_i0(x)
+    logs = _log_i0e(x)
     assert logs.shape == x.shape
+    assert _log_i0e(x[:, :2]).shape == (2, 2)
     for value, expected in zip(logs.ravel(), x.ravel()):
-        assert value == pytest.approx(log_bessel_i0(float(expected)), rel=1e-15)
-    assert isinstance(log_bessel_i0(2.0), float)
-    assert isinstance(bessel_i0(2.0), float)
-
-
-def test_bessel_i0_rejects_negative():
-    with pytest.raises(ValueError):
-        bessel_i0(-1.0)
-    with pytest.raises(ValueError):
-        log_bessel_i0(-0.5)
+        assert value == pytest.approx(_log_i0e_at(float(expected)), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# univariate von Mises generator
-
-
-def test_vm1_uniform_when_kappa_zero(rng):
-    n = 100_000
-    draws = sample_vm1(0.0, n, rng)
-    assert np.all((draws >= 0.0) & (draws < TWO_PI))
-    assert abs(np.mean(np.cos(draws))) < 4.0 / np.sqrt(n)
-    assert abs(np.mean(np.sin(draws))) < 4.0 / np.sqrt(n)
+# univariate von Mises proposal
 
 
 def test_vm1_mean_resultant_matches_bessel_ratio(rng):
     n = 100_000
-    draws = sample_vm1(2.0, n, rng)
+    draws = sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=1), 1, n, rng)
     expected = bessel_i1_series(2.0) / bessel_i0_series(2.0)
     assert np.mean(np.cos(draws)) == pytest.approx(expected, abs=0.01)
 
 
 def test_vm1_high_concentration(rng):
     kappa = 50.0
-    draws = sample_vm1(kappa, 200_000, rng)
+    spec = ProposalSpec(lambda_min_bound=kappa, p=1)
+    draws = sample_proposal_batch(spec, 1, 200_000, rng)
     mean_cos = np.mean(np.cos(draws))
     assert mean_cos > 0.98
     assert mean_cos == pytest.approx(1.0 - 1.0 / (2.0 * kappa), abs=5e-3)
-
-
-def test_vm1_rejects_negative_kappa(rng):
-    with pytest.raises(ValueError):
-        sample_vm1(-0.5, 10, rng)
 
 
 def test_numpy_vonmises_switches_to_wrapped_normal_above_1e6():
@@ -226,9 +210,9 @@ def test_proposal_halves_mass_on_each_semicircle(rng):
 
 
 def test_proposal_single_draw(rng):
-    point = sample_proposal_g(ProposalSpec(lambda_min_bound=2.0, p=3), 3, rng)
-    assert isinstance(point, TorusPoint)
-    assert point.p == 3
+    draw = sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=3), 3, 1, rng)
+    assert draw.shape == (1, 3)
+    assert np.all((draw >= 0.0) & (draw < TWO_PI))
     with pytest.raises(ValueError, match="spec is for p = 3"):
         sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=3), 2, 5, rng)
 
@@ -310,7 +294,7 @@ def test_envelope_bounds_exponent_everywhere(rng):
 def test_sampler_univariate_matches_vm1():
     params = _params([2.0], np.zeros((1, 1)))
     batch = sample_mvm(params, 10_000, seed=11)
-    reference = sample_vm1(2.0, 10_000, np.random.default_rng(999))
+    reference = wrap_angles(np.random.default_rng(999).vonmises(0.0, 2.0, size=10_000))
     assert _ks_distance(batch.draws.ravel(), reference) < 0.02
 
 
@@ -681,7 +665,7 @@ def _doubled_angle_log_c(params, d) -> float:
     proposes exp((d_i / 4) cos 2t) / (2 pi I0(d_i / 4))."""
     quarter = np.asarray(d) / 4.0
     return float(
-        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + log_bessel_i0(quarter) - quarter)
+        np.sum(params.kappa) + np.sum(np.log(TWO_PI) + _log_i0e(quarter))
     )
 
 
