@@ -32,8 +32,10 @@ failed is removed (CSV rows already printed on stdout stay).
 
 Each command imports the modules it uses when it runs (``modes`` for
 ``certify`` and ``modes``, ``sampler`` for ``sample`` and ``forecast``,
-``oracle`` for ``forecast``, ``cube`` and ``grid``), so a run does not pay
-to load the others.  The sampler's errors come from :mod:`mvmtorus.model`.
+``oracle`` for ``cube``, ``grid`` and, through ``sampler``, ``forecast``),
+so a run does not pay to load the others.  The sampler's errors come from
+:mod:`mvmtorus.model`; it refuses P (exit 3) exactly where ``certify`` does
+not certify.
 """
 
 from __future__ import annotations
@@ -440,14 +442,12 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
 
 
 def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
-    from . import oracle, sampler
+    from . import sampler
 
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
+    # the exact rate is computed wherever the quadrature runs (p <= 4)
     forecast = sampler.forecast_acceptance(
-        params,
-        spec,
-        with_exact=params.p <= oracle.MAX_QUADRATURE_DIM,
-        n_per_dim=args.n_per_dim,
+        params, spec, with_exact=True, n_per_dim=args.n_per_dim
     )
     envelope = {"lambda_min_bound": spec.lambda_min_bound, "proposal_d": list(spec.d)}
     lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]

@@ -55,8 +55,8 @@ class DimensionMismatchError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """P = diag(kappa) - Lambda is not positive definite; the rejection
-    sampler does not apply.  Run modes.certify_unimodal for diagnostics."""
+    """P = diag(kappa) - Lambda fails the certificate's definiteness test;
+    the rejection sampler does not apply.  Run modes.certify_unimodal."""
 
 
 class BoundViolationError(RuntimeError):

@@ -6,7 +6,8 @@ Two complementary tools:
   P = diag(kappa) - Lambda (positive definiteness, and the stronger
   row-dominance condition kappa_i > sum_j |lam_ij|) and issues a
   certificate.  The conditions are sufficient only; an inconclusive
-  certificate does not assert multimodality.
+  certificate does not assert multimodality.  The sampler gates on the same
+  definiteness test.
 
 * :func:`critical_points` locates the critical points of the log-density
   exponent by damped multi-start Newton iteration on the torus and
@@ -72,8 +73,6 @@ _POLISH_ROUNDS = 8
 _F_SLACK = 1e-14
 #: largest per-coordinate step the solver will take
 _MAX_STEP = np.pi / 2
-#: most lattice points the start set can index (the int64 range)
-_MAX_LATTICE_SIZE = 2**63 - 1
 
 
 class Verdict(enum.Enum):
@@ -114,11 +113,7 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     report = spectral.gershgorin(p_matrix)
     # row dominance: centers are exactly kappa (Lambda has zero diagonal)
     cor1 = bool(np.all(report.centers > report.radii))
-    # dominance implies definiteness exactly, even when the margin is below
-    # the numerical Cholesky tolerance; otherwise definiteness is decided on
-    # the Jacobi-scaled P, so neither the scale of P nor of its rows matters
-    scaled = spectral._jacobi_scaled(p_matrix)
-    prop1 = cor1 or (scaled is not None and spectral.is_positive_definite(scaled))
+    prop1, _ = spectral._certified(p_matrix)
     eigenvalues = spectral.sym_eigen(p_matrix).values
     if cor1:
         verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM
@@ -203,11 +198,10 @@ class SearchConfig:
     extremum grid), truncated to ``max_lattice_starts`` by a seeded
     subsample when ``m**p`` exceeds it, plus ``n_random_starts`` seeded
     uniform starts (defaults to 32 for p <= 4, else 256).  The subsample
-    is drawn as lattice indices and only the chosen rows are built, so the
-    start set takes O((max_lattice_starts + n_random_starts) * p) memory
-    whatever ``m**p`` is; ``m**p`` may not exceed 2**63 - 1, and
-    :func:`critical_points` raises ``ValueError`` above that.  Out-of-range
-    values raise ``ValueError`` on construction.
+    is drawn as lattice indices (above 2**63 - 1 points, as digits per
+    coordinate) and only the chosen rows are built, so the start set takes
+    O((max_lattice_starts + n_random_starts) * p) memory whatever ``m**p``
+    is.  Out-of-range values raise ``ValueError`` on construction.
     """
 
     starts_per_dim: int = 4
@@ -277,20 +271,21 @@ def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
     subsample of ``max_lattice_starts`` of them, kept in lattice order)
     followed by the random starts, shifted by mu and wrapped.  Lattice rows
     are built from their indices alone, so memory is
-    O((max_lattice_starts + n_random) * p) however large ``m**p`` is."""
+    O((max_lattice_starts + n_random) * p) however large ``m**p`` is.
+    Beyond int64 indices the digits are drawn per coordinate, and a
+    repeated row (odds below 1e-14 for 256 rows) is dropped."""
     p = params.p
     m = cfg.starts_per_dim
     size = m**p
-    if size > _MAX_LATTICE_SIZE:
-        raise ValueError(
-            f"the start lattice has starts_per_dim**p = {m}**{p} points, more than "
-            f"2**63 - 1; lower starts_per_dim (--starts-per-dim) for p = {p}"
-        )
-    index = None
-    if size > cfg.max_lattice_starts:
-        index = np.sort(rng.choice(size, size=cfg.max_lattice_starts, replace=False))
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
-    lattice = lattice_rows(offsets, p, index)
+    if size <= cfg.max_lattice_starts:
+        lattice = lattice_rows(offsets, p)
+    elif size < 2**63:
+        index = rng.choice(size, size=cfg.max_lattice_starts, replace=False)
+        lattice = lattice_rows(offsets, p, np.sort(index))
+    else:
+        # np.unique sorts the digit rows into lattice (C) order
+        lattice = offsets[np.unique(rng.integers(m, size=(cfg.max_lattice_starts, p)), axis=0)]
     n_random = cfg.n_random_starts
     if n_random is None:
         n_random = 32 if p <= 4 else 256

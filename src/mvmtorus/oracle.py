@@ -10,7 +10,8 @@ for the partition function, the requested one for a marginal), and each
 with its own max shift; the per-slab log sums are then combined in slab
 order.  The reduction order is fixed, so results are deterministic, and
 the workspace is O(n**(p-1)) (under 1 MB per buffer at p = 4, n = 48).
-Quadrature time is still n**p, so these helpers are restricted to p <= 4.
+Quadrature time is still n**p, so these helpers are restricted to p <= 4,
+a limit that ``_node_count`` alone applies with the node default and floor.
 The slabs are built by broadcasting per-axis terms, not from
 :func:`mvmtorus.model.lattice_rows`, which sets their memory and float order.
 """
@@ -26,10 +27,8 @@ from .model import MvmParams, TWO_PI, as_torus_point, exponent_many, lattice_row
 
 __all__ = [
     "MAX_QUADRATURE_DIM",
-    "QuadratureGrid",
     "CubeAnalysis",
     "CubeFace",
-    "quadrature_grid",
     "default_n_per_dim",
     "log_partition",
     "high_concentration_log_partition",
@@ -47,48 +46,36 @@ MAX_QUADRATURE_DIM = 4
 CUBE_FACE_ORDER = ("+3", "-2", "+1", "+2", "-1", "-3")
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform periodic grid: nodes 2*pi*k/n with weight 2*pi/n per node
-    per dimension (total weight (2*pi)**p)."""
-
-    n_per_dim: int
-    nodes: np.ndarray
-    weight: float
-
-
-def quadrature_grid(n_per_dim: int) -> QuadratureGrid:
-    n = int(n_per_dim)
-    if n < 16:
-        raise ValueError(f"n_per_dim must be >= 16, got {n}")
-    nodes = TWO_PI * np.arange(n) / n
-    return QuadratureGrid(n_per_dim=n, nodes=nodes, weight=TWO_PI / n)
-
-
 def default_n_per_dim(p: int) -> int:
     return 128 if p <= 3 else 48
 
 
-def _check_quadrature_dim(p: int) -> None:
+def _node_count(p: int, n_per_dim: int | None) -> int:
+    """``n_per_dim`` (None: :func:`default_n_per_dim`) checked for a
+    p-dimensional quadrature: p <= ``MAX_QUADRATURE_DIM``, n >= 16."""
     if p > MAX_QUADRATURE_DIM:
-        raise ValueError(
-            f"quadrature supports p <= {MAX_QUADRATURE_DIM}, got p={p}"
-        )
+        raise ValueError(f"quadrature supports p <= {MAX_QUADRATURE_DIM}, got p={p}")
+    n = default_n_per_dim(p) if n_per_dim is None else int(n_per_dim)
+    if n < 16:
+        raise ValueError(f"n_per_dim must be >= 16, got {n}")
+    return n
 
 
 def _log_slab_sums(
-    params: MvmParams, dim: int, angles: np.ndarray, grid: QuadratureGrid
+    params: MvmParams, dim: int, n: int, angles: np.ndarray | None = None
 ) -> np.ndarray:
-    """For each angle a in ``angles``, the log of the sum of exp(exponent)
-    over the grid in the other p-1 coordinates with coordinate ``dim``
-    held at a (quadrature weights not applied).
+    """For each angle a in ``angles`` (default: the n nodes 2*pi*k/n), the
+    log of the sum of exp(exponent) over the n-node grid in the other p-1
+    coordinates with coordinate ``dim`` held at a (quadrature weights
+    2*pi/n not applied).
 
     The exponent splits as kappa_dim cos(a - mu_dim) + base + s_dim * coupling,
     where base (the kappa cos and pairwise sin*sin terms of the other
     coordinates) and coupling (sum_j Lambda_dim,j s_j) are built once on the
     n**(p-1) grid.  Each slab is then reduced in one reused buffer with its
     own max shift, so the workspace is O(n**(p-1))."""
-    n = grid.n_per_dim
+    nodes = TWO_PI * np.arange(n) / n
+    angles = nodes if angles is None else angles
     free = [i for i in range(params.p) if i != dim]
     shape = (n,) * len(free)
     base = np.zeros(shape)
@@ -97,7 +84,7 @@ def _log_slab_sums(
     for axis, i in enumerate(free):
         axis_shape = [1] * len(free)
         axis_shape[axis] = n
-        d = grid.nodes - params.mu.angles[i]
+        d = nodes - params.mu.angles[i]
         base += (params.kappa[i] * np.cos(d)).reshape(axis_shape)
         sines.append(np.sin(d).reshape(axis_shape))
         coupling += params.lam[dim, i] * sines[axis]
@@ -123,25 +110,25 @@ def _log_slab_sums(
 def log_partition(params: MvmParams, n_per_dim: int | None = None) -> float:
     """Log of the trapezoid-rule integral of exp(exponent) over the torus,
     reduced slab by slab along the first coordinate."""
-    _check_quadrature_dim(params.p)
-    n = default_n_per_dim(params.p) if n_per_dim is None else n_per_dim
-    grid = quadrature_grid(n)
-    slabs = _log_slab_sums(params, 0, grid.nodes, grid)
+    n = _node_count(params.p, n_per_dim)
+    slabs = _log_slab_sums(params, 0, n)
     shift = slabs.max()
     log_sum = shift + np.log(np.sum(np.exp(slabs - shift)))
-    return float(log_sum + params.p * np.log(grid.weight))
+    return float(log_sum + params.p * np.log(TWO_PI / n))
 
 
 def high_concentration_log_partition(params: MvmParams) -> float:
     """Laplace-type closed form (p/2) log(2*pi) - 0.5 log|P| + sum(kappa),
-    valid when P = diag(kappa) - Lambda is positive definite."""
+    valid when P = diag(kappa) - Lambda certifies and |S| > 0 (else ``ValueError``)."""
     p_matrix = params.p_matrix()
-    scaled = spectral._jacobi_scaled(p_matrix)
-    if scaled is None or not spectral.is_positive_definite(scaled):
+    definite, scaled = spectral._certified(p_matrix)
+    # row dominance can certify P while |S| rounds to 0 or below
+    det_s = spectral.determinant(scaled) if definite and scaled is not None else 0.0
+    if not det_s > 0.0:
         raise ValueError("high-concentration approximation requires positive definite P")
     # log|P| = log|S| + sum(log diag(P)): no determinant of a badly scaled P
     # to overflow or underflow
-    log_det = np.log(spectral.determinant(scaled)) + np.sum(np.log(np.diag(p_matrix)))
+    log_det = np.log(det_s) + np.sum(np.log(np.diag(p_matrix)))
     return float(0.5 * params.p * np.log(TWO_PI) - 0.5 * log_det + np.sum(params.kappa))
 
 
@@ -152,15 +139,13 @@ def marginal_density(
     by quadrature over the other p-1 coordinates, normalized by
     :func:`log_partition` at the same resolution."""
     p = params.p
-    _check_quadrature_dim(p)
+    n = _node_count(p, n_per_dim)
     if not 0 <= dim < p:
         raise ValueError(f"dim must be in [0, {p}), got {dim}")
-    n = default_n_per_dim(p) if n_per_dim is None else n_per_dim
     log_z = log_partition(params, n)
-    grid = quadrature_grid(n)
     theta_arr = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    log_marg = _log_slab_sums(params, dim, theta_arr.ravel(), grid)
-    log_marg += (p - 1) * np.log(grid.weight)
+    log_marg = _log_slab_sums(params, dim, n, theta_arr.ravel())
+    log_marg += (p - 1) * np.log(TWO_PI / n)
     out = np.exp(log_marg - log_z).reshape(theta_arr.shape)
     return float(out[0]) if np.isscalar(theta_i) or np.ndim(theta_i) == 0 else out
 

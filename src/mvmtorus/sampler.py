@@ -1,5 +1,6 @@
 """Exact rejection sampling for the multivariate von Mises distribution in
-the positive-definite-P (certified unimodal) regime.
+the positive-definite-P (certified unimodal) regime, decided by the
+certificate's own test; the computed lambda_min(P) only sizes the envelope.
 
 Proposal: coordinate i independently follows the von Mises density
 
@@ -42,11 +43,12 @@ Reproducibility contract: a batch is produced in fixed-size blocks of
 the master seed.  Within a block, each attempt chunk consumes, in order,
 (1) the von Mises block, (2) the uniform block.  :func:`sample_blocks`
 yields the blocks in block order, and :func:`sample_mvm` stacks them.
-Worker threads only run whole blocks, at most ``workers`` of them in
-flight: the next block is submitted only when the consumer asks for
-another, and pending blocks are cancelled if it stops early.  So output is
-bit-identical for a fixed seed no matter how many workers run, and memory
-is O(``BLOCK_SIZE`` * p * workers) whatever n is.  The thread pool
+Worker threads only run whole blocks, at most ``workers`` (and the CPU
+count) of them in flight: the next block is submitted only when the
+consumer asks for another, and pending blocks are cancelled if it stops
+early.  So output is bit-identical for a fixed seed no matter how many
+workers run, and memory is O(``BLOCK_SIZE`` * p * workers) whatever n is.
+The thread pool
 (``concurrent.futures``) is imported only when ``workers`` > 1, and the
 quadrature (:mod:`mvmtorus.oracle`) only by :func:`forecast_acceptance`.
 
@@ -55,6 +57,7 @@ The error types are defined in :mod:`mvmtorus.model` and re-exported here.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -113,14 +116,17 @@ LOG_I0_SWITCH = 700.0
 EXACT_RATE_TOL = 1e-9
 
 
-def _smallest_eigenvalue(p_matrix: np.ndarray) -> float:
+def _smallest_eigenvalue(p_matrix: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """lambda_min(P), which may be <= 0 on a nearly singular P, and the
+    Jacobi-scaled P; ``NotPositiveDefiniteError`` unless P certifies."""
+    definite, scaled = spectral._certified(p_matrix)
     smallest = float(spectral.sym_eigen(p_matrix).values[0])
-    if smallest <= 0.0:
+    if not definite:
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue of P is {smallest:.6g}; "
-            "see modes.certify_unimodal"
+            "P is not certified positive definite (computed smallest eigenvalue "
+            f"{smallest:.6g}); see modes.certify_unimodal"
         )
-    return smallest
+    return smallest, scaled
 
 
 def _log_i0e(x: np.ndarray) -> np.ndarray:
@@ -171,7 +177,8 @@ class ProposalSpec:
         """Build a spec for ``params``.
 
         ``lambda_min`` may be any value in (0, min eigenvalue of P] and
-        forces the scalar envelope d = lambda_min * 1.  By default b is the
+        forces the scalar envelope d = lambda_min * 1.  A P that does not
+        certify raises ``NotPositiveDefiniteError``.  By default b is the
         computed smallest eigenvalue minus ``ENVELOPE_SLACK`` times
         min(1, inf-norm of P); a P whose smallest eigenvalue does not exceed
         that slack raises ``ValueError``.  d is the
@@ -182,7 +189,7 @@ class ProposalSpec:
         concentration the larger sum of log d_i can be the worse choice:
         d = (0.2, 2, 2) beats (1, 1, 1).)"""
         p_matrix = params.p_matrix()
-        smallest = _smallest_eigenvalue(p_matrix)
+        smallest, scaled = _smallest_eigenvalue(p_matrix)
         if lambda_min is None:
             slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
             bound = smallest - slack
@@ -198,9 +205,8 @@ class ProposalSpec:
                 f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}"
             )
         if lambda_min is None:
-            scaled = spectral._jacobi_scaled(p_matrix)
             # None only for a subnormal diagonal entry; the scalar is kept then
-            t = -1.0 if scaled is None else _smallest_eigenvalue(scaled) - ENVELOPE_SLACK
+            t = -1.0 if scaled is None else spectral.sym_eigen(scaled).values[0] - ENVELOPE_SLACK
             if t > 0.0:
                 jacobi = t * np.diag(p_matrix)
                 # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
@@ -352,9 +358,9 @@ def _sample_block(
 def _resolve_spec(params: MvmParams, spec: ProposalSpec | None) -> ProposalSpec:
     """The default spec for ``params`` when ``spec`` is None; otherwise
     ``spec`` revalidated against ``params``, since a stale spec would break
-    the bound.  P - diag(d) must pass the Cholesky test at
-    -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
-    the eigen-solver that built d."""
+    the bound.  P must certify, and P - diag(d) must pass the Cholesky test
+    at -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding
+    of the eigen-solver that built d."""
     if spec is None:
         return ProposalSpec.from_params(params)
     if spec.p != params.p:
@@ -362,7 +368,7 @@ def _resolve_spec(params: MvmParams, spec: ProposalSpec | None) -> ProposalSpec:
             f"spec is for p = {spec.p}, but the parameters have p = {params.p}"
         )
     p_matrix = params.p_matrix()
-    smallest = _smallest_eigenvalue(p_matrix)
+    smallest, _ = _smallest_eigenvalue(p_matrix)
     if not 0.0 < spec.lambda_min_bound <= smallest:
         raise ValueError(
             f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
@@ -391,12 +397,14 @@ def sample_blocks(
     of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
     order, with the draws shifted by mu and wrapped to [0, 2*pi).  Each
     block has its own generator spawned from ``seed``; ``workers`` > 1
-    runs up to that many blocks at once and never changes the output.
+    runs up to that many blocks (and ``os.cpu_count()``) at once and never
+    changes the output.
     """
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     spec = _resolve_spec(params, spec)
     quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
     if n % BLOCK_SIZE:
@@ -476,7 +484,7 @@ def forecast_acceptance(
     asymptotic = float(np.exp(0.5 * log_ratio))
     exact = None
     if with_exact and params.p <= oracle.MAX_QUADRATURE_DIM:
-        n = oracle.default_n_per_dim(params.p) if n_per_dim is None else n_per_dim
+        n = oracle._node_count(params.p, n_per_dim)
         log_z = oracle.log_partition(params, n)
         exact = float(np.exp(log_z - log_envelope_constant(params, spec)))
         if exact > 1.0 + EXACT_RATE_TOL:

@@ -7,7 +7,8 @@ quadrature, while the mode search and the sampler run at p = 8, 12 or 16
 as well.  Everything is delegated to LAPACK through numpy; the value
 added by this module is the validated, ascending-ordered contract the rest
 of the package relies on, plus a Cholesky-based definiteness test that is independent of the
-eigen path (the two are cross-checked in the test suite).
+eigen path (the two are cross-checked in the test suite).  ``_certified`` is
+the package's one test of whether P = diag(kappa) - Lambda is definite.
 """
 
 from __future__ import annotations
@@ -141,10 +142,20 @@ def gershgorin(a) -> GershgorinReport:
     # zero the diagonal before summing so each radius is exactly the sum of
     # the off-diagonal magnitudes (not a row sum with the center re-subtracted)
     off = np.abs(a)
-    off[np.diag_indices_from(off)] = 0.0
+    np.fill_diagonal(off, 0.0)
     radii = np.sum(off, axis=1)
     excludes = bool(np.all(np.abs(centers) > radii))
     return GershgorinReport(centers=centers, radii=radii, excludes_zero=excludes)
+
+
+def _certified(a: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Whether A counts as positive definite, and S = ``_jacobi_scaled(A)``:
+    yes when each diagonal entry exceeds its Gershgorin radius (exact at any
+    margin), or else when S passes :func:`is_positive_definite`."""
+    report = gershgorin(a)
+    scaled = _jacobi_scaled(a)
+    dominant = bool(np.all(report.centers > report.radii))
+    return dominant or (scaled is not None and is_positive_definite(scaled)), scaled
 
 
 def determinant(a) -> float:

@@ -240,17 +240,16 @@ def test_modes_rejects_bad_search_flags(reference_file, capsys, flag, value, fie
     assert out.out == ""
 
 
-def test_modes_lattice_beyond_int64_is_an_input_error(tmp_path, capsys):
-    # 4**32 lattice points: more than the start set can index
-    params = write_params(tmp_path / "p32.json", kappa=[1.0] * 32, **{"lambda": [[0.0] * 32] * 32})
-    out, crit = tmp_path / "modes.json", tmp_path / "crit.csv"
-    argv = ["modes", "--params", params, "--out", str(out), "--criticals-csv", str(crit)]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "starts_per_dim (--starts-per-dim) for p = 32" in captured.err
-    assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p32.json"]
+def test_modes_runs_at_p_32_with_default_flags(tmp_path, capsys):
+    # 4**32 lattice points, more than an int64 index reaches: the
+    # subsample draws its digits per coordinate instead
+    params = write_params(tmp_path / "p32.json", kappa=[5.0] * 32, **{"lambda": [[0.0] * 32] * 32})
+    assert cli.main(["modes", "--params", params, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["search_meta"]["starts_used"] == 256 + 256
+    # Lambda = 0: the maximum at mu is among the points found
+    assert doc["report"]["criticals"][0]["kind"] == "Maximum"
+    assert doc["report"]["criticals"][0]["f_value"] == 160.0
 
 
 def test_modes_runs_where_the_lattice_cannot_be_stacked(tmp_path, capsys):
@@ -624,6 +623,34 @@ def test_near_singular_certified_p_is_an_input_error(tmp_path, capsys, command):
     assert err.startswith("error: lambda_min(P) = 1.00031e-13 does not exceed the envelope slack")
     assert "bound must lie in" not in err
     assert not out.exists()
+
+
+#: certified by the Cholesky test on the Jacobi-scaled P, while eigh on the
+#: badly scaled P itself puts lambda_min at about -4e-11
+_SCALED_NEAR_SINGULAR = {
+    "kappa": [4061.450207216311, 1.2238248127455177e-05, 301898.57448126934],
+    "lambda": [
+        [0.0, -0.2188400849438606, 21727.83424092381],
+        [-0.2188400849438606, 0.0, 0.8827774169416511],
+        [21727.83424092381, 0.8827774169416511, 0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", [["forecast"], ["sample", "--n", "10"]])
+def test_sampler_gate_agrees_with_certify(tmp_path, capsys, command):
+    # one definiteness test: a P that certify certifies is never refused as
+    # not positive definite (exit 3); too close to singular to sample, it is
+    # an input error naming the envelope slack
+    path = write_params(tmp_path / "scaled.json", **_SCALED_NEAR_SINGULAR)
+    assert cli.main(["certify", "--params", path]) == 0
+    assert "verdict: CertifiedUnimodal\n" in capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert cli.main([command[0], "--params", path, *command[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda_min(P) = ")
+    assert "does not exceed the envelope slack" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaled.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -545,11 +545,18 @@ def test_start_points_memory_is_independent_of_the_lattice_size():
 
 @pytest.mark.parametrize("m,p,fits", [(2, 62, True), (2, 63, False), (4, 32, False)])
 def test_start_lattice_size_limit(m, p, fits):
+    # up to 2**63 - 1 points the subsample is drawn by lattice index; beyond
+    # that, digit by digit per coordinate, with repeated rows dropped
     params = MvmParams(mu=np.zeros(p), kappa=np.ones(p), lam=np.zeros((p, p)))
     cfg = SearchConfig(starts_per_dim=m, n_random_starts=0)
-    if fits:
-        starts = _start_points(params, cfg, np.random.default_rng(0))
-        assert starts.shape == (cfg.max_lattice_starts, p)
-        return
-    with pytest.raises(ValueError, match=rf"starts_per_dim\*\*p = {m}\*\*{p} .*p = {p}$"):
-        critical_points(params, cfg)
+    starts = _start_points(params, cfg, np.random.default_rng(0))
+    assert starts.shape == (cfg.max_lattice_starts, p)
+    offsets = np.pi / m + np.arange(m) * (TWO_PI / m)
+    digits = np.abs(starts[:, :, None] - offsets).argmin(axis=2)
+    # rows are lattice points, unique and in lattice (C) order
+    assert np.array_equal(offsets[digits], starts)
+    assert all(tuple(a) < tuple(b) for a, b in zip(digits[:-1], digits[1:]))
+    assert np.array_equal(_start_points(params, cfg, np.random.default_rng(0)), starts)
+    if not fits:
+        drawn = np.random.default_rng(0).integers(m, size=(cfg.max_lattice_starts, p))
+        assert np.array_equal(digits, np.unique(drawn, axis=0))

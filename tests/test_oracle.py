@@ -25,7 +25,6 @@ from mvmtorus.oracle import (
     kappa_zero_analysis,
     log_partition,
     marginal_density,
-    quadrature_grid,
     write_cube_surface_csv,
     write_density_grid_csv,
 )
@@ -68,20 +67,13 @@ def test_log_partition_rejects_large_dimension():
     assert MAX_QUADRATURE_DIM == 4
 
 
-def test_quadrature_grid_total_weight():
-    grid = quadrature_grid(64)
-    assert grid.n_per_dim == 64
-    assert grid.weight * 64 == pytest.approx(TWO_PI, abs=1e-14)
-    with pytest.raises(ValueError):
-        quadrature_grid(8)
-
-
 def test_zero_nodes_per_dim_is_rejected_not_defaulted():
     params = _params([1.0, 2.0], np.array([[0.0, 0.5], [0.5, 0.0]]))
-    with pytest.raises(ValueError, match="n_per_dim must be >= 16, got 0"):
-        log_partition(params, 0)
-    with pytest.raises(ValueError, match="n_per_dim must be >= 16, got 0"):
-        marginal_density(params, 0, [0.5], 0)
+    for n in (0, 8):
+        with pytest.raises(ValueError, match=f"n_per_dim must be >= 16, got {n}$"):
+            log_partition(params, n)
+        with pytest.raises(ValueError, match=f"n_per_dim must be >= 16, got {n}$"):
+            marginal_density(params, 0, [0.5], n)
 
 
 def test_quadrature_converged_at_paper_scale():

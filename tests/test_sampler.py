@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +24,7 @@ from mvmtorus import (
     certify_unimodal,
     exponent_many,
     forecast_acceptance,
+    high_concentration_log_partition,
     is_positive_definite,
     sample_blocks,
     sample_mvm,
@@ -388,6 +393,24 @@ def test_sample_blocks_keep_at_most_workers_in_flight(monkeypatch, workers):
     assert len(started) <= workers + 2
 
 
+def test_sample_blocks_run_at_most_cpu_count_threads(monkeypatch):
+    # --shards above the CPU count must not start (or hold the blocks of)
+    # more threads than there are CPUs
+    params = _params([5.0, 5.0], np.zeros((2, 2)))
+    threads = set()
+    real = sampler._sample_block
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(sampler, "_sample_block", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    batch = sample_mvm(params, 6 * BLOCK_SIZE, seed=5, workers=6)
+    assert batch.n == 6 * BLOCK_SIZE
+    assert 1 <= len(threads) <= 2
+
+
 def test_sampler_rejects_fewer_than_one_worker():
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
     for workers in (0, -3):
@@ -625,6 +648,47 @@ def test_near_singular_certified_p_names_the_envelope_slack():
         assert err.type is ValueError
     with pytest.raises(ValueError, match="envelope slack"):
         sample_mvm(params, 10, seed=0)
+
+
+def _scaled_near_singular(rng) -> MvmParams:
+    """P = E A E with A a random SPD matrix whose smallest eigenvalue is
+    moved to +-10**U(-16, -8), and E = diag(10**U(-3, 3))."""
+    p = int(rng.integers(2, 6))
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    w = rng.uniform(0.5, 5.0, size=p)
+    w[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -8.0)
+    a = (q * w) @ q.T
+    e = 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    p_matrix = np.outer(e, e) * (0.5 * (a + a.T))
+    kappa = np.diag(p_matrix).copy()
+    return _params(kappa, np.diag(kappa) - p_matrix)
+
+
+def test_sampler_gate_is_the_certificate_on_badly_scaled_p():
+    # where eigh on P and the certificate's test on the Jacobi-scaled P
+    # disagree, the sampler follows the certificate, and the closed form
+    # gives a finite value or a ValueError, never a NaN or a warning
+    rng = np.random.default_rng(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        params = _scaled_near_singular(rng)
+        certified = certify_unimodal(params).prop1_holds
+        verdicts[certified] += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ProposalSpec.from_params(params)
+            except NotPositiveDefiniteError:
+                assert not certified
+            except ValueError as exc:
+                assert certified and "envelope slack" in str(exc)
+            else:
+                assert certified
+            try:
+                assert np.isfinite(high_concentration_log_partition(params))
+            except ValueError:
+                pass
+    assert min(verdicts.values()) > 100
 
 
 @st.composite
