@@ -17,10 +17,17 @@ Two complementary tools:
 The search runs one damped-Newton driver three times over the start set,
 once per target (ascent toward maxima, descent toward minima, and a plain
 root pass on the gradient that also lands on saddles), then polishes each
-pass's result with pseudo-inverse Newton.  Everything runs batched over
-the start set with plain numpy; for a fixed seed the result is
-deterministic.  The converged pool is deduplicated (greedy, first kept,
-in pool order) before classification, so only the surviving points are
+pass's result with pseudo-inverse Newton.  Each pass factors every live
+Hessian once per iteration (Cholesky for an extremum, LU with partial
+pivoting for a root), which both judges whether it suits the target and
+gives the Newton step; only the polish, whose pseudo-inverse must drop
+flat directions, decomposes with ``eigh``, and it stops on each row once
+that row has reached roundoff.  Everything runs batched over the start
+set with plain numpy; for a fixed seed and version the result is
+deterministic.  A point counts as converged when its gradient sup-norm is
+below ``grad_tol``, or below the gradient's roundoff floor where that is
+larger.  The converged pool is deduplicated (greedy, first kept, in pool
+order) before classification, so only the surviving points are
 classified.  They are classified in one batch: stacked Hessians from
 :func:`mvmtorus.model.hessian_many`, their spectra from one stacked
 ``eigvalsh``, and f from :func:`mvmtorus.model.exponent_many`.
@@ -168,6 +175,15 @@ def _classified(
     ]
 
 
+def _critical_tol(params: MvmParams, grad_tol: float) -> float:
+    """The gradient sup-norm below which a point counts as critical:
+    ``grad_tol``, or where it is larger the roundoff floor of grad f,
+    64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|), which passes 1e-10 once
+    kappa reaches about 1e6."""
+    f_range = np.sum(params.kappa) + 0.5 * np.sum(np.abs(params.lam))
+    return max(grad_tol, 64.0 * np.finfo(float).eps * float(f_range))
+
+
 def classify_critical(
     params: MvmParams,
     theta,
@@ -177,14 +193,17 @@ def classify_critical(
     """Classify a point already known to be critical.
 
     Raises ``ValueError`` when the gradient sup-norm at ``theta`` exceeds
-    ``grad_tol``.  ``degeneracy_tol`` is relative; the effective threshold
-    is ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
+    ``grad_tol``, or the roundoff floor of the gradient where that is larger
+    (the same rule as :class:`SearchConfig`'s ``grad_tol``).
+    ``degeneracy_tol`` is relative; the effective threshold is
+    ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
     """
     theta = as_torus_point(theta)
     grad_norm = np.max(np.abs(grad_f(params, theta)))
-    if grad_norm > grad_tol:
+    tol = _critical_tol(params, grad_tol)
+    if grad_norm > tol:
         raise ValueError(
-            f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {grad_tol:.0e}"
+            f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {tol:.3g}"
         )
     return _classified(params, theta.angles[None, :], [grad_norm], degeneracy_tol)[0]
 
@@ -201,7 +220,12 @@ class SearchConfig:
     is drawn as lattice indices (above 2**63 - 1 points, as digits per
     coordinate) and only the chosen rows are built, so the start set takes
     O((max_lattice_starts + n_random_starts) * p) memory whatever ``m**p``
-    is.  Out-of-range values raise ``ValueError`` on construction.
+    is.  A point counts as critical when its gradient sup-norm is below
+    ``grad_tol``, or below the roundoff floor
+    64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|) of the gradient where
+    that is larger (from kappa of about 1e6 up; a fixed level would drop
+    every point the gradient cannot resolve that finely).  Out-of-range
+    values raise ``ValueError`` on construction.
     """
 
     starts_per_dim: int = 4
@@ -294,19 +318,23 @@ def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
     return wrap_angles(starts + params.mu.angles)
 
 
-def _eigh_directions(hessians: np.ndarray, gradients: np.ndarray):
-    """Eigen-decompose a stack of Hessians and return (w, v, gproj, habs):
-    gproj are the gradients rotated into the eigenbases and habs is
-    max(1, inf-norm) of each Hessian."""
-    w, v = np.linalg.eigh(hessians)
-    gproj = np.einsum("nik,ni->nk", v, gradients)
-    return w, v, gproj, np.maximum(1.0, spectral.norm_inf(hessians))
-
-
 def _cap_steps(steps: np.ndarray) -> np.ndarray:
     mags = np.max(np.abs(steps), axis=1)
     scale = np.where(mags > _MAX_STEP, _MAX_STEP / np.maximum(mags, 1e-300), 1.0)
     return steps * scale[:, None]
+
+
+def _descent_steps(h: np.ndarray, g: np.ndarray, gnorm: np.ndarray) -> np.ndarray:
+    """The steepest descent direction -H g of 0.5*|grad|^2, capped.  Where
+    -H g overflows (|H| and |g| near 1e155 and above), the direction comes
+    from the scaled gradient g/|g|_inf and is set to the cap's length."""
+    with np.errstate(over="ignore"):
+        steps = -np.einsum("nij,nj->ni", h, g)
+    if not np.isfinite(steps).all():
+        wild = ~np.isfinite(steps).all(axis=1)
+        unit = -np.einsum("nij,nj->ni", h[wild], g[wild] / gnorm[wild, None])
+        steps[wild] = unit * (_MAX_STEP / np.max(np.abs(unit), axis=1))[:, None]
+    return _cap_steps(steps)
 
 
 def _damped_pass(
@@ -316,10 +344,15 @@ def _damped_pass(
     (sign=+1), a minimum (sign=-1) or any root of grad f (sign=0), which
     lands on saddles as readily as on extrema.
 
-    Newton steps are taken where the Hessian suits the target: definite
-    with the matching sign for an extremum, nonsingular for a root.
-    Elsewhere the step is the capped gradient step sign*g, or for a root
-    the steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
+    Each iteration factors every live Hessian once, with
+    ``spectral._solve_stack``, and takes the Newton step -H^-1 g from that
+    factorisation where the Hessian suits the target: for an extremum, a
+    Cholesky factorisation of -sign*H whose pivots all exceed
+    1e-8 * max(1, |H|_inf) (definite with the matching sign); for a root,
+    an LU factorisation with partial pivoting whose pivots all have
+    magnitude at least 1e-10 * max(1, |H|_inf) (nonsingular).  Elsewhere
+    the step is the capped gradient step sign*g, or for a root the
+    steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
     until sign*f does not decrease (up to roundoff slack), or for a root
     until |grad|_inf falls by the factor (1 - 1e-4*step); a start that
     cannot improve after ``max_halvings`` halvings is frozen.
@@ -341,18 +374,17 @@ def _damped_pass(
         idx, cur, g, gnorm = idx[keep], cur[keep], g[keep], gnorm[keep]
 
         h = hessian_many(params, cur)
-        w, v, gproj, habs = _eigh_directions(h, g)
+        habs = np.maximum(1.0, spectral.norm_inf(h))
         if sign:
-            suited = np.all(sign * w < -1e-8 * habs[:, None], axis=1)
-            fallback = sign * g
+            suited, newton = spectral._solve_stack(-sign * h, sign * g, 1e-8 * habs, True)
+            fallback = _cap_steps(sign * g)
             f0 = exponent_many(params, cur)
             slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
         else:
-            suited = np.min(np.abs(w), axis=1) >= 1e-10 * habs
-            fallback = -np.einsum("nij,nj->ni", h, g)
-        newton = -np.einsum("nik,nk->ni", v, gproj / np.where(w == 0.0, 1.0, w))
+            suited, newton = spectral._solve_stack(h, -g, 1e-10 * habs, False)
+            fallback = _descent_steps(h, g, gnorm)
         use_newton = suited & (np.max(np.abs(newton), axis=1) <= _MAX_STEP)
-        direction = np.where(use_newton[:, None], newton, _cap_steps(fallback))
+        direction = np.where(use_newton[:, None], newton, fallback)
 
         step = np.ones(len(cur))
         pending = np.ones(len(cur), dtype=bool)
@@ -378,40 +410,54 @@ def _damped_pass(
 
 
 def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
-    """A few rounds of pseudo-inverse Newton on the gradient.
+    """Up to ``_POLISH_ROUNDS`` rounds of pseudo-inverse Newton on the
+    gradient.
 
-    Eigen-directions with |eigenvalue| below 1e-8 * max(1, |H|_inf) are
-    dropped, so flat ridge directions are left untouched while the
-    transverse error contracts quadratically down to roundoff.  The
-    iterate with the smallest gradient norm wins.
+    Eigen-directions (``eigh``) with |eigenvalue| below
+    1e-8 * max(1, |H|_inf) are dropped, so flat ridge directions are left
+    untouched while the transverse error contracts quadratically down to
+    roundoff.  The iterate with the smallest gradient norm wins.  A row
+    retires once a round fails to lower its best gradient norm while that
+    norm is at most ``_POLISH_TRIGGER``: it has reached roundoff.  Rows
+    above the trigger run every round.
     """
-    cur = points.copy()
-    g = grad_many(params, cur)
-    best, best_norm = cur.copy(), np.max(np.abs(g), axis=1)
+    best = points.copy()
+    g = grad_many(params, best)
+    best_norm = np.max(np.abs(g), axis=1)
+    live = np.arange(len(best))
+    cur = best
     for _ in range(_POLISH_ROUNDS):
-        w, v, gproj, habs = _eigh_directions(hessian_many(params, cur), g)
-        thresh = 1e-8 * habs
+        if not len(live):
+            break
+        h = hessian_many(params, cur)
+        w, v = np.linalg.eigh(h)
+        gproj = np.einsum("nik,ni->nk", v, g)
+        thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
         winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
         cur = wrap_angles(cur - _cap_steps(np.einsum("nik,nk->ni", v, winv * gproj)))
         g = grad_many(params, cur)
         norm = np.max(np.abs(g), axis=1)
-        better = norm < best_norm
-        best[better] = cur[better]
-        best_norm[better] = norm[better]
+        better = norm < best_norm[live]
+        best[live[better]] = cur[better]
+        best_norm[live[better]] = norm[better]
+        stay = better | (best_norm[live] > _POLISH_TRIGGER)
+        live, cur, g = live[stay], cur[stay], g[stay]
     return best
 
 
 def _first_kept(rows: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the rows kept by greedy first-kept dedup: a row is kept
     when its angular sup-metric distance to every row kept before it is at
-    least ``radius``.  Rows must already be wrapped to [0, 2*pi)."""
-    kept = np.empty_like(rows)
+    least ``radius``.  Rows must already be wrapped to [0, 2*pi).  The loop
+    runs over kept rows: each one drops every later candidate within
+    ``radius`` of it, so the first candidate left is the next row kept."""
+    candidates = np.arange(len(rows))
     index = []
-    for i, row in enumerate(rows):
-        d = np.abs(row - kept[: len(index)])
-        if np.all(np.minimum(d, TWO_PI - d).max(axis=1) >= radius):
-            kept[len(index)] = row
-            index.append(i)
+    while len(candidates):
+        first, candidates = candidates[0], candidates[1:]
+        index.append(first)
+        d = np.abs(rows[candidates] - rows[first])
+        candidates = candidates[np.minimum(d, TWO_PI - d).max(axis=1) >= radius]
     return np.array(index, dtype=int)
 
 
@@ -433,7 +479,8 @@ def critical_points(
     """Locate and classify the critical points of the exponent.
 
     Non-convergent starts are simply dropped (counted in ``search_meta``);
-    every reported point re-checks ``|grad|_inf < cfg.grad_tol`` on a fresh
+    every reported point re-checks ``|grad|_inf`` against ``cfg.grad_tol``
+    (or the gradient's roundoff floor, where larger) on a fresh
     evaluation.  Results are deterministic for a fixed ``cfg.seed``.
     """
     if cfg is None:
@@ -447,7 +494,7 @@ def critical_points(
 
     grads = grad_many(params, pool)
     norms = np.max(np.abs(grads), axis=1)
-    converged_mask = norms < cfg.grad_tol
+    converged_mask = norms < _critical_tol(params, cfg.grad_tol)
     converged = pool[converged_mask]
     kept = _first_kept(converged, cfg.dedup_radius)
     unique = _classified(

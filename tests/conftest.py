@@ -11,7 +11,7 @@ import io
 import numpy as np
 import pytest
 
-from mvmtorus import MvmParams, angular_distance, wrap_angles
+from mvmtorus import MvmParams, angular_distance, grad_many, hessian_many, wrap_angles
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})
@@ -167,6 +167,49 @@ def start_points_oracle(params: MvmParams, cfg, rng) -> np.ndarray:
     random_starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_random, p))
     starts = np.vstack([lattice, random_starts]) if n_random else lattice
     return wrap_angles(starts + params.mu.angles)
+
+
+def solve_stack_oracle(a, b, tol, definite):
+    """Verdict and solution of ``a[k] @ x[k] = b[k]`` from ``eigh``, the
+    test the mode search made before it factored its Hessians: with
+    ``definite`` every eigenvalue must exceed ``tol[k]``, otherwise every
+    magnitude must reach it; x = V diag(1/w) V^T b, and 0 where the verdict
+    fails.  Reference for ``mvmtorus.spectral._solve_stack``."""
+    w, v = np.linalg.eigh(a)
+    if definite:
+        ok = np.all(w > tol[:, None], axis=1)
+    else:
+        ok = np.min(np.abs(w), axis=1) >= tol
+    winv = np.where(ok[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    x = np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, b))
+    return ok, x
+
+
+def polish_oracle(params: MvmParams, points: np.ndarray) -> np.ndarray:
+    """Eight rounds of pseudo-inverse Newton on every row, eigen-directions
+    below 1e-8 * max(1, |H|_inf) dropped and steps capped at pi/2 per
+    coordinate, keeping each row's iterate of smallest gradient norm.
+    Reference for ``mvmtorus.modes._polish``, which retires a row once it
+    stops improving at roundoff."""
+    cur = points.copy()
+    g = grad_many(params, cur)
+    best, best_norm = cur.copy(), np.max(np.abs(g), axis=1)
+    for _ in range(8):
+        h = hessian_many(params, cur)
+        w, v = np.linalg.eigh(h)
+        habs = np.maximum(1.0, np.max(np.sum(np.abs(h), axis=-1), axis=-1))
+        keep = np.abs(w) > 1e-8 * habs[:, None]
+        winv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+        steps = np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g))
+        mags = np.max(np.abs(steps), axis=1)
+        steps *= np.where(mags > np.pi / 2, np.pi / 2 / np.maximum(mags, 1e-300), 1.0)[:, None]
+        cur = wrap_angles(cur - steps)
+        g = grad_many(params, cur)
+        norm = np.max(np.abs(g), axis=1)
+        better = norm < best_norm
+        best[better] = cur[better]
+        best_norm[better] = norm[better]
+    return best
 
 
 def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:

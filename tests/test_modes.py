@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from conftest import (
     RING_COUPLING,
     TWO_MODE_COUPLING,
     first_kept_oracle,
+    polish_oracle,
     random_params,
     random_symmetric_coupling,
     six_mode_params,
     six_mode_table,
+    solve_stack_oracle,
     start_points_oracle,
 )
 from mvmtorus import (
@@ -31,7 +34,7 @@ from mvmtorus import (
     high_concentration_log_partition,
     wrap_angles,
 )
-from mvmtorus import spectral
+from mvmtorus import modes, spectral
 from mvmtorus.modes import (
     CriticalPoint,
     _damped_pass,
@@ -372,6 +375,23 @@ def test_dedup_matches_pairwise_oracle(case):
     _assert_dedup_matches_oracle(rows, radius)
 
 
+@st.composite
+def _pool_rows(draw):
+    """Rows like a search's converged pool: repeats of up to 20 distinct
+    points, each with jitter far below the radius, in random order."""
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(0.0, TWO_PI, size=(draw(st.integers(1, 20)), p))
+    picks = rng.integers(len(centres), size=draw(st.integers(0, 80)))
+    return wrap_angles(centres[picks] + rng.normal(scale=1e-9, size=(len(picks), p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pool_rows())
+def test_dedup_of_search_like_pools_matches_pairwise_oracle(rows):
+    _assert_dedup_matches_oracle(rows, 1e-4)
+
+
 @pytest.mark.parametrize(
     "rows,radius,expected",
     [
@@ -560,3 +580,108 @@ def test_start_lattice_size_limit(m, p, fits):
     if not fits:
         drawn = np.random.default_rng(0).integers(m, size=(cfg.max_lattice_starts, p))
         assert np.array_equal(digits, np.unique(drawn, axis=0))
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e300])
+def test_search_finds_every_point_at_huge_concentration(kappa):
+    # |grad f| cannot be evaluated below about eps * kappa, so a fixed 1e-10
+    # level loses the saddles and the minimum once kappa nears 1e6, and at
+    # 1e155 and above -H g overflows in the root pass
+    params = _params([kappa, kappa], np.array([[0.0, 1.0], [1.0, 0.0]]), mu=[1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = critical_points(params)
+        for c in report.criticals:
+            assert classify_critical(params, c.theta).kind is c.kind
+    kinds = sorted(c.kind.value for c in report.criticals)
+    assert kinds == ["Maximum", "Minimum", "Saddle", "Saddle"]
+
+
+# ---------------------------------------------------------------------------
+# factored Newton steps and the retiring polish against their eigh oracles
+
+
+@st.composite
+def _stack_case(draw):
+    """A stack of symmetric Q diag(lam) Q^T, p <= 6, with right-hand sides.
+    Each eigenvalue is 0 or has magnitude in [0.1, 10]: away from both
+    verdicts' thresholds, and a nonsingular row has condition number at
+    most 100."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    eig = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+    lam = np.reshape(draw(st.lists(eig, min_size=n * p, max_size=n * p)), (n, p))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = np.reshape(draw(st.lists(entries, min_size=n * p * p, max_size=n * p * p)), (n, p, p))
+    q = np.linalg.qr(raw)[0]
+    a = np.einsum("nik,nk,njk->nij", q, lam, q)
+    rhs = st.floats(-10.0, 10.0, allow_subnormal=False)
+    b = np.reshape(draw(st.lists(rhs, min_size=n * p, max_size=n * p)), (n, p))
+    return 0.5 * (a + a.transpose(0, 2, 1)), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stack_case(), st.booleans())
+def test_solve_stack_matches_eigvalsh_and_solve(case, definite):
+    a, b = case
+    tol = (1e-8 if definite else 1e-10) * np.maximum(1.0, norm_inf(a))
+    ok, x = spectral._solve_stack(a, b, tol, definite)
+    w = np.linalg.eigvalsh(a)
+    nonsingular = np.min(np.abs(w), axis=1) >= 0.05
+    if definite:
+        assert np.array_equal(ok, np.all(w > tol[:, None], axis=1))
+    else:
+        # LU pivots bound the smallest singular value from one side only: a
+        # zero eigenvalue can be shared out over several pivots above tol
+        assert np.all(ok[nonsingular])
+    assert np.all(x[~ok] == 0.0)
+    rows = ok & nonsingular
+    if rows.any():
+        ref = np.linalg.solve(a[rows], b[rows][:, :, None])[:, :, 0]
+        err = np.max(np.abs(x[rows] - ref), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+
+
+def test_solve_stack_matches_its_oracle_on_a_stack():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(64, 5, 5))
+    a = a + a.transpose(0, 2, 1)
+    a[0] = np.diag([1.0, 0.0, 2.0, -3.0, 4.0])  # an exactly zero pivot fails
+    a[1] = np.fliplr(np.eye(5))  # eigenvalues +-1: LU needs its row exchanges
+    b = rng.normal(size=(64, 5))
+    tol = 1e-8 * np.maximum(1.0, norm_inf(a))
+    for matrices in (a, a @ a):  # indefinite, then positive definite
+        for definite in (True, False):
+            ok, x = spectral._solve_stack(matrices, b, tol, definite)
+            expected_ok, expected_x = solve_stack_oracle(matrices, b, tol, definite)
+            assert np.array_equal(ok, expected_ok)
+            assert not ok[0]
+            assert np.allclose(x, expected_x, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.3, 1.2, 5.0]),
+        six_mode_params(0.1, mu=[2.0, 0.5, 4.0]),
+        random_params(np.random.default_rng(6), 6),
+        random_params(np.random.default_rng(8), 8),
+    ],
+    ids=["ref", "six", "rand6", "rand8"],
+)
+def test_search_matches_the_eigh_oracles(monkeypatch, params):
+    # factored Newton steps and the retiring polish find the same unique
+    # points and kinds as eigh steps and eight polish rounds on every row
+    cfg = SearchConfig(seed=1)
+    found = critical_points(params, cfg).criticals
+    monkeypatch.setattr(spectral, "_solve_stack", solve_stack_oracle)
+    monkeypatch.setattr(modes, "_polish", polish_oracle)
+    expected = critical_points(params, cfg).criticals
+    assert len(found) == len(expected) > 0
+    rows = np.stack([c.theta.angles for c in found])
+    for c in expected:
+        d = np.abs(rows - c.theta.angles)
+        d = np.minimum(d, TWO_PI - d).max(axis=1)
+        j = int(np.argmin(d))
+        assert d[j] < cfg.dedup_radius
+        assert found[j].kind is c.kind
