@@ -80,6 +80,8 @@ class InputError(Exception):
 def _as_float_list(value, key: str, length: int | None = None) -> list[float]:
     if not isinstance(value, (list, tuple)):
         raise InputError(f"field '{key}' must be an array")
+    if any(isinstance(v, bool) for v in value):
+        raise InputError(f"field '{key}' must contain numbers, not booleans")
     try:
         out = [float(v) for v in value]
     except (TypeError, ValueError) as exc:
@@ -119,6 +121,9 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
     if seed is not None:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise InputError("field 'seed' must be a non-negative integer")
+    for key in ("p", "eta"):
+        if isinstance(doc.get(key), bool):
+            raise InputError(f"field '{key}' must be a number, not a boolean")
 
     if "eta" in doc:
         if "kappa" in doc or "lambda" in doc:
@@ -141,6 +146,8 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
             raise InputError("missing required field 'lambda'")
         kappa = _as_float_list(doc["kappa"], "kappa")
         p = len(kappa)
+        if not p:
+            raise InputError("field 'kappa' must hold at least one number")
         if "p" in doc and doc["p"] != p:
             raise InputError(f"field 'p' = {doc['p']} but 'kappa' has length {p}")
         lam_doc = doc["lambda"]
@@ -213,12 +220,6 @@ def _json_text(doc: dict) -> str:
     """Indented standard JSON; a NaN or infinity raises ``ValueError``
     before anything is written."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _check_count(value: int | None, flag: str, minimum: int = 1) -> None:
-    """Reject a size or count flag below ``minimum`` (None means unset)."""
-    if value is not None and value < minimum:
-        raise InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _write(path: str, write: Callable[[TextIO], None]) -> None:
@@ -471,16 +472,16 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
 def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
     from . import oracle
 
-    _check_count(args.grid_n, "--grid-n", minimum=0)
+    # faces exist only at p = 3; elsewhere a negative value still meets the check
+    analysis = oracle.kappa_zero_analysis(
+        params.lam, grid_n=args.grid_n if params.p == 3 else min(args.grid_n, 0)
+    )
     if np.any(params.kappa != 0.0):
         print(
             "notice: cube analysis assumes kappa = 0; the kappa in the "
             "parameter file is ignored",
             file=sys.stderr,
         )
-    analysis = oracle.kappa_zero_analysis(
-        params.lam, grid_n=args.grid_n if params.p == 3 else 0
-    )
     return _Run(
         config={"grid_n": args.grid_n},
         body=lambda: {
@@ -498,7 +499,6 @@ def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
 def _cmd_grid(args, params: MvmParams, seed: int) -> _Run:
     from . import oracle
 
-    _check_count(args.n, "--n")
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError:

@@ -16,14 +16,14 @@ Two complementary tools:
 
 The search runs one damped-Newton driver three times over the start set,
 once per target (ascent toward maxima, descent toward minima, and a plain
-root pass on the gradient that also lands on saddles), then polishes each
-pass's result with pseudo-inverse Newton.  Each pass factors every live
-Hessian once per iteration (Cholesky for an extremum, LU with partial
-pivoting for a root), which both judges whether it suits the target and
-gives the Newton step; only the polish, whose pseudo-inverse must drop
-flat directions, decomposes with ``eigh``, and it stops on each row once
-that row has reached roundoff.  Everything runs batched over the start
-set with plain numpy; for a fixed seed and version the result is
+root pass on the gradient that also lands on saddles), then polishes the
+three results, stacked, in one pseudo-inverse Newton call.  Each pass
+factors every live Hessian once per iteration (Cholesky for an extremum, LU
+with partial pivoting for a root), which both judges whether it suits the
+target and gives the Newton step; only the polish, whose pseudo-inverse
+must drop flat directions, decomposes with ``eigh``, and it stops on each
+row once that row has reached roundoff.  Everything runs batched over the
+start set with plain numpy; for a fixed seed and version the result is
 deterministic.  A point counts as converged when its gradient sup-norm is
 below ``grad_tol``, or below the gradient's roundoff floor where that is
 larger.  The converged pool is deduplicated (greedy, first kept, in pool
@@ -74,7 +74,7 @@ __all__ = [
 
 #: sup-norm gradient level below which the damped passes hand over to polishing
 _POLISH_TRIGGER = 1e-6
-#: rounds of pseudo-inverse Newton polishing after each damped pass
+#: rounds of pseudo-inverse Newton polishing after the damped passes
 _POLISH_ROUNDS = 8
 #: relative slack when testing monotone improvement of f (absorbs roundoff)
 _F_SLACK = 1e-14
@@ -411,7 +411,7 @@ def _damped_pass(
 
 def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
     """Up to ``_POLISH_ROUNDS`` rounds of pseudo-inverse Newton on the
-    gradient.
+    gradient, row by row.
 
     Eigen-directions (``eigh``) with |eigenvalue| below
     1e-8 * max(1, |H|_inf) are dropped, so flat ridge directions are left
@@ -430,11 +430,12 @@ def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
         if not len(live):
             break
         h = hessian_many(params, cur)
-        w, v = np.linalg.eigh(h)
-        gproj = np.einsum("nik,ni->nk", v, g)
         thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
+        w, v = np.linalg.eigh(h)
         winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-        cur = wrap_angles(cur - _cap_steps(np.einsum("nik,nk->ni", v, winv * gproj)))
+        steps = np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g))
+        del h, v  # freed before the next round stacks its own
+        cur = wrap_angles(cur - _cap_steps(steps))
         g = grad_many(params, cur)
         norm = np.max(np.abs(g), axis=1)
         better = norm < best_norm[live]
@@ -488,8 +489,8 @@ def critical_points(
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(params, cfg, rng)
 
-    pool = np.vstack(
-        [_polish(params, _damped_pass(params, starts, sign, cfg)) for sign in (1.0, -1.0, 0.0)]
+    pool = _polish(
+        params, np.vstack([_damped_pass(params, starts, sign, cfg) for sign in (1.0, -1.0, 0.0)])
     )
 
     grads = grad_many(params, pool)

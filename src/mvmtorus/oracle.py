@@ -184,9 +184,11 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
     """Evaluate g(s) = 0.5 s^T Lambda s on all sign vertices of [-1,1]^p,
     report the argmax set (ties within 1e-12 relative), and the largest
     eigenpair of Lambda (whose eigenvector witnesses max f > 0 whenever
-    Lambda != 0).  With ``grid_n`` > 0 and p = 3, also sample g on the six
-    cube faces in the unwrapped-cross order ``CUBE_FACE_ORDER``.
-    """
+    Lambda != 0).  With ``grid_n`` > 0 (it must be >= 0) and p = 3, also
+    sample g on the six cube faces in the unwrapped-cross order
+    ``CUBE_FACE_ORDER``."""
+    if grid_n < 0:
+        raise ValueError(f"grid_n must be >= 0, got {grid_n}")
     lam = np.asarray(lam, dtype=float)
     p = lam.shape[0]
     # reuse the parameter validation (symmetry, zero diagonal)
@@ -236,8 +238,10 @@ def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarra
     the remaining coordinates held at ``slice_point`` (default: mu).
 
     ``dims`` is a pair of coordinate indices for an n x n grid, or a single
-    index (or a repeated pair) for a 1-d sweep.
+    index (or a repeated pair) for a 1-d sweep; ``n`` must be >= 1.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     dims = (dims,) if np.isscalar(dims) else tuple(dims)
     if len(dims) == 2 and dims[0] == dims[1]:
         dims = (dims[0],)
@@ -268,11 +272,7 @@ def write_density_grid_csv(
     angles = [repr(x) for x in (TWO_PI * np.arange(n) / n).tolist()]
     if values.ndim == 1:
         fileobj.write(f"i,theta{dims[0] + 1},value\n")
-        fileobj.write(
-            "".join(
-                f"{i},{a},{v!r}\n" for i, (a, v) in enumerate(zip(angles, values.tolist()))
-            )
-        )
+        fileobj.write("".join(f"{i},{angles[i]},{v!r}\n" for i, v in enumerate(values.tolist())))
         return
     fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
     for i, row in enumerate(values.tolist()):

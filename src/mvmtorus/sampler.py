@@ -38,19 +38,16 @@ d = t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), and keeps the
 one with the smaller log C; with a constant diagonal the two coincide and
 the scalar is kept.
 
-Reproducibility contract: a batch is produced in fixed-size blocks of
-``BLOCK_SIZE`` draws, each block consuming its own generator spawned from
-the master seed.  Within a block, each attempt chunk consumes, in order,
-(1) the von Mises block, (2) the uniform block.  :func:`sample_blocks`
-yields the blocks in block order, and :func:`sample_mvm` stacks them.
-Worker threads only run whole blocks, at most ``workers`` (and the CPU
-count) of them in flight: the next block is submitted only when the
-consumer asks for another, and pending blocks are cancelled if it stops
-early.  So output is bit-identical for a fixed seed no matter how many
-workers run, and memory is O(``BLOCK_SIZE`` * p * workers) whatever n is.
-The thread pool
-(``concurrent.futures``) is imported only when ``workers`` > 1, and the
-quadrature (:mod:`mvmtorus.oracle`) only by :func:`forecast_acceptance`.
+Reproducibility contract: block i of a batch holds
+min(``BLOCK_SIZE``, n - i * ``BLOCK_SIZE``) draws from its own generator,
+the i-th child of ``SeedSequence(seed).spawn()``; both are worked out from
+i when the block starts.  Each attempt chunk in a block consumes, in
+order, (1) the von Mises block, (2) the uniform block.  Worker threads
+only run whole blocks, at most ``workers`` (and the CPU count) of them in
+flight: the next is submitted only when the consumer asks for another,
+and pending blocks are cancelled if it stops early.  So output is
+bit-identical for a fixed seed whatever the worker count, and memory is
+O(``BLOCK_SIZE`` * p * workers) whatever n is.
 
 The error types are defined in :mod:`mvmtorus.model` and re-exported here.
 """
@@ -395,10 +392,11 @@ def sample_blocks(
     The arguments are checked, and ``spec`` built or revalidated, before
     this returns.  The iterator then yields ``(draws, trials)`` per block
     of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
-    order, with the draws shifted by mu and wrapped to [0, 2*pi).  Each
-    block has its own generator spawned from ``seed``; ``workers`` > 1
-    runs up to that many blocks (and ``os.cpu_count()``) at once and never
-    changes the output.
+    order, with the draws shifted by mu and wrapped to [0, 2*pi).  The
+    plan is ``range(ceil(n / BLOCK_SIZE))``, and each block builds its
+    quota and generator as it starts (see the module docstring).
+    ``workers`` > 1 runs up to that many blocks (and ``os.cpu_count()``)
+    at once and never changes the output.
     """
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -406,24 +404,24 @@ def sample_blocks(
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     spec = _resolve_spec(params, spec)
-    quotas = [BLOCK_SIZE] * (n // BLOCK_SIZE)
-    if n % BLOCK_SIZE:
-        quotas.append(n % BLOCK_SIZE)
-    jobs = zip(quotas, np.random.SeedSequence(seed).spawn(len(quotas)))
+    root = np.random.SeedSequence(seed)
 
-    def block(job):
-        centered, trials = _sample_block(params, spec, *job)
+    def block(i: int):
+        # the i-th child that root.spawn() would give, built from its key alone
+        child = np.random.SeedSequence(root.entropy, spawn_key=(i,), pool_size=root.pool_size)
+        centered, trials = _sample_block(params, spec, min(BLOCK_SIZE, n - i * BLOCK_SIZE), child)
         return wrap_angles(centered + params.mu.angles), trials
 
+    plan = range(-(-n // BLOCK_SIZE))
     if workers == 1:
-        return (block(job) for job in jobs)
-    return _in_flight(block, jobs, workers)
+        return (block(i) for i in plan)
+    return _in_flight(block, iter(plan), workers)
 
 
 def _in_flight(block, jobs, workers: int):
-    """``block(job)`` for each job, in order, with at most ``workers``
-    jobs submitted and not yet consumed; closing the iterator cancels the
-    ones not started."""
+    """``block(job)`` for each job of the iterator ``jobs``, in order, with
+    at most ``workers`` jobs submitted and not yet consumed; closing the
+    iterator cancels the ones not started."""
     # imported here so that runs without worker threads never load it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -432,9 +430,7 @@ def _in_flight(block, jobs, workers: int):
         try:
             while pending:
                 yield pending.popleft().result()
-                job = next(jobs, None)
-                if job is not None:
-                    pending.append(pool.submit(block, job))
+                pending.extend(pool.submit(block, job) for job in islice(jobs, 1))
         finally:
             for future in pending:
                 future.cancel()
@@ -448,14 +444,15 @@ def sample_mvm(
     workers: int = 1,
 ) -> SampleBatch:
     """n exact draws from MVM(mu, kappa, Lambda) in one batch; requires
-    positive definite P.  The blocks of :func:`sample_blocks`, stacked,
-    with their trials summed."""
-    blocks = list(sample_blocks(params, n, spec, seed, workers))
-    return SampleBatch(
-        draws=np.vstack([draws for draws, _ in blocks]),
-        trials=sum(trials for _, trials in blocks),
-        seed=seed,
-    )
+    positive definite P.  The blocks of :func:`sample_blocks`, written in
+    order into one preallocated (n, p) array, with their trials summed."""
+    blocks = sample_blocks(params, n, spec, seed, workers)
+    draws = np.empty((n, params.p))
+    trials = 0
+    for i, (block, block_trials) in enumerate(blocks):
+        draws[i * BLOCK_SIZE : i * BLOCK_SIZE + len(block)] = block
+        trials += block_trials
+    return SampleBatch(draws=draws, trials=trials, seed=seed)
 
 
 def forecast_acceptance(

@@ -212,6 +212,20 @@ def polish_oracle(params: MvmParams, points: np.ndarray) -> np.ndarray:
     return best
 
 
+def eager_blocks_oracle(params: MvmParams, n: int, spec, seed: int):
+    """``(draws, trials)`` per block, from a plan built whole before the
+    first draw: every quota listed and one ``SeedSequence(seed).spawn`` for
+    all the blocks.  Reference for ``mvmtorus.sampler.sample_blocks``, which
+    works out each block's quota and generator only when it starts."""
+    from mvmtorus import sampler
+
+    size = sampler.BLOCK_SIZE
+    quotas = [size] * (n // size) + ([n % size] if n % size else [])
+    for quota, child in zip(quotas, np.random.SeedSequence(seed).spawn(len(quotas))):
+        centered, trials = sampler._sample_block(params, spec, quota, child)
+        yield wrap_angles(centered + params.mu.angles), trials
+
+
 def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:
     """Exponent on the full tensor product of the per-coordinate angle
     vectors ``axes``, built by axis broadcasting in one dense array.

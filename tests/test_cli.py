@@ -149,6 +149,30 @@ def test_unknown_field_rejected(tmp_path):
     assert "kapa" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"kappa": [True, 1.0], "lambda": [[0.0, 0.0], [0.0, 0.0]]},
+         "field 'kappa' must contain numbers, not booleans"),
+        ({"kappa": [1.0, 1.0], "lambda": [[0.0, False], [False, 0.0]]},
+         "field 'lambda[0]' must contain numbers, not booleans"),
+        ({"mu": [True], "kappa": [1.0], "lambda": [[0.0]]},
+         "field 'mu' must contain numbers, not booleans"),
+        ({"eta": True}, "field 'eta' must be a number, not a boolean"),
+        ({"p": True, "kappa": [1.0], "lambda": [[0.0]]},
+         "field 'p' must be a number, not a boolean"),
+        ({"kappa": [], "lambda": []}, "field 'kappa' must hold at least one number"),
+    ],
+)
+def test_booleans_and_empty_kappa_are_input_errors(tmp_path, capsys, fields, message):
+    # JSON true is a Python int, so without the check it would run as 1
+    path = write_params(tmp_path / "bad.json", **fields)
+    assert cli.main(["certify", "--params", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_degrees_flag_converts_mu(tmp_path):
     rad = write_params(
         tmp_path / "rad.json",
@@ -816,16 +840,16 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
 # size and count flags
 
 
-# sample and forecast pass the value on and report the library's check
+# every command passes the value on and reports the library's check
 @pytest.mark.parametrize(
     "argv,message",
     [
         (("sample", "--n", "10", "--shards", "-3"), "workers must be >= 1, got -3"),
         (("sample", "--n", "10", "--shards", "0"), "workers must be >= 1, got 0"),
         (("sample", "--n", "0"), "n must be >= 1, got 0"),
-        (("grid", "--n", "0"), "--n must be >= 1, got 0"),
-        (("grid", "--n", "-3"), "--n must be >= 1, got -3"),
-        (("cube", "--grid-n", "-2"), "--grid-n must be >= 0, got -2"),
+        (("grid", "--n", "0"), "n must be >= 1, got 0"),
+        (("grid", "--n", "-3"), "n must be >= 1, got -3"),
+        (("cube", "--grid-n", "-2"), "grid_n must be >= 0, got -2"),
         (("forecast", "--n-per-dim", "0"), "n_per_dim must be >= 16, got 0"),
         (("forecast", "--n-per-dim", "15"), "n_per_dim must be >= 16, got 15"),
     ],

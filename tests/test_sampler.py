@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     RING_COUPLING,
     bessel_i0_series,
     bessel_i1_series,
+    eager_blocks_oracle,
     heterogeneous_params,
     random_params,
 )
@@ -364,6 +366,53 @@ def test_sampler_workers_do_not_change_output():
     b = sample_mvm(params, 12_345, seed=13, workers=4)
     assert np.array_equal(a.draws, b.draws)
     assert a.trials == b.trials
+
+
+_REFERENCE = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.5, 4.0, 2.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**70),
+    st.one_of(
+        st.integers(1, 3 * BLOCK_SIZE + 1),
+        st.sampled_from([BLOCK_SIZE, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE]),
+    ),
+    st.sampled_from([1, 2]),
+)
+def test_sample_blocks_match_an_eagerly_spawned_plan(seed, n, workers):
+    spec = ProposalSpec.from_params(_REFERENCE)
+    got = list(sample_blocks(_REFERENCE, n, spec, seed, workers))
+    expected = list(eager_blocks_oracle(_REFERENCE, n, spec, seed))
+    assert len(got) == len(expected) == -(-n // BLOCK_SIZE)
+    for (draws, trials), (want, want_trials) in zip(got, expected):
+        assert np.array_equal(draws, want)
+        assert trials == want_trials
+
+
+def test_first_block_memory_is_flat_in_n():
+    # each block works out its quota and generator when it starts, so n
+    # sets only the block count; listing every quota and spawning every
+    # generator up front traced ~95 MB before the first draw at n = 1e9
+    tracemalloc.start()
+    try:
+        blocks = sample_blocks(_REFERENCE, 10**9, seed=3)
+        draws, _ = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks.close()
+    assert draws.shape == (BLOCK_SIZE, 3)
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_mvm_equals_the_stacked_blocks(workers):
+    n = 2 * BLOCK_SIZE + 7
+    batch = sample_mvm(_REFERENCE, n, seed=8, workers=workers)
+    blocks = list(sample_blocks(_REFERENCE, n, seed=8))
+    assert np.array_equal(batch.draws, np.vstack([draws for draws, _ in blocks]))
+    assert batch.trials == sum(trials for _, trials in blocks)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
