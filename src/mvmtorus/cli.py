@@ -77,15 +77,33 @@ class InputError(Exception):
     """Parameter-file or flag problem; maps to exit code 1."""
 
 
+#: what a JSON value that is not a number is, by its Python type, in the
+#: singular and the plural (true and false load as Python ints)
+_NOT_NUMBERS = {
+    bool: ("a boolean", "booleans"),
+    str: ("a string", "strings"),
+    list: ("an array", "arrays"),
+    dict: ("an object", "objects"),
+    type(None): ("null", "nulls"),
+}
+
+
+def _as_float(value, key: str, plural: bool = False) -> float:
+    """``value`` as a float if it is a JSON number, else an InputError that
+    names ``key``; ``plural`` words it for a member of an array."""
+    if type(value) in _NOT_NUMBERS:
+        what = "contain numbers" if plural else "be a number"
+        raise InputError(f"field '{key}' must {what}, not {_NOT_NUMBERS[type(value)][plural]}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"field '{key}': {exc}") from None
+
+
 def _as_float_list(value, key: str, length: int | None = None) -> list[float]:
     if not isinstance(value, (list, tuple)):
         raise InputError(f"field '{key}' must be an array")
-    if any(isinstance(v, bool) for v in value):
-        raise InputError(f"field '{key}' must contain numbers, not booleans")
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"field '{key}' must contain numbers: {exc}") from None
+    out = [_as_float(v, key, plural=True) for v in value]
     if length is not None and len(out) != length:
         raise InputError(f"field '{key}' must have length {length}, got {len(out)}")
     return out
@@ -122,16 +140,13 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise InputError("field 'seed' must be a non-negative integer")
     for key in ("p", "eta"):
-        if isinstance(doc.get(key), bool):
-            raise InputError(f"field '{key}' must be a number, not a boolean")
+        if key in doc:
+            _as_float(doc[key], key)
 
     if "eta" in doc:
         if "kappa" in doc or "lambda" in doc:
             raise InputError("field 'eta' replaces 'kappa' and 'lambda'")
-        try:
-            eta = float(doc["eta"])
-        except (TypeError, ValueError):
-            raise InputError("field 'eta' must be a number") from None
+        eta = float(doc["eta"])
         if degrees:
             eta = np.deg2rad(eta)
         if doc.get("p", 3) != 3:
@@ -241,14 +256,14 @@ def _write(path: str, write: Callable[[TextIO], None]) -> None:
 @dataclass(frozen=True)
 class _Run:
     """What one command computed, for :func:`_emit` to place: the resolved
-    config beside ``params``, a payload body built only when written, a
-    text summary or a CSV writer, extra files (flag, path and writer), the
+    config beside ``params``, a payload body and a text summary, each built
+    only when written, or a CSV writer, extra files (flag, path and writer), the
     seed (None if nothing is drawn), extra manifest fields (read once the
     payload or CSV is produced) and the exit code."""
 
     config: dict
     body: Callable[[], dict]
-    text: str = ""
+    text: Callable[[], str] = str
     csv: Callable[[TextIO], None] | None = None
     files: tuple[tuple[str, str, Callable[[TextIO], None]], ...] = ()
     seed: int | None = None
@@ -303,10 +318,10 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
             payload = _json_text({"manifest": record(), **body})
             if args.out:
                 write(args.out, lambda fh: fh.write(payload))
-            sys.stdout.write(payload if args.json else run.text)
+            sys.stdout.write(payload if args.json else run.text())
         else:
             if run.csv is None:
-                sys.stdout.write(run.text)
+                sys.stdout.write(run.text())
             else:
                 run.csv(sys.stdout)
             print(json.dumps(record(), allow_nan=False), file=sys.stderr)
@@ -326,20 +341,24 @@ def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
     from . import modes
 
     cert = modes.certify_unimodal(params)
-    lines = [
-        f"verdict: {cert.verdict.value}",
-        f"P positive definite (unique maximum at mu): {cert.prop1_holds}",
-        f"row dominance kappa_i > sum_j |lambda_ij|:   {cert.cor1_holds}",
-        f"P eigenvalues: {np.array2string(cert.p_eigenvalues, separator=', ')}",
-        "Gershgorin rows (center, radius):",
-    ]
-    for c, r in zip(cert.gershgorin.centers, cert.gershgorin.radii):
-        lines.append(f"  {c:.12g}  {r:.12g}")
+
+    def text() -> str:
+        lines = [
+            f"verdict: {cert.verdict.value}",
+            f"P positive definite (unique maximum at mu): {cert.prop1_holds}",
+            f"row dominance kappa_i > sum_j |lambda_ij|:   {cert.cor1_holds}",
+            f"P eigenvalues: {np.array2string(cert.p_eigenvalues, separator=', ')}",
+            "Gershgorin rows (center, radius):",
+        ]
+        for c, r in zip(cert.gershgorin.centers, cert.gershgorin.radii):
+            lines.append(f"  {c:.12g}  {r:.12g}")
+        return "\n".join(lines) + "\n"
+
     inconclusive = cert.verdict is modes.Verdict.INCONCLUSIVE
     return _Run(
         config={},
         body=lambda: {"certificate": certificate_dict(cert)},
-        text="\n".join(lines) + "\n",
+        text=text,
         code=EXIT_INCONCLUSIVE if inconclusive else EXIT_OK,
     )
 
@@ -377,27 +396,31 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
     given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     cfg = modes.SearchConfig(seed=seed, **given)
     report = modes.critical_points(params, cfg)
-    lines = [
-        f"critical points found: {len(report.criticals)} "
-        f"(from {report.search_meta.starts_used} starts, "
-        f"{report.search_meta.converged} converged)",
-        f"maxima: {report.n_maxima}",
-        f"extended mode suspected: {report.extended_mode_suspected}",
-        f"{'kind':<11} {'f':>14} {'|grad|':>10}  theta",
-    ]
-    for c in report.criticals:
-        theta = np.array2string(c.theta.angles, precision=6, separator=", ")
-        lines.append(
-            f"{c.kind.value:<11} {c.f_value:>14.8f} {c.grad_norm:>10.2e}  {theta}"
-        )
+
+    def text() -> str:
+        lines = [
+            f"critical points found: {len(report.criticals)} "
+            f"(from {report.search_meta.starts_used} starts, "
+            f"{report.search_meta.converged} converged)",
+            f"maxima: {report.n_maxima}",
+            f"extended mode suspected: {report.extended_mode_suspected}",
+            f"{'kind':<11} {'f':>14} {'|grad|':>10}  theta",
+        ]
+        for c in report.criticals:
+            theta = np.array2string(c.theta.angles, precision=6, separator=", ")
+            lines.append(
+                f"{c.kind.value:<11} {c.f_value:>14.8f} {c.grad_norm:>10.2e}  {theta}"
+            )
+        return "\n".join(lines) + "\n"
+
     files = ()
     if args.criticals_csv:
-        text = _criticals_csv(report, params.p)
-        files = (("--criticals-csv", args.criticals_csv, lambda fh: fh.write(text)),)
+        table = _criticals_csv(report, params.p)
+        files = (("--criticals-csv", args.criticals_csv, lambda fh: fh.write(table)),)
     return _Run(
         config={"search": {name: getattr(cfg, name) for name in fields}},
         body=lambda: {"report": mode_report_dict(report)},
-        text="\n".join(lines) + "\n",
+        text=text,
         files=files,
         seed=seed,
     )
@@ -407,12 +430,13 @@ def _write_sample_csv(fh, blocks: Iterable[np.ndarray]) -> None:
     """The header with the first block of rows, then one block at a time,
     so neither the draws nor the CSV text sit in memory whole.  A run
     whose first block fails writes nothing, not even the header."""
-    # repr of a float never needs CSV quoting, so plain joins give the
-    # csv.writer bytes at a fraction of the cost
+    # '%r' of a float is its repr, which never needs CSV quoting, so one
+    # C-level format per block gives the csv.writer bytes
     for i, block in enumerate(blocks):
-        text = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        n, p = block.shape
+        text = (("%r," * (p - 1) + "%r\n") * n) % tuple(block.ravel().tolist())
         if i == 0:
-            text = ",".join(f"theta{j + 1}" for j in range(block.shape[1])) + "\n" + text
+            text = ",".join(f"theta{j + 1}" for j in range(p)) + "\n" + text
         fh.write(text)
 
 
@@ -451,11 +475,15 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
         params, spec, with_exact=True, n_per_dim=args.n_per_dim
     )
     envelope = {"lambda_min_bound": spec.lambda_min_bound, "proposal_d": list(spec.d)}
-    lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]
-    if forecast.exact_rate is not None:
-        lines.append(f"exact acceptance rate (quadrature): {forecast.exact_rate:.12g}")
-    lines.append(f"lambda_min bound: {spec.lambda_min_bound:.12g}")
-    lines.append(f"proposal d: [{', '.join(f'{x:.12g}' for x in spec.d)}]")
+
+    def text() -> str:
+        lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]
+        if forecast.exact_rate is not None:
+            lines.append(f"exact acceptance rate (quadrature): {forecast.exact_rate:.12g}")
+        lines.append(f"lambda_min bound: {spec.lambda_min_bound:.12g}")
+        lines.append(f"proposal d: [{', '.join(f'{x:.12g}' for x in spec.d)}]")
+        return "\n".join(lines) + "\n"
+
     return _Run(
         config=envelope,
         body=lambda: {
@@ -465,7 +493,7 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
                 **envelope,
             }
         },
-        text="\n".join(lines) + "\n",
+        text=text,
     )
 
 

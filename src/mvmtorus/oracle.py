@@ -275,10 +275,11 @@ def write_density_grid_csv(
         fileobj.write("".join(f"{i},{angles[i]},{v!r}\n" for i, v in enumerate(values.tolist())))
         return
     fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
+    # one row template, made once: \0 and \1 stand for i and its angle, and
+    # each row is formatted by one C-level '%' ('%r' of a float is its repr)
+    line = "".join(f"\0,{j},\1,{angles[j]},%r\n" for j in range(n))
     for i, row in enumerate(values.tolist()):
-        fileobj.write(
-            "".join(f"{i},{j},{angles[i]},{angles[j]},{v!r}\n" for j, v in enumerate(row))
-        )
+        fileobj.write(line.replace("\0", str(i)).replace("\1", angles[i]) % tuple(row))
 
 
 def write_cube_surface_csv(fileobj, analysis: CubeAnalysis) -> None:

@@ -1,10 +1,12 @@
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     REFERENCE_COUPLING,
@@ -17,7 +19,7 @@ from conftest import (
     random_params,
     random_symmetric_coupling,
 )
-from mvmtorus import MvmParams, TorusPoint, exponent_f, log_density
+from mvmtorus import MvmParams, TorusPoint, exponent_f, log_density, oracle
 from mvmtorus.oracle import (
     MAX_QUADRATURE_DIM,
     density_grid,
@@ -378,6 +380,30 @@ def test_density_grid_csv_matches_csv_writer(rng, dims, n):
     nodes = 2.0 * np.pi * np.arange(n) / n
     if len(dims) == 1:
         rows = [["i", f"theta{dims[0] + 1}", "value"]]
+        rows += [[i, nodes[i], values[i]] for i in range(n)]
+    else:
+        rows = [["i", "j", f"theta{dims[0] + 1}", f"theta{dims[1] + 1}", "value"]]
+        rows += [
+            [i, j, nodes[i], nodes[j], values[i, j]] for i in range(n) for j in range(n)
+        ]
+    assert buf.getvalue() == csv_writer_text(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_density_grid_csv_matches_csv_writer_on_any_values(data):
+    # the writer's formatting alone: density_grid is replaced by arbitrary
+    # floats (subnormals, signed zeros, infinities and NaN included)
+    n = data.draw(st.integers(1, 12), label="n")
+    dims = data.draw(st.sampled_from([(0, 1), (2, 0), 1]), label="dims")
+    shape = (n,) if np.isscalar(dims) else (n, n)
+    values = data.draw(hnp.arrays(float, shape, elements=st.floats()), label="values")
+    buf = io.StringIO()
+    with mock.patch.object(oracle, "density_grid", return_value=values):
+        write_density_grid_csv(buf, random_params(np.random.default_rng(0), 3), dims, n)
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    if np.isscalar(dims):
+        rows = [["i", f"theta{dims + 1}", "value"]]
         rows += [[i, nodes[i], values[i]] for i in range(n)]
     else:
         rows = [["i", "j", f"theta{dims[0] + 1}", f"theta{dims[1] + 1}", "value"]]
