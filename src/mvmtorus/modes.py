@@ -251,6 +251,8 @@ class SearchConfig:
             raise ValueError(
                 f"n_random_starts must be >= 0, got {self.n_random_starts}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("grad_tol", "dedup_radius", "degeneracy_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):

@@ -69,7 +69,6 @@ from .model import (
     DimensionMismatchError,
     MvmParams,
     NotPositiveDefiniteError,
-    TorusPoint,
     TWO_PI,
     as_torus_point,
     wrap_angles,
@@ -111,19 +110,6 @@ LOG_I0_SWITCH = 700.0
 #: Z <= C always holds, so an exact acceptance rate Z/C above 1 + this
 #: tolerance is a quadrature failure
 EXACT_RATE_TOL = 1e-9
-
-
-def _smallest_eigenvalue(p_matrix: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """lambda_min(P), which may be <= 0 on a nearly singular P, and the
-    Jacobi-scaled P; ``NotPositiveDefiniteError`` unless P certifies."""
-    definite, scaled = spectral._certified(p_matrix)
-    smallest = float(spectral.sym_eigen(p_matrix).values[0])
-    if not definite:
-        raise NotPositiveDefiniteError(
-            "P is not certified positive definite (computed smallest eigenvalue "
-            f"{smallest:.6g}); see modes.certify_unimodal"
-        )
-    return smallest, scaled
 
 
 def _log_i0e(x: np.ndarray) -> np.ndarray:
@@ -184,38 +170,17 @@ class ProposalSpec:
         minus ``ENVELOPE_SLACK``.  A drop in log C of at most
         ``TIE_LOG_GAIN`` per coordinate keeps the scalar.  (At low
         concentration the larger sum of log d_i can be the worse choice:
-        d = (0.2, 2, 2) beats (1, 1, 1).)"""
-        p_matrix = params.p_matrix()
-        smallest, scaled = _smallest_eigenvalue(p_matrix)
-        if lambda_min is None:
-            slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
-            bound = smallest - slack
-            if bound <= 0.0:
-                raise ValueError(
-                    f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
-                    f"slack {slack:.6g}: P is too close to singular to sample"
-                )
-        else:
-            bound = float(lambda_min)
-        if not 0.0 < bound <= smallest:
-            raise ValueError(
-                f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}"
-            )
-        if lambda_min is None:
-            # None only for a subnormal diagonal entry; the scalar is kept then
-            t = -1.0 if scaled is None else spectral.sym_eigen(scaled).values[0] - ENVELOPE_SLACK
-            if t > 0.0:
-                jacobi = t * np.diag(p_matrix)
-                # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
-                gain = params.p * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi))
-                if gain > params.p * TIE_LOG_GAIN:
-                    return cls(lambda_min_bound=bound, p=params.p, d=tuple(jacobi))
-        return cls(lambda_min_bound=bound, p=params.p)
+        d = (0.2, 2, 2) beats (1, 1, 1).)  The spec returned has passed the
+        check that :func:`sample_blocks` and :func:`forecast_acceptance`
+        apply to a supplied spec."""
+        return _resolve_spec(params, None, lambda_min)[0]
 
 
 @dataclass(frozen=True)
 class SampleBatch:
     """Accepted draws (rows, wrapped to [0, 2*pi)) plus trial accounting.
+    ``trials`` is the number of proposals drawn up to and including the
+    one that filled each block's quota, summed over the blocks.
     Rebuilding with the same parameters and seed reproduces the batch
     bit-for-bit."""
 
@@ -230,9 +195,6 @@ class SampleBatch:
     @property
     def empirical_acceptance(self) -> float:
         return self.n / self.trials
-
-    def points(self) -> list[TorusPoint]:
-        return [TorusPoint(row) for row in self.draws]
 
 
 @dataclass(frozen=True)
@@ -323,7 +285,9 @@ def _sample_block(
     quota: int,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, int]:
-    """Run the rejection loop until ``quota`` draws are accepted."""
+    """Run the rejection loop until ``quota`` draws are accepted; returns
+    them with the proposals drawn up to and including the one that filled
+    the quota."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     out = np.empty((quota, params.p))
     got = 0
@@ -334,17 +298,12 @@ def _sample_block(
         props = _raw_proposals(spec, m, rng)
         u = rng.random(m)
         log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
-        acc_idx = np.flatnonzero(u <= np.exp(log_acc))
-        need = quota - got
-        if len(acc_idx) <= need:
-            out[got : got + len(acc_idx)] = props[acc_idx]
-            got += len(acc_idx)
-            trials += m
-        else:
-            # stop exactly at the proposal that filled the quota
-            out[got:quota] = props[acc_idx[:need]]
-            got = quota
-            trials += int(acc_idx[need - 1]) + 1
+        acc_idx = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
+        out[got : got + len(acc_idx)] = props[acc_idx]
+        got += len(acc_idx)
+        # the chunk that fills the quota counts its proposals up to and
+        # including the one that filled it
+        trials += int(acc_idx[-1]) + 1 if got == quota else m
         if trials > budget and got < quota:
             raise AcceptanceStallError(
                 f"{trials} proposals produced only {got}/{quota} draws"
@@ -352,31 +311,66 @@ def _sample_block(
     return out, trials
 
 
-def _resolve_spec(params: MvmParams, spec: ProposalSpec | None) -> ProposalSpec:
-    """The default spec for ``params`` when ``spec`` is None; otherwise
-    ``spec`` revalidated against ``params``, since a stale spec would break
-    the bound.  P must certify, and P - diag(d) must pass the Cholesky test
-    at -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding
-    of the eigen-solver that built d."""
-    if spec is None:
-        return ProposalSpec.from_params(params)
-    if spec.p != params.p:
-        raise ValueError(
-            f"spec is for p = {spec.p}, but the parameters have p = {params.p}"
+def _gate(p_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The eigenvalues of P, ascending (the smallest may be <= 0 on a
+    nearly singular P), and the Jacobi-scaled P; ``NotPositiveDefiniteError``
+    unless P certifies."""
+    definite, scaled = spectral._certified(p_matrix)
+    eigenvalues = spectral.sym_eigen(p_matrix).values
+    if not definite:
+        raise NotPositiveDefiniteError(
+            "P is not certified positive definite (computed smallest eigenvalue "
+            f"{eigenvalues[0]:.6g}); see modes.certify_unimodal"
         )
+    return eigenvalues, scaled
+
+
+def _resolve_spec(
+    params: MvmParams, spec: ProposalSpec | None, lambda_min: float | None = None
+) -> tuple[ProposalSpec, np.ndarray]:
+    """The one envelope check, and the eigenvalues of P from the gate.
+
+    The spec checked is ``spec``, since a stale spec would break the bound,
+    or, when it is None, the spec that :meth:`ProposalSpec.from_params`
+    describes.  It must have the parameters' p and 0 < b <= lambda_min(P),
+    and P - diag(d) must pass the Cholesky test at -ENVELOPE_SLACK * max(1,
+    inf-norm of P), which absorbs the rounding of the eigen-solver that
+    built d."""
+    if spec is not None and spec.p != params.p:
+        raise ValueError(f"spec is for p = {spec.p}, but the parameters have p = {params.p}")
     p_matrix = params.p_matrix()
-    smallest, _ = _smallest_eigenvalue(p_matrix)
-    if not 0.0 < spec.lambda_min_bound <= smallest:
-        raise ValueError(
-            f"spec bound {spec.lambda_min_bound:.6g} is not in (0, {smallest:.6g}]"
-        )
-    slack = ENVELOPE_SLACK * max(1.0, float(spectral.norm_inf(p_matrix)))
-    if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=-slack):
+    eigenvalues, scaled = _gate(p_matrix)
+    smallest = float(eigenvalues[0])
+    if spec is not None:
+        bound, d = spec.lambda_min_bound, spec.d
+    elif lambda_min is not None:
+        bound, d = lambda_min, None
+    else:
+        slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
+        bound, d = smallest - slack, None
+        if bound <= 0.0:
+            raise ValueError(
+                f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
+                f"slack {slack:.6g}: P is too close to singular to sample"
+            )
+        # None only for a subnormal diagonal entry; the scalar is kept then
+        t = -1.0 if scaled is None else spectral.sym_eigen(scaled).values[0] - ENVELOPE_SLACK
+        if t > 0.0:
+            jacobi = t * np.diag(p_matrix)
+            # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
+            gain = params.p * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi))
+            if gain > params.p * TIE_LOG_GAIN:
+                d = tuple(jacobi)
+    if not 0.0 < bound <= smallest:
+        raise ValueError(f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}")
+    spec = ProposalSpec(lambda_min_bound=float(bound), p=params.p, d=d)
+    tol = -ENVELOPE_SLACK * max(1.0, float(spectral.norm_inf(p_matrix)))
+    if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=tol):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "
             "P - diag(d) is not positive semidefinite"
         )
-    return spec
+    return spec, eigenvalues
 
 
 def sample_blocks(
@@ -389,21 +383,26 @@ def sample_blocks(
     """n exact draws from MVM(mu, kappa, Lambda), one block at a time;
     requires positive definite P.
 
-    The arguments are checked, and ``spec`` built or revalidated, before
+    The arguments are checked, and ``spec`` built or checked as
+    :meth:`ProposalSpec.from_params` checks the spec it builds, before
     this returns.  The iterator then yields ``(draws, trials)`` per block
     of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
-    order, with the draws shifted by mu and wrapped to [0, 2*pi).  The
-    plan is ``range(ceil(n / BLOCK_SIZE))``, and each block builds its
-    quota and generator as it starts (see the module docstring).
-    ``workers`` > 1 runs up to that many blocks (and ``os.cpu_count()``)
-    at once and never changes the output.
+    order, with the draws shifted by mu and wrapped to [0, 2*pi);
+    ``trials`` is the number of proposals the block drew up to and
+    including the one that filled its quota.  The plan is
+    ``range(ceil(n / BLOCK_SIZE))``, and each block builds its quota and
+    generator as it starts (see the module docstring).  ``workers`` > 1
+    runs up to that many blocks (and ``os.cpu_count()``) at once and never
+    changes the output.
     """
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     workers = min(workers, os.cpu_count() or 1)
-    spec = _resolve_spec(params, spec)
+    spec, _ = _resolve_spec(params, spec)
     root = np.random.SeedSequence(seed)
 
     def block(i: int):
@@ -473,8 +472,7 @@ def forecast_acceptance(
     # imported here so that sampling alone never loads the quadrature
     from . import oracle
 
-    spec = _resolve_spec(params, spec)
-    eigenvalues = spectral.sym_eigen(params.p_matrix()).values
+    spec, eigenvalues = _resolve_spec(params, spec)
     # in log space: prod(d) and |P| both underflow for tiny kappa
     with np.errstate(divide="ignore"):
         log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))

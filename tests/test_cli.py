@@ -898,6 +898,8 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
     [
         (("sample", "--n", "10", "--shards", "-3"), "workers must be >= 1, got -3"),
         (("sample", "--n", "10", "--shards", "0"), "workers must be >= 1, got 0"),
+        (("sample", "--n", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("modes", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("sample", "--n", "0"), "n must be >= 1, got 0"),
         (("grid", "--n", "0"), "n must be >= 1, got 0"),
         (("grid", "--n", "-3"), "n must be >= 1, got -3"),

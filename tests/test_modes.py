@@ -489,6 +489,7 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
         ("starts_per_dim", 0),
         ("max_lattice_starts", 0),
         ("n_random_starts", -1),
+        ("seed", -1),
         ("max_iter", -1),
         ("max_halvings", -1),
         ("grad_tol", -1.0),

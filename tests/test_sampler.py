@@ -33,7 +33,7 @@ from mvmtorus import (
     sym_eigen,
     wrap_angles,
 )
-from mvmtorus import sampler
+from mvmtorus import sampler, spectral
 from mvmtorus.sampler import (
     BLOCK_SIZE,
     ENVELOPE_SLACK,
@@ -467,6 +467,30 @@ def test_sampler_rejects_fewer_than_one_worker():
             sample_mvm(params, 10, seed=0, workers=workers)
 
 
+def test_sampler_rejects_a_negative_seed():
+    params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_blocks(params, 10, seed=-1)  # checked before any iteration
+
+
+def test_sample_block_counts_trials_up_to_the_filling_proposal(monkeypatch):
+    # the first chunk (1024 proposals at quota 10) accepts 3, the second
+    # exactly the 7 missing ones, the last at index 600 and none after it:
+    # trials stop at that proposal, as when a chunk accepts more than needed
+    accepted = iter([[5, 100, 200], [0, 10, 20, 30, 40, 50, 600]])
+
+    def scripted(params, spec, c, s):
+        log_acc = np.full(len(c), -np.inf)
+        log_acc[next(accepted)] = 0.0
+        return log_acc
+
+    monkeypatch.setattr(sampler, "_log_acceptance", scripted)
+    spec = ProposalSpec.from_params(_REFERENCE)
+    draws, trials = sampler._sample_block(_REFERENCE, spec, 10, np.random.SeedSequence(0))
+    assert draws.shape == (10, 3)
+    assert trials == 1024 + 600 + 1
+
+
 def test_sampler_accounting_identity():
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
     batch = sample_mvm(params, 4_321, seed=2)
@@ -663,6 +687,22 @@ def test_sampler_rejects_spec_that_does_not_bound_params():
     with pytest.raises(ValueError, match="does not bound these parameters"):
         sample_mvm(swapped, 10, spec, seed=0)
     assert sample_mvm(params, 10, spec, seed=0).n == 10
+
+
+def test_from_params_checks_the_spec_it_builds(monkeypatch):
+    # an eigen-solver that overstates lambda_min(P) by 0.5: the bounds it
+    # yields pass the range test, but P - diag(d) is not semidefinite
+    real = spectral.sym_eigen
+
+    def overstated(a):
+        eig = real(a)
+        return spectral.SymEigen(values=eig.values + 0.5, vectors=eig.vectors)
+
+    monkeypatch.setattr(spectral, "sym_eigen", overstated)
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)  # lambda_min(P) = 1
+    for lambda_min in (None, 1.4):
+        with pytest.raises(ValueError, match="does not bound these parameters"):
+            ProposalSpec.from_params(params, lambda_min)
 
 
 def test_sampler_rejects_spec_of_other_dimension():
