@@ -898,14 +898,14 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
     [
         (("sample", "--n", "10", "--shards", "-3"), "workers must be >= 1, got -3"),
         (("sample", "--n", "10", "--shards", "0"), "workers must be >= 1, got 0"),
-        (("sample", "--n", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
-        (("modes", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("sample", "--n", "0"), "n must be >= 1, got 0"),
         (("grid", "--n", "0"), "n must be >= 1, got 0"),
         (("grid", "--n", "-3"), "n must be >= 1, got -3"),
         (("cube", "--grid-n", "-2"), "grid_n must be >= 0, got -2"),
         (("forecast", "--n-per-dim", "0"), "n_per_dim must be >= 16, got 0"),
         (("forecast", "--n-per-dim", "15"), "n_per_dim must be >= 16, got 15"),
+        (("sample", "--n", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("modes", "--seed", "-1"), "seed must be >= 0, got -1"),
     ],
 )
 def test_size_flags_below_minimum_are_input_errors(
