@@ -16,6 +16,13 @@ commands place their output by one rule:
 * when no payload is written anywhere, the manifest goes to
   ``<out>.manifest.json`` beside the CSV, or as one JSON line on stderr.
 
+The body is ``certificate`` for ``certify``, ``report`` for ``modes`` and
+``forecast`` for ``forecast`` (plus ``lambda_min_bound`` and
+``proposal_d``): each is its report object's fields in declaration order,
+converted by :func:`_plain`.  ``cube`` gives ``vertices``,
+``best_vertices`` and ``top_eigenvalue``, ``grid`` gives ``values`` and
+``sample`` gives ``draws``.
+
 The record is formatted after the payload or CSV is produced, so it can
 count what was produced (``sample`` streams its CSV block by block and
 learns ``trials`` only at the end) and its ``wall_time_s`` includes the
@@ -46,7 +53,8 @@ import os
 import sys
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
@@ -57,6 +65,7 @@ from .model import (
     BoundViolationError,
     MvmParams,
     NotPositiveDefiniteError,
+    TorusPoint,
 )
 
 if TYPE_CHECKING:
@@ -193,42 +202,24 @@ def params_dict(params: MvmParams) -> dict:
     }
 
 
-def certificate_dict(cert: modes.UnimodalityCertificate) -> dict:
-    return {
-        "verdict": cert.verdict.value,
-        "prop1_holds": cert.prop1_holds,
-        "cor1_holds": cert.cor1_holds,
-        "p_matrix": cert.p_matrix.tolist(),
-        "p_eigenvalues": cert.p_eigenvalues.tolist(),
-        "gershgorin": {
-            "centers": cert.gershgorin.centers.tolist(),
-            "radii": cert.gershgorin.radii.tolist(),
-            "excludes_zero": cert.gershgorin.excludes_zero,
-        },
-    }
-
-
-def critical_dict(point: modes.CriticalPoint) -> dict:
-    return {
-        "theta": point.theta.angles.tolist(),
-        "f_value": float(point.f_value),
-        "grad_norm": float(point.grad_norm),
-        "hessian_eigenvalues": point.hessian_eigenvalues.tolist(),
-        "kind": point.kind.value,
-    }
-
-
-def mode_report_dict(report: modes.ModeReport) -> dict:
-    return {
-        "n_maxima": report.n_maxima,
-        "extended_mode_suspected": report.extended_mode_suspected,
-        "search_meta": {
-            "starts_used": report.search_meta.starts_used,
-            "converged": report.search_meta.converged,
-            "seed": report.search_meta.seed,
-        },
-        "criticals": [critical_dict(c) for c in report.criticals],
-    }
+def _plain(value):
+    """A report object as JSON data: a ``TorusPoint`` as its angle list,
+    another dataclass as a dict of its fields in declaration order, a list
+    item by item, an ``Enum`` as its value and a numpy array or scalar by
+    ``tolist()``.  So the ``certify``, ``modes`` and ``forecast`` bodies are
+    their report objects' fields, and a field added there reaches ``--json``
+    unchanged."""
+    if isinstance(value, TorusPoint):
+        return value.angles.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def _json_text(doc: dict) -> str:
@@ -357,7 +348,7 @@ def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
     inconclusive = cert.verdict is modes.Verdict.INCONCLUSIVE
     return _Run(
         config={},
-        body=lambda: {"certificate": certificate_dict(cert)},
+        body=lambda: {"certificate": _plain(cert)},
         text=text,
         code=EXIT_INCONCLUSIVE if inconclusive else EXIT_OK,
     )
@@ -392,8 +383,8 @@ def _criticals_csv(report: modes.ModeReport, p: int) -> str:
 def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
     from . import modes
 
-    fields = [name for _, _, name in _SEARCH_FLAGS]
-    given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
+    names = [name for _, _, name in _SEARCH_FLAGS]
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     cfg = modes.SearchConfig(seed=seed, **given)
     report = modes.critical_points(params, cfg)
 
@@ -418,8 +409,8 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
         table = _criticals_csv(report, params.p)
         files = (("--criticals-csv", args.criticals_csv, lambda fh: fh.write(table)),)
     return _Run(
-        config={"search": {name: getattr(cfg, name) for name in fields}},
-        body=lambda: {"report": mode_report_dict(report)},
+        config={"search": {name: getattr(cfg, name) for name in names}},
+        body=lambda: {"report": _plain(report)},
         text=text,
         files=files,
         seed=seed,
@@ -486,13 +477,7 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
 
     return _Run(
         config=envelope,
-        body=lambda: {
-            "forecast": {
-                "asymptotic_rate": forecast.asymptotic_rate,
-                "exact_rate": forecast.exact_rate,
-                **envelope,
-            }
-        },
+        body=lambda: {"forecast": {**_plain(forecast), **envelope}},
         text=text,
     )
 

@@ -76,6 +76,8 @@ __all__ = [
 _POLISH_TRIGGER = 1e-6
 #: rounds of pseudo-inverse Newton polishing after the damped passes
 _POLISH_ROUNDS = 8
+#: step halvings a damped pass tries before it freezes a start
+_MAX_HALVINGS = 30
 #: relative slack when testing monotone improvement of f (absorbs roundoff)
 _F_SLACK = 1e-14
 #: largest per-coordinate step the solver will take
@@ -106,21 +108,20 @@ class UnimodalityCertificate:
     implies ``prop1_holds`` on every certificate.
     """
 
-    p_matrix: np.ndarray
+    verdict: Verdict
     prop1_holds: bool
     cor1_holds: bool
+    p_matrix: np.ndarray
     p_eigenvalues: np.ndarray
     gershgorin: spectral.GershgorinReport
-    verdict: Verdict
 
 
 def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     """Build P = diag(kappa) - Lambda and run both sufficient tests."""
     p_matrix = params.p_matrix()
-    report = spectral.gershgorin(p_matrix)
+    prop1, _, report = spectral._certified(p_matrix)
     # row dominance: centers are exactly kappa (Lambda has zero diagonal)
     cor1 = bool(np.all(report.centers > report.radii))
-    prop1, _ = spectral._certified(p_matrix)
     eigenvalues = spectral.sym_eigen(p_matrix).values
     if cor1:
         verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM
@@ -129,12 +130,12 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     else:
         verdict = Verdict.INCONCLUSIVE
     return UnimodalityCertificate(
-        p_matrix=p_matrix,
+        verdict=verdict,
         prop1_holds=prop1,
         cor1_holds=cor1,
+        p_matrix=p_matrix,
         p_eigenvalues=eigenvalues,
         gershgorin=report,
-        verdict=verdict,
     )
 
 
@@ -233,18 +234,12 @@ class SearchConfig:
     n_random_starts: int | None = None
     grad_tol: float = 1e-10
     max_iter: int = 80
-    max_halvings: int = 30
     dedup_radius: float = 1e-4
     degeneracy_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (
-            ("starts_per_dim", 1),
-            ("max_lattice_starts", 1),
-            ("max_iter", 0),
-            ("max_halvings", 0),
-        ):
+        for name, low in (("starts_per_dim", 1), ("max_lattice_starts", 1), ("max_iter", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_random_starts is not None and self.n_random_starts < 0:
@@ -270,10 +265,10 @@ class SearchMeta:
 class ModeReport:
     """All located critical points, deduplicated on the torus."""
 
-    criticals: list[CriticalPoint]
     n_maxima: int
     extended_mode_suspected: bool
     search_meta: SearchMeta
+    criticals: list[CriticalPoint]
 
     @property
     def maxima(self) -> list[CriticalPoint]:
@@ -357,7 +352,7 @@ def _damped_pass(
     steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
     until sign*f does not decrease (up to roundoff slack), or for a root
     until |grad|_inf falls by the factor (1 - 1e-4*step); a start that
-    cannot improve after ``max_halvings`` halvings is frozen.
+    cannot improve after ``_MAX_HALVINGS`` halvings is frozen.
     """
     th = starts.copy()
     alive = np.ones(len(th), dtype=bool)
@@ -392,7 +387,7 @@ def _damped_pass(
         pending = np.ones(len(cur), dtype=bool)
         moved = np.zeros(len(cur), dtype=bool)
         new = cur.copy()
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             if not pending.any():
                 break
             rows = np.flatnonzero(pending)
@@ -514,8 +509,8 @@ def critical_points(
         seed=cfg.seed,
     )
     return ModeReport(
-        criticals=unique,
         n_maxima=n_maxima,
         extended_mode_suspected=extended,
         search_meta=meta,
+        criticals=unique,
     )

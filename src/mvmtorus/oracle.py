@@ -121,7 +121,7 @@ def high_concentration_log_partition(params: MvmParams) -> float:
     """Laplace-type closed form (p/2) log(2*pi) - 0.5 log|P| + sum(kappa),
     valid when P = diag(kappa) - Lambda certifies and |S| > 0 (else ``ValueError``)."""
     p_matrix = params.p_matrix()
-    definite, scaled = spectral._certified(p_matrix)
+    definite, scaled, _ = spectral._certified(p_matrix)
     # row dominance can certify P while |S| rounds to 0 or below
     det_s = spectral.determinant(scaled) if definite and scaled is not None else 0.0
     if not det_s > 0.0:

@@ -311,36 +311,30 @@ def _sample_block(
     return out, trials
 
 
-def _gate(p_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The eigenvalues of P, ascending (the smallest may be <= 0 on a
-    nearly singular P), and the Jacobi-scaled P; ``NotPositiveDefiniteError``
-    unless P certifies."""
-    definite, scaled = spectral._certified(p_matrix)
-    eigenvalues = spectral.sym_eigen(p_matrix).values
-    if not definite:
-        raise NotPositiveDefiniteError(
-            "P is not certified positive definite (computed smallest eigenvalue "
-            f"{eigenvalues[0]:.6g}); see modes.certify_unimodal"
-        )
-    return eigenvalues, scaled
-
-
 def _resolve_spec(
     params: MvmParams, spec: ProposalSpec | None, lambda_min: float | None = None
 ) -> tuple[ProposalSpec, np.ndarray]:
-    """The one envelope check, and the eigenvalues of P from the gate.
+    """The one envelope check, and the eigenvalues of P, ascending (the
+    smallest may be <= 0 on a nearly singular P).
 
-    The spec checked is ``spec``, since a stale spec would break the bound,
-    or, when it is None, the spec that :meth:`ProposalSpec.from_params`
-    describes.  It must have the parameters' p and 0 < b <= lambda_min(P),
-    and P - diag(d) must pass the Cholesky test at -ENVELOPE_SLACK * max(1,
-    inf-norm of P), which absorbs the rounding of the eigen-solver that
-    built d."""
+    P must certify (``spectral._certified``), else
+    ``NotPositiveDefiniteError``.  The spec checked is ``spec``, since a
+    stale spec would break the bound, or, when it is None, the spec that
+    :meth:`ProposalSpec.from_params` describes.  It must have the
+    parameters' p and 0 < b <= lambda_min(P), and P - diag(d) must pass the
+    Cholesky test at -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs
+    the rounding of the eigen-solver that built d."""
     if spec is not None and spec.p != params.p:
         raise ValueError(f"spec is for p = {spec.p}, but the parameters have p = {params.p}")
     p_matrix = params.p_matrix()
-    eigenvalues, scaled = _gate(p_matrix)
+    definite, scaled, _ = spectral._certified(p_matrix)
+    eigenvalues = spectral.sym_eigen(p_matrix).values
     smallest = float(eigenvalues[0])
+    if not definite:
+        raise NotPositiveDefiniteError(
+            "P is not certified positive definite (computed smallest eigenvalue "
+            f"{smallest:.6g}); see modes.certify_unimodal"
+        )
     if spec is not None:
         bound, d = spec.lambda_min_bound, spec.d
     elif lambda_min is not None:

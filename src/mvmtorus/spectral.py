@@ -152,14 +152,15 @@ def gershgorin(a) -> GershgorinReport:
     return GershgorinReport(centers=centers, radii=radii, excludes_zero=excludes)
 
 
-def _certified(a: np.ndarray) -> tuple[bool, np.ndarray | None]:
-    """Whether A counts as positive definite, and S = ``_jacobi_scaled(A)``:
-    yes when each diagonal entry exceeds its Gershgorin radius (exact at any
-    margin), or else when S passes :func:`is_positive_definite`."""
+def _certified(a: np.ndarray) -> tuple[bool, np.ndarray | None, GershgorinReport]:
+    """Whether A counts as positive definite, S = ``_jacobi_scaled(A)`` and
+    the Gershgorin report of A: yes when each diagonal entry exceeds its
+    Gershgorin radius (exact at any margin), or else when S passes
+    :func:`is_positive_definite`."""
     report = gershgorin(a)
     scaled = _jacobi_scaled(a)
     dominant = bool(np.all(report.centers > report.radii))
-    return dominant or (scaled is not None and is_positive_definite(scaled)), scaled
+    return dominant or (scaled is not None and is_positive_definite(scaled)), scaled, report
 
 
 def _solve_stack(

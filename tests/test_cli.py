@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_COUPLING, RING_COUPLING, TWO_MODE_COUPLING, csv_writer_text
 import mvmtorus
-from mvmtorus import MvmParams, ProposalSpec, cli, modes, oracle, sampler
+from mvmtorus import MvmParams, ProposalSpec, cli, modes, oracle, sampler, spectral
 
 
 def run_cli(*argv, cwd=None):
@@ -844,6 +845,87 @@ def test_json_reports_round_trip(reference_file, argv):
     out = run_cli(*argv, "--params", reference_file, "--json")
     doc = json.loads(out.stdout)
     assert json.loads(json.dumps(doc)) == doc
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _json_payload(capsys, *argv):
+    assert cli.main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[0] == "manifest"
+    return doc
+
+
+# the body keys are pinned twice: to the report object's fields in order,
+# and to the literal keys, so a renamed field cannot rename a key unseen
+
+
+def test_certify_json_keys_are_the_certificate_fields(reference_file, capsys):
+    cert = _json_payload(capsys, "certify", "--params", reference_file)["certificate"]
+    assert list(cert) == _field_names(modes.UnimodalityCertificate) == [
+        "verdict", "prop1_holds", "cor1_holds", "p_matrix", "p_eigenvalues", "gershgorin",
+    ]
+    assert list(cert["gershgorin"]) == _field_names(spectral.GershgorinReport) == [
+        "centers", "radii", "excludes_zero",
+    ]
+    assert cert["verdict"] == "CertifiedUnimodal"
+
+
+def test_modes_json_keys_are_the_report_fields(reference_file, capsys):
+    report = _json_payload(capsys, "modes", "--params", reference_file)["report"]
+    assert list(report) == _field_names(modes.ModeReport) == [
+        "n_maxima", "extended_mode_suspected", "search_meta", "criticals",
+    ]
+    assert list(report["search_meta"]) == _field_names(modes.SearchMeta) == [
+        "starts_used", "converged", "seed",
+    ]
+    assert len(report["criticals"]) > 1
+    for point in report["criticals"]:
+        assert list(point) == _field_names(modes.CriticalPoint) == [
+            "theta", "f_value", "grad_norm", "hessian_eigenvalues", "kind",
+        ]
+        assert len(point["theta"]) == 3
+
+
+def test_forecast_json_keys_are_the_forecast_fields(reference_file, capsys):
+    forecast = _json_payload(capsys, "forecast", "--params", reference_file)["forecast"]
+    envelope = ["lambda_min_bound", "proposal_d"]
+    assert list(forecast) == _field_names(sampler.AcceptanceForecast) + envelope == [
+        "asymptotic_rate", "exact_rate", "lambda_min_bound", "proposal_d",
+    ]
+
+
+@dataclasses.dataclass(frozen=True)
+class _NumpyReport:
+    flag: np.bool_
+    count: np.int64
+    value: np.float64
+    kind: modes.PointKind
+    point: mvmtorus.TorusPoint
+    inner: list
+
+
+def test_plain_gives_json_data_for_numpy_scalars():
+    report = _NumpyReport(
+        flag=np.bool_(True),
+        count=np.int64(3),
+        value=np.float64(0.25),
+        kind=modes.PointKind.SADDLE,
+        point=mvmtorus.TorusPoint(np.array([1.0, 2.0])),
+        inner=[modes.SearchMeta(starts_used=np.int64(4), converged=2, seed=0)],
+    )
+    doc = cli._plain(report)
+    assert json.loads(json.dumps(doc, allow_nan=False)) == {
+        "flag": True,
+        "count": 3,
+        "value": 0.25,
+        "kind": "Saddle",
+        "point": [1.0, 2.0],
+        "inner": [{"starts_used": 4, "converged": 2, "seed": 0}],
+    }
+    assert [type(doc[k]) for k in ("flag", "count", "value")] == [bool, int, float]
 
 
 def test_eta_conflicts_with_explicit_coupling(tmp_path):

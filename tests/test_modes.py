@@ -491,7 +491,6 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
         ("n_random_starts", -1),
         ("seed", -1),
         ("max_iter", -1),
-        ("max_halvings", -1),
         ("grad_tol", -1.0),
         ("grad_tol", float("inf")),
         ("dedup_radius", 0.0),
@@ -510,7 +509,6 @@ def test_search_config_accepts_smallest_values():
         max_lattice_starts=1,
         n_random_starts=0,
         max_iter=0,
-        max_halvings=0,
         grad_tol=1e-300,
         dedup_radius=1e-300,
         degeneracy_tol=1e-300,
