@@ -124,8 +124,9 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
     Keys: ``p`` (optional, checked), ``mu`` (optional, default 0),
     ``kappa``, ``lambda``, ``seed`` (optional), or the convenience key
     ``eta`` which expands to the six-mode benchmark family (p=3,
-    kappa = sin(eta) * 1, the fixed ring coupling).  With ``degrees`` the
-    angular fields (mu, eta) are converted on ingestion.
+    kappa = sin(eta) * 1, the fixed ring coupling), then parsed as those
+    fields.  With ``degrees`` the angular fields (mu, eta) are converted on
+    ingestion.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -155,31 +156,26 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
     if "eta" in doc:
         if "kappa" in doc or "lambda" in doc:
             raise InputError("field 'eta' replaces 'kappa' and 'lambda'")
-        eta = float(doc["eta"])
-        if degrees:
-            eta = np.deg2rad(eta)
         if doc.get("p", 3) != 3:
             raise InputError("field 'eta' implies p=3")
-        kappa = [float(np.sin(eta))] * 3
-        lam = [list(row) for row in RING_COUPLING]
-        mu = _as_float_list(doc.get("mu", [0.0, 0.0, 0.0]), "mu", 3)
-    else:
-        if "kappa" not in doc:
-            raise InputError("missing required field 'kappa'")
-        if "lambda" not in doc:
-            raise InputError("missing required field 'lambda'")
-        kappa = _as_float_list(doc["kappa"], "kappa")
-        p = len(kappa)
-        if not p:
-            raise InputError("field 'kappa' must hold at least one number")
-        if "p" in doc and doc["p"] != p:
-            raise InputError(f"field 'p' = {doc['p']} but 'kappa' has length {p}")
-        lam_doc = doc["lambda"]
-        if not isinstance(lam_doc, (list, tuple)) or len(lam_doc) != p:
-            raise InputError(f"field 'lambda' must be a {p}x{p} array of arrays")
-        lam = [_as_float_list(row, f"lambda[{i}]", p) for i, row in enumerate(lam_doc)]
-        mu = _as_float_list(doc.get("mu", [0.0] * p), "mu", p)
+        eta = np.deg2rad(float(doc["eta"])) if degrees else float(doc["eta"])
+        doc = {**doc, "kappa": [float(np.sin(eta))] * 3, "lambda": RING_COUPLING}
 
+    if "kappa" not in doc:
+        raise InputError("missing required field 'kappa'")
+    if "lambda" not in doc:
+        raise InputError("missing required field 'lambda'")
+    kappa = _as_float_list(doc["kappa"], "kappa")
+    p = len(kappa)
+    if not p:
+        raise InputError("field 'kappa' must hold at least one number")
+    if "p" in doc and doc["p"] != p:
+        raise InputError(f"field 'p' = {doc['p']} but 'kappa' has length {p}")
+    lam_doc = doc["lambda"]
+    if not isinstance(lam_doc, (list, tuple)) or len(lam_doc) != p:
+        raise InputError(f"field 'lambda' must be a {p}x{p} array of arrays")
+    lam = [_as_float_list(row, f"lambda[{i}]", p) for i, row in enumerate(lam_doc)]
+    mu = _as_float_list(doc.get("mu", [0.0] * p), "mu", p)
     if degrees:
         mu = list(np.deg2rad(mu))
     try:
@@ -191,15 +187,6 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def params_dict(params: MvmParams) -> dict:
-    return {
-        "p": params.p,
-        "mu": params.mu.angles.tolist(),
-        "kappa": params.kappa.tolist(),
-        "lambda": params.lam.tolist(),
-    }
 
 
 def _plain(value):
@@ -228,18 +215,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _write(path: str, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on a new UTF-8 file at ``path``; a write that raises
-    (say, a grid too large to allocate) leaves no file behind."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        try:
-            write(fh)
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
-
-
 # ---------------------------------------------------------------------------
 # the run record
 
@@ -266,15 +241,22 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
     """Write the outputs of ``run`` and then its one record by the rule in
     the module docstring; return the run's exit code.  Paths that name one
     file are rejected before anything is written.  If anything fails,
-    formatting the record included, every file written so far is
-    removed."""
+    formatting the record included, every file opened so far is removed,
+    the one whose writer raised (say, a grid too large to allocate)
+    among them."""
 
     def record() -> dict:
+        params_doc = {
+            "p": params.p,
+            "mu": params.mu.angles.tolist(),
+            "kappa": params.kappa.tolist(),
+            "lambda": params.lam.tolist(),
+        }
         return {
             "command": args.command,
             "version": __version__,
             "seed": run.seed,
-            "config": {"params": params_dict(params), **run.config},
+            "config": {"params": params_doc, **run.config},
             "wall_time_s": time.perf_counter() - started,
             **run.extras(),
         }
@@ -294,8 +276,9 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
     written = []
 
     def write(path: str, writer: Callable[[TextIO], None]) -> None:
-        _write(path, writer)
-        written.append(path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            written.append(path)
+            writer(fh)
 
     try:
         for _, path, writer in run.files:

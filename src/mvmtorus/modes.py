@@ -31,8 +31,10 @@ order) before classification, so only the surviving points are
 classified.  They are classified in one batch: stacked Hessians from
 :func:`mvmtorus.model.hessian_many`, their spectra from one stacked
 ``eigvalsh``, and f from :func:`mvmtorus.model.exponent_many`.
-:func:`classify_critical` runs the same batch path on a single row, so
-both give identical results.
+:func:`classify_critical` runs the same batch path on a single row.  It
+gives the same kind, but numpy may take another BLAS path for one row than
+for a stack, so its eigenvalues and f can differ from the search's in the
+last bits (at most a few eps * max(1, f range)).
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ _MAX_HALVINGS = 30
 _F_SLACK = 1e-14
 #: largest per-coordinate step the solver will take
 _MAX_STEP = np.pi / 2
+#: lattice starts kept when the ``starts_per_dim**p`` lattice is larger
+_MAX_LATTICE_STARTS = 256
 
 
 class Verdict(enum.Enum):
@@ -215,22 +219,23 @@ class SearchConfig:
 
     The start set is the lattice ``mu + {pi/m + k*2pi/m}^p`` (anchored at
     odd multiples of pi/m so starts never coincide with the kappa=0
-    extremum grid), truncated to ``max_lattice_starts`` by a seeded
-    subsample when ``m**p`` exceeds it, plus ``n_random_starts`` seeded
-    uniform starts (defaults to 32 for p <= 4, else 256).  The subsample
-    is drawn as lattice indices (above 2**63 - 1 points, as digits per
-    coordinate) and only the chosen rows are built, so the start set takes
-    O((max_lattice_starts + n_random_starts) * p) memory whatever ``m**p``
-    is.  A point counts as critical when its gradient sup-norm is below
-    ``grad_tol``, or below the roundoff floor
-    64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|) of the gradient where
-    that is larger (from kappa of about 1e6 up; a fixed level would drop
-    every point the gradient cannot resolve that finely).  Out-of-range
-    values raise ``ValueError`` on construction.
+    extremum grid), truncated to a fixed 256 rows by a seeded subsample
+    when ``m**p`` exceeds that, plus ``n_random_starts`` seeded uniform
+    starts (defaults to 32 for p <= 4, else 256).  The subsample is drawn
+    as lattice indices (above 2**63 - 1 points, as digits per coordinate)
+    and only the chosen rows are built, so the start set takes
+    O((256 + n_random_starts) * p) memory whatever ``m**p`` is.  A point
+    counts as critical when its gradient sup-norm is below ``grad_tol``, or
+    below the roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|)
+    of the gradient where that is larger (from kappa of about 1e6 up; a
+    fixed level would drop every point the gradient cannot resolve that
+    finely).  ``dedup_radius`` is at most pi: no two points of the torus
+    are further apart in the sup-metric, so a larger radius would merge
+    every point into one.  Out-of-range values raise ``ValueError`` on
+    construction.
     """
 
     starts_per_dim: int = 4
-    max_lattice_starts: int = 256
     n_random_starts: int | None = None
     grad_tol: float = 1e-10
     max_iter: int = 80
@@ -239,7 +244,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("starts_per_dim", 1), ("max_lattice_starts", 1), ("max_iter", 0)):
+        for name, low in (("starts_per_dim", 1), ("max_iter", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_random_starts is not None and self.n_random_starts < 0:
@@ -250,8 +255,9 @@ class SearchConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("grad_tol", "dedup_radius", "degeneracy_tol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            span, high = ("in (0, pi]", np.pi) if name == "dedup_radius" else ("> 0", np.inf)
+            if not (np.isfinite(value) and 0.0 < value <= high):
+                raise ValueError(f"{name} must be finite and {span}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -289,24 +295,24 @@ class ModeReport:
 
 def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
     """The lattice starts (all ``m**p`` rows in C order, or the seeded
-    subsample of ``max_lattice_starts`` of them, kept in lattice order)
+    subsample of ``_MAX_LATTICE_STARTS`` of them, kept in lattice order)
     followed by the random starts, shifted by mu and wrapped.  Lattice rows
     are built from their indices alone, so memory is
-    O((max_lattice_starts + n_random) * p) however large ``m**p`` is.
+    O((_MAX_LATTICE_STARTS + n_random) * p) however large ``m**p`` is.
     Beyond int64 indices the digits are drawn per coordinate, and a
     repeated row (odds below 1e-14 for 256 rows) is dropped."""
     p = params.p
     m = cfg.starts_per_dim
     size = m**p
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
-    if size <= cfg.max_lattice_starts:
-        lattice = lattice_rows(offsets, p)
-    elif size < 2**63:
-        index = rng.choice(size, size=cfg.max_lattice_starts, replace=False)
-        lattice = lattice_rows(offsets, p, np.sort(index))
+    if size < 2**63:
+        index = None  # the whole lattice fits
+        if size > _MAX_LATTICE_STARTS:
+            index = np.sort(rng.choice(size, size=_MAX_LATTICE_STARTS, replace=False))
+        lattice = lattice_rows(offsets, p, index)
     else:
         # np.unique sorts the digit rows into lattice (C) order
-        lattice = offsets[np.unique(rng.integers(m, size=(cfg.max_lattice_starts, p)), axis=0)]
+        lattice = offsets[np.unique(rng.integers(m, size=(_MAX_LATTICE_STARTS, p)), axis=0)]
     n_random = cfg.n_random_starts
     if n_random is None:
         n_random = 32 if p <= 4 else 256
@@ -406,9 +412,10 @@ def _damped_pass(
     return th
 
 
-def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
+def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``_POLISH_ROUNDS`` rounds of pseudo-inverse Newton on the
-    gradient, row by row.
+    gradient, row by row; returns each row's best iterate and its gradient
+    sup-norm, as measured by ``grad_many`` at that iterate.
 
     Eigen-directions (``eigh``) with |eigenvalue| below
     1e-8 * max(1, |H|_inf) are dropped, so flat ridge directions are left
@@ -440,7 +447,7 @@ def _polish(params: MvmParams, points: np.ndarray) -> np.ndarray:
         best_norm[live[better]] = norm[better]
         stay = better | (best_norm[live] > _POLISH_TRIGGER)
         live, cur, g = live[stay], cur[stay], g[stay]
-    return best
+    return best, best_norm
 
 
 def _first_kept(rows: np.ndarray, radius: float) -> np.ndarray:
@@ -477,21 +484,19 @@ def critical_points(
     """Locate and classify the critical points of the exponent.
 
     Non-convergent starts are simply dropped (counted in ``search_meta``);
-    every reported point re-checks ``|grad|_inf`` against ``cfg.grad_tol``
-    (or the gradient's roundoff floor, where larger) on a fresh
-    evaluation.  Results are deterministic for a fixed ``cfg.seed``.
+    every reported point checks ``|grad|_inf`` against ``cfg.grad_tol``
+    (or the gradient's roundoff floor, where larger) by the norm the polish
+    measured at that point, which is also its reported ``grad_norm``.
+    Results are deterministic for a fixed ``cfg.seed``.
     """
     if cfg is None:
         cfg = SearchConfig()
     rng = np.random.default_rng(cfg.seed)
     starts = _start_points(params, cfg, rng)
 
-    pool = _polish(
+    pool, norms = _polish(
         params, np.vstack([_damped_pass(params, starts, sign, cfg) for sign in (1.0, -1.0, 0.0)])
     )
-
-    grads = grad_many(params, pool)
-    norms = np.max(np.abs(grads), axis=1)
     converged_mask = norms < _critical_tol(params, cfg.grad_tol)
     converged = pool[converged_mask]
     kept = _first_kept(converged, cfg.dedup_radius)

@@ -149,17 +149,18 @@ def first_kept_oracle(rows, radius: float) -> list[int]:
     return kept
 
 
-def start_points_oracle(params: MvmParams, cfg, rng) -> np.ndarray:
+def start_points_oracle(params: MvmParams, cfg, rng, max_lattice: int) -> np.ndarray:
     """The mode-search start set from the whole ``m**p`` lattice, built by
-    ``meshgrid`` and stacked before the seeded subsample is taken.
-    Reference for the index-built start set in ``mvmtorus.modes``."""
+    ``meshgrid`` and stacked before the seeded subsample of ``max_lattice``
+    rows is taken.  Reference for the index-built start set in
+    ``mvmtorus.modes``."""
     p = params.p
     m = cfg.starts_per_dim
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
     grids = np.meshgrid(*([offsets] * p), indexing="ij")
     lattice = np.stack([g.ravel() for g in grids], axis=-1)
-    if len(lattice) > cfg.max_lattice_starts:
-        pick = rng.choice(len(lattice), size=cfg.max_lattice_starts, replace=False)
+    if len(lattice) > max_lattice:
+        pick = rng.choice(len(lattice), size=max_lattice, replace=False)
         lattice = lattice[np.sort(pick)]
     n_random = cfg.n_random_starts
     if n_random is None:
@@ -185,12 +186,12 @@ def solve_stack_oracle(a, b, tol, definite):
     return ok, x
 
 
-def polish_oracle(params: MvmParams, points: np.ndarray) -> np.ndarray:
+def polish_oracle(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eight rounds of pseudo-inverse Newton on every row, eigen-directions
     below 1e-8 * max(1, |H|_inf) dropped and steps capped at pi/2 per
-    coordinate, keeping each row's iterate of smallest gradient norm.
-    Reference for ``mvmtorus.modes._polish``, which retires a row once it
-    stops improving at roundoff."""
+    coordinate, keeping each row's iterate of smallest gradient norm, with
+    that norm.  Reference for ``mvmtorus.modes._polish``, which retires a
+    row once it stops improving at roundoff."""
     cur = points.copy()
     g = grad_many(params, cur)
     best, best_norm = cur.copy(), np.max(np.abs(g), axis=1)
@@ -209,7 +210,7 @@ def polish_oracle(params: MvmParams, points: np.ndarray) -> np.ndarray:
         better = norm < best_norm
         best[better] = cur[better]
         best_norm[better] = norm[better]
-    return best
+    return best, best_norm
 
 
 def eager_blocks_oracle(params: MvmParams, n: int, spec, seed: int):

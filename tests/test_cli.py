@@ -285,6 +285,8 @@ def test_criticals_csv_matches_csv_writer(coupling):
         ("--dedup-radius", "-1", "dedup_radius"),
         ("--dedup-radius", "nan", "dedup_radius"),
         ("--degeneracy-tol", "nan", "degeneracy_tol"),
+        # above pi every point of the torus would merge into one
+        ("--dedup-radius", "10", "dedup_radius"),
     ],
 )
 def test_modes_rejects_bad_search_flags(reference_file, capsys, flag, value, field):
@@ -937,6 +939,51 @@ def test_eta_conflicts_with_explicit_coupling(tmp_path):
     assert "eta" in out.stderr
 
 
+def _parsed(path, degrees):
+    """The parsed arrays' bytes, or the input error's message."""
+    try:
+        params, _ = cli.load_param_file(path, degrees)
+    except cli.InputError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (params.mu.angles, params.kappa, params.lam)]
+
+
+@pytest.mark.parametrize("degrees", [False, True])
+@pytest.mark.parametrize("eta", [0.1, -0.7, 2.0])
+def test_eta_file_parses_as_its_explicit_kappa_and_lambda(tmp_path, eta, degrees):
+    # a negative eta gives a negative kappa, refused alike in both files
+    mu = [0.5, 200.0, -3.0]
+    angle = np.deg2rad(eta) if degrees else eta
+    explicit = write_params(
+        tmp_path / "explicit.json",
+        mu=mu,
+        kappa=[float(np.sin(angle))] * 3,
+        **{"lambda": [list(r) for r in RING_COUPLING]},
+    )
+    eta_file = write_params(tmp_path / "eta.json", eta=eta, mu=mu)
+    assert _parsed(eta_file, degrees) == _parsed(explicit, degrees)
+    assert isinstance(_parsed(eta_file, degrees), str) == (eta < 0)
+
+
+def test_eta_file_accepts_p_3_as_a_float(tmp_path):
+    params, _ = cli.load_param_file(write_params(tmp_path / "eta.json", eta=0.1, p=3.0))
+    assert params.p == 3
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"eta": 0.1, "kappa": [1.0, 1.0, 1.0]}, "field 'eta' replaces 'kappa' and 'lambda'"),
+        ({"eta": 0.1, "p": 4}, "field 'eta' implies p=3"),
+        ({"eta": 0.1, "mu": [0.0, 1.0]}, "field 'mu' must have length 3, got 2"),
+    ],
+)
+def test_eta_file_input_errors(tmp_path, capsys, fields, message):
+    path = write_params(tmp_path / "eta.json", **fields)
+    assert cli.main(["certify", "--params", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # non-finite input
 
@@ -1013,6 +1060,16 @@ def test_unwritable_out_is_an_input_error(reference_file, tmp_path, capsys, argv
     assert captured.out == ""
     # nothing is left, not even the criticals CSV written before --out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+def test_unwritable_out_removes_the_six_mode_criticals_csv(tmp_path, capsys):
+    # the criticals CSV is written first; --out cannot be opened after it
+    params = write_params(tmp_path / "six.json", eta=0.1)
+    crit, out = tmp_path / "c.csv", tmp_path / "missing" / "o.json"
+    argv = ["modes", "--params", params, "--criticals-csv", str(crit), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["six.json"]
 
 
 @pytest.mark.parametrize("argv", [["sample", "--n", "10"], ["grid", "--n", "3"]])

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,10 @@ def _params(kappa, lam, mu=None):
     kappa = np.asarray(kappa, dtype=float)
     mu = np.zeros(kappa.size) if mu is None else np.asarray(mu)
     return MvmParams(mu=mu, kappa=kappa, lam=lam)
+
+
+def _f_range(params):
+    return float(np.sum(params.kappa) + 0.5 * np.sum(np.abs(params.lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,35 @@ def test_search_points_match_classify_critical():
         assert ref.f_value == c.f_value
 
 
+@pytest.mark.parametrize("p", [6, 8])
+def test_classify_critical_agrees_with_the_search_to_roundoff(p):
+    # numpy may take another BLAS path for one row than for a stack, so off
+    # the six-mode set the spectra and f may differ in the last bits
+    params = random_params(np.random.default_rng(p), p)
+    cfg = SearchConfig()
+    report = critical_points(params, cfg)
+    assert report.criticals
+    tol = 4 * np.finfo(float).eps * max(1.0, _f_range(params))
+    for c in report.criticals:
+        ref = classify_critical(params, c.theta, cfg.degeneracy_tol, cfg.grad_tol)
+        assert ref.kind is c.kind
+        assert np.max(np.abs(ref.hessian_eigenvalues - c.hessian_eigenvalues)) <= tol
+        assert abs(ref.f_value - c.f_value) <= tol
+
+
+@pytest.mark.parametrize("p", [3, 6, 8])
+def test_reported_gradient_norms_are_the_polished_norms(p):
+    # the polish measures each norm with grad_many on its live rows; the
+    # same rows stacked in report order agree to roundoff
+    params = random_params(np.random.default_rng(p), p)
+    report = critical_points(params)
+    rows = np.stack([c.theta.angles for c in report.criticals])
+    expected = np.max(np.abs(grad_many(params, rows)), axis=1)
+    reported = np.array([c.grad_norm for c in report.criticals])
+    tol = 4 * np.finfo(float).eps * max(1.0, _f_range(params))
+    assert np.all(np.abs(reported - expected) <= tol)
+
+
 def _as_criticals(rows):
     p = rows.shape[1]
     return [
@@ -487,7 +521,6 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
     "field,value",
     [
         ("starts_per_dim", 0),
-        ("max_lattice_starts", 0),
         ("n_random_starts", -1),
         ("seed", -1),
         ("max_iter", -1),
@@ -496,6 +529,8 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
         ("dedup_radius", 0.0),
         ("dedup_radius", float("nan")),
         ("degeneracy_tol", float("nan")),
+        # no two points of the torus are more than pi apart in the sup-metric
+        ("dedup_radius", 3.2),
     ],
 )
 def test_search_config_rejects_out_of_range(field, value):
@@ -506,7 +541,6 @@ def test_search_config_rejects_out_of_range(field, value):
 def test_search_config_accepts_smallest_values():
     cfg = SearchConfig(
         starts_per_dim=1,
-        max_lattice_starts=1,
         n_random_starts=0,
         max_iter=0,
         grad_tol=1e-300,
@@ -527,21 +561,23 @@ def _start_case(draw):
     m = draw(st.integers(1, 5))
     cfg = SearchConfig(
         starts_per_dim=m,
-        max_lattice_starts=draw(st.integers(1, m**p + 2)),
         n_random_starts=draw(st.one_of(st.none(), st.integers(0, 8))),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     mu = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, size=p)
-    return MvmParams(mu=mu, kappa=np.ones(p), lam=np.zeros((p, p))), cfg
+    params = MvmParams(mu=mu, kappa=np.ones(p), lam=np.zeros((p, p)))
+    return params, cfg, draw(st.integers(1, m**p + 2))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_start_case())
 def test_start_points_match_the_stacked_lattice(case):
-    params, cfg = case
+    # the lattice limit is drawn small, so the subsample meets small lattices
+    params, cfg, max_lattice = case
     rng, oracle_rng = (np.random.default_rng(cfg.seed) for _ in range(2))
-    starts = _start_points(params, cfg, rng)
-    expected = start_points_oracle(params, cfg, oracle_rng)
+    with mock.patch.object(modes, "_MAX_LATTICE_STARTS", max_lattice):
+        starts = _start_points(params, cfg, rng)
+    expected = start_points_oracle(params, cfg, oracle_rng, max_lattice)
     assert starts.shape == expected.shape
     assert starts.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -558,7 +594,7 @@ def test_start_points_memory_is_independent_of_the_lattice_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert starts.shape == (cfg.max_lattice_starts + 256, p)
+    assert starts.shape == (modes._MAX_LATTICE_STARTS + 256, p)
     assert peak < 1 << 20
 
 
@@ -569,7 +605,7 @@ def test_start_lattice_size_limit(m, p, fits):
     params = MvmParams(mu=np.zeros(p), kappa=np.ones(p), lam=np.zeros((p, p)))
     cfg = SearchConfig(starts_per_dim=m, n_random_starts=0)
     starts = _start_points(params, cfg, np.random.default_rng(0))
-    assert starts.shape == (cfg.max_lattice_starts, p)
+    assert starts.shape == (modes._MAX_LATTICE_STARTS, p)
     offsets = np.pi / m + np.arange(m) * (TWO_PI / m)
     digits = np.abs(starts[:, :, None] - offsets).argmin(axis=2)
     # rows are lattice points, unique and in lattice (C) order
@@ -577,7 +613,7 @@ def test_start_lattice_size_limit(m, p, fits):
     assert all(tuple(a) < tuple(b) for a, b in zip(digits[:-1], digits[1:]))
     assert np.array_equal(_start_points(params, cfg, np.random.default_rng(0)), starts)
     if not fits:
-        drawn = np.random.default_rng(0).integers(m, size=(cfg.max_lattice_starts, p))
+        drawn = np.random.default_rng(0).integers(m, size=(modes._MAX_LATTICE_STARTS, p))
         assert np.array_equal(digits, np.unique(drawn, axis=0))
 
 
