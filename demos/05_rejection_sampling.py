@@ -35,7 +35,7 @@ spec = ProposalSpec.from_params(params)
 print("eigenvalue lower bound:", spec.lambda_min_bound)
 print("envelope diagonal d:", spec.d)
 
-forecast = forecast_acceptance(params, spec, with_exact=True)
+forecast = forecast_acceptance(params, spec)
 print("forecast acceptance: asymptotic", round(forecast.asymptotic_rate, 5),
       "| exact", round(forecast.exact_rate, 5))
 
@@ -84,6 +84,6 @@ scalar = ProposalSpec.from_params(hetero, lambda_min=jacobi.lambda_min_bound)
 print("\nkappa = (2, 8, 8, 30): eigenvalue bound b =", round(jacobi.lambda_min_bound, 5))
 print("  chosen d:", np.round(jacobi.d, 5))
 for label, candidate in (("scalar b*1", scalar), ("Jacobi", jacobi)):
-    f = forecast_acceptance(hetero, candidate, with_exact=True, n_per_dim=32)
+    f = forecast_acceptance(hetero, candidate, n_per_dim=32)
     print(f"  {label:<10} forecast acceptance: asymptotic {f.asymptotic_rate:.5f}"
           f" | exact {f.exact_rate:.5f}")

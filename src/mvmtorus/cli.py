@@ -17,9 +17,8 @@ commands place their output by one rule:
   ``<out>.manifest.json`` beside the CSV, or as one JSON line on stderr.
 
 The body is ``certificate`` for ``certify``, ``report`` for ``modes`` and
-``forecast`` for ``forecast`` (plus ``lambda_min_bound`` and
-``proposal_d``): each is its report object's fields in declaration order,
-converted by :func:`_plain`.  ``cube`` gives ``vertices``,
+``forecast`` for ``forecast``: each is its report object's fields in
+declaration order, converted by :func:`_plain`.  ``cube`` gives ``vertices``,
 ``best_vertices`` and ``top_eigenvalue``, ``grid`` gives ``values`` and
 ``sample`` gives ``draws``.
 
@@ -82,10 +81,6 @@ EXIT_SAMPLER_PRECONDITION = 3
 RING_COUPLING = ((0.0, -1.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 0.0))
 
 
-class InputError(Exception):
-    """Parameter-file or flag problem; maps to exit code 1."""
-
-
 #: what a JSON value that is not a number is, by its Python type, in the
 #: singular and the plural (true and false load as Python ints)
 _NOT_NUMBERS = {
@@ -98,23 +93,23 @@ _NOT_NUMBERS = {
 
 
 def _as_float(value, key: str, plural: bool = False) -> float:
-    """``value`` as a float if it is a JSON number, else an InputError that
+    """``value`` as a float if it is a JSON number, else a ValueError that
     names ``key``; ``plural`` words it for a member of an array."""
     if type(value) in _NOT_NUMBERS:
         what = "contain numbers" if plural else "be a number"
-        raise InputError(f"field '{key}' must {what}, not {_NOT_NUMBERS[type(value)][plural]}")
+        raise ValueError(f"field '{key}' must {what}, not {_NOT_NUMBERS[type(value)][plural]}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise InputError(f"field '{key}': {exc}") from None
+        raise ValueError(f"field '{key}': {exc}") from None
 
 
 def _as_float_list(value, key: str, length: int | None = None) -> list[float]:
     if not isinstance(value, (list, tuple)):
-        raise InputError(f"field '{key}' must be an array")
+        raise ValueError(f"field '{key}' must be an array")
     out = [_as_float(v, key, plural=True) for v in value]
     if length is not None and len(out) != length:
-        raise InputError(f"field '{key}' must have length {length}, got {len(out)}")
+        raise ValueError(f"field '{key}' must have length {length}, got {len(out)}")
     return out
 
 
@@ -126,62 +121,62 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
     ``eta`` which expands to the six-mode benchmark family (p=3,
     kappa = sin(eta) * 1, the fixed ring coupling), then parsed as those
     fields.  With ``degrees`` the angular fields (mu, eta) are converted on
-    ingestion.
+    ingestion.  Every problem with the file, the checks of
+    :class:`MvmParams` included, raises ``ValueError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read parameter file: {exc}") from None
+        raise ValueError(f"cannot read parameter file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     if not isinstance(doc, dict):
-        raise InputError("parameter file must contain a JSON object")
+        raise ValueError("parameter file must contain a JSON object")
 
     known = {"p", "mu", "kappa", "lambda", "seed", "eta"}
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise InputError(f"unknown field(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown field(s): {', '.join(unknown)}")
 
     seed = doc.get("seed")
-    if seed is not None:
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise InputError("field 'seed' must be a non-negative integer")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ValueError("field 'seed' must be a non-negative integer")
     for key in ("p", "eta"):
         if key in doc:
             _as_float(doc[key], key)
 
     if "eta" in doc:
         if "kappa" in doc or "lambda" in doc:
-            raise InputError("field 'eta' replaces 'kappa' and 'lambda'")
+            raise ValueError("field 'eta' replaces 'kappa' and 'lambda'")
         if doc.get("p", 3) != 3:
-            raise InputError("field 'eta' implies p=3")
-        eta = np.deg2rad(float(doc["eta"])) if degrees else float(doc["eta"])
-        doc = {**doc, "kappa": [float(np.sin(eta))] * 3, "lambda": RING_COUPLING}
+            raise ValueError("field 'eta' implies p=3")
+        eta = float(doc["eta"])
+        if not np.isfinite(eta):
+            raise ValueError(f"field 'eta' must be finite, got {eta}")
+        kappa = float(np.sin(np.deg2rad(eta) if degrees else eta))
+        doc = {**doc, "kappa": [kappa] * 3, "lambda": RING_COUPLING}
 
     if "kappa" not in doc:
-        raise InputError("missing required field 'kappa'")
+        raise ValueError("missing required field 'kappa'")
     if "lambda" not in doc:
-        raise InputError("missing required field 'lambda'")
+        raise ValueError("missing required field 'lambda'")
     kappa = _as_float_list(doc["kappa"], "kappa")
     p = len(kappa)
     if not p:
-        raise InputError("field 'kappa' must hold at least one number")
+        raise ValueError("field 'kappa' must hold at least one number")
     if "p" in doc and doc["p"] != p:
-        raise InputError(f"field 'p' = {doc['p']} but 'kappa' has length {p}")
+        raise ValueError(f"field 'p' = {doc['p']} but 'kappa' has length {p}")
     lam_doc = doc["lambda"]
     if not isinstance(lam_doc, (list, tuple)) or len(lam_doc) != p:
-        raise InputError(f"field 'lambda' must be a {p}x{p} array of arrays")
+        raise ValueError(f"field 'lambda' must be a {p}x{p} array of arrays")
     lam = [_as_float_list(row, f"lambda[{i}]", p) for i, row in enumerate(lam_doc)]
     mu = _as_float_list(doc.get("mu", [0.0] * p), "mu", p)
     if degrees:
         mu = list(np.deg2rad(mu))
-    try:
-        params = MvmParams(mu=np.asarray(mu), kappa=np.asarray(kappa), lam=np.asarray(lam))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    params = MvmParams(mu=np.asarray(mu), kappa=np.asarray(kappa), lam=np.asarray(lam))
     return params, seed
 
 
@@ -192,15 +187,15 @@ def load_param_file(path: str, degrees: bool = False) -> tuple[MvmParams, int | 
 def _plain(value):
     """A report object as JSON data: a ``TorusPoint`` as its angle list,
     another dataclass as a dict of its fields in declaration order, a list
-    item by item, an ``Enum`` as its value and a numpy array or scalar by
-    ``tolist()``.  So the ``certify``, ``modes`` and ``forecast`` bodies are
-    their report objects' fields, and a field added there reaches ``--json``
-    unchanged."""
+    or tuple item by item, an ``Enum`` as its value and a numpy array or
+    scalar by ``tolist()``.  So the ``certify``, ``modes`` and ``forecast``
+    bodies are their report objects' fields, and a field added there
+    reaches ``--json`` unchanged."""
     if isinstance(value, TorusPoint):
         return value.angles.tolist()
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, Enum):
         return value.value
@@ -271,7 +266,7 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
     for flag, path in named:
         first = seen.setdefault(os.path.realpath(path), flag)
         if first != flag:
-            raise InputError(f"{first} and {flag} name the same file: {path}")
+            raise ValueError(f"{first} and {flag} name the same file: {path}")
 
     written = []
 
@@ -444,23 +439,23 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
     from . import sampler
 
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-    # the exact rate is computed wherever the quadrature runs (p <= 4)
-    forecast = sampler.forecast_acceptance(
-        params, spec, with_exact=True, n_per_dim=args.n_per_dim
-    )
-    envelope = {"lambda_min_bound": spec.lambda_min_bound, "proposal_d": list(spec.d)}
+    forecast = sampler.forecast_acceptance(params, spec, n_per_dim=args.n_per_dim)
 
     def text() -> str:
         lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]
         if forecast.exact_rate is not None:
             lines.append(f"exact acceptance rate (quadrature): {forecast.exact_rate:.12g}")
-        lines.append(f"lambda_min bound: {spec.lambda_min_bound:.12g}")
-        lines.append(f"proposal d: [{', '.join(f'{x:.12g}' for x in spec.d)}]")
+        lines.append(f"lambda_min bound: {forecast.lambda_min_bound:.12g}")
+        lines.append(f"proposal d: [{', '.join(f'{x:.12g}' for x in forecast.proposal_d)}]")
         return "\n".join(lines) + "\n"
 
     return _Run(
-        config=envelope,
-        body=lambda: {"forecast": {**_plain(forecast), **envelope}},
+        config={
+            "lambda_min_bound": forecast.lambda_min_bound,
+            "proposal_d": list(forecast.proposal_d),
+            "n_per_dim": args.n_per_dim,
+        },
+        body=lambda: {"forecast": _plain(forecast)},
         text=text,
     )
 
@@ -498,18 +493,18 @@ def _cmd_grid(args, params: MvmParams, seed: int) -> _Run:
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError:
-        raise InputError("--dims must be comma-separated integers") from None
+        raise ValueError("--dims must be comma-separated integers") from None
     slice_point = None
     if args.slice:
         try:
             slice_point = np.asarray([float(x) for x in args.slice.split(",")])
         except ValueError:
-            raise InputError("--slice must be comma-separated angles") from None
+            raise ValueError("--slice must be comma-separated angles") from None
         if args.degrees:
             slice_point = np.deg2rad(slice_point)
     grid = (params, dims, args.n, slice_point)
     return _Run(
-        config={"dims": list(dims), "n": args.n},
+        config={"dims": list(dims), "n": args.n, "slice": _plain(slice_point)},
         body=lambda: {"values": oracle.density_grid(*grid).tolist()},
         csv=lambda fh: oracle.write_density_grid_csv(fh, *grid),
     )
@@ -616,9 +611,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_SAMPLER_PRECONDITION
-    except (InputError, ValueError, OSError) as exc:
-        # OSError: an output path that cannot be written (the parameter
-        # file's read errors are already InputErrors)
+    except (ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written (read errors are ValueErrors)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

@@ -199,12 +199,14 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class AcceptanceForecast:
-    """Predicted acceptance rate: the high-concentration asymptote
-    sqrt(prod(d) / |P|), and optionally the exact rate Z/C with
-    Z from quadrature (p <= 4)."""
+    """Predicted acceptance rate of the envelope d = ``proposal_d`` (bound
+    ``lambda_min_bound``): the high-concentration asymptote sqrt(prod(d) /
+    |P|), and the exact rate Z/C with Z from quadrature (None above p = 4)."""
 
     asymptotic_rate: float
     exact_rate: float | None
+    lambda_min_bound: float
+    proposal_d: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +453,16 @@ def sample_mvm(
 def forecast_acceptance(
     params: MvmParams,
     spec: ProposalSpec | None = None,
-    with_exact: bool = False,
     n_per_dim: int | None = None,
 ) -> AcceptanceForecast:
-    """Predict the acceptance rate of :func:`sample_mvm` with ``spec``,
-    which is built or checked as :func:`sample_mvm` does.
+    """Predict the acceptance rate of :func:`sample_mvm` with ``spec``
+    (built or checked as :func:`sample_mvm` does), and report its b and d.
 
     The asymptotic rate is exact in the high-concentration limit; the
-    exact rate integrates the density by quadrature and is available for
-    p <= 4 only (None otherwise).  An exact rate above 1 +
-    ``EXACT_RATE_TOL`` means the grid missed the peak, and raises
-    ``ValueError``.
+    exact rate integrates the density by quadrature with ``n_per_dim``
+    nodes, and is computed wherever the quadrature runs (p <= 4; None
+    above).  An exact rate above 1 + ``EXACT_RATE_TOL`` means the grid
+    missed the peak, and raises ``ValueError``.
     """
     # imported here so that sampling alone never loads the quadrature
     from . import oracle
@@ -472,7 +473,7 @@ def forecast_acceptance(
         log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))
     asymptotic = float(np.exp(0.5 * log_ratio))
     exact = None
-    if with_exact and params.p <= oracle.MAX_QUADRATURE_DIM:
+    if params.p <= oracle.MAX_QUADRATURE_DIM:
         n = oracle._node_count(params.p, n_per_dim)
         log_z = oracle.log_partition(params, n)
         exact = float(np.exp(log_z - log_envelope_constant(params, spec)))
@@ -482,4 +483,4 @@ def forecast_acceptance(
                 f"so {n} nodes per dimension miss the density peak; "
                 "raise n_per_dim (--n-per-dim)"
             )
-    return AcceptanceForecast(asymptotic_rate=asymptotic, exact_rate=exact)
+    return AcceptanceForecast(asymptotic, exact, spec.lambda_min_bound, spec.d)

@@ -158,7 +158,7 @@ def test_c06_sampler_exactness():
                 q = np.trapezoid(marginal_density(params, dim, grid, 128), grid)
                 se = np.sqrt(n * q * (1.0 - q))
                 assert abs(counts[b] - n * q) <= 4.0 * se
-        rate = forecast_acceptance(params, spec, with_exact=True).exact_rate
+        rate = forecast_acceptance(params, spec).exact_rate
         se = np.sqrt(rate * (1.0 - rate) / batch.trials)
         assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
@@ -195,9 +195,7 @@ def test_c06b_sampler_exactness_heterogeneous_p4():
             q = np.append(q[~sparse], q[sparse].sum())
             se = np.sqrt(n * q * (1.0 - q))
             assert np.all(np.abs(counts - n * q) <= 4.0 * se)
-        rate = forecast_acceptance(
-            params, spec, with_exact=True, n_per_dim=n_per_dim
-        ).exact_rate
+        rate = forecast_acceptance(params, spec, n_per_dim=n_per_dim).exact_rate
         se = np.sqrt(rate * (1.0 - rate) / batch.trials)
         assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 

@@ -681,6 +681,18 @@ def test_forecast_reports_proposal_d(heterogeneous_file, capsys):
     assert doc["forecast"]["lambda_min_bound"] == 1.0
 
 
+def test_forecast_manifest_records_n_per_dim(reference_file, capsys):
+    # the node count changes the exact rate, so the record must hold it
+    default = _json_payload(capsys, "forecast", "--params", reference_file)
+    coarse = _json_payload(capsys, "forecast", "--params", reference_file, "--n-per-dim", "16")
+    assert default["manifest"]["config"]["n_per_dim"] is None
+    assert coarse["manifest"]["config"]["n_per_dim"] == 16
+    assert coarse["forecast"]["exact_rate"] != default["forecast"]["exact_rate"]
+    assert list(coarse["manifest"]["config"]) == [
+        "params", "lambda_min_bound", "proposal_d", "n_per_dim",
+    ]
+
+
 def test_forecast_rejects_indefinite_p(ring_file):
     out = run_cli("forecast", "--params", ring_file)
     assert out.returncode == 3
@@ -831,6 +843,55 @@ def test_grid_rejects_bad_dims(tmp_path):
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "given,flags,point",
+    [
+        ("0,0,0.5", [], [0.0, 0.0, 0.5]),
+        ("0,0,30", ["--degrees"], [0.0, 0.0, np.pi / 6]),
+        ("1,0,-2", ["--dims", "1,2"], [1.0, 0.0, -2.0]),
+    ],
+)
+def test_grid_slice_matches_library(reference_file, tmp_path, given, flags, point):
+    params, _ = cli.load_param_file(reference_file)
+    dims = (1, 2) if "--dims" in flags else (0, 1)
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--params", reference_file, "--n", "5", "--slice", given, *flags]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    values = oracle.density_grid(params, dims, 5, slice_point=np.array(point))
+    assert not np.array_equal(values, oracle.density_grid(params, dims, 5))
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 25
+    for line in rows:
+        i, j, _, _, value = line.split(",")
+        assert float(value) == values[int(i), int(j)]
+    # the record replays the run: the slice in radians
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["config"]["slice"] == pytest.approx(point, abs=1e-15)
+    assert cli.main(["grid", "--params", reference_file, "--n", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["config"]["slice"] is None
+
+
+@pytest.mark.parametrize(
+    "given,message",
+    [
+        ("0,0.5", "slice point dimension mismatch"),
+        ("0,0,0,1", "slice point dimension mismatch"),
+        ("0,x,1", "--slice must be comma-separated angles"),
+        ("0,,1", "--slice must be comma-separated angles"),
+    ],
+)
+def test_grid_bad_slice_is_an_input_error(reference_file, tmp_path, capsys, given, message):
+    out = tmp_path / "grid.csv"
+    for flags in (["--out", str(out)], ["--json"]):
+        argv = ["grid", "--params", reference_file, "--n", "4", "--slice", given, *flags]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trips
 
@@ -893,8 +954,7 @@ def test_modes_json_keys_are_the_report_fields(reference_file, capsys):
 
 def test_forecast_json_keys_are_the_forecast_fields(reference_file, capsys):
     forecast = _json_payload(capsys, "forecast", "--params", reference_file)["forecast"]
-    envelope = ["lambda_min_bound", "proposal_d"]
-    assert list(forecast) == _field_names(sampler.AcceptanceForecast) + envelope == [
+    assert list(forecast) == _field_names(sampler.AcceptanceForecast) == [
         "asymptotic_rate", "exact_rate", "lambda_min_bound", "proposal_d",
     ]
 
@@ -943,7 +1003,7 @@ def _parsed(path, degrees):
     """The parsed arrays' bytes, or the input error's message."""
     try:
         params, _ = cli.load_param_file(path, degrees)
-    except cli.InputError as exc:
+    except ValueError as exc:
         return str(exc)
     return [a.tobytes() for a in (params.mu.angles, params.kappa, params.lam)]
 
@@ -1015,6 +1075,34 @@ def test_non_finite_mu_is_an_input_error(tmp_path, capsys, argv, bad):
         assert out.err.count("\n") == 1
         assert out.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_mu.json"]
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ('"kappa": [3, %s, 3], "lambda": [[0, -2, 2], [-2, 0, 2], [2, 2, 0]]',
+         "kappa entries must be finite"),
+        ('"kappa": [3, 3, 3], "lambda": [[0, %s, 2], [-2, 0, 2], [2, 2, 0]]',
+         "lambda entries must be finite"),
+        ('"eta": %s', "field 'eta' must be finite, got "),
+    ],
+    ids=["kappa", "lambda", "eta"],
+)
+def test_non_finite_parameters_are_input_errors(tmp_path, capsys, bad, body, message):
+    # Python's JSON parser reads NaN and Infinity, and 1e400 overflows to
+    # an infinity; eta is refused before its sine can warn
+    path = tmp_path / "bad.json"
+    path.write_text("{" + body % bad + "}")
+    out_path = tmp_path / "out"
+    for argv in (["certify"], ["forecast"], ["sample", "--n", "10", "--out", str(out_path)]):
+        assert cli.main([*argv, "--params", str(path)]) == 1
+        out = capsys.readouterr()
+        # the one error line: no warning, no run record, no file
+        assert out.err.startswith(f"error: {message}")
+        assert out.err.count("\n") == 1
+        assert out.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 # ---------------------------------------------------------------------------

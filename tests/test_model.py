@@ -1,21 +1,33 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RING_COUPLING, random_params, six_mode_params, six_mode_table
+from conftest import (
+    REFERENCE_COUPLING,
+    RING_COUPLING,
+    random_params,
+    six_mode_params,
+    six_mode_table,
+)
 from mvmtorus import (
     DimensionMismatchError,
     MvmParams,
+    ProposalSpec,
     TorusPoint,
+    acceptance_probability,
+    angular_distance,
     exponent_f,
     exponent_many,
     grad_f,
     grad_many,
     hessian_f,
     log_density,
+    marginal_density,
+    sym_eigen,
     wrap_angles,
 )
 from mvmtorus.model import TWO_PI, lattice_rows
@@ -362,3 +374,54 @@ def test_batched_evaluations_match_scalar(rng):
         point = TorusPoint(thetas[k])
         assert fs[k] == pytest.approx(exponent_f(params, point), abs=1e-13)
         assert grad_f(params, point) == pytest.approx(gs[k], abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# documented input errors of the library
+
+
+def _reference(kappa=(3.0, 3.0, 3.0), lam=REFERENCE_COUPLING) -> MvmParams:
+    return MvmParams(mu=np.zeros(3), kappa=np.array(kappa), lam=np.array(lam))
+
+
+def _reference_spec() -> ProposalSpec:
+    return ProposalSpec.from_params(_reference())
+
+
+def _infinite_coupling() -> np.ndarray:
+    lam = np.array(REFERENCE_COUPLING)
+    lam[0, 1] = lam[1, 0] = np.inf
+    return lam
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: marginal_density(_reference(), 3, 0.0), ValueError, "in [0, 3), got 3"),
+        (lambda: marginal_density(_reference(), -1, 0.0), ValueError, "in [0, 3), got -1"),
+        (
+            lambda: acceptance_probability(_reference(), _reference_spec(), [0.0, 0.0]),
+            DimensionMismatchError,
+            "theta has length 2, expected p=3",
+        ),
+        (
+            lambda: angular_distance([0.0, 1.0], [0.0, 1.0, 2.0]),
+            DimensionMismatchError,
+            "angle vectors have shapes (2,) and (3,)",
+        ),
+        (lambda: TorusPoint(np.zeros((2, 2))), ValueError, "requires a 1-d vector of angles"),
+        (lambda: TorusPoint(np.array([])), ValueError, "requires at least one angle"),
+        (lambda: _reference(kappa=(3.0, np.nan, 3.0)), ValueError, "kappa entries must be finite"),
+        (lambda: _reference(kappa=(3.0, 3.0, -np.inf)), ValueError, "kappa entries must be finite"),
+        (lambda: _reference(lam=_infinite_coupling()), ValueError, "lambda entries must be finite"),
+        (lambda: sym_eigen(np.zeros((2, 3))), ValueError, "square matrix, got shape (2, 3)"),
+    ],
+    ids=[
+        "marginal_dim_above", "marginal_dim_below", "acceptance_theta_length",
+        "angular_distance_shapes", "torus_point_2d", "torus_point_empty", "kappa_nan",
+        "kappa_minus_inf", "lambda_inf", "sym_eigen_not_square",
+    ],
+)
+def test_documented_library_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -330,7 +330,7 @@ def test_sampler_acceptance_matches_exact_rate():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     spec = ProposalSpec.from_params(params)
     batch = sample_mvm(params, 20_000, spec, seed=3)
-    rate = forecast_acceptance(params, spec, with_exact=True).exact_rate
+    rate = forecast_acceptance(params, spec).exact_rate
     se = np.sqrt(rate * (1.0 - rate) / batch.trials)
     assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
@@ -546,7 +546,7 @@ def test_forecast_isotropic_rate_is_one():
     # d = kappa up to the slack, and nearly every proposal is accepted
     params = _params([5.0, 5.0, 5.0], np.zeros((3, 3)))
     spec = ProposalSpec.from_params(params)
-    forecast = forecast_acceptance(params, spec, with_exact=True)
+    forecast = forecast_acceptance(params, spec)
     assert forecast.asymptotic_rate == pytest.approx(1.0, rel=1e-9)
     assert forecast.exact_rate == pytest.approx(1.0, rel=1e-9)
     batch = sample_mvm(params, 10_000, spec, seed=4)
@@ -557,11 +557,14 @@ def test_forecast_reference_rate():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     forecast = forecast_acceptance(params)
     assert forecast.asymptotic_rate == pytest.approx(1.0 / np.sqrt(7.0), abs=1e-12)
+    # the forecast reports the envelope it was made for
+    spec = ProposalSpec.from_params(params)
+    assert (forecast.lambda_min_bound, forecast.proposal_d) == (spec.lambda_min_bound, spec.d)
 
 
 def test_forecast_exact_approaches_asymptote():
     params = _params([50.0, 50.0, 50.0], REFERENCE_COUPLING)
-    forecast = forecast_acceptance(params, with_exact=True)
+    forecast = forecast_acceptance(params)
     assert forecast.exact_rate is not None
     assert abs(forecast.exact_rate / forecast.asymptotic_rate - 1.0) < 0.05
 
@@ -570,9 +573,8 @@ def test_forecast_rejects_an_exact_rate_above_one():
     # the 128-node grid aliases a peak of width 1e-2: Z comes out ~4x too big
     params = _params([1e4, 1e4], np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="n_per_dim"):
-        forecast_acceptance(params, with_exact=True)
-    assert forecast_acceptance(params).exact_rate is None
-    fine = forecast_acceptance(params, with_exact=True, n_per_dim=4096)
+        forecast_acceptance(params)
+    fine = forecast_acceptance(params, n_per_dim=4096)
     assert 0.999 < fine.exact_rate <= 1.0
 
 
@@ -582,7 +584,7 @@ def test_tiny_kappa_envelope_keeps_a_positive_bound():
     params = _params([1e-300, 1e-300], np.zeros((2, 2)))
     spec = ProposalSpec.from_params(params)
     assert spec.d == pytest.approx((1e-300 * (1.0 - ENVELOPE_SLACK),) * 2, rel=1e-15)
-    forecast = forecast_acceptance(params, spec, with_exact=True)
+    forecast = forecast_acceptance(params, spec)
     assert forecast.asymptotic_rate == pytest.approx(1.0, abs=1e-9)
     assert forecast.exact_rate == pytest.approx(1.0, abs=1e-9)
     reference = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
@@ -712,17 +714,16 @@ def test_sampler_rejects_spec_of_other_dimension():
         sample_mvm(params, 10, spec, seed=0)
 
 
-@pytest.mark.parametrize("with_exact", [False, True])
-def test_forecast_checks_a_supplied_spec(with_exact):
+def test_forecast_checks_a_supplied_spec():
     # a spec that sample_mvm refuses must not get a rate either, nor a
     # quadrature error that blames the grid
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     other_p = ProposalSpec(lambda_min_bound=0.5, p=4)
     with pytest.raises(ValueError, match="spec is for p = 4"):
-        forecast_acceptance(params, other_p, with_exact=with_exact)
+        forecast_acceptance(params, other_p)
     stale = ProposalSpec(lambda_min_bound=0.5, p=3, d=(3.0, 3.0, 3.0))
     with pytest.raises(ValueError, match="does not bound these parameters"):
-        forecast_acceptance(params, stale, with_exact=with_exact)
+        forecast_acceptance(params, stale)
 
 
 def test_near_singular_certified_p_names_the_envelope_slack():
