@@ -9,6 +9,10 @@ grows.  The paper's choice is d = b * 1 with b a lower bound on the
 eigenvalues of P; when kappa is heterogeneous the Jacobi-scaled
 d = t * diag(P) fits far better.
 
+The sampler and the forecast build the envelope from the parameters;
+``lambda_min`` alone overrides it, forcing d = lambda_min * 1.
+``ProposalSpec.from_params`` shows the envelope a run will use.
+
 The demo draws a sample, compares empirical against forecast acceptance,
 validates a marginal histogram against quadrature ground truth, shows
 the replay guarantees (same seed -> identical batch, workers only speed
@@ -35,12 +39,12 @@ spec = ProposalSpec.from_params(params)
 print("eigenvalue lower bound:", spec.lambda_min_bound)
 print("envelope diagonal d:", spec.d)
 
-forecast = forecast_acceptance(params, spec)
+forecast = forecast_acceptance(params)
 print("forecast acceptance: asymptotic", round(forecast.asymptotic_rate, 5),
       "| exact", round(forecast.exact_rate, 5))
 
 n = 50_000
-batch = sample_mvm(params, n, spec, seed=2024)
+batch = sample_mvm(params, n, seed=2024)
 print(f"\ndrew {batch.n} samples in {batch.trials} proposals "
       f"(empirical acceptance {batch.empirical_acceptance:.5f})")
 
@@ -54,16 +58,16 @@ for b in range(bins):
     q = np.trapezoid(marginal_density(params, 0, grid, 128), grid)
     print(f"  [{edges[b]:5.2f}, {edges[b+1]:5.2f})  {counts[b]/n:8.5f}  {q:8.5f}")
 
-# Replay contract: the batch is a pure function of (params, spec, n, seed).
-again = sample_mvm(params, n, spec, seed=2024)
-parallel = sample_mvm(params, n, spec, seed=2024, workers=4)
+# Replay contract: the batch is a pure function of
+# (params, n, lambda_min, seed).
+again = sample_mvm(params, n, seed=2024)
+parallel = sample_mvm(params, n, seed=2024, workers=4)
 print("\nreplay identical:   ", np.array_equal(batch.draws, again.draws))
 print("4 workers identical:", np.array_equal(batch.draws, parallel.draws))
 
 # A smaller (still valid) bound leaves the sampled law unchanged and only
 # lowers the acceptance rate.
-loose = ProposalSpec.from_params(params, lambda_min=spec.lambda_min_bound / 2)
-loose_batch = sample_mvm(params, n, loose, seed=2024)
+loose_batch = sample_mvm(params, n, lambda_min=spec.lambda_min_bound / 2, seed=2024)
 print("\nhalved bound acceptance:", round(loose_batch.empirical_acceptance, 5),
       "(law unchanged, efficiency lower)")
 
@@ -80,10 +84,9 @@ hetero = MvmParams(
     ]),
 )
 jacobi = ProposalSpec.from_params(hetero)
-scalar = ProposalSpec.from_params(hetero, lambda_min=jacobi.lambda_min_bound)
 print("\nkappa = (2, 8, 8, 30): eigenvalue bound b =", round(jacobi.lambda_min_bound, 5))
 print("  chosen d:", np.round(jacobi.d, 5))
-for label, candidate in (("scalar b*1", scalar), ("Jacobi", jacobi)):
-    f = forecast_acceptance(hetero, candidate, n_per_dim=32)
+for label, lambda_min in (("scalar b*1", jacobi.lambda_min_bound), ("Jacobi", None)):
+    f = forecast_acceptance(hetero, lambda_min, n_per_dim=32)
     print(f"  {label:<10} forecast acceptance: asymptotic {f.asymptotic_rate:.5f}"
           f" | exact {f.exact_rate:.5f}")

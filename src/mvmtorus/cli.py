@@ -413,7 +413,7 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
     from . import sampler
 
     spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-    blocks = sampler.sample_blocks(params, args.n, spec, seed=seed, workers=args.shards)
+    blocks = sampler._blocks(params, spec, args.n, seed, args.shards)
     trials = []
 
     def draws():
@@ -438,8 +438,7 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
 def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
     from . import sampler
 
-    spec = sampler.ProposalSpec.from_params(params, args.lambda_min)
-    forecast = sampler.forecast_acceptance(params, spec, n_per_dim=args.n_per_dim)
+    forecast = sampler.forecast_acceptance(params, args.lambda_min, args.n_per_dim)
 
     def text() -> str:
         lines = [f"asymptotic acceptance rate: {forecast.asymptotic_rate:.12g}"]

@@ -317,7 +317,7 @@ def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
     if n_random is None:
         n_random = 32 if p <= 4 else 256
     random_starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_random, p))
-    starts = np.vstack([lattice, random_starts]) if n_random else lattice
+    starts = np.vstack([lattice, random_starts])
     return wrap_angles(starts + params.mu.angles)
 
 
@@ -391,7 +391,6 @@ def _damped_pass(
 
         step = np.ones(len(cur))
         pending = np.ones(len(cur), dtype=bool)
-        moved = np.zeros(len(cur), dtype=bool)
         new = cur.copy()
         for _ in range(_MAX_HALVINGS + 1):
             if not pending.any():
@@ -404,11 +403,10 @@ def _damped_pass(
                 g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
                 ok = g1 <= (1.0 - 1e-4 * step[rows]) * gnorm[rows]
             new[rows[ok]] = cand[ok]
-            moved[rows[ok]] = True
             pending[rows[ok]] = False
             step[rows[~ok]] *= 0.5
         th[idx] = wrap_angles(new)
-        alive[idx[~moved]] = False  # stalled: no step length improved the merit
+        alive[idx[pending]] = False  # stalled: no step length improved the merit
     return th
 
 

@@ -119,16 +119,16 @@ def log_partition(params: MvmParams, n_per_dim: int | None = None) -> float:
 
 def high_concentration_log_partition(params: MvmParams) -> float:
     """Laplace-type closed form (p/2) log(2*pi) - 0.5 log|P| + sum(kappa),
-    valid when P = diag(kappa) - Lambda certifies and |S| > 0 (else ``ValueError``)."""
+    valid when P = diag(kappa) - Lambda certifies and eig(S) > 0 (else ``ValueError``)."""
     p_matrix = params.p_matrix()
     definite, scaled, _ = spectral._certified(p_matrix)
-    # row dominance can certify P while |S| rounds to 0 or below
-    det_s = spectral.determinant(scaled) if definite and scaled is not None else 0.0
-    if not det_s > 0.0:
+    # row dominance can certify P while min eig(S) rounds to 0 or below
+    eig = spectral.sym_eigen(scaled).values if definite and scaled is not None else [0.0]
+    if not eig[0] > 0.0:
         raise ValueError("high-concentration approximation requires positive definite P")
-    # log|P| = log|S| + sum(log diag(P)): no determinant of a badly scaled P
-    # to overflow or underflow
-    log_det = np.log(det_s) + np.sum(np.log(np.diag(p_matrix)))
+    # log|P| = sum(log eig(S)) + sum(log diag(P)): no determinant to
+    # overflow or underflow
+    log_det = np.sum(np.log(eig)) + np.sum(np.log(np.diag(p_matrix)))
     return float(0.5 * params.p * np.log(TWO_PI) - 0.5 * log_det + np.sum(params.kappa))
 
 

@@ -171,9 +171,10 @@ class ProposalSpec:
         ``TIE_LOG_GAIN`` per coordinate keeps the scalar.  (At low
         concentration the larger sum of log d_i can be the worse choice:
         d = (0.2, 2, 2) beats (1, 1, 1).)  The spec returned has passed the
-        check that :func:`sample_blocks` and :func:`forecast_acceptance`
-        apply to a supplied spec."""
-        return _resolve_spec(params, None, lambda_min)[0]
+        envelope check; :func:`sample_blocks` and
+        :func:`forecast_acceptance` build theirs here from the same
+        ``lambda_min``."""
+        return _resolve_spec(params, lambda_min)[0]
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def sample_proposal_batch(
     micro-timings call this by name; remove it, and the ``p`` argument,
     with the next change to the benchmark."""
     if p != spec.p:
-        raise ValueError(f"spec is for p = {spec.p}, got p = {p}")
+        raise ValueError(f"p = {p} does not match the proposal's p = {spec.p}")
     return wrap_angles(_raw_proposals(spec, m, rng))
 
 
@@ -314,20 +315,17 @@ def _sample_block(
 
 
 def _resolve_spec(
-    params: MvmParams, spec: ProposalSpec | None, lambda_min: float | None = None
+    params: MvmParams, lambda_min: float | None = None
 ) -> tuple[ProposalSpec, np.ndarray]:
-    """The one envelope check, and the eigenvalues of P, ascending (the
-    smallest may be <= 0 on a nearly singular P).
+    """The spec that :meth:`ProposalSpec.from_params` describes, built and
+    checked, and the eigenvalues of P, ascending (the smallest may be <= 0
+    on a nearly singular P).
 
     P must certify (``spectral._certified``), else
-    ``NotPositiveDefiniteError``.  The spec checked is ``spec``, since a
-    stale spec would break the bound, or, when it is None, the spec that
-    :meth:`ProposalSpec.from_params` describes.  It must have the
-    parameters' p and 0 < b <= lambda_min(P), and P - diag(d) must pass the
-    Cholesky test at -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs
-    the rounding of the eigen-solver that built d."""
-    if spec is not None and spec.p != params.p:
-        raise ValueError(f"spec is for p = {spec.p}, but the parameters have p = {params.p}")
+    ``NotPositiveDefiniteError``.  The spec must have 0 < b <=
+    lambda_min(P), and P - diag(d) must pass the Cholesky test at
+    -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
+    the eigen-solver that built d."""
     p_matrix = params.p_matrix()
     definite, scaled, _ = spectral._certified(p_matrix)
     eigenvalues = spectral.sym_eigen(p_matrix).values
@@ -337,13 +335,10 @@ def _resolve_spec(
             "P is not certified positive definite (computed smallest eigenvalue "
             f"{smallest:.6g}); see modes.certify_unimodal"
         )
-    if spec is not None:
-        bound, d = spec.lambda_min_bound, spec.d
-    elif lambda_min is not None:
-        bound, d = lambda_min, None
-    else:
+    bound, d = lambda_min, None
+    if lambda_min is None:
         slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
-        bound, d = smallest - slack, None
+        bound = smallest - slack
         if bound <= 0.0:
             raise ValueError(
                 f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
@@ -372,15 +367,15 @@ def _resolve_spec(
 def sample_blocks(
     params: MvmParams,
     n: int,
-    spec: ProposalSpec | None = None,
+    lambda_min: float | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """n exact draws from MVM(mu, kappa, Lambda), one block at a time;
     requires positive definite P.
 
-    The arguments are checked, and ``spec`` built or checked as
-    :meth:`ProposalSpec.from_params` checks the spec it builds, before
+    The envelope is built and checked by :meth:`ProposalSpec.from_params`
+    from ``lambda_min``, and then the other arguments are checked, before
     this returns.  The iterator then yields ``(draws, trials)`` per block
     of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
     order, with the draws shifted by mu and wrapped to [0, 2*pi);
@@ -391,6 +386,11 @@ def sample_blocks(
     runs up to that many blocks (and ``os.cpu_count()``) at once and never
     changes the output.
     """
+    return _blocks(params, ProposalSpec.from_params(params, lambda_min), n, seed, workers)
+
+
+def _blocks(params: MvmParams, spec: ProposalSpec, n: int, seed: int, workers: int):
+    """:func:`sample_blocks` for a ``spec`` that ``from_params`` built."""
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
     if workers < 1:
@@ -398,7 +398,6 @@ def sample_blocks(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     workers = min(workers, os.cpu_count() or 1)
-    spec, _ = _resolve_spec(params, spec)
     root = np.random.SeedSequence(seed)
 
     def block(i: int):
@@ -434,14 +433,14 @@ def _in_flight(block, jobs, workers: int):
 def sample_mvm(
     params: MvmParams,
     n: int,
-    spec: ProposalSpec | None = None,
+    lambda_min: float | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> SampleBatch:
     """n exact draws from MVM(mu, kappa, Lambda) in one batch; requires
     positive definite P.  The blocks of :func:`sample_blocks`, written in
     order into one preallocated (n, p) array, with their trials summed."""
-    blocks = sample_blocks(params, n, spec, seed, workers)
+    blocks = sample_blocks(params, n, lambda_min, seed, workers)
     draws = np.empty((n, params.p))
     trials = 0
     for i, (block, block_trials) in enumerate(blocks):
@@ -452,11 +451,12 @@ def sample_mvm(
 
 def forecast_acceptance(
     params: MvmParams,
-    spec: ProposalSpec | None = None,
+    lambda_min: float | None = None,
     n_per_dim: int | None = None,
 ) -> AcceptanceForecast:
-    """Predict the acceptance rate of :func:`sample_mvm` with ``spec``
-    (built or checked as :func:`sample_mvm` does), and report its b and d.
+    """Predict the acceptance rate of :func:`sample_mvm` with the same
+    ``lambda_min``, whose envelope is built and checked as there, and
+    report its b and d.
 
     The asymptotic rate is exact in the high-concentration limit; the
     exact rate integrates the density by quadrature with ``n_per_dim``
@@ -467,7 +467,7 @@ def forecast_acceptance(
     # imported here so that sampling alone never loads the quadrature
     from . import oracle
 
-    spec, eigenvalues = _resolve_spec(params, spec)
+    spec, eigenvalues = _resolve_spec(params, lambda_min)
     # in log space: prod(d) and |P| both underflow for tiny kappa
     with np.errstate(divide="ignore"):
         log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))

@@ -147,8 +147,7 @@ def test_c06_sampler_exactness():
             lam=np.array([[0.0, 2.0], [2.0, 0.0]]),
         )
         n = 100_000
-        spec = ProposalSpec.from_params(params)
-        batch = sample_mvm(params, n, spec, seed=0)
+        batch = sample_mvm(params, n, seed=0)
         bins = 64
         edges = TWO_PI * np.arange(bins + 1) / bins
         for dim in (0, 1):
@@ -158,7 +157,7 @@ def test_c06_sampler_exactness():
                 q = np.trapezoid(marginal_density(params, dim, grid, 128), grid)
                 se = np.sqrt(n * q * (1.0 - q))
                 assert abs(counts[b] - n * q) <= 4.0 * se
-        rate = forecast_acceptance(params, spec).exact_rate
+        rate = forecast_acceptance(params).exact_rate
         se = np.sqrt(rate * (1.0 - rate) / batch.trials)
         assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
@@ -179,7 +178,7 @@ def test_c06b_sampler_exactness_heterogeneous_p4():
         spec = ProposalSpec.from_params(params)
         assert spec.d != (spec.lambda_min_bound,) * 4
         n = 20_000
-        batch = sample_mvm(params, n, spec, seed=0)
+        batch = sample_mvm(params, n, seed=0)
         n_per_dim = 32  # log Z within 1e-7 of n = 48 here
         bins = 64
         edges = TWO_PI * np.arange(bins + 1) / bins
@@ -195,7 +194,7 @@ def test_c06b_sampler_exactness_heterogeneous_p4():
             q = np.append(q[~sparse], q[sparse].sum())
             se = np.sqrt(n * q * (1.0 - q))
             assert np.all(np.abs(counts - n * q) <= 4.0 * se)
-        rate = forecast_acceptance(params, spec, n_per_dim=n_per_dim).exact_rate
+        rate = forecast_acceptance(params, n_per_dim=n_per_dim).exact_rate
         se = np.sqrt(rate * (1.0 - rate) / batch.trials)
         assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
@@ -215,9 +214,8 @@ def test_c07_acceptance_rate_asymptotics():
             params = MvmParams(
                 mu=np.zeros(3), kappa=np.full(3, t), lam=REFERENCE_COUPLING
             )
-            spec = ProposalSpec.from_params(params)
-            forecast = forecast_acceptance(params, spec)
-            batch = sample_mvm(params, 40_000, spec, seed=0)
+            forecast = forecast_acceptance(params)
+            batch = sample_mvm(params, 40_000, seed=0)
             emp = batch.empirical_acceptance
             deviations.append(abs(emp / forecast.asymptotic_rate - 1.0))
             se = np.sqrt(emp * (1.0 - emp) / batch.trials)

@@ -522,6 +522,27 @@ def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
     assert len(set(spec.d)) > 1  # the per-coordinate envelope is in use
 
 
+@pytest.mark.parametrize("argv", [
+    ["forecast"],
+    ["forecast", "--lambda-min", "0.5"],
+    ["sample", "--n", "10"],
+    ["sample", "--n", "10", "--lambda-min", "0.5"],
+])
+def test_each_run_resolves_the_envelope_once(reference_file, capsys, monkeypatch, argv):
+    # the certificate and the eigendecomposition of P behind the envelope
+    # are worked out once per run, not again for the spec already built
+    calls = []
+    real = sampler._resolve_spec
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "_resolve_spec", counted)
+    assert cli.main([*argv, "--params", reference_file]) == 0
+    assert len(calls) == 1
+
+
 def test_sample_rejects_indefinite_p(ring_file):
     out = run_cli("sample", "--params", ring_file, "--n", "10")
     assert out.returncode == 3
@@ -534,7 +555,7 @@ def test_sample_envelope_failure_is_a_precondition_error(
     def fail(*args, **kwargs):
         raise sampler.BoundViolationError("acceptance exponent positive")
 
-    monkeypatch.setattr(sampler, "sample_blocks", fail)
+    monkeypatch.setattr(sampler, "_blocks", fail)
     out_csv = tmp_path / "draws.csv"
     argv = ["sample", "--params", reference_file, "--n", "100", "--out", str(out_csv)]
     assert cli.main(argv) == cli.EXIT_SAMPLER_PRECONDITION == 3
@@ -567,7 +588,7 @@ def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, 
     def fail(*args, **kwargs):
         raise sampler.AcceptanceStallError("simulated")
 
-    monkeypatch.setattr(sampler, "sample_blocks", fail)
+    monkeypatch.setattr(sampler, "_blocks", fail)
     for out in ([], ["--out", str(tmp_path / "draws.csv")]):
         assert cli.main(["sample", "--params", reference_file, "--n", "10", *out]) == 3
         captured = capsys.readouterr()

@@ -19,7 +19,7 @@ from conftest import (
     random_params,
     random_symmetric_coupling,
 )
-from mvmtorus import MvmParams, TorusPoint, exponent_f, log_density, oracle
+from mvmtorus import MvmParams, TorusPoint, certify_unimodal, exponent_f, log_density, oracle
 from mvmtorus.oracle import (
     MAX_QUADRATURE_DIM,
     density_grid,
@@ -109,6 +109,19 @@ def test_high_concentration_reference_value():
 def test_high_concentration_requires_definite_p():
     with pytest.raises(ValueError):
         high_concentration_log_partition(_params([0.0, 0.0, 0.0], RING_COUPLING))
+
+
+@pytest.mark.parametrize("p, expected", [(300, 869.459), (400, 1159.279)])
+def test_high_concentration_survives_an_underflowing_determinant(p, expected):
+    # pairs (2b, 2b+1) coupled at 0.99: eig(P) = 0.01 and 1.99, p/2 times
+    # each, so sum(log eig) = -783.4 at p = 400, where their product, |P|,
+    # underflows to 0.0 although P certifies
+    lam = np.zeros((p, p))
+    pairs = np.arange(0, p, 2)
+    lam[pairs, pairs + 1] = lam[pairs + 1, pairs] = 0.99
+    params = _params(np.ones(p), lam)
+    assert certify_unimodal(params).prop1_holds
+    assert high_concentration_log_partition(params) == pytest.approx(expected, abs=1e-3)
 
 
 def test_high_concentration_ratio_improves_with_scale():

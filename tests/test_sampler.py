@@ -168,6 +168,17 @@ def test_numpy_vonmises_switches_to_wrapped_normal_above_1e6():
     assert not np.allclose(draws(1e6), normal(1e6), rtol=0.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("d", [1.0, 2.5, 1e7])
+def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
+    # _raw_proposals passes a shared d to numpy as a scalar kappa, which is
+    # faster; the draws must equal the per-coordinate call from the same
+    # seed, below and above numpy's wrapped-normal switch at 1e6
+    spec = ProposalSpec(lambda_min_bound=d, p=3)
+    got = sampler._raw_proposals(spec, 500, np.random.default_rng(9))
+    want = np.random.default_rng(9).vonmises(0.0, np.asarray(spec.d), size=(500, 3))
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # von Mises proposal
 
@@ -220,7 +231,7 @@ def test_proposal_single_draw(rng):
     draw = sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=3), 3, 1, rng)
     assert draw.shape == (1, 3)
     assert np.all((draw >= 0.0) & (draw < TWO_PI))
-    with pytest.raises(ValueError, match="spec is for p = 3"):
+    with pytest.raises(ValueError, match="p = 2 does not match the proposal's p = 3"):
         sample_proposal_batch(ProposalSpec(lambda_min_bound=2.0, p=3), 2, 5, rng)
 
 
@@ -328,9 +339,8 @@ def test_sampler_marginals_match_quadrature():
 
 def test_sampler_acceptance_matches_exact_rate():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
-    spec = ProposalSpec.from_params(params)
-    batch = sample_mvm(params, 20_000, spec, seed=3)
-    rate = forecast_acceptance(params, spec).exact_rate
+    batch = sample_mvm(params, 20_000, seed=3)
+    rate = forecast_acceptance(params).exact_rate
     se = np.sqrt(rate * (1.0 - rate) / batch.trials)
     assert abs(batch.empirical_acceptance - rate) <= 3.0 * se
 
@@ -382,7 +392,7 @@ _REFERENCE = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.5, 4.0, 2.0])
 )
 def test_sample_blocks_match_an_eagerly_spawned_plan(seed, n, workers):
     spec = ProposalSpec.from_params(_REFERENCE)
-    got = list(sample_blocks(_REFERENCE, n, spec, seed, workers))
+    got = list(sample_blocks(_REFERENCE, n, seed=seed, workers=workers))
     expected = list(eager_blocks_oracle(_REFERENCE, n, spec, seed))
     assert len(got) == len(expected) == -(-n // BLOCK_SIZE)
     for (draws, trials), (want, want_trials) in zip(got, expected):
@@ -500,11 +510,10 @@ def test_sampler_accounting_identity():
 
 def test_shrinking_bound_preserves_law(rng):
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
-    full = ProposalSpec.from_params(params)
-    half = ProposalSpec.from_params(params, lambda_min=full.lambda_min_bound / 2.0)
+    half = ProposalSpec.from_params(params).lambda_min_bound / 2.0
     n = 20_000
-    a = sample_mvm(params, n, full, seed=31)
-    b = sample_mvm(params, n, half, seed=31)
+    a = sample_mvm(params, n, seed=31)
+    b = sample_mvm(params, n, lambda_min=half, seed=31)
     # same law: KS distance within Monte-Carlo noise at alpha ~ 1e-3
     threshold = 1.95 * np.sqrt(2.0 / n)
     for dim in (0, 1):
@@ -515,9 +524,8 @@ def test_shrinking_bound_preserves_law(rng):
 
 def test_sampler_stall_guard_trips():
     params = _params([1e16], np.zeros((1, 1)))
-    spec = ProposalSpec.from_params(params, lambda_min=1e-12)
     with pytest.raises(AcceptanceStallError):
-        sample_mvm(params, 1, spec, seed=0)
+        sample_mvm(params, 1, lambda_min=1e-12, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +553,10 @@ def test_forecast_isotropic_rate_is_one():
     # Lambda = 0: the target is itself a product of von Mises densities,
     # d = kappa up to the slack, and nearly every proposal is accepted
     params = _params([5.0, 5.0, 5.0], np.zeros((3, 3)))
-    spec = ProposalSpec.from_params(params)
-    forecast = forecast_acceptance(params, spec)
+    forecast = forecast_acceptance(params)
     assert forecast.asymptotic_rate == pytest.approx(1.0, rel=1e-9)
     assert forecast.exact_rate == pytest.approx(1.0, rel=1e-9)
-    batch = sample_mvm(params, 10_000, spec, seed=4)
+    batch = sample_mvm(params, 10_000, seed=4)
     assert batch.empirical_acceptance == pytest.approx(1.0, abs=1e-9)
 
 
@@ -584,7 +591,7 @@ def test_tiny_kappa_envelope_keeps_a_positive_bound():
     params = _params([1e-300, 1e-300], np.zeros((2, 2)))
     spec = ProposalSpec.from_params(params)
     assert spec.d == pytest.approx((1e-300 * (1.0 - ENVELOPE_SLACK),) * 2, rel=1e-15)
-    forecast = forecast_acceptance(params, spec)
+    forecast = forecast_acceptance(params)
     assert forecast.asymptotic_rate == pytest.approx(1.0, abs=1e-9)
     assert forecast.exact_rate == pytest.approx(1.0, abs=1e-9)
     reference = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
@@ -635,9 +642,8 @@ def test_jacobi_envelope_chosen_for_heterogeneous_kappa():
     scaled = p_matrix / np.sqrt(np.outer(diag, diag))
     assert ratio[0] == pytest.approx(sym_eigen(scaled).values[0], abs=1e-11)
     assert np.sum(np.log(spec.d)) > 4 * np.log(spec.lambda_min_bound) + 1.0
-    scalar = ProposalSpec.from_params(params, lambda_min=spec.lambda_min_bound)
-    assert forecast_acceptance(params, spec).asymptotic_rate > 10.0 * (
-        forecast_acceptance(params, scalar).asymptotic_rate
+    assert forecast_acceptance(params).asymptotic_rate > 10.0 * (
+        forecast_acceptance(params, spec.lambda_min_bound).asymptotic_rate
     )
 
 
@@ -659,7 +665,7 @@ def test_envelope_quantities_use_vector_d():
     )
     assert log_envelope_constant(params, spec) == pytest.approx(expected, abs=1e-12)
     det = np.prod(sym_eigen(params.p_matrix()).values)
-    assert forecast_acceptance(params, spec).asymptotic_rate == pytest.approx(
+    assert forecast_acceptance(params).asymptotic_rate == pytest.approx(
         np.sqrt(np.prod(d) / det), rel=1e-12
     )
     # log acceptance = f - log C - log g at arbitrary points
@@ -679,18 +685,6 @@ def test_spec_d_must_match_p_and_be_nonnegative():
         ProposalSpec(lambda_min_bound=1.0, p=2, d=(1.0, -0.5))
 
 
-def test_sampler_rejects_spec_that_does_not_bound_params():
-    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
-    spec = ProposalSpec.from_params(params)
-    # the same couplings with kappa reversed: lambda_min(P) still exceeds
-    # the spec's scalar bound, but d_4 ~ 29 is far above P_44 = 2
-    swapped = _params([30.0, 8.0, 8.0, 2.0], _HETERO_LAM)
-    assert spec.lambda_min_bound <= sym_eigen(swapped.p_matrix()).values[0]
-    with pytest.raises(ValueError, match="does not bound these parameters"):
-        sample_mvm(swapped, 10, spec, seed=0)
-    assert sample_mvm(params, 10, spec, seed=0).n == 10
-
-
 def test_from_params_checks_the_spec_it_builds(monkeypatch):
     # an eigen-solver that overstates lambda_min(P) by 0.5: the bounds it
     # yields pass the range test, but P - diag(d) is not semidefinite
@@ -702,28 +696,16 @@ def test_from_params_checks_the_spec_it_builds(monkeypatch):
 
     monkeypatch.setattr(spectral, "sym_eigen", overstated)
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)  # lambda_min(P) = 1
-    for lambda_min in (None, 1.4):
-        with pytest.raises(ValueError, match="does not bound these parameters"):
-            ProposalSpec.from_params(params, lambda_min)
-
-
-def test_sampler_rejects_spec_of_other_dimension():
-    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
-    spec = ProposalSpec(lambda_min_bound=0.5, p=2)
-    with pytest.raises(ValueError, match="spec is for p = 2"):
-        sample_mvm(params, 10, spec, seed=0)
-
-
-def test_forecast_checks_a_supplied_spec():
-    # a spec that sample_mvm refuses must not get a rate either, nor a
-    # quadrature error that blames the grid
-    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
-    other_p = ProposalSpec(lambda_min_bound=0.5, p=4)
-    with pytest.raises(ValueError, match="spec is for p = 4"):
-        forecast_acceptance(params, other_p)
-    stale = ProposalSpec(lambda_min_bound=0.5, p=3, d=(3.0, 3.0, 3.0))
-    with pytest.raises(ValueError, match="does not bound these parameters"):
-        forecast_acceptance(params, stale)
+    entry_points = (
+        ProposalSpec.from_params,
+        lambda params, lambda_min: sample_blocks(params, 10, lambda_min),
+        lambda params, lambda_min: sample_mvm(params, 10, lambda_min),
+        forecast_acceptance,
+    )
+    for call in entry_points:
+        for lambda_min in (None, 1.4):
+            with pytest.raises(ValueError, match="does not bound these parameters"):
+                call(params, lambda_min)
 
 
 def test_near_singular_certified_p_names_the_envelope_slack():
