@@ -37,7 +37,6 @@ _EXPORTS_BY_MODULE = {
     "spectral": (
         "GershgorinReport",
         "SymEigen",
-        "determinant",
         "gershgorin",
         "is_positive_definite",
         "sym_eigen",

@@ -23,14 +23,20 @@ with partial pivoting for a root), which both judges whether it suits the
 target and gives the Newton step; only the polish, whose pseudo-inverse
 must drop flat directions, decomposes with ``eigh``, and it stops on each
 row once that row has reached roundoff.  Everything runs batched over the
-start set with plain numpy; for a fixed seed and version the result is
+start set with plain numpy, except that the Hessian work (the passes'
+factorisations, the polish's ``eigh`` and the classification's spectra)
+runs in near-equal row blocks of at most ``_BLOCK_ROWS`` = 512 rows, never
+of one row (see :func:`_by_blocks`): Hessian memory is O(512 * p**2) and
+the rest O(rows * p) whatever the start count, and the blocks give the
+stacked results bit for bit.  For a fixed seed and version the result is
 deterministic.  A point counts as converged when its gradient sup-norm is
 below ``grad_tol``, or below the gradient's roundoff floor where that is
 larger.  The converged pool is deduplicated (greedy, first kept, in pool
 order) before classification, so only the surviving points are
-classified.  They are classified in one batch: stacked Hessians from
-:func:`mvmtorus.model.hessian_many`, their spectra from one stacked
-``eigvalsh``, and f from :func:`mvmtorus.model.exponent_many`.
+classified.  They are classified in one batch: Hessians from
+:func:`mvmtorus.model.hessian_many` and their spectra from a stacked
+``eigvalsh``, block by block, and f from
+:func:`mvmtorus.model.exponent_many` on the whole batch.
 :func:`classify_critical` runs the same batch path on a single row.  It
 gives the same kind, but numpy may take another BLAS path for one row than
 for a stack, so its eigenvalues and f can differ from the search's in the
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,6 +93,8 @@ _F_SLACK = 1e-14
 _MAX_STEP = np.pi / 2
 #: lattice starts kept when the ``starts_per_dim**p`` lattice is larger
 _MAX_LATTICE_STARTS = 256
+#: most rows whose p x p Hessians the search holds at once
+_BLOCK_ROWS = 512
 
 
 class Verdict(enum.Enum):
@@ -164,14 +173,46 @@ def _classify_eigenvalues(eigenvalues: np.ndarray, tol: np.ndarray) -> list[Poin
     return [_KINDS[k] for k in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
 
 
+def _by_blocks(fn, *arrays):
+    """``fn(*arrays)`` over near-equal row blocks of at most ``_BLOCK_ROWS``
+    rows, each block's tuple of arrays written into preallocated
+    whole-batch outputs, so ``fn``'s p x p per row intermediates never
+    stack more than ``_BLOCK_ROWS`` rows.  A batch of at most
+    ``_BLOCK_ROWS`` rows is one plain call.  No block has one row unless
+    the batch has one: numpy multiplies a single row by a matrix through
+    BLAS gemv, which rounds differently from the gemm of a stack, while
+    blocks of two rows or more give the stacked results bit for bit."""
+    n = len(arrays[0])
+    k = -(-n // _BLOCK_ROWS)
+    if k <= 1:
+        return fn(*arrays)
+    edges = [i * n // k for i in range(k + 1)]
+    outs = None
+    for lo, hi in zip(edges, edges[1:]):
+        parts = fn(*(a[lo:hi] for a in arrays))
+        if outs is None:
+            outs = tuple(np.empty((n, *a.shape[1:]), a.dtype) for a in parts)
+        for out, a in zip(outs, parts):
+            out[lo:hi] = a
+    return outs
+
+
+def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Hessian spectra of ``rows`` and the Hessians' inf-norms."""
+    hessians = hessian_many(params, rows)
+    return np.linalg.eigvalsh(hessians), spectral.norm_inf(hessians)
+
+
 def _classified(
     params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float
 ) -> list[CriticalPoint]:
     """Classify the critical points ``rows`` (wrapped angles, shape (n, p))
-    in one batch: stacked Hessians, their spectra, and f."""
-    hessians = hessian_many(params, rows)
-    eigenvalues = np.linalg.eigvalsh(hessians)
-    tol = degeneracy_tol * np.maximum(1.0, spectral.norm_inf(hessians))
+    in one batch: Hessians and their spectra in row blocks of at most 512
+    rows, never of one (:func:`_by_blocks`), so they are the stacked ones
+    bit for bit; f on the whole batch, since its ``c @ kappa`` rounds by
+    batch shape."""
+    eigenvalues, norms = _by_blocks(partial(_spectra, params), rows)
+    tol = degeneracy_tol * np.maximum(1.0, norms)
     kinds = _classify_eigenvalues(eigenvalues, tol)
     f_values = exponent_many(params, rows).tolist()
     return [
@@ -340,6 +381,24 @@ def _descent_steps(h: np.ndarray, g: np.ndarray, gnorm: np.ndarray) -> np.ndarra
     return _cap_steps(steps)
 
 
+def _directions(
+    params: MvmParams, sign: float, cur: np.ndarray, g: np.ndarray, gnorm: np.ndarray
+) -> tuple[np.ndarray]:
+    """A damped pass's search direction at each row of ``cur``: the Newton
+    step where the row's Hessian suits the target and the step is within
+    ``_MAX_STEP``, else the fallback step (see :func:`_damped_pass`)."""
+    h = hessian_many(params, cur)
+    habs = np.maximum(1.0, spectral.norm_inf(h))
+    if sign:
+        suited, newton = spectral._solve_stack(-sign * h, sign * g, 1e-8 * habs, True)
+        fallback = _cap_steps(sign * g)
+    else:
+        suited, newton = spectral._solve_stack(h, -g, 1e-10 * habs, False)
+        fallback = _descent_steps(h, g, gnorm)
+    use_newton = suited & (np.max(np.abs(newton), axis=1) <= _MAX_STEP)
+    return (np.where(use_newton[:, None], newton, fallback),)
+
+
 def _damped_pass(
     params: MvmParams, starts: np.ndarray, sign: float, cfg: SearchConfig
 ) -> np.ndarray:
@@ -358,7 +417,11 @@ def _damped_pass(
     steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
     until sign*f does not decrease (up to roundoff slack), or for a root
     until |grad|_inf falls by the factor (1 - 1e-4*step); a start that
-    cannot improve after ``_MAX_HALVINGS`` halvings is frozen.
+    cannot improve after ``_MAX_HALVINGS`` halvings is frozen.  The
+    Hessians, their factorisations and the steps are taken in row blocks of
+    at most 512 rows, never of one, whose single-row product would round
+    differently (:func:`_by_blocks`); the gradients, f and the step halving
+    run on all live rows at once.
     """
     th = starts.copy()
     alive = np.ones(len(th), dtype=bool)
@@ -376,18 +439,10 @@ def _damped_pass(
             continue
         idx, cur, g, gnorm = idx[keep], cur[keep], g[keep], gnorm[keep]
 
-        h = hessian_many(params, cur)
-        habs = np.maximum(1.0, spectral.norm_inf(h))
+        (direction,) = _by_blocks(partial(_directions, params, sign), cur, g, gnorm)
         if sign:
-            suited, newton = spectral._solve_stack(-sign * h, sign * g, 1e-8 * habs, True)
-            fallback = _cap_steps(sign * g)
             f0 = exponent_many(params, cur)
             slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
-        else:
-            suited, newton = spectral._solve_stack(h, -g, 1e-10 * habs, False)
-            fallback = _descent_steps(h, g, gnorm)
-        use_newton = suited & (np.max(np.abs(newton), axis=1) <= _MAX_STEP)
-        direction = np.where(use_newton[:, None], newton, fallback)
 
         step = np.ones(len(cur))
         pending = np.ones(len(cur), dtype=bool)
@@ -410,6 +465,17 @@ def _damped_pass(
     return th
 
 
+def _pinv_steps(params: MvmParams, cur: np.ndarray, g: np.ndarray) -> tuple[np.ndarray]:
+    """The uncapped pseudo-inverse Newton step pinv(H) g at each row of
+    ``cur``, eigen-directions with |eigenvalue| below 1e-8 * max(1, |H|_inf)
+    dropped."""
+    h = hessian_many(params, cur)
+    thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
+    w, v = np.linalg.eigh(h)
+    winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    return (np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g)),)
+
+
 def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``_POLISH_ROUNDS`` rounds of pseudo-inverse Newton on the
     gradient, row by row; returns each row's best iterate and its gradient
@@ -421,7 +487,11 @@ def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     roundoff.  The iterate with the smallest gradient norm wins.  A row
     retires once a round fails to lower its best gradient norm while that
     norm is at most ``_POLISH_TRIGGER``: it has reached roundoff.  Rows
-    above the trigger run every round.
+    above the trigger run every round.  Each round's Hessians, ``eigh`` and
+    steps are taken in row blocks of at most 512 rows, never of one, whose
+    single-row product would round differently (:func:`_by_blocks`): with
+    default flags at p > 4 the three passes stack 1536 rows, three blocks
+    of 512.
     """
     best = points.copy()
     g = grad_many(params, best)
@@ -431,12 +501,7 @@ def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for _ in range(_POLISH_ROUNDS):
         if not len(live):
             break
-        h = hessian_many(params, cur)
-        thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
-        w, v = np.linalg.eigh(h)
-        winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-        steps = np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g))
-        del h, v  # freed before the next round stacks its own
+        (steps,) = _by_blocks(partial(_pinv_steps, params), cur, g)
         cur = wrap_angles(cur - _cap_steps(steps))
         g = grad_many(params, cur)
         norm = np.max(np.abs(g), axis=1)

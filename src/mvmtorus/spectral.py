@@ -1,6 +1,5 @@
 """Dense symmetric eigen-analysis for the small matrices this package
-meets: eigen-decomposition, positive-definiteness, Gershgorin discs and
-determinants.
+meets: eigen-decomposition, positive-definiteness and Gershgorin discs.
 
 Matrices here are p x p with p the torus dimension: at most 4 for the
 quadrature, while the mode search and the sampler run at p = 8, 12 or 16
@@ -33,7 +32,6 @@ __all__ = [
     "default_pd_tol",
     "is_positive_definite",
     "gershgorin",
-    "determinant",
 ]
 
 
@@ -212,8 +210,3 @@ def _solve_stack(
     ok &= np.isfinite(x).all(axis=1)
     x[~ok] = 0.0
     return ok, x
-
-
-def determinant(a) -> float:
-    """Determinant as the product of the eigenvalues of :func:`sym_eigen`."""
-    return float(np.prod(sym_eigen(a).values))

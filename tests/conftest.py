@@ -1,7 +1,6 @@
 """Shared fixtures: reference matrices, the six-mode benchmark family, and
-small independent oracles (power-series Bessel functions, cofactor
-determinants, dense-grid quadrature) used to cross-check the library
-paths."""
+small independent oracles (power-series Bessel functions, dense-grid
+quadrature) used to cross-check the library paths."""
 
 from __future__ import annotations
 
@@ -90,18 +89,6 @@ def bessel_i1_series(x: float, terms: int = 30) -> float:
             term *= (x / 2.0) ** 2 / (k * (k + 1))
         total += term
     return (x / 2.0) * total
-
-
-def cofactor_determinant(a: np.ndarray) -> float:
-    """Recursive cofactor expansion along the first row."""
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * a[0, j] * cofactor_determinant(minor)
-    return total
 
 
 def random_symmetric_coupling(rng: np.random.Generator, p: int, scale: float = 2.0):

@@ -1,3 +1,6 @@
+import json
+import random
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -35,7 +38,7 @@ from mvmtorus import (
     high_concentration_log_partition,
     wrap_angles,
 )
-from mvmtorus import modes, spectral
+from mvmtorus import cli, modes, spectral
 from mvmtorus.modes import (
     CriticalPoint,
     _damped_pass,
@@ -720,3 +723,105 @@ def test_search_matches_the_eigh_oracles(monkeypatch, params):
         j = int(np.argmin(d))
         assert d[j] < cfg.dedup_radius
         assert found[j].kind is c.kind
+
+
+# ---------------------------------------------------------------------------
+# Hessian work in row blocks
+
+
+def _report_json(params, cfg):
+    return json.dumps(cli._plain(critical_points(params, cfg)))
+
+
+def _whole_batch_json(params, cfg):
+    # one block however many rows: the stacked path
+    with mock.patch.object(modes, "_BLOCK_ROWS", sys.maxsize):
+        return _report_json(params, cfg)
+
+
+@st.composite
+def _block_case(draw):
+    """Random p = 1..8 sets, certified by row dominance or not, searched
+    from the 2**p lattice (at most 256 rows) and 0-40 random starts."""
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = random_params(rng, p)
+    if draw(st.booleans()):
+        kappa = np.sum(np.abs(params.lam), axis=1) + rng.uniform(0.5, 3.0, size=p)
+        params = MvmParams(mu=params.mu.angles, kappa=kappa, lam=params.lam)
+    cfg = SearchConfig(
+        starts_per_dim=2,
+        n_random_starts=draw(st.integers(0, 40)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return params, cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(_block_case())
+def test_row_blocks_never_change_a_report(case):
+    # blocks of 4 and of 5 rows split every pass, polish and classification
+    # with more than that many rows, into blocks of 2 rows or more
+    params, cfg = case
+    expected = _whole_batch_json(params, cfg)
+    for rows in (4, 5):
+        with mock.patch.object(modes, "_BLOCK_ROWS", rows):
+            assert _report_json(params, cfg) == expected
+
+
+@pytest.mark.parametrize("rows", [4, 5, 512])
+def test_row_blocks_keep_a_p8_report_with_an_odd_remainder(rows):
+    # 256 lattice + 1 random start: passes of 257 rows and a polish of 771,
+    # which leaves an odd remainder for each block size (cut every 5 rows,
+    # one row would be left alone and take BLAS gemv)
+    params = random_params(np.random.default_rng(6), 8)
+    cfg = SearchConfig(starts_per_dim=2, n_random_starts=1, seed=1)
+    with mock.patch.object(modes, "_BLOCK_ROWS", rows):
+        report = _report_json(params, cfg)
+    assert json.loads(report)["criticals"]
+    assert report == _whole_batch_json(params, cfg)
+
+
+@pytest.mark.parametrize("block", [3, 4, 5, 512])
+def test_row_blocks_are_near_equal_and_never_one_row(block):
+    sizes = []
+
+    def record(rows):
+        sizes.append(len(rows))
+        return (rows,)
+
+    for n in range(1, 4 * block + 2):
+        sizes.clear()
+        with mock.patch.object(modes, "_BLOCK_ROWS", block):
+            (rows,) = modes._by_blocks(record, np.arange(n))
+        assert np.array_equal(rows, np.arange(n))
+        assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2 or n == 1
+
+
+def _random_p16():
+    r = random.Random(5)
+    p = 16
+    lam = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i + 1, p):
+            lam[i, j] = lam[j, i] = r.uniform(-1.0, 1.0)
+    kappa = np.array([r.uniform(0.0, 5.0) for _ in range(p)])
+    return MvmParams(mu=np.zeros(p), kappa=kappa, lam=lam)
+
+
+def test_search_memory_is_flat_in_the_start_count():
+    # Hessians are stacked at most _BLOCK_ROWS at a time and everything else
+    # is O(rows * p), so 8x the starts raise the traced peak about 1.7x; one
+    # Hessian stack over every row raised it 4.5x
+    params = _random_p16()
+    peaks = []
+    for n_random in (256, 2048):
+        cfg = SearchConfig(n_random_starts=n_random, max_iter=2)
+        tracemalloc.start()
+        try:
+            critical_points(params, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0]

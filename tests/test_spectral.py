@@ -3,13 +3,11 @@ import pytest
 
 from conftest import (
     REFERENCE_COUPLING,
-    cofactor_determinant,
     random_symmetric_coupling,
 )
 from mvmtorus.spectral import (
     GershgorinReport,
     default_pd_tol,
-    determinant,
     gershgorin,
     is_positive_definite,
     norm_inf,
@@ -149,24 +147,3 @@ def test_gershgorin_contains_all_eigenvalues(rng):
         for value in sym_eigen(a).values:
             inside = np.abs(value - report.centers) <= report.radii + 1e-12
             assert inside.any()
-
-
-# ---------------------------------------------------------------------------
-# determinant
-
-
-def test_determinant_diagonal():
-    assert determinant(np.diag([1.0, 1.0, 7.0])) == pytest.approx(7.0, abs=1e-12)
-
-
-def test_determinant_reference_p_matrix():
-    p = np.diag([3.0, 3.0, 3.0]) - REFERENCE_COUPLING
-    assert determinant(p) == pytest.approx(7.0, abs=1e-10)
-
-
-def test_determinant_matches_cofactor_oracle(rng):
-    for _ in range(25):
-        a = random_symmetric_coupling(rng, 3, scale=2.0) + np.diag(
-            rng.uniform(-2.0, 2.0, size=3)
-        )
-        assert determinant(a) == pytest.approx(cofactor_determinant(a), abs=1e-10)
