@@ -6,14 +6,12 @@ The distribution MVM(mu, kappa, Lambda) has unnormalized log-density
     f(theta) = kappa^T c(theta) + 0.5 * s(theta)^T Lambda s(theta)
 
 with c_i = cos(theta_i - mu_i) and s_i = sin(theta_i - mu_i).  This module
-holds the parameter and point types, exact evaluation of f, its gradient
-and its Hessian, :func:`lattice_rows` (the one product-grid builder), and
-the sampler's error types (here so that the CLI can map them to its exit
-code without importing :mod:`mvmtorus.sampler`).  Normalization constants
-live in :mod:`mvmtorus.oracle`.
-
-All functions here are pure; nothing is mutated after construction, so every
-operation is safe to call concurrently.
+holds the parameter and point types, f, its gradient and its Hessian,
+:func:`lattice_rows` (the one product-grid builder), and the sampler's
+error types (so the CLI maps them to exit codes without importing
+:mod:`mvmtorus.sampler`).  Normalization constants live in
+:mod:`mvmtorus.oracle`.  Functions here are pure and nothing is mutated
+after construction, so every operation is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -70,12 +68,8 @@ class AcceptanceStallError(RuntimeError):
 
 
 def wrap_angles(angles) -> np.ndarray:
-    """Reduce angles to the fundamental domain [0, 2*pi).
-
-    Uses the floating remainder; values that round up to exactly 2*pi
-    (tiny negative inputs) are mapped back to 0 so the interval stays
-    half-open.
-    """
+    """Reduce angles to [0, 2*pi) by the floating remainder; a value that
+    rounds up to 2*pi (a tiny negative input) maps to 0."""
     a = np.mod(np.asarray(angles, dtype=float), TWO_PI)
     return np.where(a >= TWO_PI, 0.0, a)
 
@@ -85,9 +79,7 @@ def angular_distance(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"angle vectors have shapes {a.shape} and {b.shape}"
-        )
+        raise DimensionMismatchError(f"angle vectors have shapes {a.shape} and {b.shape}")
     d = np.abs(wrap_angles(a) - wrap_angles(b))
     return float(np.max(np.minimum(d, TWO_PI - d))) if a.size else 0.0
 
@@ -173,8 +165,8 @@ class MvmParams:
       finite float, so no evaluation of f overflows.
 
     Below the tolerance the upper triangle of ``lam`` is mirrored and the
-    diagonal zeroed, so the stored matrix is exactly symmetric and the
-    Hessian built from it is exactly symmetric too.
+    diagonal zeroed, so the stored matrix, and the Hessian, are exactly
+    symmetric.
     """
 
     mu: TorusPoint
@@ -248,27 +240,21 @@ class MvmParams:
 
 
 def exponent_f(params: MvmParams, theta) -> float:
-    """Unnormalized log-density kappa^T c + 0.5 s^T Lambda s at ``theta``;
-    one row of :func:`exponent_many` (like the other single-point views, it
-    raises :class:`DimensionMismatchError` when ``theta`` has the wrong
-    length)."""
+    """f = kappa^T c + 0.5 s^T Lambda s at ``theta``, one row of
+    :func:`exponent_many` (a wrong length raises DimensionMismatchError)."""
     return float(exponent_many(params, as_torus_point(theta).angles[None])[0])
 
 
 def grad_f(params: MvmParams, theta) -> np.ndarray:
-    """Gradient of :func:`exponent_f`; component i is
-    ``-kappa_i s_i + c_i * sum_k lam_ik s_k``.  One row of
-    :func:`grad_many`."""
+    """Gradient of f, component i ``-kappa_i s_i + c_i * sum_k lam_ik s_k``;
+    one row of :func:`grad_many`."""
     return grad_many(params, as_torus_point(theta).angles[None])[0]
 
 
 def hessian_f(params: MvmParams, theta) -> np.ndarray:
-    """Hessian of :func:`exponent_f`; one row of :func:`hessian_many`.
-
-    Entry (i, j) is ``-(kappa_i c_i + s_i sum_k lam_ik s_k) delta_ij
-    + c_i lam_ij c_j``.  The result is exactly symmetric because the
-    stored coupling matrix is.
-    """
+    """Hessian of f, one row of :func:`hessian_many`: entry (i, j) is
+    ``-(kappa_i c_i + s_i sum_k lam_ik s_k) delta_ij + c_i lam_ij c_j``,
+    exactly symmetric because the stored coupling matrix is."""
     return hessian_many(params, as_torus_point(theta).angles[None])[0]
 
 
@@ -279,7 +265,9 @@ def log_density(params: MvmParams, theta, log_z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: the one formula for f, its gradient and its Hessian
+# batched evaluation: the one formula for f, grad f and the Hessian, as kernels
+# of c = cos(theta - mu), s = sin(theta - mu), so a caller that needs several
+# evaluates the (elementwise) trig once
 
 def _trig_many(params: MvmParams, thetas: np.ndarray):
     thetas = np.asarray(thetas, dtype=float)
@@ -291,24 +279,32 @@ def _trig_many(params: MvmParams, thetas: np.ndarray):
     return np.cos(delta), np.sin(delta)
 
 
-def exponent_many(params: MvmParams, thetas) -> np.ndarray:
-    """f = kappa^T c + 0.5 s^T Lambda s over an array of points with shape
-    (..., p)."""
-    c, s = _trig_many(params, thetas)
+def _exponent_cs(params: MvmParams, c, s) -> np.ndarray:
     return c @ params.kappa + 0.5 * np.einsum("...i,ij,...j->...", s, params.lam, s)
 
 
-def grad_many(params: MvmParams, thetas) -> np.ndarray:
-    """Gradient of f over an array of points; output shape (..., p)."""
-    c, s = _trig_many(params, thetas)
+def _grad_cs(params: MvmParams, c, s) -> np.ndarray:
     return -params.kappa * s + c * (s @ params.lam)
 
 
-def hessian_many(params: MvmParams, thetas) -> np.ndarray:
-    """Hessian of f over an array of points; output shape (..., p, p)."""
-    c, s = _trig_many(params, thetas)
+def _hessian_cs(params: MvmParams, c, s) -> np.ndarray:
     h = c[..., :, None] * c[..., None, :]
     h *= params.lam
     idx = np.arange(params.p)
     h[..., idx, idx] -= params.kappa * c + s * (s @ params.lam)
     return h
+
+
+def exponent_many(params: MvmParams, thetas) -> np.ndarray:
+    """f = kappa^T c + 0.5 s^T Lambda s at points of shape (..., p)."""
+    return _exponent_cs(params, *_trig_many(params, thetas))
+
+
+def grad_many(params: MvmParams, thetas) -> np.ndarray:
+    """Gradient of f at points of shape (..., p); output shape (..., p)."""
+    return _grad_cs(params, *_trig_many(params, thetas))
+
+
+def hessian_many(params: MvmParams, thetas) -> np.ndarray:
+    """Hessian of f at points of shape (..., p); output (..., p, p)."""
+    return _hessian_cs(params, *_trig_many(params, thetas))

@@ -1,52 +1,39 @@
 """Unimodality certification and exhaustive mode discovery.
 
-Two complementary tools:
-
 * :func:`certify_unimodal` checks sufficient conditions on the matrix
   P = diag(kappa) - Lambda (positive definiteness, and the stronger
-  row-dominance condition kappa_i > sum_j |lam_ij|) and issues a
-  certificate.  The conditions are sufficient only; an inconclusive
+  row-dominance condition kappa_i > sum_j |lam_ij|).  An inconclusive
   certificate does not assert multimodality.  The sampler gates on the same
   definiteness test.
 
-* :func:`critical_points` locates the critical points of the log-density
-  exponent by damped multi-start Newton iteration on the torus and
-  classifies each one through its Hessian spectrum, flagging extended
-  (degenerate) maxima such as flat ridges.
+* :func:`critical_points` locates the critical points of the exponent by
+  damped multi-start Newton iteration on the torus and classifies each by
+  its Hessian spectrum, flagging extended (degenerate) maxima such as flat
+  ridges.
 
-The search runs one damped-Newton driver three times over the start set,
-once per target (ascent toward maxima, descent toward minima, and a plain
-root pass on the gradient that also lands on saddles), then polishes the
-three results, stacked, in one pseudo-inverse Newton call.  Each pass
-factors every live Hessian once per iteration (Cholesky for an extremum, LU
-with partial pivoting for a root), which both judges whether it suits the
-target and gives the Newton step; only the polish, whose pseudo-inverse
-must drop flat directions, decomposes with ``eigh``, and it stops on each
-row once that row has reached roundoff.  Everything runs batched over the
-start set with plain numpy, except that the Hessian work (the passes'
-factorisations, the polish's ``eigh`` and the classification's spectra)
-runs in near-equal row blocks of at most ``_BLOCK_ROWS`` = 512 rows, never
-of one row (see :func:`_by_blocks`): Hessian memory is O(512 * p**2) and
-the rest O(rows * p) whatever the start count, and the blocks give the
-stacked results bit for bit.  For a fixed seed and version the result is
-deterministic.  A point counts as converged when its gradient sup-norm is
-below ``grad_tol``, or below the gradient's roundoff floor where that is
-larger.  The converged pool is deduplicated (greedy, first kept, in pool
-order) before classification, so only the surviving points are
-classified.  They are classified in one batch: Hessians from
-:func:`mvmtorus.model.hessian_many` and their spectra from a stacked
-``eigvalsh``, block by block, and f from
-:func:`mvmtorus.model.exponent_many` on the whole batch.
-:func:`classify_critical` runs the same batch path on a single row.  It
-gives the same kind, but numpy may take another BLAS path for one row than
-for a stack, so its eigenvalues and f can differ from the search's in the
-last bits (at most a few eps * max(1, f range)).
+The search runs one damped-Newton driver three times over the start set
+(ascent toward maxima, descent toward minima, and a root pass that also
+lands on saddles), then polishes the three results, stacked, with
+pseudo-inverse Newton steps.  A pass iteration evaluates the trig of its
+rows once and factors each live Hessian once, which judges whether it
+suits the target and gives the Newton step; an extremum step must raise
+sign * f by more than roundoff, and step lengths are tried in batches.
+Only the polish, whose pseudo-inverse drops flat directions, uses
+``eigh``; a row leaves it at the gradient's roundoff floor.  The Hessian
+work runs in row blocks of at most ``_BLOCK_ROWS`` = 512 rows
+(:func:`_by_blocks`), so it takes O(512 * p**2) memory, the rest
+O(rows * p).  For a fixed seed and version the result is deterministic.
+Converged points are deduplicated (greedy, first kept, in pool order) and
+classified in one batch.  :func:`classify_critical` runs the same path on
+one row, but numpy may take another BLAS path for one row than for a
+stack, so its eigenvalues and f can differ from the search's in the last
+bits.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -56,6 +43,10 @@ from .model import (
     TWO_PI,
     MvmParams,
     TorusPoint,
+    _exponent_cs,
+    _grad_cs,
+    _hessian_cs,
+    _trig_many,
     as_torus_point,
     exponent_many,
     grad_f,
@@ -81,20 +72,27 @@ __all__ = [
     "deduplicate",
 ]
 
-#: sup-norm gradient level below which the damped passes hand over to polishing
+#: sup-norm gradient level at which the damped passes hand over to the polish
 _POLISH_TRIGGER = 1e-6
 #: rounds of pseudo-inverse Newton polishing after the damped passes
 _POLISH_ROUNDS = 8
-#: step halvings a damped pass tries before it freezes a start
-_MAX_HALVINGS = 30
-#: relative slack when testing monotone improvement of f (absorbs roundoff)
+#: the step lengths 2**-k a damped pass tries before it freezes a start, in
+#: the batches of one merit call each: k = 0, 1-2, 3-6, 7-14 and 15-30
+_LENGTH_BATCHES = [(k, np.ldexp(1.0, -k)) for k in np.split(np.arange(31), [1, 3, 7, 15])]
+#: relative slack an extremum step's rise in f must exceed (roundoff)
 _F_SLACK = 1e-14
+#: f values this many eps * f range apart tie in the report order
+_F_ULPS = 16
+#: angles this far apart tie in the report order
+_ANGLE_TIE = 1e-8
 #: largest per-coordinate step the solver will take
 _MAX_STEP = np.pi / 2
 #: lattice starts kept when the ``starts_per_dim**p`` lattice is larger
 _MAX_LATTICE_STARTS = 256
 #: most rows whose p x p Hessians the search holds at once
 _BLOCK_ROWS = 512
+#: most candidate rows (rows times step lengths) per merit call
+_CANDIDATE_ROWS = 4 * _BLOCK_ROWS
 
 
 class Verdict(enum.Enum):
@@ -114,11 +112,10 @@ class PointKind(enum.Enum):
 class UnimodalityCertificate:
     """Outcome of the sufficient unimodality tests.
 
-    ``prop1_holds``: P is positive definite, so the density has its single
-    maximum at mu.  ``cor1_holds``: every kappa_i strictly dominates its
-    coupling row sum, which additionally pins the unique minimum at the
-    antipode of mu.  Row dominance implies definiteness, so ``cor1_holds``
-    implies ``prop1_holds`` on every certificate.
+    ``prop1_holds``: P is positive definite, so the density has one
+    maximum, at mu.  ``cor1_holds``: every kappa_i strictly dominates its
+    coupling row sum, which also pins the one minimum at the antipode of
+    mu; it implies ``prop1_holds``.
     """
 
     verdict: Verdict
@@ -142,14 +139,7 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
         verdict = Verdict.CERTIFIED_UNIMODAL
     else:
         verdict = Verdict.INCONCLUSIVE
-    return UnimodalityCertificate(
-        verdict=verdict,
-        prop1_holds=prop1,
-        cor1_holds=cor1,
-        p_matrix=p_matrix,
-        p_eigenvalues=eigenvalues,
-        gershgorin=report,
-    )
+    return UnimodalityCertificate(verdict, prop1, cor1, p_matrix, eigenvalues, report)
 
 
 @dataclass(frozen=True)
@@ -175,13 +165,11 @@ def _classify_eigenvalues(eigenvalues: np.ndarray, tol: np.ndarray) -> list[Poin
 
 def _by_blocks(fn, *arrays):
     """``fn(*arrays)`` over near-equal row blocks of at most ``_BLOCK_ROWS``
-    rows, each block's tuple of arrays written into preallocated
-    whole-batch outputs, so ``fn``'s p x p per row intermediates never
-    stack more than ``_BLOCK_ROWS`` rows.  A batch of at most
-    ``_BLOCK_ROWS`` rows is one plain call.  No block has one row unless
-    the batch has one: numpy multiplies a single row by a matrix through
-    BLAS gemv, which rounds differently from the gemm of a stack, while
-    blocks of two rows or more give the stacked results bit for bit."""
+    rows, written into preallocated whole-batch outputs, so ``fn``'s p x p
+    per-row intermediates never stack more rows.  No block has one row
+    unless the batch has: numpy multiplies one row by a matrix through BLAS
+    gemv, which rounds differently from the gemm of a stack, while blocks
+    of two rows or more give the stacked results bit for bit."""
     n = len(arrays[0])
     k = -(-n // _BLOCK_ROWS)
     if k <= 1:
@@ -200,20 +188,17 @@ def _by_blocks(fn, *arrays):
 def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending Hessian spectra of ``rows`` and the Hessians' inf-norms."""
     hessians = hessian_many(params, rows)
-    return np.linalg.eigvalsh(hessians), spectral.norm_inf(hessians)
+    return spectral._eigh(hessians, vectors=False), spectral.norm_inf(hessians)
 
 
 def _classified(
     params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float
 ) -> list[CriticalPoint]:
     """Classify the critical points ``rows`` (wrapped angles, shape (n, p))
-    in one batch: Hessians and their spectra in row blocks of at most 512
-    rows, never of one (:func:`_by_blocks`), so they are the stacked ones
-    bit for bit; f on the whole batch, since its ``c @ kappa`` rounds by
-    batch shape."""
+    in one batch: Hessians and spectra in row blocks (:func:`_by_blocks`),
+    f on the whole batch, since its ``c @ kappa`` rounds by batch shape."""
     eigenvalues, norms = _by_blocks(partial(_spectra, params), rows)
-    tol = degeneracy_tol * np.maximum(1.0, norms)
-    kinds = _classify_eigenvalues(eigenvalues, tol)
+    kinds = _classify_eigenvalues(eigenvalues, degeneracy_tol * np.maximum(1.0, norms))
     f_values = exponent_many(params, rows).tolist()
     return [
         CriticalPoint(TorusPoint(row), f, float(g), eig, kind)
@@ -221,36 +206,52 @@ def _classified(
     ]
 
 
+def _f_range(params: MvmParams) -> float:
+    """sum(kappa) + 0.5 * sum |lambda_ij| >= |f|: the scale of f's roundoff."""
+    return float(np.sum(params.kappa) + 0.5 * np.sum(np.abs(params.lam)))
+
+
 def _critical_tol(params: MvmParams, grad_tol: float) -> float:
-    """The gradient sup-norm below which a point counts as critical:
-    ``grad_tol``, or where it is larger the roundoff floor of grad f,
-    64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|), which passes 1e-10 once
-    kappa reaches about 1e6."""
-    f_range = np.sum(params.kappa) + 0.5 * np.sum(np.abs(params.lam))
-    return max(grad_tol, 64.0 * np.finfo(float).eps * float(f_range))
+    """The gradient sup-norm below which a point is critical: ``grad_tol``,
+    or the roundoff floor 64 * eps * f range where larger (kappa ~ 1e6 up)."""
+    return max(grad_tol, 64.0 * np.finfo(float).eps * _f_range(params))
+
+
+def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[CriticalPoint]:
+    """``points`` by descending f, then kind, then angles, where values tie
+    that chain to each other in steps of at most ``_F_ULPS`` * eps * f range
+    (f) or ``_ANGLE_TIE`` (angles, near 2*pi counting as near 0): mirror
+    points keep their order, whatever the last bits of their f and angles."""
+    kinds = sorted(k.value for k in PointKind)
+    keys = [
+        [-c.f_value, kinds.index(c.kind.value)]
+        + [a - TWO_PI if a > TWO_PI - _ANGLE_TIE else a for a in c.theta.angles.tolist()]
+        for c in points
+    ]
+    ties = [_F_ULPS * np.finfo(float).eps * _f_range(params), 0.0] + [_ANGLE_TIE] * params.p
+    for j, tie in enumerate(ties):
+        values = [key[j] for key in keys]
+        order = sorted(range(len(keys)), key=values.__getitem__)
+        for last, i in zip(order, order[1:]):
+            if values[i] - values[last] <= tie:
+                keys[i][j] = keys[last][j]
+    return [points[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def classify_critical(
-    params: MvmParams,
-    theta,
-    degeneracy_tol: float = 1e-6,
-    grad_tol: float = 1e-8,
+    params: MvmParams, theta, degeneracy_tol: float = 1e-6, grad_tol: float = 1e-8
 ) -> CriticalPoint:
     """Classify a point already known to be critical.
 
     Raises ``ValueError`` when the gradient sup-norm at ``theta`` exceeds
-    ``grad_tol``, or the roundoff floor of the gradient where that is larger
-    (the same rule as :class:`SearchConfig`'s ``grad_tol``).
-    ``degeneracy_tol`` is relative; the effective threshold is
-    ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
+    ``grad_tol``, or the gradient's roundoff floor where larger (the rule of
+    :class:`SearchConfig`).  ``degeneracy_tol`` is relative: the threshold
+    is ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
     """
-    theta = as_torus_point(theta)
+    theta, tol = as_torus_point(theta), _critical_tol(params, grad_tol)
     grad_norm = np.max(np.abs(grad_f(params, theta)))
-    tol = _critical_tol(params, grad_tol)
     if grad_norm > tol:
-        raise ValueError(
-            f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {tol:.3g}"
-        )
+        raise ValueError(f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {tol:.3g}")
     return _classified(params, theta.angles[None, :], [grad_norm], degeneracy_tol)[0]
 
 
@@ -258,22 +259,15 @@ def classify_critical(
 class SearchConfig:
     """Tuning knobs for :func:`critical_points`.
 
-    The start set is the lattice ``mu + {pi/m + k*2pi/m}^p`` (anchored at
-    odd multiples of pi/m so starts never coincide with the kappa=0
-    extremum grid), truncated to a fixed 256 rows by a seeded subsample
-    when ``m**p`` exceeds that, plus ``n_random_starts`` seeded uniform
-    starts (defaults to 32 for p <= 4, else 256).  The subsample is drawn
-    as lattice indices (above 2**63 - 1 points, as digits per coordinate)
-    and only the chosen rows are built, so the start set takes
-    O((256 + n_random_starts) * p) memory whatever ``m**p`` is.  A point
-    counts as critical when its gradient sup-norm is below ``grad_tol``, or
-    below the roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum |lambda_ij|)
-    of the gradient where that is larger (from kappa of about 1e6 up; a
-    fixed level would drop every point the gradient cannot resolve that
-    finely).  ``dedup_radius`` is at most pi: no two points of the torus
-    are further apart in the sup-metric, so a larger radius would merge
-    every point into one.  Out-of-range values raise ``ValueError`` on
-    construction.
+    The start set is the lattice ``mu + {pi/m + k*2pi/m}^p`` (odd multiples
+    of pi/m, off the kappa=0 extremum grid), cut to a seeded subsample of
+    256 rows when ``m**p`` is larger, plus ``n_random_starts`` seeded
+    uniform starts (default 32 for p <= 4, else 256).  A point is critical
+    when its gradient sup-norm is below ``grad_tol``, or below the
+    gradient's roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum
+    |lambda_ij|) where larger.  ``dedup_radius`` is at most pi, the largest
+    sup-metric distance on the torus.  Out-of-range values raise
+    ``ValueError``.
     """
 
     starts_per_dim: int = 4
@@ -289,9 +283,7 @@ class SearchConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_random_starts is not None and self.n_random_starts < 0:
-            raise ValueError(
-                f"n_random_starts must be >= 0, got {self.n_random_starts}"
-            )
+            raise ValueError(f"n_random_starts must be >= 0, got {self.n_random_starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("grad_tol", "dedup_radius", "degeneracy_tol"):
@@ -335,13 +327,11 @@ class ModeReport:
 
 
 def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
-    """The lattice starts (all ``m**p`` rows in C order, or the seeded
-    subsample of ``_MAX_LATTICE_STARTS`` of them, kept in lattice order)
-    followed by the random starts, shifted by mu and wrapped.  Lattice rows
-    are built from their indices alone, so memory is
-    O((_MAX_LATTICE_STARTS + n_random) * p) however large ``m**p`` is.
-    Beyond int64 indices the digits are drawn per coordinate, and a
-    repeated row (odds below 1e-14 for 256 rows) is dropped."""
+    """The lattice starts (all ``m**p`` rows in C order, or a seeded
+    subsample of ``_MAX_LATTICE_STARTS``, in lattice order), then the random
+    starts, shifted by mu and wrapped.  Rows are built from their indices,
+    so memory is O((256 + n_random) * p) however large ``m**p`` is; beyond
+    int64 indices digits are drawn per coordinate and repeats dropped."""
     p = params.p
     m = cfg.starts_per_dim
     size = m**p
@@ -381,16 +371,15 @@ def _descent_steps(h: np.ndarray, g: np.ndarray, gnorm: np.ndarray) -> np.ndarra
     return _cap_steps(steps)
 
 
-def _directions(
-    params: MvmParams, sign: float, cur: np.ndarray, g: np.ndarray, gnorm: np.ndarray
-) -> tuple[np.ndarray]:
-    """A damped pass's search direction at each row of ``cur``: the Newton
-    step where the row's Hessian suits the target and the step is within
+def _directions(params: MvmParams, sign: float, c, s, g, gnorm) -> tuple[np.ndarray]:
+    """A damped pass's direction at the rows with trig ``c``, ``s``: the
+    Newton step where the Hessian suits the target and the step is within
     ``_MAX_STEP``, else the fallback step (see :func:`_damped_pass`)."""
-    h = hessian_many(params, cur)
+    h = _hessian_cs(params, c, s)
     habs = np.maximum(1.0, spectral.norm_inf(h))
     if sign:
-        suited, newton = spectral._solve_stack(-sign * h, sign * g, 1e-8 * habs, True)
+        h *= -sign  # in place: the extremum step needs no second stack
+        suited, newton = spectral._solve_stack(h, sign * g, 1e-8 * habs, True)
         fallback = _cap_steps(sign * g)
     else:
         suited, newton = spectral._solve_stack(h, -g, 1e-10 * habs, False)
@@ -399,29 +388,64 @@ def _directions(
     return (np.where(use_newton[:, None], newton, fallback),)
 
 
+def _merit(params: MvmParams, sign: float, c, s, gnorm):
+    """The test ``ok(cand, rows, lengths)`` of a pass's steps of ``lengths``
+    from ``rows`` (trig ``c``, ``s``), candidates row-major in a
+    (rows, lengths) grid: sign * f must rise by more than roundoff (no row
+    circles at constant f), or for a root |grad|_inf fall by the factor
+    1 - 1e-4 * length."""
+    if sign:
+        f0 = _exponent_cs(params, c, s)
+        slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
+        return lambda x, rows, _: (
+            sign * (exponent_many(params, x).reshape(len(rows), -1) - f0[rows, None])
+            > slack[rows, None]
+        )
+    return lambda x, rows, lengths: (
+        np.max(np.abs(grad_many(params, x)), axis=1).reshape(len(rows), -1)
+        <= (1.0 - 1e-4 * lengths) * gnorm[rows, None]
+    )
+
+
+def _step_exponents(merit, cur: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Each row's first k whose candidate cur + 2**-k * direction passes
+    ``merit``, or -1, with one merit call per batch of ``_LENGTH_BATCHES``
+    and chunk of at most ``_CANDIDATE_ROWS`` (or the row count) candidates.
+    2**-k is a power of two, so the candidates, and the k, are those of
+    halving the step until the merit holds."""
+    n, p = cur.shape
+    found = np.full(n, -1)
+    pending = np.arange(n)
+    for ks, lengths in _LENGTH_BATCHES:
+        chunk = max(1, min(n, _CANDIDATE_ROWS) // len(ks))
+        for i in range(0, len(pending), chunk):
+            rows = pending[i : i + chunk]
+            cand = cur[rows, None] + lengths[:, None] * direction[rows, None]
+            ok = merit(cand.reshape(-1, p), rows, lengths)
+            hit = ok.any(axis=1)
+            found[rows[hit]] = ks[ok[hit].argmax(axis=1)]
+        pending = pending[found[pending] < 0]
+        if not len(pending):
+            break
+    return found
+
+
 def _damped_pass(
     params: MvmParams, starts: np.ndarray, sign: float, cfg: SearchConfig
 ) -> np.ndarray:
     """Damped Newton iteration from every start toward a maximum of f
-    (sign=+1), a minimum (sign=-1) or any root of grad f (sign=0), which
-    lands on saddles as readily as on extrema.
+    (sign=+1), a minimum (sign=-1) or any root of grad f (sign=0).
 
-    Each iteration factors every live Hessian once, with
-    ``spectral._solve_stack``, and takes the Newton step -H^-1 g from that
-    factorisation where the Hessian suits the target: for an extremum, a
-    Cholesky factorisation of -sign*H whose pivots all exceed
-    1e-8 * max(1, |H|_inf) (definite with the matching sign); for a root,
-    an LU factorisation with partial pivoting whose pivots all have
-    magnitude at least 1e-10 * max(1, |H|_inf) (nonsingular).  Elsewhere
-    the step is the capped gradient step sign*g, or for a root the
-    steepest descent direction -H g of 0.5*|grad|^2.  Steps are halved
-    until sign*f does not decrease (up to roundoff slack), or for a root
-    until |grad|_inf falls by the factor (1 - 1e-4*step); a start that
-    cannot improve after ``_MAX_HALVINGS`` halvings is frozen.  The
-    Hessians, their factorisations and the steps are taken in row blocks of
-    at most 512 rows, never of one, whose single-row product would round
-    differently (:func:`_by_blocks`); the gradients, f and the step halving
-    run on all live rows at once.
+    Each iteration evaluates cos and sin of the live rows once and factors
+    every live Hessian once (``spectral._solve_stack``).  Where the Hessian
+    suits the target the step is -H^-1 g: for an extremum, the Cholesky
+    pivots of -sign*H all exceed 1e-8 * max(1, |H|_inf); for a root, the
+    LU pivots all reach 1e-10 * max(1, |H|_inf) in magnitude.  Elsewhere it
+    is the capped gradient step sign*g, or for a root -H g, the steepest
+    descent direction of 0.5*|grad|^2.  The step length is the largest
+    2**-k (k <= 30) that passes :func:`_merit`; a start that
+    no length improves is frozen.  Hessian work runs in row blocks
+    (:func:`_by_blocks`), gradients and f on all live rows at once.
     """
     th = starts.copy()
     alive = np.ones(len(th), dtype=bool)
@@ -429,39 +453,21 @@ def _damped_pass(
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        cur = th[idx]
-        g = grad_many(params, cur)
+        c, s = _trig_many(params, th[idx])
+        g = _grad_cs(params, c, s)
         gnorm = np.max(np.abs(g), axis=1)
-        done = gnorm <= _POLISH_TRIGGER
-        alive[idx[done]] = False
-        keep = ~done
+        keep = gnorm > _POLISH_TRIGGER
+        alive[idx[~keep]] = False
         if not keep.any():
             continue
-        idx, cur, g, gnorm = idx[keep], cur[keep], g[keep], gnorm[keep]
-
-        (direction,) = _by_blocks(partial(_directions, params, sign), cur, g, gnorm)
-        if sign:
-            f0 = exponent_many(params, cur)
-            slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
-
-        step = np.ones(len(cur))
-        pending = np.ones(len(cur), dtype=bool)
-        new = cur.copy()
-        for _ in range(_MAX_HALVINGS + 1):
-            if not pending.any():
-                break
-            rows = np.flatnonzero(pending)
-            cand = cur[rows] + step[rows, None] * direction[rows]
-            if sign:
-                ok = sign * (exponent_many(params, cand) - f0[rows]) >= -slack[rows]
-            else:
-                g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
-                ok = g1 <= (1.0 - 1e-4 * step[rows]) * gnorm[rows]
-            new[rows[ok]] = cand[ok]
-            pending[rows[ok]] = False
-            step[rows[~ok]] *= 0.5
-        th[idx] = wrap_angles(new)
-        alive[idx[pending]] = False  # stalled: no step length improved the merit
+        idx, c, s, g, gnorm = idx[keep], c[keep], s[keep], g[keep], gnorm[keep]
+        (direction,) = _by_blocks(partial(_directions, params, sign), c, s, g, gnorm)
+        cur = th[idx]
+        k = _step_exponents(_merit(params, sign, c, s, gnorm), cur, direction)
+        moved = k >= 0
+        step = np.ldexp(1.0, -k[moved])[:, None] * direction[moved]
+        th[idx[moved]] = wrap_angles(cur[moved] + step)
+        alive[idx[~moved]] = False  # stalled: no step length improved the merit
     return th
 
 
@@ -471,33 +477,26 @@ def _pinv_steps(params: MvmParams, cur: np.ndarray, g: np.ndarray) -> tuple[np.n
     dropped."""
     h = hessian_many(params, cur)
     thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
-    w, v = np.linalg.eigh(h)
-    winv = np.where(np.abs(w) > thresh[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    w, v = spectral._eigh(h)
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > thresh[:, None])
     return (np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g)),)
 
 
 def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``_POLISH_ROUNDS`` rounds of pseudo-inverse Newton on the
-    gradient, row by row; returns each row's best iterate and its gradient
-    sup-norm, as measured by ``grad_many`` at that iterate.
-
-    Eigen-directions (``eigh``) with |eigenvalue| below
-    1e-8 * max(1, |H|_inf) are dropped, so flat ridge directions are left
-    untouched while the transverse error contracts quadratically down to
-    roundoff.  The iterate with the smallest gradient norm wins.  A row
-    retires once a round fails to lower its best gradient norm while that
-    norm is at most ``_POLISH_TRIGGER``: it has reached roundoff.  Rows
-    above the trigger run every round.  Each round's Hessians, ``eigh`` and
-    steps are taken in row blocks of at most 512 rows, never of one, whose
-    single-row product would round differently (:func:`_by_blocks`): with
-    default flags at p > 4 the three passes stack 1536 rows, three blocks
-    of 512.
-    """
+    gradient, row by row; returns each row's best iterate (smallest
+    gradient sup-norm) and that norm.  Eigen-directions with |eigenvalue|
+    below 1e-8 * max(1, |H|_inf) are dropped, so flat ridge directions stay
+    untouched while the transverse error contracts quadratically.  A row
+    retires once its best norm is at most the gradient's roundoff floor
+    8 * eps * f range, or once a round fails to lower a best norm at most
+    ``_POLISH_TRIGGER``.  Hessian work runs in row blocks (:func:`_by_blocks`)."""
     best = points.copy()
     g = grad_many(params, best)
     best_norm = np.max(np.abs(g), axis=1)
-    live = np.arange(len(best))
-    cur = best
+    floor = 8.0 * np.finfo(float).eps * _f_range(params)
+    live = np.flatnonzero(best_norm > floor)
+    cur, g = (best, g) if len(live) == len(best) else (best[live], g[live])
     for _ in range(_POLISH_ROUNDS):
         if not len(live):
             break
@@ -508,17 +507,16 @@ def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         better = norm < best_norm[live]
         best[live[better]] = cur[better]
         best_norm[live[better]] = norm[better]
-        stay = better | (best_norm[live] > _POLISH_TRIGGER)
+        stay = (better | (best_norm[live] > _POLISH_TRIGGER)) & (best_norm[live] > floor)
         live, cur, g = live[stay], cur[stay], g[stay]
     return best, best_norm
 
 
 def _first_kept(rows: np.ndarray, radius: float) -> np.ndarray:
-    """Indices of the rows kept by greedy first-kept dedup: a row is kept
-    when its angular sup-metric distance to every row kept before it is at
-    least ``radius``.  Rows must already be wrapped to [0, 2*pi).  The loop
-    runs over kept rows: each one drops every later candidate within
-    ``radius`` of it, so the first candidate left is the next row kept."""
+    """Indices kept by greedy first-kept dedup: a row is kept when its
+    angular sup-metric distance to every row kept before it is at least
+    ``radius`` (rows wrapped to [0, 2*pi)).  Each kept row drops every later
+    candidate within ``radius``, so the first one left is kept next."""
     candidates = np.arange(len(rows))
     index = []
     while len(candidates):
@@ -530,55 +528,38 @@ def _first_kept(rows: np.ndarray, radius: float) -> np.ndarray:
 
 
 def deduplicate(criticals: list[CriticalPoint], radius: float) -> list[CriticalPoint]:
-    """Greedy first-kept dedup under the angular sup-metric.
-
-    Kept points are pairwise at least ``radius`` apart, which makes the
-    operation idempotent.
-    """
+    """Greedy first-kept dedup under the angular sup-metric.  Kept points
+    are pairwise at least ``radius`` apart, so the operation is idempotent."""
     if not criticals:
         return []
     rows = np.stack([c.theta.angles for c in criticals])
     return [criticals[i] for i in _first_kept(rows, radius)]
 
 
-def critical_points(
-    params: MvmParams, cfg: SearchConfig | None = None
-) -> ModeReport:
+def critical_points(params: MvmParams, cfg: SearchConfig | None = None) -> ModeReport:
     """Locate and classify the critical points of the exponent.
 
-    Non-convergent starts are simply dropped (counted in ``search_meta``);
-    every reported point checks ``|grad|_inf`` against ``cfg.grad_tol``
-    (or the gradient's roundoff floor, where larger) by the norm the polish
-    measured at that point, which is also its reported ``grad_norm``.
+    Starts that do not converge are dropped (counted in ``search_meta``);
+    a point is reported when the gradient norm the polish measured there,
+    its ``grad_norm``, is below ``cfg.grad_tol`` (or the roundoff floor).
     Results are deterministic for a fixed ``cfg.seed``.
     """
     if cfg is None:
         cfg = SearchConfig()
-    rng = np.random.default_rng(cfg.seed)
-    starts = _start_points(params, cfg, rng)
-
+    starts = _start_points(params, cfg, np.random.default_rng(cfg.seed))
     pool, norms = _polish(
         params, np.vstack([_damped_pass(params, starts, sign, cfg) for sign in (1.0, -1.0, 0.0)])
     )
     converged_mask = norms < _critical_tol(params, cfg.grad_tol)
     converged = pool[converged_mask]
     kept = _first_kept(converged, cfg.dedup_radius)
-    unique = _classified(
-        params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol
-    )
-    unique.sort(
-        key=lambda c: (-c.f_value, c.kind.value, tuple(c.theta.angles.tolist()))
-    )
-    n_maxima = sum(1 for c in unique if c.kind is PointKind.MAXIMUM)
-    extended = any(c.kind is PointKind.DEGENERATE for c in unique)
-    meta = SearchMeta(
-        starts_used=len(starts),
-        converged=int(converged_mask.sum()),
-        seed=cfg.seed,
+    unique = _report_order(
+        params,
+        _classified(params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol),
     )
     return ModeReport(
-        n_maxima=n_maxima,
-        extended_mode_suspected=extended,
-        search_meta=meta,
+        n_maxima=sum(1 for c in unique if c.kind is PointKind.MAXIMUM),
+        extended_mode_suspected=any(c.kind is PointKind.DEGENERATE for c in unique),
+        search_meta=SearchMeta(len(starts), int(converged_mask.sum()), cfg.seed),
         criticals=unique,
     )

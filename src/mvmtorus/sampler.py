@@ -42,7 +42,9 @@ Reproducibility contract: block i of a batch holds
 min(``BLOCK_SIZE``, n - i * ``BLOCK_SIZE``) draws from its own generator,
 the i-th child of ``SeedSequence(seed).spawn()``; both are worked out from
 i when the block starts.  Each attempt chunk in a block consumes, in
-order, (1) the von Mises block, (2) the uniform block.  Worker threads
+order, (1) the von Mises block, drawn and tested in sub-chunks of at most
+2048 rows (numpy fills rows in order, so this is the stream of one call),
+(2) the uniform block.  Worker threads
 only run whole blocks, at most ``workers`` (and the CPU count) of them in
 flight: the next is submitted only when the consumer asks for another,
 and pending blocks are cancelled if it stops early.  So output is
@@ -94,6 +96,8 @@ __all__ = [
 #: draws per seeding block; fixed so the stream layout is independent of
 #: worker count
 BLOCK_SIZE = 4096
+#: most proposal rows whose acceptance test runs at once
+_SUB_CHUNK = 2048
 #: stall guard: a batch may not consume more than n * 1e6 proposals
 STALL_FACTOR = 1e6
 #: slack subtracted from computed eigenvalues when building an envelope,
@@ -298,9 +302,18 @@ def _sample_block(
     budget = int(quota * STALL_FACTOR)
     while got < quota:
         m = min(1 << 16, max(1024, 4 * (quota - got)))
-        props = _raw_proposals(spec, m, rng)
+        # the von Mises block in sub-chunks, rows in order (the same stream
+        # as one call), so cos, sin and the acceptance temporaries are held
+        # for at most _SUB_CHUNK rows at once
+        props = np.empty((m, params.p))
+        log_acc = np.empty(m)
+        for lo in range(0, m, _SUB_CHUNK):
+            part = props[lo : lo + _SUB_CHUNK]
+            part[...] = _raw_proposals(spec, len(part), rng)
+            log_acc[lo : lo + _SUB_CHUNK] = _log_acceptance(
+                params, spec, np.cos(part), np.sin(part)
+            )
         u = rng.random(m)
-        log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
         acc_idx = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
         out[got : got + len(acc_idx)] = props[acc_idx]
         got += len(acc_idx)

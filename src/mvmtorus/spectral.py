@@ -69,8 +69,27 @@ def sym_eigen(a) -> SymEigen:
     (within ``SYMMETRY_ATOL``)."""
     a = _as_square(a)
     _require_symmetric(a)
-    values, vectors = np.linalg.eigh(a)
+    values, vectors = _eigh(a)
     return SymEigen(values=values, vectors=vectors)
+
+
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh`` (``eigvalsh`` unless ``vectors``) of a symmetric
+    matrix or a stack of them.  Where LAPACK does not converge (entries near
+    1e300 beside subnormal ones) a stack is solved matrix by matrix, and a
+    failing matrix on a copy scaled by the power of two that brings its
+    largest entry into [0.5, 1), its eigenvalues scaled back; a matrix that
+    converges keeps its bits."""
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            parts = [_eigh(m, vectors) for m in a]
+            return tuple(map(np.stack, zip(*parts))) if vectors else np.stack(parts)
+        shift = int(np.frexp(np.max(np.abs(a)))[1])
+        out = solve(np.ldexp(a, -shift))
+        return (np.ldexp(out[0], shift), out[1]) if vectors else np.ldexp(out, shift)
 
 
 def norm_inf(a):

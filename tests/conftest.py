@@ -200,6 +200,46 @@ def polish_oracle(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np
     return best, best_norm
 
 
+def halving_oracle(merit, cur: np.ndarray, direction: np.ndarray, max_halvings: int = 30):
+    """Each row's number of step halvings before ``merit(cand, rows,
+    lengths)`` held at cand = cur + length * direction, or -1, found by
+    halving the step of every pending row together, one merit call per
+    length.  Reference for ``mvmtorus.modes._step_exponents``, which tries
+    the lengths in batches."""
+    step = 1.0
+    found = np.full(len(cur), -1)
+    for k in range(max_halvings + 1):
+        rows = np.flatnonzero(found < 0)
+        if not len(rows):
+            break
+        ok = merit(cur[rows] + step * direction[rows], rows, np.array([step]))[:, 0]
+        found[rows[ok]] = k
+        step *= 0.5
+    return found
+
+
+def whole_chunk_block_oracle(params: MvmParams, spec, quota: int, seed_seq):
+    """``(draws, trials)`` of one sampler block whose attempt chunks draw
+    and test all their proposals at once.  Reference for
+    ``mvmtorus.sampler._sample_block``, which draws and tests each chunk in
+    sub-chunks."""
+    from mvmtorus import sampler
+
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    out = np.empty((quota, params.p))
+    got = trials = 0
+    while got < quota:
+        m = min(1 << 16, max(1024, 4 * (quota - got)))
+        props = sampler._raw_proposals(spec, m, rng)
+        u = rng.random(m)
+        log_acc = sampler._log_acceptance(params, spec, np.cos(props), np.sin(props))
+        acc_idx = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
+        out[got : got + len(acc_idx)] = props[acc_idx]
+        got += len(acc_idx)
+        trials += int(acc_idx[-1]) + 1 if got == quota else m
+    return out, trials
+
+
 def eager_blocks_oracle(params: MvmParams, n: int, spec, seed: int):
     """``(draws, trials)`` per block, from a plan built whole before the
     first draw: every quota listed and one ``SeedSequence(seed).spawn`` for

@@ -325,6 +325,50 @@ def test_modes_runs_where_the_lattice_cannot_be_stacked(tmp_path, capsys):
     assert doc["report"]["search_meta"]["starts_used"] == 512
 
 
+def test_modes_on_a_subnormal_kappa_divides_by_no_small_eigenvalue(tmp_path, capsys):
+    # the polish's pseudo-inverse drops the subnormal Hessian eigenvalue
+    # before it inverts, so 1/w cannot overflow (a RuntimeWarning fails the
+    # suite)
+    path = write_params(
+        tmp_path / "sub.json", mu=[0, 0], kappa=[1.0, 5e-324], **{"lambda": [[0, 0], [0, 0]]}
+    )
+    assert cli.main(["modes", "--params", path, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+#: P has entries of 1e300 beside subnormal and 1e-300 ones: LAPACK's eigh
+#: does not converge on it until it is scaled by a power of two
+_EIGH_FAILS = {
+    "mu": [0, 0, 0, 0, 0],
+    "kappa": [1e-08, 1, 0.3, 50, 5e-324],
+    "lambda": [
+        [0, -1e-300, -0.3, -1e4, 1e300],
+        [-1e-300, 0, -3, 3, -1e-300],
+        [-0.3, -3, 0, 50, -1e4],
+        [-1e4, 3, 50, 0, 1],
+        [1e300, -1e-300, -1e4, 1, 0],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command,code",
+    [(["certify"], 2), (["modes"], 0), (["forecast"], 3), (["sample", "--n", "10"], 3)],
+)
+def test_an_eigen_solve_that_does_not_converge_is_retried_scaled(
+    tmp_path, capsys, command, code
+):
+    # certify is inconclusive, forecast and sample refuse P as not
+    # positive definite, and modes reports, all with no warning
+    path = write_params(tmp_path / "wild.json", **_EIGH_FAILS)
+    out = tmp_path / "out.txt"
+    assert cli.main([command[0], "--params", path, *command[1:], "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "did not converge" not in err
+    if code == 3:
+        assert err.startswith("error: P is not certified positive definite")
+
+
 def test_cli_import_leaves_the_thread_pool_unloaded():
     code = "import sys, mvmtorus.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -15,6 +16,7 @@ from conftest import (
     RING_COUPLING,
     TWO_MODE_COUPLING,
     first_kept_oracle,
+    halving_oracle,
     polish_oracle,
     random_params,
     random_symmetric_coupling,
@@ -39,11 +41,15 @@ from mvmtorus import (
     wrap_angles,
 )
 from mvmtorus import cli, modes, spectral
+from mvmtorus.model import _trig_many
 from mvmtorus.modes import (
     CriticalPoint,
     _damped_pass,
+    _directions,
     _first_kept,
+    _merit,
     _start_points,
+    _step_exponents,
     deduplicate,
 )
 from mvmtorus.spectral import norm_inf
@@ -455,6 +461,37 @@ def test_deduplication_is_idempotent():
     assert len(once) == len(report.criticals)  # report is already deduplicated
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        six_mode_params(0.1, mu=[2.0, 0.5, 4.0]),
+        six_mode_params(0.1),
+        random_params(np.random.default_rng(8), 8),
+    ],
+    ids=["six", "six_at_zero", "rand8"],
+)
+def test_report_order_holds_when_f_and_angles_move_in_their_last_bits(params):
+    # mirror points have equal f (and often equal angles) in exact
+    # arithmetic; moving each f and each angle by one ulp either way, and
+    # shuffling, must give back the report's order (at mu = 0 some angles
+    # sit at 0, where one ulp down wraps to just below 2*pi)
+    report = critical_points(params, SearchConfig(seed=3)).criticals
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        moved = [
+            dataclasses.replace(
+                c,
+                f_value=float(np.nextafter(c.f_value, rng.choice([-np.inf, np.inf]))),
+                theta=TorusPoint(np.nextafter(c.theta.angles, rng.choice([-1.0, 7.0], params.p))),
+            )
+            for c in report
+        ]
+        index = {id(c): i for i, c in enumerate(moved)}
+        rng.shuffle(moved)
+        order = [index[id(c)] for c in modes._report_order(params, moved)]
+        assert order == list(range(len(report)))
+
+
 def test_report_counts_match_contents(rng):
     params = random_params(rng, 3, kappa_range=(0.0, 3.0))
     report = critical_points(params)
@@ -514,6 +551,70 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
         else:
             g_out = np.max(np.abs(grad_many(params, out)), axis=1)
             assert np.all(g_out <= g_start + k * 1e-14 * max(1.0, norm_inf(params.p_matrix())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _pass_case(),
+    st.sampled_from([1.0, -1.0, 0.0]),
+    st.sampled_from([1.0, 0.0, 2.0**20]),
+    st.integers(16, 64),
+)
+def test_batched_step_lengths_match_sequential_halving(case, sign, scale, budget):
+    # the lengths 2**-k, tried in batches, give each row the k that halving
+    # its step one length at a time stops at (-1 where none passes), and no
+    # merit call holds more than _CANDIDATE_ROWS candidates.  The direction
+    # is scaled by a power of two (or zeroed) so that rows need many
+    # halvings or find none.  At p <= 5 the kernels round each row the same
+    # at any stack shape; at p >= 8 numpy's matrix-vector product rounds a
+    # stack's last rows differently, so a merit exactly at its threshold
+    # could flip there.
+    params, cur = case
+    c, s = _trig_many(params, cur)
+    g = grad_many(params, cur)
+    gnorm = np.max(np.abs(g), axis=1)
+    direction = scale * _directions(params, sign, c, s, g, gnorm)[0]
+    merit = _merit(params, sign, c, s, gnorm)
+    sizes = []
+
+    def counted(cand, rows, lengths):
+        sizes.append(len(cand))
+        return merit(cand, rows, lengths)
+
+    with mock.patch.object(modes, "_CANDIDATE_ROWS", budget):
+        found = _step_exponents(counted, cur, direction)
+    assert np.array_equal(found, halving_oracle(merit, cur, direction))
+    assert max(sizes) <= budget
+
+
+def test_reference_ascent_row_that_circled_reaches_the_maximum():
+    # from this lattice start (mu + pi/4 * (1, 1, 7)) the capped gradient
+    # step left f unchanged, and a step that did not lower f used to pass:
+    # the row circled at |grad f|_inf = 4.12 through all 80 iterations.  A
+    # step must now raise f, so the row climbs to the one maximum, at mu
+    mu = [5.923983541798076, 2.9611357265761367, 5.774140607951395]
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=mu)
+    start = np.array([[0.42619639801593845, 3.746533889973585, 4.988742444553946]])
+    out = _damped_pass(params, start, 1.0, SearchConfig())
+    assert np.max(np.abs(grad_many(params, out))) <= modes._POLISH_TRIGGER
+    assert TorusPoint(out[0]).distance(mu) < 1e-5
+
+
+def test_polish_retires_rows_at_the_roundoff_floor(monkeypatch):
+    # grad f is exactly 0 at mu, below the floor: the row is never sent
+    # through eigh, and a row near a maximum leaves once it reaches the floor
+    params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.3, 1.2, 5.0])
+    rows = []
+    eigh = spectral._eigh
+    monkeypatch.setattr(
+        spectral, "_eigh", lambda a, vectors=True: rows.append(len(a)) or eigh(a, vectors)
+    )
+    best, norms = modes._polish(params, params.mu.angles[None])
+    assert rows == [] and norms[0] == 0.0
+    floor = 8.0 * np.finfo(float).eps * _f_range(params)
+    best, norms = modes._polish(params, params.mu.angles[None] + 1e-3)
+    assert norms[0] <= floor
+    assert len(rows) < modes._POLISH_ROUNDS
 
 
 # ---------------------------------------------------------------------------

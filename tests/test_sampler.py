@@ -16,6 +16,7 @@ from conftest import (
     eager_blocks_oracle,
     heterogeneous_params,
     random_params,
+    whole_chunk_block_oracle,
 )
 from mvmtorus import (
     MvmParams,
@@ -177,6 +178,36 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
     got = sampler._raw_proposals(spec, 500, np.random.default_rng(9))
     want = np.random.default_rng(9).vonmises(0.0, np.asarray(spec.d), size=(500, 3))
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([1.0, 40.0, 3e7]),
+    st.booleans(),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_sub_chunked_block_draws_equal_whole_chunk_draws(p, scale, shared, quota, seed):
+    # a chunk of up to 4 * quota proposals is drawn and tested in
+    # sub-chunks of 2048 rows: numpy fills rows in order, so the stream, the
+    # draws and the trials are those of one whole-chunk call, for a scalar
+    # or per-coordinate d, below and above numpy's wrapped-normal switch at
+    # d = 1e6.  (At p <= 6 the acceptance kernel rounds each row the same
+    # at any stack shape.)
+    rng = np.random.default_rng(seed)
+    kappa = scale * (np.ones(p) if shared else rng.uniform(1.0, 3.0, size=p))
+    lam = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1) * (0.5 * kappa.min() / p)
+    lam = lam + lam.T
+    params = MvmParams(mu=rng.uniform(0.0, 2.0 * np.pi, size=p), kappa=kappa, lam=lam)
+    # P - diag(d) is diagonally dominant, so every acceptance exponent is <= 0
+    d = tuple(0.5 * (kappa - np.sum(np.abs(lam), axis=1)))
+    spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=d)
+    child = np.random.SeedSequence(seed)
+    draws, trials = sampler._sample_block(params, spec, quota, child)
+    expected, expected_trials = whole_chunk_block_oracle(params, spec, quota, child)
+    assert np.array_equal(draws, expected)
+    assert trials == expected_trials
 
 
 # ---------------------------------------------------------------------------

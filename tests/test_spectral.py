@@ -5,6 +5,7 @@ from conftest import (
     REFERENCE_COUPLING,
     random_symmetric_coupling,
 )
+from mvmtorus import spectral
 from mvmtorus.spectral import (
     GershgorinReport,
     default_pd_tol,
@@ -55,6 +56,37 @@ def test_eigen_residuals_and_orthonormality(rng):
         assert np.max(np.abs(residual)) < 1e-10 * norm
         gram = out.vectors.T @ out.vectors
         assert np.max(np.abs(gram - np.eye(p))) < 1e-10
+
+
+#: P = diag(kappa) - Lambda with entries of 1e300 beside subnormal and
+#: 1e-300 ones, on which LAPACK's eigh does not converge
+_EIGH_FAILS = np.array(
+    [
+        [1e-08, 1e-300, 0.3, 1e4, -1e300],
+        [1e-300, 1.0, 3.0, -3.0, 1e-300],
+        [0.3, 3.0, 0.3, -50.0, 1e4],
+        [1e4, -3.0, -50.0, 50.0, -1.0],
+        [-1e300, 1e-300, 1e4, -1.0, 5e-324],
+    ]
+)
+
+
+def test_eigh_retries_a_matrix_lapack_does_not_converge_on(rng):
+    # a stack holding it is solved matrix by matrix: the failing matrix on a
+    # copy scaled by a power of two, the others with their own bits
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(_EIGH_FAILS)
+    other = random_symmetric_coupling(rng, 5)
+    w, v = spectral._eigh(np.stack([other, _EIGH_FAILS, np.eye(5)]))
+    for k, a in ((0, other), (2, np.eye(5))):
+        expected = np.linalg.eigh(a)
+        assert np.array_equal(w[k], expected[0]) and np.array_equal(v[k], expected[1])
+    assert np.all(np.diff(w[1]) >= 0.0)
+    assert w[1][0] == pytest.approx(-1e300) and w[1][-1] == pytest.approx(1e300)
+    residual = _EIGH_FAILS @ v[1] - v[1] * w[1]
+    assert np.max(np.abs(residual)) < 1e-10 * 1e300
+    assert np.max(np.abs(v[1].T @ v[1] - np.eye(5))) < 1e-10
+    assert np.array_equal(sym_eigen(_EIGH_FAILS).values, w[1])
 
 
 def test_eigenvalues_invariant_under_orthogonal_similarity(rng):
