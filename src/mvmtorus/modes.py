@@ -76,9 +76,10 @@ __all__ = [
 _POLISH_TRIGGER = 1e-6
 #: rounds of pseudo-inverse Newton polishing after the damped passes
 _POLISH_ROUNDS = 8
-#: the step lengths 2**-k a damped pass tries before it freezes a start, in
-#: the batches of one merit call each: k = 0, 1-2, 3-6, 7-14 and 15-30
-_LENGTH_BATCHES = [(k, np.ldexp(1.0, -k)) for k in np.split(np.arange(31), [1, 3, 7, 15])]
+#: the step lengths 2**-k, k = 0..30, a damped pass tries before it freezes a start
+_LENGTHS = np.array([0.5**k for k in range(31)])
+#: the k of each batch of lengths one merit call tries
+_LENGTH_BATCHES = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31))
 #: relative slack an extremum step's rise in f must exceed (roundoff)
 _F_SLACK = 1e-14
 #: f values this many eps * f range apart tie in the report order
@@ -218,24 +219,22 @@ def _critical_tol(params: MvmParams, grad_tol: float) -> float:
 
 
 def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[CriticalPoint]:
-    """``points`` by descending f, then kind, then angles, where values tie
-    that chain to each other in steps of at most ``_F_ULPS`` * eps * f range
-    (f) or ``_ANGLE_TIE`` (angles, near 2*pi counting as near 0): mirror
+    """``points`` by descending f, then kind, then angles, where f values
+    within ``_F_ULPS`` * eps * f range of a group's first, or angles within
+    ``_ANGLE_TIE`` (near 2*pi counting as near 0), rank as equal: mirror
     points keep their order, whatever the last bits of their f and angles."""
-    kinds = sorted(k.value for k in PointKind)
     keys = [
-        [-c.f_value, kinds.index(c.kind.value)]
+        [-c.f_value, c.kind.value]
         + [a - TWO_PI if a > TWO_PI - _ANGLE_TIE else a for a in c.theta.angles.tolist()]
         for c in points
     ]
-    ties = [_F_ULPS * np.finfo(float).eps * _f_range(params), 0.0] + [_ANGLE_TIE] * params.p
-    for j, tie in enumerate(ties):
-        values = [key[j] for key in keys]
-        order = sorted(range(len(keys)), key=values.__getitem__)
-        for last, i in zip(order, order[1:]):
-            if values[i] - values[last] <= tie:
-                keys[i][j] = keys[last][j]
-    return [points[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    ties = [(0, _F_ULPS * np.finfo(float).eps * _f_range(params))]
+    for j, tie in ties + [(j, _ANGLE_TIE) for j in range(2, params.p + 2)]:
+        ordered = sorted(keys, key=lambda key: key[j])
+        for prev, key in zip(ordered, ordered[1:]):
+            if key[j] - prev[j] <= tie:
+                key[j] = prev[j]
+    return [points[i] for i in sorted(range(len(points)), key=keys.__getitem__)]
 
 
 def classify_critical(
@@ -388,43 +387,35 @@ def _directions(params: MvmParams, sign: float, c, s, g, gnorm) -> tuple[np.ndar
     return (np.where(use_newton[:, None], newton, fallback),)
 
 
-def _merit(params: MvmParams, sign: float, c, s, gnorm):
-    """The test ``ok(cand, rows, lengths)`` of a pass's steps of ``lengths``
-    from ``rows`` (trig ``c``, ``s``), candidates row-major in a
-    (rows, lengths) grid: sign * f must rise by more than roundoff (no row
-    circles at constant f), or for a root |grad|_inf fall by the factor
-    1 - 1e-4 * length."""
+def _step_lengths(params: MvmParams, sign: float, c, s, gnorm, cur, direction):
+    """Each row's largest step length 2**-k (``_LENGTHS``) at which
+    cur + 2**-k * direction passes the merit, or 0 where none does: for an
+    extremum sign * f must rise by more than roundoff (so no row circles at
+    constant f), for a root |grad|_inf must fall by the factor
+    1 - 1e-4 * 2**-k.  One f or gradient call per batch of
+    ``_LENGTH_BATCHES`` and chunk of at most ``_CANDIDATE_ROWS`` (or the
+    row count) candidates; 2**-k is a power of two, so the candidates, and
+    the length found, are those of halving the step until the merit holds."""
+    n, p = cur.shape
+    found = np.zeros(n)
+    pending = np.arange(n)
     if sign:
         f0 = _exponent_cs(params, c, s)
         slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
-        return lambda x, rows, _: (
-            sign * (exponent_many(params, x).reshape(len(rows), -1) - f0[rows, None])
-            > slack[rows, None]
-        )
-    return lambda x, rows, lengths: (
-        np.max(np.abs(grad_many(params, x)), axis=1).reshape(len(rows), -1)
-        <= (1.0 - 1e-4 * lengths) * gnorm[rows, None]
-    )
-
-
-def _step_exponents(merit, cur: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Each row's first k whose candidate cur + 2**-k * direction passes
-    ``merit``, or -1, with one merit call per batch of ``_LENGTH_BATCHES``
-    and chunk of at most ``_CANDIDATE_ROWS`` (or the row count) candidates.
-    2**-k is a power of two, so the candidates, and the k, are those of
-    halving the step until the merit holds."""
-    n, p = cur.shape
-    found = np.full(n, -1)
-    pending = np.arange(n)
-    for ks, lengths in _LENGTH_BATCHES:
-        chunk = max(1, min(n, _CANDIDATE_ROWS) // len(ks))
+    for low, high in _LENGTH_BATCHES:
+        lengths, chunk = _LENGTHS[low:high], max(1, min(n, _CANDIDATE_ROWS) // (high - low))
         for i in range(0, len(pending), chunk):
             rows = pending[i : i + chunk]
-            cand = cur[rows, None] + lengths[:, None] * direction[rows, None]
-            ok = merit(cand.reshape(-1, p), rows, lengths)
+            cand = (cur[rows, None] + lengths[:, None] * direction[rows, None]).reshape(-1, p)
+            if sign:
+                f = exponent_many(params, cand).reshape(len(rows), -1)
+                ok = sign * (f - f0[rows, None]) > slack[rows, None]
+            else:
+                g1 = np.max(np.abs(grad_many(params, cand)), axis=1).reshape(len(rows), -1)
+                ok = g1 <= (1.0 - 1e-4 * lengths) * gnorm[rows, None]
             hit = ok.any(axis=1)
-            found[rows[hit]] = ks[ok[hit].argmax(axis=1)]
-        pending = pending[found[pending] < 0]
+            found[rows[hit]] = lengths[ok[hit].argmax(axis=1)]
+        pending = pending[found[pending] == 0.0]
         if not len(pending):
             break
     return found
@@ -443,7 +434,7 @@ def _damped_pass(
     LU pivots all reach 1e-10 * max(1, |H|_inf) in magnitude.  Elsewhere it
     is the capped gradient step sign*g, or for a root -H g, the steepest
     descent direction of 0.5*|grad|^2.  The step length is the largest
-    2**-k (k <= 30) that passes :func:`_merit`; a start that
+    2**-k that passes the merit of :func:`_step_lengths`; a start that
     no length improves is frozen.  Hessian work runs in row blocks
     (:func:`_by_blocks`), gradients and f on all live rows at once.
     """
@@ -463,10 +454,9 @@ def _damped_pass(
         idx, c, s, g, gnorm = idx[keep], c[keep], s[keep], g[keep], gnorm[keep]
         (direction,) = _by_blocks(partial(_directions, params, sign), c, s, g, gnorm)
         cur = th[idx]
-        k = _step_exponents(_merit(params, sign, c, s, gnorm), cur, direction)
-        moved = k >= 0
-        step = np.ldexp(1.0, -k[moved])[:, None] * direction[moved]
-        th[idx[moved]] = wrap_angles(cur[moved] + step)
+        step = _step_lengths(params, sign, c, s, gnorm, cur, direction)
+        moved = step > 0.0
+        th[idx[moved]] = wrap_angles(cur[moved] + step[moved, None] * direction[moved])
         alive[idx[~moved]] = False  # stalled: no step length improved the merit
     return th
 
@@ -478,7 +468,9 @@ def _pinv_steps(params: MvmParams, cur: np.ndarray, g: np.ndarray) -> tuple[np.n
     h = hessian_many(params, cur)
     thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
     w, v = spectral._eigh(h)
-    winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > thresh[:, None])
+    keep = np.abs(w) > thresh[:, None]
+    winv = np.zeros_like(w)
+    winv[keep] = 1.0 / w[keep]
     return (np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g)),)
 
 

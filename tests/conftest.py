@@ -10,7 +10,14 @@ import io
 import numpy as np
 import pytest
 
-from mvmtorus import MvmParams, angular_distance, grad_many, hessian_many, wrap_angles
+from mvmtorus import (
+    MvmParams,
+    angular_distance,
+    exponent_many,
+    grad_many,
+    hessian_many,
+    wrap_angles,
+)
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})
@@ -200,20 +207,28 @@ def polish_oracle(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np
     return best, best_norm
 
 
-def halving_oracle(merit, cur: np.ndarray, direction: np.ndarray, max_halvings: int = 30):
-    """Each row's number of step halvings before ``merit(cand, rows,
-    lengths)`` held at cand = cur + length * direction, or -1, found by
-    halving the step of every pending row together, one merit call per
-    length.  Reference for ``mvmtorus.modes._step_exponents``, which tries
-    the lengths in batches."""
+def halving_oracle(params: MvmParams, sign: float, cur, direction, gnorm, max_halvings=30):
+    """Each row's step length at which the damped pass's merit first held
+    at cur + length * direction, or 0, found by halving the step of every
+    pending row together, one f or gradient call per length: for an
+    extremum sign * f must rise by more than 1e-14 * max(1, |f|), for a root
+    |grad|_inf must fall below ``gnorm`` by the factor 1 - 1e-4 * length.
+    Reference for ``mvmtorus.modes._step_lengths``, which tries the lengths
+    in batches."""
+    f0 = exponent_many(params, cur)
+    slack = 1e-14 * np.maximum(1.0, np.abs(f0))
     step = 1.0
-    found = np.full(len(cur), -1)
-    for k in range(max_halvings + 1):
-        rows = np.flatnonzero(found < 0)
+    found = np.zeros(len(cur))
+    for _ in range(max_halvings + 1):
+        rows = np.flatnonzero(found == 0.0)
         if not len(rows):
             break
-        ok = merit(cur[rows] + step * direction[rows], rows, np.array([step]))[:, 0]
-        found[rows[ok]] = k
+        cand = cur[rows] + step * direction[rows]
+        if sign:
+            ok = sign * (exponent_many(params, cand) - f0[rows]) > slack[rows]
+        else:
+            ok = np.max(np.abs(grad_many(params, cand)), axis=1) <= (1.0 - 1e-4 * step) * gnorm[rows]
+        found[rows[ok]] = step
         step *= 0.5
     return found
 

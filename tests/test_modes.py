@@ -47,9 +47,8 @@ from mvmtorus.modes import (
     _damped_pass,
     _directions,
     _first_kept,
-    _merit,
     _start_points,
-    _step_exponents,
+    _step_lengths,
     deduplicate,
 )
 from mvmtorus.spectral import norm_inf
@@ -561,29 +560,32 @@ def test_damped_pass_never_worsens_its_merit(case, sign, max_iter):
     st.integers(16, 64),
 )
 def test_batched_step_lengths_match_sequential_halving(case, sign, scale, budget):
-    # the lengths 2**-k, tried in batches, give each row the k that halving
-    # its step one length at a time stops at (-1 where none passes), and no
-    # merit call holds more than _CANDIDATE_ROWS candidates.  The direction
-    # is scaled by a power of two (or zeroed) so that rows need many
-    # halvings or find none.  At p <= 5 the kernels round each row the same
-    # at any stack shape; at p >= 8 numpy's matrix-vector product rounds a
-    # stack's last rows differently, so a merit exactly at its threshold
-    # could flip there.
+    # the lengths 2**-k, tried in batches, give each row the length at
+    # which halving its step one length at a time stops (0 where none
+    # passes), and no f or gradient call holds more than _CANDIDATE_ROWS
+    # candidates.  The direction is scaled by a power of two (or zeroed) so
+    # that rows need many halvings or find none.  At p <= 5 the kernels
+    # round each row the same at any stack shape; at p >= 8 numpy's
+    # matrix-vector product rounds a stack's last rows differently, so a
+    # merit exactly at its threshold could flip there.
     params, cur = case
     c, s = _trig_many(params, cur)
     g = grad_many(params, cur)
     gnorm = np.max(np.abs(g), axis=1)
     direction = scale * _directions(params, sign, c, s, g, gnorm)[0]
-    merit = _merit(params, sign, c, s, gnorm)
     sizes = []
 
-    def counted(cand, rows, lengths):
-        sizes.append(len(cand))
-        return merit(cand, rows, lengths)
+    def counted(kernel):
+        def call(params, rows):
+            sizes.append(len(rows))
+            return kernel(params, rows)
+        return call
 
-    with mock.patch.object(modes, "_CANDIDATE_ROWS", budget):
-        found = _step_exponents(counted, cur, direction)
-    assert np.array_equal(found, halving_oracle(merit, cur, direction))
+    with mock.patch.object(modes, "_CANDIDATE_ROWS", budget), mock.patch.object(
+        modes, "exponent_many", counted(exponent_many)
+    ), mock.patch.object(modes, "grad_many", counted(grad_many)):
+        found = _step_lengths(params, sign, c, s, gnorm, cur, direction)
+    assert np.array_equal(found, halving_oracle(params, sign, cur, direction, gnorm))
     assert max(sizes) <= budget
 
 
