@@ -78,7 +78,7 @@ _POLISH_TRIGGER = 1e-6
 _POLISH_ROUNDS = 8
 #: the step lengths 2**-k, k = 0..30, a damped pass tries before it freezes a start
 _LENGTHS = np.array([0.5**k for k in range(31)])
-#: the k of each batch of lengths one merit call tries
+#: the k (first, last + 1) of each batch of lengths tried in one f or gradient call
 _LENGTH_BATCHES = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31))
 #: relative slack an extremum step's rise in f must exceed (roundoff)
 _F_SLACK = 1e-14
@@ -92,7 +92,7 @@ _MAX_STEP = np.pi / 2
 _MAX_LATTICE_STARTS = 256
 #: most rows whose p x p Hessians the search holds at once
 _BLOCK_ROWS = 512
-#: most candidate rows (rows times step lengths) per merit call
+#: most candidate rows (rows times step lengths) per f or gradient call
 _CANDIDATE_ROWS = 4 * _BLOCK_ROWS
 
 
@@ -468,9 +468,7 @@ def _pinv_steps(params: MvmParams, cur: np.ndarray, g: np.ndarray) -> tuple[np.n
     h = hessian_many(params, cur)
     thresh = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
     w, v = spectral._eigh(h)
-    keep = np.abs(w) > thresh[:, None]
-    winv = np.zeros_like(w)
-    winv[keep] = 1.0 / w[keep]
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > thresh[:, None])
     return (np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, g)),)
 
 
