@@ -227,7 +227,8 @@ def halving_oracle(params: MvmParams, sign: float, cur, direction, gnorm, max_ha
         if sign:
             ok = sign * (exponent_many(params, cand) - f0[rows]) > slack[rows]
         else:
-            ok = np.max(np.abs(grad_many(params, cand)), axis=1) <= (1.0 - 1e-4 * step) * gnorm[rows]
+            g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
+            ok = g1 <= (1.0 - 1e-4 * step) * gnorm[rows]
         found[rows[ok]] = step
         step *= 0.5
     return found

@@ -191,7 +191,7 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
 def test_sub_chunked_block_draws_equal_whole_chunk_draws(p, scale, shared, quota, seed):
     # a chunk of up to 4 * quota proposals is drawn and tested in
     # sub-chunks of 2048 rows: numpy fills rows in order, so the stream, the
-    # draws and the trials are those of one whole-chunk call, for a scalar
+    # draws and the trials are those of one whole-chunk call, for a shared
     # or per-coordinate d, below and above numpy's wrapped-normal switch at
     # d = 1e6.  (At p <= 6 the acceptance kernel rounds each row the same
     # at any stack shape.)
@@ -200,8 +200,10 @@ def test_sub_chunked_block_draws_equal_whole_chunk_draws(p, scale, shared, quota
     lam = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1) * (0.5 * kappa.min() / p)
     lam = lam + lam.T
     params = MvmParams(mu=rng.uniform(0.0, 2.0 * np.pi, size=p), kappa=kappa, lam=lam)
-    # P - diag(d) is diagonally dominant, so every acceptance exponent is <= 0
-    d = tuple(0.5 * (kappa - np.sum(np.abs(lam), axis=1)))
+    # P - diag(d) is diagonally dominant, so every acceptance exponent is
+    # <= 0; a shared d takes numpy's scalar-kappa path
+    d = 0.5 * (kappa - np.sum(np.abs(lam), axis=1))
+    d = tuple(np.full(p, d.min()) if shared else d)
     spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=d)
     child = np.random.SeedSequence(seed)
     draws, trials = sampler._sample_block(params, spec, quota, child)
