@@ -37,6 +37,9 @@ _EXPORTS_BY_MODULE = {
     "spectral": (
         "GershgorinReport",
         "SymEigen",
+        "UnimodalityCertificate",
+        "Verdict",
+        "certify_unimodal",
         "gershgorin",
         "is_positive_definite",
         "sym_eigen",
@@ -46,9 +49,6 @@ _EXPORTS_BY_MODULE = {
         "ModeReport",
         "PointKind",
         "SearchConfig",
-        "UnimodalityCertificate",
-        "Verdict",
-        "certify_unimodal",
         "classify_critical",
         "critical_points",
     ),

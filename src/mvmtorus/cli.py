@@ -36,12 +36,13 @@ cannot be written is an input error, as are two of ``--params``, ``--out``,
 that exit 1 or 3 write no record and no file: what a run wrote before it
 failed is removed (CSV rows already printed on stdout stay).
 
-Each command imports the modules it uses when it runs (``modes`` for
-``certify`` and ``modes``, ``sampler`` for ``sample`` and ``forecast``,
-``oracle`` for ``cube``, ``grid`` and, through ``sampler``, ``forecast``),
-so a run does not pay to load the others.  The sampler's errors come from
-:mod:`mvmtorus.model`; it refuses P (exit 3) exactly where ``certify`` does
-not certify.
+Each command imports the modules it uses when it runs (``spectral`` for
+``certify``, ``modes`` for ``modes``, ``sampler`` for ``sample`` and
+``forecast``, ``oracle`` for ``cube``, ``grid`` and, through ``sampler``,
+``forecast``), so a run does not pay to load the others.  The sampler's
+errors come from :mod:`mvmtorus.model`; it refuses P (exit 3) exactly where
+``certify`` does not certify, since both run
+:func:`mvmtorus.spectral.certify_unimodal`.
 """
 
 from __future__ import annotations
@@ -307,9 +308,9 @@ def _emit(args, params: MvmParams, run: _Run, started: float) -> int:
 
 
 def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
-    from . import modes
+    from . import spectral
 
-    cert = modes.certify_unimodal(params)
+    cert = spectral.certify_unimodal(params)
 
     def text() -> str:
         lines = [
@@ -323,7 +324,7 @@ def _cmd_certify(args, params: MvmParams, seed: int) -> _Run:
             lines.append(f"  {c:.12g}  {r:.12g}")
         return "\n".join(lines) + "\n"
 
-    inconclusive = cert.verdict is modes.Verdict.INCONCLUSIVE
+    inconclusive = cert.verdict is spectral.Verdict.INCONCLUSIVE
     return _Run(
         config={},
         body=lambda: {"certificate": _plain(cert)},

@@ -54,7 +54,7 @@ class DimensionMismatchError(ValueError):
 
 class NotPositiveDefiniteError(ValueError):
     """P = diag(kappa) - Lambda fails the certificate's definiteness test;
-    the rejection sampler does not apply.  Run modes.certify_unimodal."""
+    the rejection sampler does not apply.  Run spectral.certify_unimodal."""
 
 
 class BoundViolationError(RuntimeError):

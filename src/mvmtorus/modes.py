@@ -1,15 +1,10 @@
-"""Unimodality certification and exhaustive mode discovery.
-
-* :func:`certify_unimodal` checks sufficient conditions on the matrix
-  P = diag(kappa) - Lambda (positive definiteness, and the stronger
-  row-dominance condition kappa_i > sum_j |lam_ij|).  An inconclusive
-  certificate does not assert multimodality.  The sampler gates on the same
-  definiteness test.
-
-* :func:`critical_points` locates the critical points of the exponent by
-  damped multi-start Newton iteration on the torus and classifies each by
-  its Hessian spectrum, flagging extended (degenerate) maxima such as flat
-  ridges.
+"""Exhaustive mode discovery: :func:`critical_points` locates the critical
+points of the exponent by damped multi-start Newton iteration on the torus
+and classifies each by its Hessian spectrum, flagging extended
+(degenerate) maxima such as flat ridges.  The paper's unimodality criteria
+are only sufficient (their certificate is
+:func:`mvmtorus.spectral.certify_unimodal`), so the search settles modality
+where they are inconclusive.
 
 The search runs one damped-Newton driver three times over the start set
 (ascent toward maxima, descent toward minima, and a root pass that also
@@ -55,18 +50,16 @@ from .model import (
     lattice_rows,
     wrap_angles,
 )
-# not used here: the benchmark's tracer wraps these two names on this module
+# not used here: the benchmark's tracer wraps these three names on this module
 from .model import exponent_f, hessian_f  # noqa: F401
+from .spectral import certify_unimodal  # noqa: F401
 
 __all__ = [
-    "Verdict",
     "PointKind",
-    "UnimodalityCertificate",
     "CriticalPoint",
     "SearchConfig",
     "SearchMeta",
     "ModeReport",
-    "certify_unimodal",
     "classify_critical",
     "critical_points",
     "deduplicate",
@@ -96,51 +89,11 @@ _BLOCK_ROWS = 512
 _CANDIDATE_ROWS = 4 * _BLOCK_ROWS
 
 
-class Verdict(enum.Enum):
-    CERTIFIED_UNIMODAL = "CertifiedUnimodal"
-    CERTIFIED_UNIMODAL_WITH_MINIMUM = "CertifiedUnimodalWithMinimum"
-    INCONCLUSIVE = "Inconclusive"
-
-
 class PointKind(enum.Enum):
     MAXIMUM = "Maximum"
     MINIMUM = "Minimum"
     SADDLE = "Saddle"
     DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class UnimodalityCertificate:
-    """Outcome of the sufficient unimodality tests.
-
-    ``prop1_holds``: P is positive definite, so the density has one
-    maximum, at mu.  ``cor1_holds``: every kappa_i strictly dominates its
-    coupling row sum, which also pins the one minimum at the antipode of
-    mu; it implies ``prop1_holds``.
-    """
-
-    verdict: Verdict
-    prop1_holds: bool
-    cor1_holds: bool
-    p_matrix: np.ndarray
-    p_eigenvalues: np.ndarray
-    gershgorin: spectral.GershgorinReport
-
-
-def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
-    """Build P = diag(kappa) - Lambda and run both sufficient tests."""
-    p_matrix = params.p_matrix()
-    prop1, _, report = spectral._certified(p_matrix)
-    # row dominance: centers are exactly kappa (Lambda has zero diagonal)
-    cor1 = bool(np.all(report.centers > report.radii))
-    eigenvalues = spectral.sym_eigen(p_matrix).values
-    if cor1:
-        verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM
-    elif prop1:
-        verdict = Verdict.CERTIFIED_UNIMODAL
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return UnimodalityCertificate(verdict, prop1, cor1, p_matrix, eigenvalues, report)
 
 
 @dataclass(frozen=True)

@@ -120,15 +120,15 @@ def log_partition(params: MvmParams, n_per_dim: int | None = None) -> float:
 def high_concentration_log_partition(params: MvmParams) -> float:
     """Laplace-type closed form (p/2) log(2*pi) - 0.5 log|P| + sum(kappa),
     valid when P = diag(kappa) - Lambda certifies and eig(S) > 0 (else ``ValueError``)."""
-    p_matrix = params.p_matrix()
-    definite, scaled, _ = spectral._certified(p_matrix)
+    cert = spectral.certify_unimodal(params)
+    scaled = spectral._jacobi_scaled(cert.p_matrix) if cert.prop1_holds else None
     # row dominance can certify P while min eig(S) rounds to 0 or below
-    eig = spectral.sym_eigen(scaled).values if definite and scaled is not None else [0.0]
+    eig = spectral.sym_eigen(scaled).values if scaled is not None else [0.0]
     if not eig[0] > 0.0:
         raise ValueError("high-concentration approximation requires positive definite P")
     # log|P| = sum(log eig(S)) + sum(log diag(P)): no determinant to
     # overflow or underflow
-    log_det = np.sum(np.log(eig)) + np.sum(np.log(np.diag(p_matrix)))
+    log_det = np.sum(np.log(eig)) + np.sum(np.log(np.diag(cert.p_matrix)))
     return float(0.5 * params.p * np.log(TWO_PI) - 0.5 * log_det + np.sum(params.kappa))
 
 

@@ -1,6 +1,6 @@
 """Exact rejection sampling for the multivariate von Mises distribution in
-the positive-definite-P (certified unimodal) regime, decided by the
-certificate's own test; the computed lambda_min(P) only sizes the envelope.
+the regime where ``spectral.certify_unimodal`` certifies P positive definite;
+the computed lambda_min(P) only sizes the envelope.
 
 Proposal: coordinate i independently follows the von Mises density
 
@@ -334,23 +334,23 @@ def _resolve_spec(
     checked, and the eigenvalues of P, ascending (the smallest may be <= 0
     on a nearly singular P).
 
-    P must certify (``spectral._certified``), else
+    P must certify (``spectral.certify_unimodal``), else
     ``NotPositiveDefiniteError``.  The spec must have 0 < b <=
     lambda_min(P), and P - diag(d) must pass the Cholesky test at
     -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
     the eigen-solver that built d."""
-    p_matrix = params.p_matrix()
-    definite, scaled, _ = spectral._certified(p_matrix)
-    eigenvalues = spectral.sym_eigen(p_matrix).values
+    cert = spectral.certify_unimodal(params)
+    p_matrix, eigenvalues = cert.p_matrix, cert.p_eigenvalues
     smallest = float(eigenvalues[0])
-    if not definite:
+    if not cert.prop1_holds:
         raise NotPositiveDefiniteError(
             "P is not certified positive definite (computed smallest eigenvalue "
-            f"{smallest:.6g}); see modes.certify_unimodal"
+            f"{smallest:.6g}); see spectral.certify_unimodal"
         )
+    norm = float(spectral.norm_inf(p_matrix))
     bound, d = lambda_min, None
     if lambda_min is None:
-        slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_matrix)))
+        slack = ENVELOPE_SLACK * min(1.0, norm)
         bound = smallest - slack
         if bound <= 0.0:
             raise ValueError(
@@ -358,6 +358,7 @@ def _resolve_spec(
                 f"slack {slack:.6g}: P is too close to singular to sample"
             )
         # None only for a subnormal diagonal entry; the scalar is kept then
+        scaled = spectral._jacobi_scaled(p_matrix)
         t = -1.0 if scaled is None else spectral.sym_eigen(scaled).values[0] - ENVELOPE_SLACK
         if t > 0.0:
             jacobi = t * np.diag(p_matrix)
@@ -368,7 +369,7 @@ def _resolve_spec(
     if not 0.0 < bound <= smallest:
         raise ValueError(f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}")
     spec = ProposalSpec(lambda_min_bound=float(bound), p=params.p, d=d)
-    tol = -ENVELOPE_SLACK * max(1.0, float(spectral.norm_inf(p_matrix)))
+    tol = -ENVELOPE_SLACK * max(1.0, norm)
     if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=tol):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "

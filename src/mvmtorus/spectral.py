@@ -1,13 +1,15 @@
 """Dense symmetric eigen-analysis for the small matrices this package
-meets: eigen-decomposition, positive-definiteness and Gershgorin discs.
+meets: eigen-decomposition, positive-definiteness and Gershgorin discs,
+and the sufficient unimodality certificates built on them.
 
 Matrices here are p x p with p the torus dimension: at most 4 for the
 quadrature, while the mode search and the sampler run at p = 8, 12 or 16
 as well.  Everything is delegated to LAPACK through numpy; the value
 added by this module is the validated, ascending-ordered contract the rest
 of the package relies on, plus a Cholesky-based definiteness test that is independent of the
-eigen path (the two are cross-checked in the test suite).  ``_certified`` is
-the package's one test of whether P = diag(kappa) - Lambda is definite.
+eigen path (the two are cross-checked in the test suite).  ``certify``, the
+sampler's gate and the closed form all read :func:`certify_unimodal`, the
+package's one test of whether P = diag(kappa) - Lambda is definite.
 ``_solve_stack`` is the exception to LAPACK: the mode search solves
 hundreds of small systems at once, one per start, and Gaussian elimination
 vectorised over the stack in numpy gives each row its own verdict where
@@ -16,9 +18,12 @@ vectorised over the stack in numpy gives each row its own verdict where
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import MvmParams
 
 #: absolute tolerance for accepting a matrix as symmetric
 SYMMETRY_ATOL = 1e-12
@@ -27,11 +32,14 @@ __all__ = [
     "SYMMETRY_ATOL",
     "SymEigen",
     "GershgorinReport",
+    "Verdict",
+    "UnimodalityCertificate",
     "sym_eigen",
     "norm_inf",
     "default_pd_tol",
     "is_positive_definite",
     "gershgorin",
+    "certify_unimodal",
 ]
 
 
@@ -169,15 +177,49 @@ def gershgorin(a) -> GershgorinReport:
     return GershgorinReport(centers=centers, radii=radii, excludes_zero=excludes)
 
 
-def _certified(a: np.ndarray) -> tuple[bool, np.ndarray | None, GershgorinReport]:
-    """Whether A counts as positive definite, S = ``_jacobi_scaled(A)`` and
-    the Gershgorin report of A: yes when each diagonal entry exceeds its
-    Gershgorin radius (exact at any margin), or else when S passes
-    :func:`is_positive_definite`."""
-    report = gershgorin(a)
-    scaled = _jacobi_scaled(a)
-    dominant = bool(np.all(report.centers > report.radii))
-    return dominant or (scaled is not None and is_positive_definite(scaled)), scaled, report
+class Verdict(enum.Enum):
+    CERTIFIED_UNIMODAL = "CertifiedUnimodal"
+    CERTIFIED_UNIMODAL_WITH_MINIMUM = "CertifiedUnimodalWithMinimum"
+    INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class UnimodalityCertificate:
+    """Outcome of the sufficient unimodality tests.
+
+    ``prop1_holds``: P is positive definite, so the density has one
+    maximum, at mu.  ``cor1_holds``: every kappa_i strictly dominates its
+    coupling row sum, which also pins the one minimum at the antipode of
+    mu; it implies ``prop1_holds``.
+    """
+
+    verdict: Verdict
+    prop1_holds: bool
+    cor1_holds: bool
+    p_matrix: np.ndarray
+    p_eigenvalues: np.ndarray
+    gershgorin: GershgorinReport
+
+
+def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
+    """Build P = diag(kappa) - Lambda and run both sufficient tests.  P
+    counts as positive definite when each kappa_i exceeds its Gershgorin
+    radius (exact at any margin), or else when S = ``_jacobi_scaled(P)``
+    passes :func:`is_positive_definite`."""
+    p_matrix = params.p_matrix()
+    report = gershgorin(p_matrix)
+    # row dominance: centers are exactly kappa (Lambda has zero diagonal)
+    cor1 = bool(np.all(report.centers > report.radii))
+    scaled = None if cor1 else _jacobi_scaled(p_matrix)
+    prop1 = cor1 or (scaled is not None and is_positive_definite(scaled))
+    eigenvalues = sym_eigen(p_matrix).values
+    if cor1:
+        verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM
+    elif prop1:
+        verdict = Verdict.CERTIFIED_UNIMODAL
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return UnimodalityCertificate(verdict, prop1, cor1, p_matrix, eigenvalues, report)
 
 
 def _solve_stack(

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +371,54 @@ def test_an_eigen_solve_that_does_not_converge_is_retried_scaled(
         assert err.startswith("error: P is not certified positive definite")
 
 
+#: magnitudes of the adversarial parameter files: zero, subnormal, tiny,
+#: moderate and near overflow
+_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 3.0, 50.0, 1e4, 1e8, 1e150, 1e300)
+
+#: every command, cut to its cheapest run, and the exit codes it may give
+_EVERY_COMMAND = (
+    (("certify",), {0, 1, 2}),
+    (("modes",), {0, 1}),
+    (("sample", "--n", "2"), {0, 1, 3}),
+    (("forecast", "--n-per-dim", "16"), {0, 1, 3}),
+    (("grid", "--n", "4", "--dims", "0"), {0, 1}),
+    (("cube", "--grid-n", "0"), {0, 1}),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_every_command_handles_adversarial_magnitudes(tmp_path_factory, data):
+    # finite extremes must end in a documented exit code: exit 0 output
+    # holds no NaN or Infinity, exit 1 prints exactly one error line (not
+    # the JSON encoder's refusal of a NaN), and nothing warns or escapes
+    p = data.draw(st.integers(1, 5), label="p")
+    n = p * (p - 1) // 2
+    kappa = data.draw(st.lists(st.sampled_from(_MAGNITUDES), min_size=p, max_size=p))
+    coupling = data.draw(st.lists(st.sampled_from(_MAGNITUDES), min_size=n, max_size=n))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    lam = np.zeros((p, p))
+    lam[np.triu_indices(p, 1)] = np.multiply(coupling, signs)
+    path = tmp_path_factory.mktemp("adversarial") / "params.json"
+    write_params(path, kappa=kappa, **{"lambda": (lam + lam.T).tolist()})
+    for argv, codes in _EVERY_COMMAND:
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("error")
+            code = cli.main([argv[0], "--params", str(path), *argv[1:], "--json"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in codes, (argv, err)
+        if code == 0:
+            assert "NaN" not in out and "Infinity" not in out, argv
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert "JSON compliant" not in err, argv
+
+
 def test_cli_import_leaves_the_thread_pool_unloaded():
     code = "import sys, mvmtorus.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -566,7 +616,20 @@ def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
     assert len(set(spec.d)) > 1  # the per-coordinate envelope is in use
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
+    ["certify"],
     ["forecast"],
     ["forecast", "--lambda-min", "0.5"],
     ["sample", "--n", "10"],
@@ -575,16 +638,11 @@ def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
 def test_each_run_resolves_the_envelope_once(reference_file, capsys, monkeypatch, argv):
     # the certificate and the eigendecomposition of P behind the envelope
     # are worked out once per run, not again for the spec already built
-    calls = []
-    real = sampler._resolve_spec
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sampler, "_resolve_spec", counted)
+    specs = _count_calls(monkeypatch, sampler, "_resolve_spec")
+    certificates = _count_calls(monkeypatch, spectral, "certify_unimodal")
     assert cli.main([*argv, "--params", reference_file]) == 0
-    assert len(calls) == 1
+    assert len(certificates) == 1
+    assert len(specs) == (argv[0] != "certify")
 
 
 def test_sample_rejects_indefinite_p(ring_file):
@@ -992,7 +1050,7 @@ def _json_payload(capsys, *argv):
 
 def test_certify_json_keys_are_the_certificate_fields(reference_file, capsys):
     cert = _json_payload(capsys, "certify", "--params", reference_file)["certificate"]
-    assert list(cert) == _field_names(modes.UnimodalityCertificate) == [
+    assert list(cert) == _field_names(spectral.UnimodalityCertificate) == [
         "verdict", "prop1_holds", "cor1_holds", "p_matrix", "p_eigenvalues", "gershgorin",
     ]
     assert list(cert["gershgorin"]) == _field_names(spectral.GershgorinReport) == [

@@ -19,7 +19,9 @@ from conftest import (
     random_params,
     random_symmetric_coupling,
 )
-from mvmtorus import MvmParams, TorusPoint, certify_unimodal, exponent_f, log_density, oracle
+from mvmtorus import (
+    MvmParams, TorusPoint, certify_unimodal, exponent_f, log_density, oracle, spectral,
+)
 from mvmtorus.oracle import (
     MAX_QUADRATURE_DIM,
     density_grid,
@@ -101,9 +103,14 @@ def test_high_concentration_univariate_limit():
 def test_high_concentration_reference_value():
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     expected = 1.5 * np.log(TWO_PI) - 0.5 * np.log(7.0) + 9.0
-    assert high_concentration_log_partition(params) == pytest.approx(
-        expected, abs=1e-9
-    )
+    # the closed form gates on the one certificate, built once
+    with mock.patch.object(
+        spectral, "certify_unimodal", wraps=spectral.certify_unimodal
+    ) as certify:
+        assert high_concentration_log_partition(params) == pytest.approx(
+            expected, abs=1e-9
+        )
+    assert certify.call_count == 1
 
 
 def test_high_concentration_requires_definite_p():

@@ -55,9 +55,18 @@ print(mvmtorus.sampler.sample_mvm is mvmtorus.sample_mvm)
     assert run_python(code).stdout == "True\n"
 
 
+def test_certificate_lives_in_spectral():
+    code = (
+        "import sys\n"
+        "from mvmtorus import certify_unimodal\n"
+        "print(certify_unimodal.__module__, 'mvmtorus.modes' in sys.modules)"
+    )
+    assert run_python(code).stdout == "mvmtorus.spectral False\n"
+
+
 #: per command: its flags and the package modules it must not load
 COMMANDS = {
-    "certify": ((), {"sampler", "oracle"}),
+    "certify": ((), {"modes", "sampler", "oracle"}),
     "modes": (("--max-iter", "5"), {"sampler", "oracle"}),
     "sample": (("--n", "10"), {"modes", "oracle"}),
     "forecast": ((), {"modes"}),
