@@ -162,7 +162,9 @@ class MvmParams:
       silently repaired,
     * ``mu`` is finite and wrapped to [0, 2*pi) via :class:`TorusPoint`,
     * the range of the exponent, sum(kappa) + 0.5 * sum |lam_ij|, is a
-      finite float, so no evaluation of f overflows.
+      finite float, so no evaluation of f overflows; it is kept as the
+      float attribute ``f_range`` (a bound on |f|, the scale of f's
+      roundoff).
 
     Below the tolerance the upper triangle of ``lam`` is mirrored and the
     diagonal zeroed, so the stored matrix, and the Hessian, are exactly
@@ -224,6 +226,7 @@ class MvmParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "f_range", float(f_range))
 
     @property
     def p(self) -> int:

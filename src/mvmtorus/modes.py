@@ -12,12 +12,13 @@ lands on saddles), then polishes the three results, stacked, with
 pseudo-inverse Newton steps.  A pass iteration evaluates the trig of its
 rows once and factors each live Hessian once, which judges whether it
 suits the target and gives the Newton step; an extremum step must raise
-sign * f by more than roundoff, and step lengths are tried in batches.
-Only the polish, whose pseudo-inverse drops flat directions, uses
-``eigh``; a row leaves it at the gradient's roundoff floor.  The Hessian
-work runs in row blocks of at most ``_BLOCK_ROWS`` = 512 rows
-(:func:`_by_blocks`), so it takes O(512 * p**2) memory, the rest
-O(rows * p).  For a fixed seed and version the result is deterministic.
+sign * f by more than roundoff, and the step is halved one length at a
+time on the rows still pending.  Only the polish, whose pseudo-inverse
+drops flat directions, uses ``eigh``; a row leaves it at the gradient's
+roundoff floor.  The Hessian work runs in row blocks of at most
+``_BLOCK_ROWS`` = 512 rows (:func:`_by_blocks`), so it takes
+O(512 * p**2) memory, the rest O(rows * p).  For a fixed seed and version
+the result is deterministic.
 Converged points are deduplicated (greedy, first kept, in pool order) and
 classified in one batch.  :func:`classify_critical` runs the same path on
 one row, but numpy may take another BLAS path for one row than for a
@@ -69,10 +70,8 @@ __all__ = [
 _POLISH_TRIGGER = 1e-6
 #: rounds of pseudo-inverse Newton polishing after the damped passes
 _POLISH_ROUNDS = 8
-#: the step lengths 2**-k, k = 0..30, a damped pass tries before it freezes a start
-_LENGTHS = np.array([0.5**k for k in range(31)])
-#: the k (first, last + 1) of each batch of lengths tried in one f or gradient call
-_LENGTH_BATCHES = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 31))
+#: halvings of the step (to length 2**-30) a damped pass tries before it freezes a start
+_MAX_HALVINGS = 30
 #: relative slack an extremum step's rise in f must exceed (roundoff)
 _F_SLACK = 1e-14
 #: f values this many eps * f range apart tie in the report order
@@ -85,8 +84,6 @@ _MAX_STEP = np.pi / 2
 _MAX_LATTICE_STARTS = 256
 #: most rows whose p x p Hessians the search holds at once
 _BLOCK_ROWS = 512
-#: most candidate rows (rows times step lengths) per f or gradient call
-_CANDIDATE_ROWS = 4 * _BLOCK_ROWS
 
 
 class PointKind(enum.Enum):
@@ -160,15 +157,10 @@ def _classified(
     ]
 
 
-def _f_range(params: MvmParams) -> float:
-    """sum(kappa) + 0.5 * sum |lambda_ij| >= |f|: the scale of f's roundoff."""
-    return float(np.sum(params.kappa) + 0.5 * np.sum(np.abs(params.lam)))
-
-
 def _critical_tol(params: MvmParams, grad_tol: float) -> float:
     """The gradient sup-norm below which a point is critical: ``grad_tol``,
     or the roundoff floor 64 * eps * f range where larger (kappa ~ 1e6 up)."""
-    return max(grad_tol, 64.0 * np.finfo(float).eps * _f_range(params))
+    return max(grad_tol, 64.0 * np.finfo(float).eps * params.f_range)
 
 
 def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[CriticalPoint]:
@@ -181,7 +173,7 @@ def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[Critic
         + [a - TWO_PI if a > TWO_PI - _ANGLE_TIE else a for a in c.theta.angles.tolist()]
         for c in points
     ]
-    ties = [(0, _F_ULPS * np.finfo(float).eps * _f_range(params))]
+    ties = [(0, _F_ULPS * np.finfo(float).eps * params.f_range)]
     for j, tie in ties + [(j, _ANGLE_TIE) for j in range(2, params.p + 2)]:
         ordered = sorted(keys, key=lambda key: key[j])
         for prev, key in zip(ordered, ordered[1:]):
@@ -341,34 +333,27 @@ def _directions(params: MvmParams, sign: float, c, s, g, gnorm) -> tuple[np.ndar
 
 
 def _step_lengths(params: MvmParams, sign: float, c, s, gnorm, cur, direction):
-    """Each row's largest step length 2**-k (``_LENGTHS``) at which
-    cur + 2**-k * direction passes the merit, or 0 where none does: for an
-    extremum sign * f must rise by more than roundoff (so no row circles at
-    constant f), for a root |grad|_inf must fall by the factor
-    1 - 1e-4 * 2**-k.  One f or gradient call per batch of
-    ``_LENGTH_BATCHES`` and chunk of at most ``_CANDIDATE_ROWS`` (or the
-    row count) candidates; 2**-k is a power of two, so the candidates, and
-    the length found, are those of halving the step until the merit holds."""
-    n, p = cur.shape
-    found = np.zeros(n)
-    pending = np.arange(n)
+    """Each row's largest step length 2**-k, k = 0..``_MAX_HALVINGS``, at
+    which cur + 2**-k * direction passes the merit, or 0 where none does:
+    for an extremum sign * f must rise by more than roundoff (so no row
+    circles at constant f), for a root |grad|_inf must fall by the factor
+    1 - 1e-4 * 2**-k.  The step is halved one length at a time, with one f
+    or gradient call on the rows still pending."""
+    found = np.zeros(len(cur))
+    pending = np.arange(len(cur))
     if sign:
         f0 = _exponent_cs(params, c, s)
         slack = _F_SLACK * np.maximum(1.0, np.abs(f0))
-    for low, high in _LENGTH_BATCHES:
-        lengths, chunk = _LENGTHS[low:high], max(1, min(n, _CANDIDATE_ROWS) // (high - low))
-        for i in range(0, len(pending), chunk):
-            rows = pending[i : i + chunk]
-            cand = (cur[rows, None] + lengths[:, None] * direction[rows, None]).reshape(-1, p)
-            if sign:
-                f = exponent_many(params, cand).reshape(len(rows), -1)
-                ok = sign * (f - f0[rows, None]) > slack[rows, None]
-            else:
-                g1 = np.max(np.abs(grad_many(params, cand)), axis=1).reshape(len(rows), -1)
-                ok = g1 <= (1.0 - 1e-4 * lengths) * gnorm[rows, None]
-            hit = ok.any(axis=1)
-            found[rows[hit]] = lengths[ok[hit].argmax(axis=1)]
-        pending = pending[found[pending] == 0.0]
+    for k in range(_MAX_HALVINGS + 1):
+        length = 0.5**k
+        cand = cur[pending] + length * direction[pending]
+        if sign:
+            ok = sign * (exponent_many(params, cand) - f0[pending]) > slack[pending]
+        else:
+            g1 = np.max(np.abs(grad_many(params, cand)), axis=1)
+            ok = g1 <= (1.0 - 1e-4 * length) * gnorm[pending]
+        found[pending[ok]] = length
+        pending = pending[~ok]
         if not len(pending):
             break
     return found
@@ -386,10 +371,11 @@ def _damped_pass(
     pivots of -sign*H all exceed 1e-8 * max(1, |H|_inf); for a root, the
     LU pivots all reach 1e-10 * max(1, |H|_inf) in magnitude.  Elsewhere it
     is the capped gradient step sign*g, or for a root -H g, the steepest
-    descent direction of 0.5*|grad|^2.  The step length is the largest
-    2**-k that passes the merit of :func:`_step_lengths`; a start that
-    no length improves is frozen.  Hessian work runs in row blocks
-    (:func:`_by_blocks`), gradients and f on all live rows at once.
+    descent direction of 0.5*|grad|^2.  The step is halved from length 1
+    until it passes the merit of :func:`_step_lengths`, at most
+    ``_MAX_HALVINGS`` times; a start that no length improves is frozen.
+    Hessian work runs in row blocks (:func:`_by_blocks`), gradients and f
+    on all live rows at once.
     """
     th = starts.copy()
     alive = np.ones(len(th), dtype=bool)
@@ -437,7 +423,7 @@ def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     best = points.copy()
     g = grad_many(params, best)
     best_norm = np.max(np.abs(g), axis=1)
-    floor = 8.0 * np.finfo(float).eps * _f_range(params)
+    floor = 8.0 * np.finfo(float).eps * params.f_range
     live = np.flatnonzero(best_norm > floor)
     cur, g = (best, g) if len(live) == len(best) else (best[live], g[live])
     for _ in range(_POLISH_ROUNDS):

@@ -294,14 +294,15 @@ def _sample_block(
 ) -> tuple[np.ndarray, int]:
     """Run the rejection loop until ``quota`` draws are accepted; returns
     them with the proposals drawn up to and including the one that filled
-    the quota."""
+    the quota.  :func:`_blocks` passes quota <= ``BLOCK_SIZE``, so a chunk
+    holds at most 4 * ``BLOCK_SIZE`` proposals."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     out = np.empty((quota, params.p))
     got = 0
     trials = 0
     budget = int(quota * STALL_FACTOR)
     while got < quota:
-        m = min(1 << 16, max(1024, 4 * (quota - got)))
+        m = max(1024, 4 * (quota - got))
         # the von Mises block in sub-chunks, rows in order (the same stream
         # as one call), so cos, sin and the acceptance temporaries are held
         # for at most _SUB_CHUNK rows at once

@@ -213,8 +213,7 @@ def halving_oracle(params: MvmParams, sign: float, cur, direction, gnorm, max_ha
     pending row together, one f or gradient call per length: for an
     extremum sign * f must rise by more than 1e-14 * max(1, |f|), for a root
     |grad|_inf must fall below ``gnorm`` by the factor 1 - 1e-4 * length.
-    Reference for ``mvmtorus.modes._step_lengths``, which tries the lengths
-    in batches."""
+    Reference for ``mvmtorus.modes._step_lengths``."""
     f0 = exponent_many(params, cur)
     slack = 1e-14 * np.maximum(1.0, np.abs(f0))
     step = 1.0

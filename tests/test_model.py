@@ -154,7 +154,7 @@ def test_params_reject_an_overflowing_exponent_range():
     # just below the limit every evaluation stays finite
     params = MvmParams(mu=np.zeros(2), kappa=[0.0, 0.0], lam=[[0.0, 8e307], [8e307, 0.0]])
     theta = [np.pi / 2, np.pi / 2]
-    assert exponent_f(params, theta) == 8e307
+    assert exponent_f(params, theta) == 8e307 == params.f_range
     assert np.all(np.isfinite(grad_f(params, theta)))
     assert np.all(np.isfinite(hessian_f(params, theta)))
 
