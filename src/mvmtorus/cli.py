@@ -467,14 +467,9 @@ def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
     analysis = oracle.kappa_zero_analysis(
         params.lam, grid_n=args.grid_n if params.p == 3 else min(args.grid_n, 0)
     )
-    if np.any(params.kappa != 0.0):
-        print(
-            "notice: cube analysis assumes kappa = 0; the kappa in the "
-            "parameter file is ignored",
-            file=sys.stderr,
-        )
+    # the analysis assumes kappa = 0: the record says when the file's kappa is ignored
     return _Run(
-        config={"grid_n": args.grid_n},
+        config={"grid_n": args.grid_n, "kappa_ignored": bool(np.any(params.kappa != 0.0))},
         body=lambda: {
             "vertices": {
                 ",".join(str(x) for x in k): v
@@ -553,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=_cmd_certify)
 
     p_modes = sub.add_parser(
-        "modes", parents=[common], help="locate and classify all critical points"
+        "modes", parents=[common], help="find and classify critical points"
     )
     p_modes.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     for flag, kind, name in _SEARCH_FLAGS:

@@ -10,8 +10,9 @@ for the partition function, the requested one for a marginal), and each
 with its own max shift; the per-slab log sums are then combined in slab
 order.  The reduction order is fixed, so results are deterministic, and
 the workspace is O(n**(p-1)) (under 1 MB per buffer at p = 4, n = 48).
-Quadrature time is still n**p, so these helpers are restricted to p <= 4,
-a limit that ``_node_count`` alone applies with the node default and floor.
+Quadrature time is still n**p, so these helpers are restricted to p <= 4:
+``_node_count``, their one gate, resolves the node default, applies the
+16-node floor at every p and gives no node count above that limit.
 The slabs are built by broadcasting per-axis terms, not from
 :func:`mvmtorus.model.lattice_rows`, which sets their memory and float order.
 """
@@ -50,15 +51,14 @@ def default_n_per_dim(p: int) -> int:
     return 128 if p <= 3 else 48
 
 
-def _node_count(p: int, n_per_dim: int | None) -> int:
-    """``n_per_dim`` (None: :func:`default_n_per_dim`) checked for a
-    p-dimensional quadrature: p <= ``MAX_QUADRATURE_DIM``, n >= 16."""
-    if p > MAX_QUADRATURE_DIM:
-        raise ValueError(f"quadrature supports p <= {MAX_QUADRATURE_DIM}, got p={p}")
+def _node_count(p: int, n_per_dim: int | None) -> int | None:
+    """``n_per_dim`` (None: :func:`default_n_per_dim`) checked against the
+    floor n >= 16 at every p, then the node count of a p-dimensional
+    quadrature, or None above ``MAX_QUADRATURE_DIM``, where none runs."""
     n = default_n_per_dim(p) if n_per_dim is None else int(n_per_dim)
     if n < 16:
         raise ValueError(f"n_per_dim must be >= 16, got {n}")
-    return n
+    return n if p <= MAX_QUADRATURE_DIM else None
 
 
 def _log_slab_sums(
@@ -109,8 +109,11 @@ def _log_slab_sums(
 
 def log_partition(params: MvmParams, n_per_dim: int | None = None) -> float:
     """Log of the trapezoid-rule integral of exp(exponent) over the torus,
-    reduced slab by slab along the first coordinate."""
+    reduced slab by slab along the first coordinate; ``ValueError`` where
+    :func:`_node_count` refuses ``n_per_dim`` or gives no count for p."""
     n = _node_count(params.p, n_per_dim)
+    if n is None:
+        raise ValueError(f"quadrature supports p <= {MAX_QUADRATURE_DIM}, got p={params.p}")
     slabs = _log_slab_sums(params, 0, n)
     shift = slabs.max()
     log_sum = shift + np.log(np.sum(np.exp(slabs - shift)))
@@ -136,13 +139,13 @@ def marginal_density(
     params: MvmParams, dim: int, theta_i, n_per_dim: int | None = None
 ):
     """Marginal density of coordinate ``dim`` at angle(s) ``theta_i``,
-    by quadrature over the other p-1 coordinates, normalized by
-    :func:`log_partition` at the same resolution."""
+    by quadrature over the other p-1 coordinates; ``dim`` is checked, then
+    :func:`log_partition` at the same resolution gates and normalizes it."""
     p = params.p
-    n = _node_count(p, n_per_dim)
     if not 0 <= dim < p:
         raise ValueError(f"dim must be in [0, {p}), got {dim}")
-    log_z = log_partition(params, n)
+    log_z = log_partition(params, n_per_dim)
+    n = _node_count(p, n_per_dim)
     theta_arr = np.atleast_1d(np.asarray(theta_i, dtype=float))
     log_marg = _log_slab_sums(params, dim, n, theta_arr.ravel())
     log_marg += (p - 1) * np.log(TWO_PI / n)

@@ -475,9 +475,10 @@ def forecast_acceptance(
 
     The asymptotic rate is exact in the high-concentration limit; the
     exact rate integrates the density by quadrature with ``n_per_dim``
-    nodes, and is computed wherever the quadrature runs (p <= 4; None
-    above).  An exact rate above 1 + ``EXACT_RATE_TOL`` means the grid
-    missed the peak, and raises ``ValueError``.
+    nodes (at least 16, checked at every p), and is computed wherever
+    ``oracle._node_count`` gives a node count (p <= 4; None above).  An
+    exact rate above 1 + ``EXACT_RATE_TOL`` means the grid missed the
+    peak, and raises ``ValueError``.
     """
     # imported here so that sampling alone never loads the quadrature
     from . import oracle
@@ -488,8 +489,8 @@ def forecast_acceptance(
         log_ratio = np.sum(np.log(spec.d)) - np.sum(np.log(eigenvalues))
     asymptotic = float(np.exp(0.5 * log_ratio))
     exact = None
-    if params.p <= oracle.MAX_QUADRATURE_DIM:
-        n = oracle._node_count(params.p, n_per_dim)
+    n = oracle._node_count(params.p, n_per_dim)
+    if n is not None:
         log_z = oracle.log_partition(params, n)
         exact = float(np.exp(log_z - log_envelope_constant(params, spec)))
         if exact > 1.0 + EXACT_RATE_TOL:

@@ -905,10 +905,14 @@ def test_cube_zero_coupling_all_zero(tmp_path):
     assert all(float(r.split(",")[-1]) == 0.0 for r in rows)
 
 
-def test_cube_warns_on_nonzero_kappa(reference_file):
-    out = run_cli("cube", "--params", reference_file)
-    assert out.returncode == 0
-    assert "kappa" in out.stderr
+def test_cube_records_that_it_ignores_kappa(reference_file, ring_file):
+    # the analysis assumes kappa = 0: the run record, the one stderr line,
+    # says whether the file's kappa was ignored
+    for path, ignored in ((reference_file, True), (ring_file, False)):
+        out = run_cli("cube", "--params", path, "--grid-n", "2")
+        assert out.returncode == 0
+        (line,) = out.stderr.splitlines()
+        assert json.loads(line)["config"]["kappa_ignored"] is ignored
 
 
 def test_grid_csv_matches_library(tmp_path):
@@ -1259,6 +1263,34 @@ def test_size_flags_below_minimum_are_input_errors(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
 
 
+def _isotropic_file(directory, p):
+    return write_params(
+        directory / f"iso{p}.json", kappa=[2.0] * p, **{"lambda": [[0.0] * p for _ in range(p)]}
+    )
+
+
+# the node floor holds at every p, above p = 4 too, where no quadrature runs
+@pytest.mark.parametrize("p", [4, 5])
+@pytest.mark.parametrize("n_per_dim", ["0", "15", "-7"])
+def test_forecast_node_floor_holds_at_every_p(tmp_path, capsys, p, n_per_dim):
+    path = _isotropic_file(tmp_path, p)
+    out_path = tmp_path / "out"
+    argv = ["forecast", "--params", path, "--n-per-dim", n_per_dim, "--out", str(out_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n_per_dim must be >= 16, got {n_per_dim}\n"
+    assert captured.out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == [f"iso{p}.json"]
+
+
+def test_forecast_above_p_4_runs_no_quadrature(tmp_path, capsys):
+    path = _isotropic_file(tmp_path, 5)
+    doc = _json_payload(capsys, "forecast", "--params", path, "--n-per-dim", "32")
+    assert doc["forecast"]["exact_rate"] is None
+    assert doc["forecast"]["asymptotic_rate"] == pytest.approx(1.0, rel=1e-9)
+    assert doc["manifest"]["config"]["n_per_dim"] == 32
+
+
 @pytest.mark.parametrize(
     "argv", [["certify"], ["sample", "--n", "10"], ["grid", "--n", "3"], ["modes"]]
 )
@@ -1473,10 +1505,10 @@ RECORD_ARGV = {
 
 
 def _records(captured, directory):
-    """Every run record a run left, with where it was found: JSON lines on
-    stderr, and each JSON document on stdout or in a new file (a payload's
-    record is its ``manifest``)."""
-    found = [("stderr", json.loads(l)) for l in captured.err.splitlines() if l.startswith("{")]
+    """Every run record a run left, with where it was found: each stderr
+    line, which must parse as JSON, and each JSON document on stdout or in
+    a new file (a payload's record is its ``manifest``)."""
+    found = [("stderr", json.loads(l)) for l in captured.err.splitlines()]
     texts = [("stdout", captured.out)] + [
         (p.name, p.read_text()) for p in sorted(directory.iterdir()) if p.name != "reference.json"
     ]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -263,6 +264,48 @@ def test_search_dominant_rows_yields_max_min_saddles():
         if c.kind not in (PointKind.MAXIMUM, PointKind.MINIMUM)
     ]
     assert all(c.kind is PointKind.SADDLE for c in others)
+
+
+def _row_dominant_params(rng, p):
+    """A seeded P with kappa_i > sum_j |lambda_ij| in every row (Corollary 1)."""
+    lam = random_symmetric_coupling(rng, p, scale=1.0)
+    row_sums = np.abs(lam).sum(axis=1)
+    kappa = rng.uniform(1.01, 1.5, size=p) * row_sums + 1e-3
+    return _params(kappa, lam, mu=rng.uniform(0.0, TWO_PI, size=p))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [2, 3, 4, 5, 6]
+    + [
+        pytest.param(
+            7,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the search misses corners at p = 7 (ROADMAP items 10 and 2(a))",
+            ),
+        )
+    ],
+)
+def test_search_reports_exactly_the_corners_of_a_row_dominant_p(p):
+    # with kappa_i > sum_j |lambda_ij|, every critical point has s = 0, so the
+    # critical set is exactly the 2**p corners mu + {0, pi}**p, each
+    # nondegenerate with Morse index the number of its zero offsets
+    rng = np.random.default_rng(7000 + p)
+    for _ in range(10):
+        params = _row_dominant_params(rng, p)
+        assert certify_unimodal(params).cor1_holds
+        report = critical_points(params)
+        offsets = np.array([c.theta.angles for c in report.criticals]) - params.mu.angles
+        # doubling the offset maps both 0 and pi to 0
+        assert np.all(np.abs(np.angle(np.exp(2j * offsets))) / 2 < 1e-8)
+        at_pi = np.round(offsets / np.pi).astype(int) % 2
+        assert len(report.criticals) == len({tuple(row) for row in at_pi}) == 2**p
+        indices = [int(np.sum(c.hessian_eigenvalues < 0)) for c in report.criticals]
+        assert indices == (p - at_pi.sum(axis=1)).tolist()
+        assert np.bincount(indices, minlength=p + 1).tolist() == [
+            math.comb(p, k) for k in range(p + 1)
+        ]
 
 
 # ---------------------------------------------------------------------------

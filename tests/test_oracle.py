@@ -80,6 +80,19 @@ def test_zero_nodes_per_dim_is_rejected_not_defaulted():
             marginal_density(params, 0, [0.5], n)
 
 
+def test_one_gate_checks_the_floor_then_the_dimension():
+    # the floor holds at every p, so p = 5 with 8 nodes names the floor;
+    # marginal_density checks dim before any quadrature
+    params = _params([1.0] * 5, np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="n_per_dim must be >= 16, got 8$"):
+        log_partition(params, 8)
+    assert oracle._node_count(5, 32) is None
+    with pytest.raises(ValueError, match=r"dim must be in \[0, 5\), got 5$"):
+        marginal_density(params, 5, [0.5], 8)
+    with pytest.raises(ValueError, match="quadrature supports p <= 4, got p=5$"):
+        marginal_density(params, 0, [0.5], 32)
+
+
 def test_quadrature_converged_at_paper_scale():
     for params in (
         _params([3.0, 3.0, 3.0], REFERENCE_COUPLING),
