@@ -1,6 +1,7 @@
-"""Exhaustive mode discovery: :func:`critical_points` locates the critical
-points of the exponent by damped multi-start Newton iteration on the torus
-and classifies each by its Hessian spectrum, flagging extended
+"""Multi-start mode search: :func:`critical_points` seeks the critical
+points of the exponent by damped Newton iteration on the torus, with no
+proof that it finds them all (it can miss saddles and minima), and
+classifies each by its Hessian spectrum, flagging extended
 (degenerate) maxima such as flat ridges.  The paper's unimodality criteria
 are only sufficient (their certificate is
 :func:`mvmtorus.spectral.certify_unimodal`), so the search settles modality

@@ -126,7 +126,7 @@ def high_concentration_log_partition(params: MvmParams) -> float:
     cert = spectral.certify_unimodal(params)
     scaled = spectral._jacobi_scaled(cert.p_matrix) if cert.prop1_holds else None
     # row dominance can certify P while min eig(S) rounds to 0 or below
-    eig = spectral.sym_eigen(scaled).values if scaled is not None else [0.0]
+    eig = spectral._eigh(scaled, vectors=False) if scaled is not None else [0.0]
     if not eig[0] > 0.0:
         raise ValueError("high-concentration approximation requires positive definite P")
     # log|P| = sum(log eig(S)) + sum(log diag(P)): no determinant to

@@ -41,10 +41,11 @@ the scalar is kept.
 Reproducibility contract: block i of a batch holds
 min(``BLOCK_SIZE``, n - i * ``BLOCK_SIZE``) draws from its own generator,
 the i-th child of ``SeedSequence(seed).spawn()``; both are worked out from
-i when the block starts.  Each attempt chunk in a block consumes, in
-order, (1) the von Mises block, drawn and tested in sub-chunks of at most
-2048 rows (numpy fills rows in order, so this is the stream of one call),
-(2) the uniform block.  Worker threads
+i when the block starts.  Each attempt chunk in a block holds
+``_CHUNK`` = 2048 proposals and consumes, in order, (1) one von Mises
+block of 2048 x p rows, (2) 2048 uniforms; a proposal is accepted when its
+uniform is at most its acceptance probability, and the block keeps its
+accepted rows in order until the quota is full.  Worker threads
 only run whole blocks, at most ``workers`` (and the CPU count) of them in
 flight: the next is submitted only when the consumer asks for another,
 and pending blocks are cancelled if it stops early.  So output is
@@ -96,8 +97,9 @@ __all__ = [
 #: draws per seeding block; fixed so the stream layout is independent of
 #: worker count
 BLOCK_SIZE = 4096
-#: most proposal rows whose acceptance test runs at once
-_SUB_CHUNK = 2048
+#: proposals per attempt chunk, so a chunk's cos, sin and acceptance
+#: temporaries stay small whatever the quota
+_CHUNK = 2048
 #: stall guard: a batch may not consume more than n * 1e6 proposals
 STALL_FACTOR = 1e6
 #: slack subtracted from computed eigenvalues when building an envelope,
@@ -294,33 +296,22 @@ def _sample_block(
 ) -> tuple[np.ndarray, int]:
     """Run the rejection loop until ``quota`` draws are accepted; returns
     them with the proposals drawn up to and including the one that filled
-    the quota.  :func:`_blocks` passes quota <= ``BLOCK_SIZE``, so a chunk
-    holds at most 4 * ``BLOCK_SIZE`` proposals."""
+    the quota.  Each chunk draws ``_CHUNK`` von Mises rows, then ``_CHUNK``
+    uniforms, and keeps its accepted rows up to the quota."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     out = np.empty((quota, params.p))
     got = 0
     trials = 0
     budget = int(quota * STALL_FACTOR)
     while got < quota:
-        m = max(1024, 4 * (quota - got))
-        # the von Mises block in sub-chunks, rows in order (the same stream
-        # as one call), so cos, sin and the acceptance temporaries are held
-        # for at most _SUB_CHUNK rows at once
-        props = np.empty((m, params.p))
-        log_acc = np.empty(m)
-        for lo in range(0, m, _SUB_CHUNK):
-            part = props[lo : lo + _SUB_CHUNK]
-            part[...] = _raw_proposals(spec, len(part), rng)
-            log_acc[lo : lo + _SUB_CHUNK] = _log_acceptance(
-                params, spec, np.cos(part), np.sin(part)
-            )
-        u = rng.random(m)
-        acc_idx = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
+        props = _raw_proposals(spec, _CHUNK, rng)
+        log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
+        acc_idx = np.flatnonzero(rng.random(_CHUNK) <= np.exp(log_acc))[: quota - got]
         out[got : got + len(acc_idx)] = props[acc_idx]
         got += len(acc_idx)
         # the chunk that fills the quota counts its proposals up to and
         # including the one that filled it
-        trials += int(acc_idx[-1]) + 1 if got == quota else m
+        trials += int(acc_idx[-1]) + 1 if got == quota else _CHUNK
         if trials > budget and got < quota:
             raise AcceptanceStallError(
                 f"{trials} proposals produced only {got}/{quota} draws"
@@ -360,7 +351,7 @@ def _resolve_spec(
             )
         # None only for a subnormal diagonal entry; the scalar is kept then
         scaled = spectral._jacobi_scaled(p_matrix)
-        t = -1.0 if scaled is None else spectral.sym_eigen(scaled).values[0] - ENVELOPE_SLACK
+        t = -1.0 if scaled is None else spectral._eigh(scaled, vectors=False)[0] - ENVELOPE_SLACK
         if t > 0.0:
             jacobi = t * np.diag(p_matrix)
             # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))

@@ -212,7 +212,7 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     cor1 = bool(np.all(report.centers > report.radii))
     scaled = None if cor1 else _jacobi_scaled(p_matrix)
     prop1 = cor1 or (scaled is not None and is_positive_definite(scaled))
-    eigenvalues = sym_eigen(p_matrix).values
+    eigenvalues = _eigh(p_matrix, vectors=False)
     if cor1:
         verdict = Verdict.CERTIFIED_UNIMODAL_WITH_MINIMUM
     elif prop1:

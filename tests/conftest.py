@@ -233,25 +233,26 @@ def halving_oracle(params: MvmParams, sign: float, cur, direction, gnorm, max_ha
     return found
 
 
-def whole_chunk_block_oracle(params: MvmParams, spec, quota: int, seed_seq):
-    """``(draws, trials)`` of one sampler block whose attempt chunks draw
-    and test all their proposals at once.  Reference for
-    ``mvmtorus.sampler._sample_block``, which draws and tests each chunk in
-    sub-chunks."""
+def chunk_stream_block_oracle(params: MvmParams, spec, quota: int, seed_seq):
+    """``(draws, trials)`` of one sampler block rebuilt from a fresh
+    ``PCG64(seed_seq)`` by the documented stream contract: each chunk draws
+    ``vonmises(0, d)`` of 2048 x p, then ``random(2048)``, and keeps its
+    accepted rows, in order, up to the quota.  Reference for
+    ``mvmtorus.sampler._sample_block``."""
     from mvmtorus import sampler
 
     rng = np.random.Generator(np.random.PCG64(seed_seq))
+    d = np.asarray(spec.d)
     out = np.empty((quota, params.p))
     got = trials = 0
     while got < quota:
-        m = min(1 << 16, max(1024, 4 * (quota - got)))
-        props = sampler._raw_proposals(spec, m, rng)
-        u = rng.random(m)
+        props = rng.vonmises(0.0, d, size=(2048, params.p))
+        u = rng.random(2048)
         log_acc = sampler._log_acceptance(params, spec, np.cos(props), np.sin(props))
-        acc_idx = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
-        out[got : got + len(acc_idx)] = props[acc_idx]
-        got += len(acc_idx)
-        trials += int(acc_idx[-1]) + 1 if got == quota else m
+        hits = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
+        out[got : got + len(hits)] = props[hits]
+        got += len(hits)
+        trials += int(hits[-1]) + 1 if got == quota else 2048
     return out, trials
 
 

@@ -13,10 +13,10 @@ from conftest import (
     RING_COUPLING,
     bessel_i0_series,
     bessel_i1_series,
+    chunk_stream_block_oracle,
     eager_blocks_oracle,
     heterogeneous_params,
     random_params,
-    whole_chunk_block_oracle,
 )
 from mvmtorus import (
     MvmParams,
@@ -185,16 +185,14 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
     st.integers(1, 6),
     st.sampled_from([1.0, 40.0, 3e7]),
     st.booleans(),
-    st.integers(1, 3000),
+    st.integers(1, BLOCK_SIZE),
     st.integers(0, 2**32 - 1),
 )
-def test_sub_chunked_block_draws_equal_whole_chunk_draws(p, scale, shared, quota, seed):
-    # a chunk of up to 4 * quota proposals is drawn and tested in
-    # sub-chunks of 2048 rows: numpy fills rows in order, so the stream, the
-    # draws and the trials are those of one whole-chunk call, for a shared
-    # or per-coordinate d, below and above numpy's wrapped-normal switch at
-    # d = 1e6.  (At p <= 6 the acceptance kernel rounds each row the same
-    # at any stack shape.)
+def test_block_follows_the_chunk_stream_contract(p, scale, shared, quota, seed):
+    # a fresh PCG64(seed_seq), read by the documented contract (per chunk,
+    # vonmises of 2048 x p, then random(2048)), rebuilds the block's draws
+    # and trials, for a shared or per-coordinate d, below and above numpy's
+    # wrapped-normal switch at d = 1e6
     rng = np.random.default_rng(seed)
     kappa = scale * (np.ones(p) if shared else rng.uniform(1.0, 3.0, size=p))
     lam = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1) * (0.5 * kappa.min() / p)
@@ -207,7 +205,7 @@ def test_sub_chunked_block_draws_equal_whole_chunk_draws(p, scale, shared, quota
     spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=d)
     child = np.random.SeedSequence(seed)
     draws, trials = sampler._sample_block(params, spec, quota, child)
-    expected, expected_trials = whole_chunk_block_oracle(params, spec, quota, child)
+    expected, expected_trials = chunk_stream_block_oracle(params, spec, quota, child)
     assert np.array_equal(draws, expected)
     assert trials == expected_trials
 
@@ -412,6 +410,21 @@ def test_sampler_workers_do_not_change_output():
 
 
 _REFERENCE = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.5, 4.0, 2.0])
+#: a heterogeneous p = 4 set like the sample_rare benchmark's: kappa =
+#: (2, 8, 8, 30), |lambda_ij| <= 0.5, so the Jacobi envelope's per-coordinate
+#: d takes numpy's array-kappa path; acceptance about 0.8
+_HETEROGENEOUS = _params(
+    [2.0, 8.0, 8.0, 30.0],
+    np.array(
+        [
+            [0.0, 0.4, -0.3, 0.2],
+            [0.4, 0.0, 0.5, -0.1],
+            [-0.3, 0.5, 0.0, 0.3],
+            [0.2, -0.1, 0.3, 0.0],
+        ]
+    ),
+    mu=[0.3, 1.1, 2.5, 5.0],
+)
 
 
 @settings(max_examples=25, deadline=None)
@@ -517,9 +530,9 @@ def test_sampler_rejects_a_negative_seed():
 
 
 def test_sample_block_counts_trials_up_to_the_filling_proposal(monkeypatch):
-    # the first chunk (1024 proposals at quota 10) accepts 3, the second
-    # exactly the 7 missing ones, the last at index 600 and none after it:
-    # trials stop at that proposal, as when a chunk accepts more than needed
+    # the first chunk (2048 proposals) accepts 3, the second exactly the 7
+    # missing ones, the last at index 600 and none after it: trials stop at
+    # that proposal, as when a chunk accepts more than needed
     accepted = iter([[5, 100, 200], [0, 10, 20, 30, 40, 50, 600]])
 
     def scripted(params, spec, c, s):
@@ -531,7 +544,69 @@ def test_sample_block_counts_trials_up_to_the_filling_proposal(monkeypatch):
     spec = ProposalSpec.from_params(_REFERENCE)
     draws, trials = sampler._sample_block(_REFERENCE, spec, 10, np.random.SeedSequence(0))
     assert draws.shape == (10, 3)
-    assert trials == 1024 + 600 + 1
+    assert trials == 2048 + 600 + 1
+
+
+def test_block_draws_at_most_one_chunk_past_its_filling_proposal(monkeypatch):
+    # at acceptance about 0.8 a block needs about 1.25 proposals per draw;
+    # the proposals it draws end within one chunk of the one that filled
+    # its quota, however many draws it is missing
+    requested = []
+    real = sampler._raw_proposals
+
+    def counted(spec, m, rng):
+        requested.append(m)
+        return real(spec, m, rng)
+
+    monkeypatch.setattr(sampler, "_raw_proposals", counted)
+    spec = ProposalSpec.from_params(_HETEROGENEOUS)
+    for seed in range(3):
+        requested.clear()
+        draws, trials = sampler._sample_block(
+            _HETEROGENEOUS, spec, BLOCK_SIZE, np.random.SeedSequence(seed)
+        )
+        assert len(draws) == BLOCK_SIZE
+        assert BLOCK_SIZE / trials > 0.7
+        assert trials <= sum(requested) <= trials + 2047
+
+
+@pytest.mark.parametrize(
+    "params, trials, head",
+    [
+        pytest.param(
+            _REFERENCE,
+            25113,
+            [
+                [6.053490021269226, 4.223061925768872, 1.028903665638305],
+                [0.5777371617493503, 2.7981386053429613, 6.008993297709074],
+                [1.2580417447102814, 4.232683121674661, 2.1286451531747144],
+                [0.09910550060106038, 3.7904326044862557, 1.4998474606380565],
+                [1.1207240694201142, 4.077266562881788, 2.3064117940064737],
+            ],
+            id="reference",
+        ),
+        pytest.param(
+            _HETEROGENEOUS,
+            6257,
+            [
+                [1.9884646404472195, 1.2014424459853483, 2.535686915672746, 5.275578179140054],
+                [5.3244966974401065, 0.5361495820680027, 2.5144122468760264, 5.195050874127101],
+                [5.472465897709305, 1.119686407990844, 2.788779176711789, 4.901683976063152],
+                [2.5812203015300925, 1.515317716415661, 2.4771880826344277, 5.015427584821088],
+                [5.621445545514915, 1.26781158313005, 2.5878206705025524, 4.859005169769388],
+            ],
+            id="heterogeneous_p4",
+        ),
+    ],
+)
+def test_fixed_seed_stream_is_pinned(params, trials, head):
+    # the seed-7 stream of two blocks, pinned across versions: a change to
+    # the chunk layout, the envelope or the generator moves these numbers,
+    # and must update them and say why.  A tolerance, not a hash: libm and
+    # SIMD last bits can differ between hosts
+    batch = sample_mvm(params, 5000, seed=7)
+    assert batch.trials == trials
+    np.testing.assert_allclose(batch.draws[:5], head, rtol=0.0, atol=1e-12)
 
 
 def test_sampler_accounting_identity():
@@ -721,13 +796,13 @@ def test_spec_d_must_match_p_and_be_nonnegative():
 def test_from_params_checks_the_spec_it_builds(monkeypatch):
     # an eigen-solver that overstates lambda_min(P) by 0.5: the bounds it
     # yields pass the range test, but P - diag(d) is not semidefinite
-    real = spectral.sym_eigen
+    real = spectral._eigh
 
-    def overstated(a):
-        eig = real(a)
-        return spectral.SymEigen(values=eig.values + 0.5, vectors=eig.vectors)
+    def overstated(a, vectors=True):
+        assert not vectors  # the certificate and the envelope read values only
+        return real(a, vectors=False) + 0.5
 
-    monkeypatch.setattr(spectral, "sym_eigen", overstated)
+    monkeypatch.setattr(spectral, "_eigh", overstated)
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)  # lambda_min(P) = 1
     entry_points = (
         ProposalSpec.from_params,
