@@ -30,6 +30,7 @@ bits.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -183,6 +184,30 @@ def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[Critic
     return [points[i] for i in sorted(range(len(points)), key=keys.__getitem__)]
 
 
+def _unit_range(params: MvmParams) -> tuple[MvmParams, int]:
+    """``params`` with kappa and Lambda scaled by 2**k, and k: where the f
+    range R is in (0, 1), k = 1 - frexp(R)[1] brings it into [1, 2), else
+    k = 0 and ``params`` is returned as is.  Scaling by a power of two is
+    exact, so the search and the classification run on 2**k * f and scale
+    f, gradient norms and eigenvalues back by 2**-k (:func:`_scaled`)."""
+    r = params.f_range
+    if not 0.0 < r < 1.0:
+        return params, 0
+    k = 1 - int(np.frexp(r)[1])
+    return MvmParams(params.mu, np.ldexp(params.kappa, k), np.ldexp(params.lam, k)), k
+
+
+def _scaled(point: CriticalPoint, k: int) -> CriticalPoint:
+    """``point`` with f, gradient norm and eigenvalues scaled by 2**k."""
+    return CriticalPoint(
+        point.theta,
+        math.ldexp(point.f_value, k),
+        math.ldexp(point.grad_norm, k),
+        np.ldexp(point.hessian_eigenvalues, k),
+        point.kind,
+    )
+
+
 def classify_critical(
     params: MvmParams, theta, degeneracy_tol: float = 1e-6, grad_tol: float = 1e-8
 ) -> CriticalPoint:
@@ -190,14 +215,16 @@ def classify_critical(
 
     Raises ``ValueError`` when the gradient sup-norm at ``theta`` exceeds
     ``grad_tol``, or the gradient's roundoff floor where larger (the rule of
-    :class:`SearchConfig`).  ``degeneracy_tol`` is relative: the threshold
-    is ``degeneracy_tol * max(1, inf-norm of the Hessian)``.
+    :class:`SearchConfig`, on f scaled as there).  ``degeneracy_tol`` is
+    relative: the threshold is ``degeneracy_tol * max(1, inf-norm of the
+    Hessian)``.
     """
-    theta, tol = as_torus_point(theta), _critical_tol(params, grad_tol)
-    grad_norm = np.max(np.abs(grad_f(params, theta)))
+    unit, k = _unit_range(params)
+    theta, tol = as_torus_point(theta), _critical_tol(unit, grad_tol)
+    grad_norm = np.max(np.abs(grad_f(unit, theta)))
     if grad_norm > tol:
         raise ValueError(f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {tol:.3g}")
-    return _classified(params, theta.angles[None, :], [grad_norm], degeneracy_tol)[0]
+    return _scaled(_classified(unit, theta.angles[None, :], [grad_norm], degeneracy_tol)[0], -k)
 
 
 @dataclass(frozen=True)
@@ -210,7 +237,9 @@ class SearchConfig:
     uniform starts (default 32 for p <= 4, else 256).  A point is critical
     when its gradient sup-norm is below ``grad_tol``, or below the
     gradient's roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum
-    |lambda_ij|) where larger.  ``dedup_radius`` is at most pi, the largest
+    |lambda_ij|) where larger.  When that f range R is below 1 the search
+    runs on 2**k * f, with 2**k * R in [1, 2), so ``grad_tol`` and
+    ``degeneracy_tol`` apply to the scaled f.  ``dedup_radius`` is at most pi, the largest
     sup-metric distance on the torus.  Out-of-range values raise
     ``ValueError``.
     """
@@ -472,10 +501,13 @@ def critical_points(params: MvmParams, cfg: SearchConfig | None = None) -> ModeR
     Starts that do not converge are dropped (counted in ``search_meta``);
     a point is reported when the gradient norm the polish measured there,
     its ``grad_norm``, is below ``cfg.grad_tol`` (or the roundoff floor).
-    Results are deterministic for a fixed ``cfg.seed``.
+    An f range below 1 is searched scaled by a power of two (see
+    :class:`SearchConfig`).  Results are deterministic for a fixed
+    ``cfg.seed``.
     """
     if cfg is None:
         cfg = SearchConfig()
+    params, k = _unit_range(params)
     starts = _start_points(params, cfg, np.random.default_rng(cfg.seed))
     pool, norms = _polish(
         params, np.vstack([_damped_pass(params, starts, sign, cfg) for sign in (1.0, -1.0, 0.0)])
@@ -487,6 +519,8 @@ def critical_points(params: MvmParams, cfg: SearchConfig | None = None) -> ModeR
         params,
         _classified(params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol),
     )
+    if k:
+        unique = [_scaled(c, -k) for c in unique]
     return ModeReport(
         n_maxima=sum(1 for c in unique if c.kind is PointKind.MAXIMUM),
         extended_mode_suspected=any(c.kind is PointKind.DEGENERATE for c in unique),

@@ -338,6 +338,32 @@ def test_modes_on_a_subnormal_kappa_divides_by_no_small_eigenvalue(tmp_path, cap
     assert capsys.readouterr().err == ""
 
 
+
+@pytest.mark.parametrize(
+    "family,scale,maxima,certify_code",
+    [("six", 1e-4, 6, 2), ("six", 1e-8, 6, 2), ("ref", 1e-6, 1, 0)],
+)
+def test_modes_counts_maxima_at_any_scale_of_f(tmp_path, capsys, family, scale, maxima,
+                                               certify_code):
+    # c * f has the critical points of f: below an f range of 1 the search
+    # runs on f scaled by a power of two, so its absolute levels keep their
+    # meaning (six-mode x 1e-4 reported 2 maxima, x 1e-8 no point, and ref
+    # x 1e-6 none while certify said unimodal)
+    kappa, coupling = (np.sin(0.1), RING_COUPLING) if family == "six" else (3.0, REFERENCE_COUPLING)
+    path = write_params(
+        tmp_path / f"{family}.json",
+        kappa=[kappa * scale] * 3,
+        **{"lambda": (np.asarray(coupling) * scale).tolist()},
+    )
+    assert cli.main(["certify", "--params", path, "--json"]) == certify_code
+    verdict = json.loads(capsys.readouterr().out)["certificate"]["verdict"]
+    assert cli.main(["modes", "--params", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["n_maxima"] == maxima
+    assert report["extended_mode_suspected"] is False
+    assert (verdict != "Inconclusive") == (maxima == 1)
+
+
 #: P has entries of 1e300 beside subnormal and 1e-300 ones: LAPACK's eigh
 #: does not converge on it until it is scaled by a power of two
 _EIGH_FAILS = {

@@ -534,6 +534,53 @@ def test_report_order_holds_when_f_and_angles_move_in_their_last_bits(params):
         assert order == list(range(len(report)))
 
 
+
+@st.composite
+def _unit_range_params(draw):
+    """p <= 4 sets, certifiable or not, scaled by a power of two to an f
+    range in [1, 2), and a power of two c = 2**-j that takes no nonzero
+    entry below the smallest normal float."""
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        params = random_params(rng, p, kappa_range=(2.0, 5.0), coupling_scale=0.5)
+    else:
+        params = random_params(rng, p)
+    k = 1 - int(np.frexp(params.f_range)[1])
+    params = MvmParams(params.mu, np.ldexp(params.kappa, k), np.ldexp(params.lam, k))
+    assume(1.0 <= params.f_range < 2.0)
+    j = draw(st.integers(1, 1000))
+    entries = np.abs(np.concatenate([params.kappa, params.lam.ravel()]))
+    assume(np.all((entries == 0.0) | (np.ldexp(entries, -j) >= np.finfo(float).tiny)))
+    return params, j
+
+
+@settings(max_examples=25, deadline=None)
+@given(_unit_range_params())
+def test_search_is_exactly_covariant_under_powers_of_two(case):
+    # f -> c * f keeps every critical point and its index; with c = 2**-j
+    # the search runs on the same f, so the report scales exactly
+    params, j = case
+    scaled = MvmParams(params.mu, np.ldexp(params.kappa, -j), np.ldexp(params.lam, -j))
+    base, report = critical_points(params), critical_points(scaled)
+    assert report.n_maxima == base.n_maxima
+    assert report.extended_mode_suspected == base.extended_mode_suspected
+    assert report.search_meta == base.search_meta
+    assert len(report.criticals) == len(base.criticals)
+    for got, want in zip(report.criticals, base.criticals):
+        assert got.theta.angles.tobytes() == want.theta.angles.tobytes()
+        assert got.kind is want.kind
+        assert got.f_value == math.ldexp(want.f_value, -j)
+        assert got.grad_norm == math.ldexp(want.grad_norm, -j)
+        assert got.hessian_eigenvalues.tobytes() == np.ldexp(want.hessian_eigenvalues, -j).tobytes()
+    if base.criticals:
+        theta = base.criticals[0].theta
+        got, want = classify_critical(scaled, theta), classify_critical(params, theta)
+        assert got.kind is want.kind
+        assert got.f_value == math.ldexp(want.f_value, -j)
+        assert got.hessian_eigenvalues.tobytes() == np.ldexp(want.hessian_eigenvalues, -j).tobytes()
+
+
 def test_report_counts_match_contents(rng):
     params = random_params(rng, 3, kappa_range=(0.0, 3.0))
     report = critical_points(params)
