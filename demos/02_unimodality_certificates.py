@@ -9,7 +9,7 @@ Two sufficient conditions are checked:
 Both are sufficient, not necessary: an inconclusive certificate does not
 prove multimodality.  The demo walks a coupling matrix with spectrum
 {-4, 2, 2} through three concentration levels, showing how the verdict
-changes, and cross-checks each verdict against an exhaustive mode search.
+changes, and cross-checks each verdict against a multi-start mode search.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Multivariate von Mises (sine) distributions on the p-torus.
 
 Evaluation of the unnormalized log-density and its derivatives, sufficient
-unimodality certificates, exhaustive mode discovery and classification,
+unimodality certificates, multi-start mode discovery and classification,
 exact rejection sampling in the concentrated regime, and quadrature-based
 ground truth for partition functions and marginals.
 

@@ -139,15 +139,12 @@ def as_torus_point(theta) -> TorusPoint:
     return theta if isinstance(theta, TorusPoint) else TorusPoint(np.asarray(theta))
 
 
-def lattice_rows(axis_nodes, p: int, index=None) -> np.ndarray:
+def lattice_rows(axis_nodes, p: int) -> np.ndarray:
     """Rows of the product grid ``axis_nodes ** p`` in C order (last
-    coordinate fastest), or only the rows numbered ``index``.  Row k holds
-    the nodes at the base-m digits of k, so memory is O(len(index) * p)
-    however large m**p is; the caller keeps m**p within int64."""
+    coordinate fastest): row k holds the nodes at the base-m digits of k."""
     nodes = np.asarray(axis_nodes)
     m = nodes.size
-    index = np.arange(m**p) if index is None else np.asarray(index)
-    return nodes[index[:, None] // m ** np.arange(p - 1, -1, -1) % m]
+    return nodes[np.arange(m**p)[:, None] // m ** np.arange(p - 1, -1, -1) % m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +279,13 @@ def _trig_many(params: MvmParams, thetas: np.ndarray):
     return np.cos(delta), np.sin(delta)
 
 
+def _half_quadratic(lam: np.ndarray, s) -> np.ndarray:
+    """0.5 * s^T lam s over the rows of ``s`` (shape (..., p))."""
+    return 0.5 * np.einsum("...i,ij,...j->...", s, lam, s)
+
+
 def _exponent_cs(params: MvmParams, c, s) -> np.ndarray:
-    return c @ params.kappa + 0.5 * np.einsum("...i,ij,...j->...", s, params.lam, s)
+    return c @ params.kappa + _half_quadratic(params.lam, s)
 
 
 def _grad_cs(params: MvmParams, c, s) -> np.ndarray:

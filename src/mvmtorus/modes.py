@@ -18,19 +18,22 @@ time on the rows still pending.  Only the polish, whose pseudo-inverse
 drops flat directions, uses ``eigh``; a row leaves it at the gradient's
 roundoff floor.  The Hessian work runs in row blocks of at most
 ``_BLOCK_ROWS`` = 512 rows (:func:`_by_blocks`), so it takes
-O(512 * p**2) memory, the rest O(rows * p).  For a fixed seed and version
-the result is deterministic.
+O(512 * p**2) memory, the rest O(rows * p).  The start set comes from the
+standard library's ``random.Random(seed)``, so the search loads no
+``numpy.random``; for a fixed seed and version the result is deterministic.
 Converged points are deduplicated (greedy, first kept, in pool order) and
 classified in one batch.  :func:`classify_critical` runs the same path on
 one row, but numpy may take another BLAS path for one row than for a
 stack, so its eigenvalues and f can differ from the search's in the last
-bits.
+bits.  Both run on f scaled by 2**k where its range is below 1
+(:func:`_unit_range`), since their levels are absolute.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -232,16 +235,16 @@ class SearchConfig:
     """Tuning knobs for :func:`critical_points`.
 
     The start set is the lattice ``mu + {pi/m + k*2pi/m}^p`` (odd multiples
-    of pi/m, off the kappa=0 extremum grid), cut to a seeded subsample of
-    256 rows when ``m**p`` is larger, plus ``n_random_starts`` seeded
-    uniform starts (default 32 for p <= 4, else 256).  A point is critical
-    when its gradient sup-norm is below ``grad_tol``, or below the
-    gradient's roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum
+    of pi/m, off the kappa=0 extremum grid), cut to 256 distinct rows when
+    ``m**p`` is larger, plus ``n_random_starts`` uniform starts (default 32
+    for p <= 4, else 256), both drawn from ``random.Random(seed)``.  A
+    point is critical when its gradient sup-norm is below ``grad_tol``, or
+    below the gradient's roundoff floor 64 * eps * (sum(kappa) + 0.5 * sum
     |lambda_ij|) where larger.  When that f range R is below 1 the search
     runs on 2**k * f, with 2**k * R in [1, 2), so ``grad_tol`` and
-    ``degeneracy_tol`` apply to the scaled f.  ``dedup_radius`` is at most pi, the largest
-    sup-metric distance on the torus.  Out-of-range values raise
-    ``ValueError``.
+    ``degeneracy_tol`` apply to the scaled f.  ``dedup_radius`` is at most
+    pi, the largest sup-metric distance on the torus.  Out-of-range values
+    raise ``ValueError``.
     """
 
     starts_per_dim: int = 4
@@ -300,30 +303,28 @@ class ModeReport:
 # solver internals
 
 
-def _start_points(params: MvmParams, cfg: SearchConfig, rng) -> np.ndarray:
-    """The lattice starts (all ``m**p`` rows in C order, or a seeded
-    subsample of ``_MAX_LATTICE_STARTS``, in lattice order), then the random
-    starts, shifted by mu and wrapped.  Rows are built from their indices,
-    so memory is O((256 + n_random) * p) however large ``m**p`` is; beyond
-    int64 indices digits are drawn per coordinate and repeats dropped."""
-    p = params.p
-    m = cfg.starts_per_dim
-    size = m**p
+def _start_points(params: MvmParams, cfg: SearchConfig) -> np.ndarray:
+    """The lattice starts, then the random starts, shifted by mu and
+    wrapped, all drawn from ``random.Random(cfg.seed)``: the whole ``m**p``
+    lattice in C order when it has at most ``_MAX_LATTICE_STARTS`` rows,
+    else that many distinct digit rows (digits ``int(m * random())``, a
+    repeated row redrawn) sorted into lattice order; then ``n_random * p``
+    uniforms ``TWO_PI * random()``, row by row.  Memory is O((256 +
+    n_random) * p) however large ``m**p`` is."""
+    p, m = params.p, cfg.starts_per_dim
+    rng = random.Random(cfg.seed)
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
-    if size < 2**63:
-        index = None  # the whole lattice fits
-        if size > _MAX_LATTICE_STARTS:
-            index = np.sort(rng.choice(size, size=_MAX_LATTICE_STARTS, replace=False))
-        lattice = lattice_rows(offsets, p, index)
+    if m**p <= _MAX_LATTICE_STARTS:
+        lattice = lattice_rows(offsets, p)
     else:
-        # np.unique sorts the digit rows into lattice (C) order
-        lattice = offsets[np.unique(rng.integers(m, size=(_MAX_LATTICE_STARTS, p)), axis=0)]
-    n_random = cfg.n_random_starts
-    if n_random is None:
-        n_random = 32 if p <= 4 else 256
-    random_starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_random, p))
-    starts = np.vstack([lattice, random_starts])
-    return wrap_angles(starts + params.mu.angles)
+        digits = set()
+        while len(digits) < _MAX_LATTICE_STARTS:
+            digits.add(tuple(int(m * rng.random()) for _ in range(p)))
+        lattice = offsets[np.array(sorted(digits))]
+    n = (32 if p <= 4 else 256) if cfg.n_random_starts is None else cfg.n_random_starts
+    # count= allocates first, so an impossible n fails before any draw
+    uniforms = np.fromiter((TWO_PI * rng.random() for _ in range(n * p)), float, count=n * p)
+    return wrap_angles(np.vstack([lattice, uniforms.reshape(n, p)]) + params.mu.angles)
 
 
 def _cap_steps(steps: np.ndarray) -> np.ndarray:
@@ -508,7 +509,7 @@ def critical_points(params: MvmParams, cfg: SearchConfig | None = None) -> ModeR
     if cfg is None:
         cfg = SearchConfig()
     params, k = _unit_range(params)
-    starts = _start_points(params, cfg, np.random.default_rng(cfg.seed))
+    starts = _start_points(params, cfg)
     pool, norms = _polish(
         params, np.vstack([_damped_pass(params, starts, sign, cfg) for sign in (1.0, -1.0, 0.0)])
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .model import MvmParams, TWO_PI, as_torus_point, exponent_many, lattice_rows
+from .model import MvmParams, TWO_PI, _half_quadratic, as_torus_point, exponent_many, lattice_rows
 
 __all__ = [
     "MAX_QUADRATURE_DIM",
@@ -179,10 +179,6 @@ class CubeAnalysis:
     surface_grid: list[CubeFace] | None
 
 
-def _quadratic_form(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("...i,ij,...j->...", s, lam, s)
-
-
 def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
     """Evaluate g(s) = 0.5 s^T Lambda s on all sign vertices of [-1,1]^p,
     report the argmax set (ties within 1e-12 relative), and the largest
@@ -198,7 +194,7 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
     MvmParams(mu=np.zeros(p), kappa=np.zeros(p), lam=lam)
 
     vertices = lattice_rows(np.array([-1.0, 1.0]), p)
-    values = _quadratic_form(lam, vertices)
+    values = _half_quadratic(lam, vertices)
     vertex_values = {
         tuple(int(x) for x in v): float(g) for v, g in zip(vertices, values)
     }
@@ -222,7 +218,7 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
             s[:, [i for i in range(3) if i != axis]] = face
             s = s.reshape(grid_n, grid_n, 3)
             surface.append(
-                CubeFace(label=label, s=s, values=_quadratic_form(lam, s))
+                CubeFace(label=label, s=s, values=_half_quadratic(lam, s))
             )
     return CubeAnalysis(
         vertex_values=vertex_values,

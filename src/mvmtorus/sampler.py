@@ -73,6 +73,7 @@ from .model import (
     MvmParams,
     NotPositiveDefiniteError,
     TWO_PI,
+    _half_quadratic,
     as_torus_point,
     wrap_angles,
 )
@@ -262,8 +263,7 @@ def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
     """log acceptance probability from cos and sin (shape (..., p)) in the
     mean-zero frame; <= 0 when P - diag(d) is positive semidefinite, and a
     value above 1e-12 raises ``BoundViolationError``."""
-    quad = np.einsum("...i,ij,...j->...", s, params.lam, s)
-    log_acc = (c - 1.0) @ (params.kappa - np.asarray(spec.d)) + 0.5 * quad
+    log_acc = (c - 1.0) @ (params.kappa - np.asarray(spec.d)) + _half_quadratic(params.lam, s)
     if np.any(log_acc > 1e-12):
         raise BoundViolationError(
             f"acceptance exponent {np.max(log_acc):.6g} is positive: envelope "

@@ -208,8 +208,9 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
     passes :func:`is_positive_definite`."""
     p_matrix = params.p_matrix()
     report = gershgorin(p_matrix)
-    # row dominance: centers are exactly kappa (Lambda has zero diagonal)
-    cor1 = bool(np.all(report.centers > report.radii))
+    # row dominance: the centers are exactly kappa >= 0 (Lambda has zero
+    # diagonal), so |center| > radius is kappa_i > its coupling row sum
+    cor1 = report.excludes_zero
     scaled = None if cor1 else _jacobi_scaled(p_matrix)
     prop1 = cor1 or (scaled is not None and is_positive_definite(scaled))
     eigenvalues = _eigh(p_matrix, vectors=False)

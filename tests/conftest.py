@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mvmtorus import (
     hessian_many,
     wrap_angles,
 )
+from mvmtorus.model import TWO_PI
 
 # Lambda whose eigenvalues are {-4, 2, 2}; with kappa = 3*1 the matrix
 # P = diag(kappa) - Lambda is positive definite (eigenvalues {1, 1, 7})
@@ -143,24 +145,35 @@ def first_kept_oracle(rows, radius: float) -> list[int]:
     return kept
 
 
-def start_points_oracle(params: MvmParams, cfg, rng, max_lattice: int) -> np.ndarray:
-    """The mode-search start set from the whole ``m**p`` lattice, built by
-    ``meshgrid`` and stacked before the seeded subsample of ``max_lattice``
-    rows is taken.  Reference for the index-built start set in
+def start_points_oracle(params: MvmParams, cfg, max_lattice: int) -> np.ndarray:
+    """The mode-search start set by its documented rule, from a fresh
+    ``random.Random(cfg.seed)``: the whole ``m**p`` lattice, built by
+    ``meshgrid`` and stacked, when it has at most ``max_lattice`` rows; else
+    ``max_lattice`` distinct digit rows (digits ``int(m * random())``, a
+    repeat redrawn), taken from the stacked lattice by their base-m index in
+    ascending order; then ``n_random`` rows of p uniforms ``TWO_PI *
+    random()``.  Reference for the index-free start set in
     ``mvmtorus.modes``."""
     p = params.p
     m = cfg.starts_per_dim
+    rng = random.Random(cfg.seed)
     offsets = np.pi / m + np.arange(m) * (2.0 * np.pi / m)
     grids = np.meshgrid(*([offsets] * p), indexing="ij")
     lattice = np.stack([g.ravel() for g in grids], axis=-1)
     if len(lattice) > max_lattice:
-        pick = rng.choice(len(lattice), size=max_lattice, replace=False)
-        lattice = lattice[np.sort(pick)]
+        picked: list[int] = []
+        while len(picked) < max_lattice:
+            index = 0
+            for _ in range(p):
+                index = index * m + int(m * rng.random())
+            if index not in picked:
+                picked.append(index)
+        lattice = lattice[sorted(picked)]
     n_random = cfg.n_random_starts
     if n_random is None:
         n_random = 32 if p <= 4 else 256
-    random_starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_random, p))
-    starts = np.vstack([lattice, random_starts]) if n_random else lattice
+    rows = [[TWO_PI * rng.random() for _ in range(p)] for _ in range(n_random)]
+    starts = np.vstack([lattice, np.array(rows, dtype=float).reshape(n_random, p)])
     return wrap_angles(starts + params.mu.angles)
 
 

@@ -300,7 +300,7 @@ def test_modes_rejects_bad_search_flags(reference_file, capsys, flag, value, fie
 
 def test_modes_runs_at_p_32_with_default_flags(tmp_path, capsys):
     # 4**32 lattice points, more than an int64 index reaches: the
-    # subsample draws its digits per coordinate instead
+    # subsample draws digit rows and forms no lattice index
     params = write_params(tmp_path / "p32.json", kappa=[5.0] * 32, **{"lambda": [[0.0] * 32] * 32})
     assert cli.main(["modes", "--params", params, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -345,11 +345,10 @@ def test_modes_on_a_subnormal_kappa_divides_by_no_small_eigenvalue(tmp_path, cap
 )
 def test_modes_counts_maxima_at_any_scale_of_f(tmp_path, capsys, family, scale, maxima,
                                                certify_code):
-    # c * f has the critical points of f: below an f range of 1 the search
-    # runs on f scaled by a power of two, so its absolute levels keep their
-    # meaning (six-mode x 1e-4 reported 2 maxima, x 1e-8 no point, and ref
-    # x 1e-6 none while certify said unimodal)
-    kappa, coupling = (np.sin(0.1), RING_COUPLING) if family == "six" else (3.0, REFERENCE_COUPLING)
+    # c * f has the critical points of f, but the search's levels are
+    # absolute: below an f range of 1 it runs on f scaled by a power of two,
+    # or these sets lose maxima, the six-mode x 1e-8 set every point
+    kappa, coupling = {"six": (np.sin(0.1), RING_COUPLING), "ref": (3.0, REFERENCE_COUPLING)}[family]
     path = write_params(
         tmp_path / f"{family}.json",
         kappa=[kappa * scale] * 3,
