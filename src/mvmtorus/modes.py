@@ -21,18 +21,19 @@ roundoff floor.  The Hessian work runs in row blocks of at most
 O(512 * p**2) memory, the rest O(rows * p).  The start set comes from the
 standard library's ``random.Random(seed)``, so the search loads no
 ``numpy.random``; for a fixed seed and version the result is deterministic.
-Converged points are deduplicated (greedy, first kept, in pool order) and
-classified in one batch.  :func:`classify_critical` runs the same path on
-one row, but numpy may take another BLAS path for one row than for a
-stack, so its eigenvalues and f can differ from the search's in the last
-bits.  Both run on f scaled by 2**k where its range is below 1
-(:func:`_unit_range`), since their levels are absolute.
+Converged points are deduplicated (greedy, first kept, in pool order),
+then :func:`_classified` classifies them in one batch, sorts them into
+report order and builds each point.  :func:`classify_critical` runs the
+same path on one row, but numpy may take another BLAS path for one row
+than for a stack, so its eigenvalues and f can differ from the search's in
+the last bits.  Both run on f scaled by 2**k where its range is below 1
+(:func:`_unit_range`), since their levels are absolute, and
+:func:`_classified` scales f, gradient norms and eigenvalues back.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -112,33 +113,18 @@ class CriticalPoint:
 _KINDS = (PointKind.MAXIMUM, PointKind.MINIMUM, PointKind.DEGENERATE, PointKind.SADDLE)
 
 
-def _classify_eigenvalues(eigenvalues: np.ndarray, tol: np.ndarray) -> list[PointKind]:
-    """Kinds of a stack of ascending spectra, one threshold per row."""
-    degenerate = np.any(np.abs(eigenvalues) <= tol[:, None], axis=1)
-    maximum, minimum = eigenvalues[:, -1] < -tol, eigenvalues[:, 0] > tol
-    return [_KINDS[k] for k in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
-
-
 def _by_blocks(fn, *arrays):
     """``fn(*arrays)`` over near-equal row blocks of at most ``_BLOCK_ROWS``
-    rows, written into preallocated whole-batch outputs, so ``fn``'s p x p
-    per-row intermediates never stack more rows.  No block has one row
-    unless the batch has: numpy multiplies one row by a matrix through BLAS
-    gemv, which rounds differently from the gemm of a stack, while blocks
-    of two rows or more give the stacked results bit for bit."""
-    n = len(arrays[0])
-    k = -(-n // _BLOCK_ROWS)
+    rows, the blocks' outputs concatenated, so ``fn``'s p x p per-row
+    intermediates never stack more rows.  No block has one row unless the
+    batch has: numpy multiplies one row by a matrix through BLAS gemv,
+    which rounds differently from the gemm of a stack, while blocks of two
+    rows or more give the stacked results bit for bit."""
+    k = -(-len(arrays[0]) // _BLOCK_ROWS)
     if k <= 1:
         return fn(*arrays)
-    edges = [i * n // k for i in range(k + 1)]
-    outs = None
-    for lo, hi in zip(edges, edges[1:]):
-        parts = fn(*(a[lo:hi] for a in arrays))
-        if outs is None:
-            outs = tuple(np.empty((n, *a.shape[1:]), a.dtype) for a in parts)
-        for out, a in zip(outs, parts):
-            out[lo:hi] = a
-    return outs
+    parts = [fn(*block) for block in zip(*(np.array_split(a, k) for a in arrays))]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,17 +134,27 @@ def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _classified(
-    params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float
+    params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float, k: int = 0
 ) -> list[CriticalPoint]:
-    """Classify the critical points ``rows`` (wrapped angles, shape (n, p))
-    in one batch: Hessians and spectra in row blocks (:func:`_by_blocks`),
-    f on the whole batch, since its ``c @ kappa`` rounds by batch shape."""
+    """The critical points ``rows`` (wrapped angles, shape (n, p)) of the f
+    of ``params``, classified in one batch and in report order: Hessians and
+    spectra in row blocks (:func:`_by_blocks`), f on the whole batch, since
+    its ``c @ kappa`` rounds by batch shape.  ``params`` is 2**k times the
+    caller's set (:func:`_unit_range`): the order is taken on the scaled
+    values (:func:`_report_order`), then f, ``grad_norms`` and eigenvalues
+    are scaled back by 2**-k."""
     eigenvalues, norms = _by_blocks(partial(_spectra, params), rows)
-    kinds = _classify_eigenvalues(eigenvalues, degeneracy_tol * np.maximum(1.0, norms))
-    f_values = exponent_many(params, rows).tolist()
+    tol = degeneracy_tol * np.maximum(1.0, norms)
+    degenerate = np.any(np.abs(eigenvalues) <= tol[:, None], axis=1)
+    maximum, minimum = eigenvalues[:, -1] < -tol, eigenvalues[:, 0] > tol
+    kinds = [_KINDS[i] for i in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
+    f_values = exponent_many(params, rows)
+    order = _report_order(params, f_values, kinds, rows)
+    f_values, grad_norms = np.ldexp(f_values, -k).tolist(), np.ldexp(grad_norms, -k).tolist()
+    eigenvalues = np.ldexp(eigenvalues, -k)
     return [
-        CriticalPoint(TorusPoint(row), f, float(g), eig, kind)
-        for row, f, g, eig, kind in zip(rows, f_values, grad_norms, eigenvalues, kinds)
+        CriticalPoint(TorusPoint(rows[i]), f_values[i], grad_norms[i], eigenvalues[i], kinds[i])
+        for i in order
     ]
 
 
@@ -168,15 +164,17 @@ def _critical_tol(params: MvmParams, grad_tol: float) -> float:
     return max(grad_tol, 64.0 * np.finfo(float).eps * params.f_range)
 
 
-def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[CriticalPoint]:
-    """``points`` by descending f, then kind, then angles, where f values
-    within ``_F_ULPS`` * eps * f range of a group's first, or angles within
-    ``_ANGLE_TIE`` (near 2*pi counting as near 0), rank as equal: mirror
-    points keep their order, whatever the last bits of their f and angles."""
+def _report_order(
+    params: MvmParams, f_values: np.ndarray, kinds: list[PointKind], rows: np.ndarray
+) -> list[int]:
+    """The indices of the points (f, kind, angles) by descending f, then
+    kind, then angles, where f values within ``_F_ULPS`` * eps * f range of
+    a group's first, or angles within ``_ANGLE_TIE`` (near 2*pi counting as
+    near 0), rank as equal: mirror points keep their order, whatever the
+    last bits of their f and angles."""
     keys = [
-        [-c.f_value, c.kind.value]
-        + [a - TWO_PI if a > TWO_PI - _ANGLE_TIE else a for a in c.theta.angles.tolist()]
-        for c in points
+        [-f, kind.value] + [a - TWO_PI if a > TWO_PI - _ANGLE_TIE else a for a in row]
+        for f, kind, row in zip(f_values.tolist(), kinds, rows.tolist())
     ]
     ties = [(0, _F_ULPS * np.finfo(float).eps * params.f_range)]
     for j, tie in ties + [(j, _ANGLE_TIE) for j in range(2, params.p + 2)]:
@@ -184,31 +182,21 @@ def _report_order(params: MvmParams, points: list[CriticalPoint]) -> list[Critic
         for prev, key in zip(ordered, ordered[1:]):
             if key[j] - prev[j] <= tie:
                 key[j] = prev[j]
-    return [points[i] for i in sorted(range(len(points)), key=keys.__getitem__)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _unit_range(params: MvmParams) -> tuple[MvmParams, int]:
     """``params`` with kappa and Lambda scaled by 2**k, and k: where the f
     range R is in (0, 1), k = 1 - frexp(R)[1] brings it into [1, 2), else
     k = 0 and ``params`` is returned as is.  Scaling by a power of two is
-    exact, so the search and the classification run on 2**k * f and scale
-    f, gradient norms and eigenvalues back by 2**-k (:func:`_scaled`)."""
+    exact, so the search and the classification run on 2**k * f, and
+    :func:`_classified` scales f, gradient norms and eigenvalues back by
+    2**-k."""
     r = params.f_range
     if not 0.0 < r < 1.0:
         return params, 0
     k = 1 - int(np.frexp(r)[1])
     return MvmParams(params.mu, np.ldexp(params.kappa, k), np.ldexp(params.lam, k)), k
-
-
-def _scaled(point: CriticalPoint, k: int) -> CriticalPoint:
-    """``point`` with f, gradient norm and eigenvalues scaled by 2**k."""
-    return CriticalPoint(
-        point.theta,
-        math.ldexp(point.f_value, k),
-        math.ldexp(point.grad_norm, k),
-        np.ldexp(point.hessian_eigenvalues, k),
-        point.kind,
-    )
 
 
 def classify_critical(
@@ -227,7 +215,7 @@ def classify_critical(
     grad_norm = np.max(np.abs(grad_f(unit, theta)))
     if grad_norm > tol:
         raise ValueError(f"theta is not critical: |grad|_inf = {grad_norm:.3e} > {tol:.3g}")
-    return _scaled(_classified(unit, theta.angles[None, :], [grad_norm], degeneracy_tol)[0], -k)
+    return _classified(unit, theta.angles[None, :], [grad_norm], degeneracy_tol, k)[0]
 
 
 @dataclass(frozen=True)
@@ -516,12 +504,9 @@ def critical_points(params: MvmParams, cfg: SearchConfig | None = None) -> ModeR
     converged_mask = norms < _critical_tol(params, cfg.grad_tol)
     converged = pool[converged_mask]
     kept = _first_kept(converged, cfg.dedup_radius)
-    unique = _report_order(
-        params,
-        _classified(params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol),
+    unique = _classified(
+        params, converged[kept], norms[converged_mask][kept], cfg.degeneracy_tol, k
     )
-    if k:
-        unique = [_scaled(c, -k) for c in unique]
     return ModeReport(
         n_maxima=sum(1 for c in unique if c.kind is PointKind.MAXIMUM),
         extended_mode_suspected=any(c.kind is PointKind.DEGENERATE for c in unique),

@@ -530,7 +530,10 @@ def test_report_order_holds_when_f_and_angles_move_in_their_last_bits(params):
         ]
         index = {id(c): i for i, c in enumerate(moved)}
         rng.shuffle(moved)
-        order = [index[id(c)] for c in modes._report_order(params, moved)]
+        f_values = np.array([c.f_value for c in moved])
+        rows = np.stack([c.theta.angles for c in moved])
+        kinds = [c.kind for c in moved]
+        order = [index[id(moved[i])] for i in modes._report_order(params, f_values, kinds, rows)]
         assert order == list(range(len(report)))
 
 
@@ -875,6 +878,55 @@ def test_start_stream_is_pinned(name):
     np.testing.assert_allclose(starts[lattice : lattice + 5], random_head, rtol=0.0, atol=1e-15)
 
 
+#: seed-7 mode reports: point count, kinds in report order, and the first
+#: three points' f and angles
+_PINNED_REPORTS = {
+    "reference": (
+        ["Maximum"] + ["Saddle"] * 7 + ["Minimum"] * 2,
+        [9.0, 3.0, 3.0],
+        [
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 3.141592653589793],
+            [1.7763568394002505e-15, 3.141592653589793, 2.088757836940687e-16],
+        ],
+    ),
+    "six_mode": (
+        ["Maximum"] * 6 + ["Saddle"] * 19 + ["Minimum"] * 2,
+        [1.1098001277262075, 1.1098001277262073, 1.1098001277262075],
+        [
+            [1.4049476652955867e-17, 1.4707963267948967, 1.4707963267948967],
+            [0.0, 4.81238898038469, 4.81238898038469],
+            [1.4707963267948967, 0.0, 1.4707963267948967],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_mode_report_is_pinned(name):
+    # the seed-7 reports, pinned as the start stream is: a change to the
+    # search, the classification, the report order or the scale-back moves
+    # these, and must update them and say why.  Angles are compared on the
+    # torus, since a last-bit change can move an angle at 0 to below 2*pi
+    if name == "reference":
+        params = _params([3.0] * 3, REFERENCE_COUPLING)
+    else:
+        params = six_mode_params(0.1)
+    criticals = critical_points(params, SearchConfig(seed=7)).criticals
+    kinds, head_f, head_angles = _PINNED_REPORTS[name]
+    assert [c.kind.value for c in criticals] == kinds
+    got = [c.f_value for c in criticals[:3]]
+    np.testing.assert_allclose(got, head_f, rtol=0.0, atol=1e-12)
+    d = np.abs(np.stack([c.theta.angles for c in criticals[:3]]) - head_angles)
+    assert np.all(np.minimum(d, TWO_PI - d) <= 1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_classifying_no_rows_gives_no_points(k):
+    params = _params([3.0] * 3, REFERENCE_COUPLING)
+    assert modes._classified(params, np.empty((0, 3)), np.empty(0), 1e-6, k) == []
+
+
 @pytest.mark.parametrize("kappa", [1e6, 1e300])
 def test_search_finds_every_point_at_huge_concentration(kappa):
     # |grad f| cannot be evaluated below about eps * kappa, so a fixed 1e-10
@@ -1045,13 +1097,23 @@ def test_row_blocks_are_near_equal_and_never_one_row(block):
         sizes.append(len(rows))
         return (rows,)
 
+    def spectra_like(rows, norms):
+        # two inputs, outputs of shape (n, p) and (n,), as _spectra returns
+        return rows * norms[:, None], rows.sum(axis=1) - norms
+
     for n in range(1, 4 * block + 2):
         sizes.clear()
+        pair = np.arange(3.0 * n).reshape(n, 3), np.arange(n, 0.0, -1.0)
         with mock.patch.object(modes, "_BLOCK_ROWS", block):
             (rows,) = modes._by_blocks(record, np.arange(n))
+            got = modes._by_blocks(spectra_like, *pair)
         assert np.array_equal(rows, np.arange(n))
         assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
         assert min(sizes) >= 2 or n == 1
+        want = spectra_like(*pair)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def _random_p16():
