@@ -399,7 +399,7 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
 def _write_sample_csv(fh, blocks: Iterable[np.ndarray]) -> None:
     """The header with the first block of rows, then one block at a time,
     so neither the draws nor the CSV text sit in memory whole.  A run
-    whose first block fails writes nothing, not even the header."""
+    that fails before its first draw writes nothing, not even the header."""
     # '%r' of a float is its repr, which never needs CSV quoting, so one
     # C-level format per block gives the csv.writer bytes
     for i, block in enumerate(blocks):
@@ -420,7 +420,8 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
     def draws():
         for block, block_trials in blocks:
             trials.append(block_trials)
-            yield block
+            if len(block):  # a block may accept no proposal
+                yield block
 
     return _Run(
         config={

@@ -397,25 +397,21 @@ def _damped_pass(
     on all live rows at once.
     """
     th = starts.copy()
-    alive = np.ones(len(th), dtype=bool)
+    live = np.arange(len(th))
     for _ in range(cfg.max_iter):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        c, s = _trig_many(params, th[idx])
+        c, s = _trig_many(params, th[live])
         g = _grad_cs(params, c, s)
         gnorm = np.max(np.abs(g), axis=1)
         keep = gnorm > _POLISH_TRIGGER
-        alive[idx[~keep]] = False
         if not keep.any():
-            continue
-        idx, c, s, g, gnorm = idx[keep], c[keep], s[keep], g[keep], gnorm[keep]
+            break
+        live, c, s, g, gnorm = live[keep], c[keep], s[keep], g[keep], gnorm[keep]
         (direction,) = _by_blocks(partial(_directions, params, sign), c, s, g, gnorm)
-        cur = th[idx]
+        cur = th[live]
         step = _step_lengths(params, sign, c, s, gnorm, cur, direction)
         moved = step > 0.0
-        th[idx[moved]] = wrap_angles(cur[moved] + step[moved, None] * direction[moved])
-        alive[idx[~moved]] = False  # stalled: no step length improved the merit
+        live = live[moved]  # a stalled row, which no step length improved, retires
+        th[live] = wrap_angles(cur[moved] + step[moved, None] * direction[moved])
     return th
 
 

@@ -38,19 +38,20 @@ d = t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), and keeps the
 one with the smaller log C; with a constant diagonal the two coincide and
 the scalar is kept.
 
-Reproducibility contract: block i of a batch holds
-min(``BLOCK_SIZE``, n - i * ``BLOCK_SIZE``) draws from its own generator,
-the i-th child of ``SeedSequence(seed).spawn()``; both are worked out from
-i when the block starts.  Each attempt chunk in a block holds
-``_CHUNK`` = 2048 proposals and consumes, in order, (1) one von Mises
-block of 2048 x p rows, (2) 2048 uniforms; a proposal is accepted when its
-uniform is at most its acceptance probability, and the block keeps its
-accepted rows in order until the quota is full.  Worker threads
-only run whole blocks, at most ``workers`` (and the CPU count) of them in
-flight: the next is submitted only when the consumer asks for another,
-and pending blocks are cancelled if it stops early.  So output is
-bit-identical for a fixed seed whatever the worker count, and memory is
-O(``BLOCK_SIZE`` * p * workers) whatever n is.
+Reproducibility contract: the proposal stream is cut into blocks of
+``BLOCK_SIZE`` = 2048 proposals.  Block i draws from its own generator, the
+i-th child of ``SeedSequence(seed).spawn()``, worked out from i when the
+block starts, and consumes, in order, (1) one von Mises block of 2048 x p
+rows, (2) 2048 uniforms; a proposal is accepted when its uniform is at
+most its acceptance probability.  A run of n draws keeps the first n
+accepted proposals of the stream, in order, and ends with the block that
+holds draw n.  Worker threads only run whole blocks, at most ``workers``
+(and the CPU count) of them in flight: the next is submitted only when the
+consumer asks for another, and pending blocks are cancelled once draw n
+is found or the consumer stops early.  So output is bit-identical for a
+fixed seed whatever the worker count, the draws of n are the first n rows
+of any longer run, and memory is O(``BLOCK_SIZE`` * p * workers) whatever
+n is.
 
 The error types are defined in :mod:`mvmtorus.model` and re-exported here.
 """
@@ -61,7 +62,7 @@ import os
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count
 
 import numpy as np
 
@@ -95,13 +96,12 @@ __all__ = [
     "forecast_acceptance",
 ]
 
-#: draws per seeding block; fixed so the stream layout is independent of
+#: proposals per seeding block; fixed so the stream layout is independent of
 #: worker count
-BLOCK_SIZE = 4096
-#: proposals per attempt chunk, so a chunk's cos, sin and acceptance
-#: temporaries stay small whatever the quota
-_CHUNK = 2048
-#: stall guard: a batch may not consume more than n * 1e6 proposals
+BLOCK_SIZE = 2048
+#: stall guard: a run raises ``AcceptanceStallError`` once its trials exceed
+#: STALL_FACTOR * (draws + 1), checked after each block, so a run with no
+#: draw stops within STALL_FACTOR + BLOCK_SIZE proposals whatever n is
 STALL_FACTOR = 1e6
 #: slack subtracted from computed eigenvalues when building an envelope,
 #: so eigen-solver rounding cannot push diag(d) past P; scaled by
@@ -187,8 +187,8 @@ class ProposalSpec:
 @dataclass(frozen=True)
 class SampleBatch:
     """Accepted draws (rows, wrapped to [0, 2*pi)) plus trial accounting.
-    ``trials`` is the number of proposals drawn up to and including the
-    one that filled each block's quota, summed over the blocks.
+    ``trials`` is the number of proposals in the stream up to and
+    including the one that gave the last draw.
     Rebuilding with the same parameters and seed reproduces the batch
     bit-for-bit."""
 
@@ -289,34 +289,16 @@ def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> floa
 
 
 def _sample_block(
-    params: MvmParams,
-    spec: ProposalSpec,
-    quota: int,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[np.ndarray, int]:
-    """Run the rejection loop until ``quota`` draws are accepted; returns
-    them with the proposals drawn up to and including the one that filled
-    the quota.  Each chunk draws ``_CHUNK`` von Mises rows, then ``_CHUNK``
-    uniforms, and keeps its accepted rows up to the quota."""
+    params: MvmParams, spec: ProposalSpec, seed_seq: np.random.SeedSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of the proposal stream: ``BLOCK_SIZE`` von Mises rows,
+    then ``BLOCK_SIZE`` uniforms, from ``PCG64(seed_seq)``; returns the
+    accepted rows, in the mean-zero frame, and their indices in the block."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    out = np.empty((quota, params.p))
-    got = 0
-    trials = 0
-    budget = int(quota * STALL_FACTOR)
-    while got < quota:
-        props = _raw_proposals(spec, _CHUNK, rng)
-        log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
-        acc_idx = np.flatnonzero(rng.random(_CHUNK) <= np.exp(log_acc))[: quota - got]
-        out[got : got + len(acc_idx)] = props[acc_idx]
-        got += len(acc_idx)
-        # the chunk that fills the quota counts its proposals up to and
-        # including the one that filled it
-        trials += int(acc_idx[-1]) + 1 if got == quota else _CHUNK
-        if trials > budget and got < quota:
-            raise AcceptanceStallError(
-                f"{trials} proposals produced only {got}/{quota} draws"
-            )
-    return out, trials
+    props = _raw_proposals(spec, BLOCK_SIZE, rng)
+    log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
+    hits = np.flatnonzero(rng.random(BLOCK_SIZE) <= np.exp(log_acc))
+    return props[hits], hits
 
 
 def _resolve_spec(
@@ -383,14 +365,13 @@ def sample_blocks(
     The envelope is built and checked by :meth:`ProposalSpec.from_params`
     from ``lambda_min``, and then the other arguments are checked, before
     this returns.  The iterator then yields ``(draws, trials)`` per block
-    of ``BLOCK_SIZE`` draws (the last block holds the rest), in block
-    order, with the draws shifted by mu and wrapped to [0, 2*pi);
-    ``trials`` is the number of proposals the block drew up to and
-    including the one that filled its quota.  The plan is
-    ``range(ceil(n / BLOCK_SIZE))``, and each block builds its quota and
-    generator as it starts (see the module docstring).  ``workers`` > 1
-    runs up to that many blocks (and ``os.cpu_count()``) at once and never
-    changes the output.
+    of ``BLOCK_SIZE`` proposals (see the module docstring), in order, up to
+    the block that holds draw n: its accepted draws, shifted by mu and
+    wrapped to [0, 2*pi), and its proposals, the last block's only up to
+    and including the one that gave draw n.  ``workers`` > 1 runs up to
+    that many blocks (and ``os.cpu_count()``) at once and never changes
+    the output.  A run whose trials exceed ``STALL_FACTOR`` * (draws + 1)
+    raises ``AcceptanceStallError``.
     """
     return _blocks(params, ProposalSpec.from_params(params, lambda_min), n, seed, workers)
 
@@ -409,28 +390,46 @@ def _blocks(params: MvmParams, spec: ProposalSpec, n: int, seed: int, workers: i
     def block(i: int):
         # the i-th child that root.spawn() would give, built from its key alone
         child = np.random.SeedSequence(root.entropy, spawn_key=(i,), pool_size=root.pool_size)
-        centered, trials = _sample_block(params, spec, min(BLOCK_SIZE, n - i * BLOCK_SIZE), child)
-        return wrap_angles(centered + params.mu.angles), trials
+        return _sample_block(params, spec, child)
 
-    plan = range(-(-n // BLOCK_SIZE))
-    if workers == 1:
-        return (block(i) for i in plan)
-    return _in_flight(block, iter(plan), workers)
+    stream = (block(i) for i in count()) if workers == 1 else _in_flight(block, workers)
+    return _first_draws(stream, params.mu.angles, n)
 
 
-def _in_flight(block, jobs, workers: int):
-    """``block(job)`` for each job of the iterator ``jobs``, in order, with
-    at most ``workers`` jobs submitted and not yet consumed; closing the
-    iterator cancels the ones not started."""
+def _first_draws(stream, mu: np.ndarray, n: int):
+    """The first n draws of the block ``stream``, shifted by ``mu``, one
+    block at a time with its trials; closing ``stream`` when it ends
+    cancels the blocks started past draw n."""
+    draws = trials = 0
+    try:
+        for rows, hits in stream:
+            rows, hits = rows[: n - draws], hits[: n - draws]
+            draws += len(rows)
+            # the last block counts its proposals up to the one that gave draw n
+            block_trials = int(hits[-1]) + 1 if draws == n else BLOCK_SIZE
+            trials += block_trials
+            yield wrap_angles(rows + mu), block_trials
+            if draws == n:
+                return
+            if trials > STALL_FACTOR * (draws + 1):
+                raise AcceptanceStallError(f"{trials} proposals produced only {draws}/{n} draws")
+    finally:
+        stream.close()
+
+
+def _in_flight(block, workers: int):
+    """``block(i)`` for i = 0, 1, 2, ..., in order, with at most ``workers``
+    blocks submitted and not yet consumed; closing the iterator cancels the
+    ones not started."""
     # imported here so that runs without worker threads never load it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(block, job) for job in islice(jobs, workers))
+        pending = deque(pool.submit(block, i) for i in range(workers))
         try:
-            while pending:
+            for i in count(workers):
                 yield pending.popleft().result()
-                pending.extend(pool.submit(block, job) for job in islice(jobs, 1))
+                pending.append(pool.submit(block, i))
         finally:
             for future in pending:
                 future.cancel()
@@ -446,11 +445,11 @@ def sample_mvm(
     """n exact draws from MVM(mu, kappa, Lambda) in one batch; requires
     positive definite P.  The blocks of :func:`sample_blocks`, written in
     order into one preallocated (n, p) array, with their trials summed."""
-    blocks = sample_blocks(params, n, lambda_min, seed, workers)
     draws = np.empty((n, params.p))
-    trials = 0
-    for i, (block, block_trials) in enumerate(blocks):
-        draws[i * BLOCK_SIZE : i * BLOCK_SIZE + len(block)] = block
+    got = trials = 0
+    for block, block_trials in sample_blocks(params, n, lambda_min, seed, workers):
+        draws[got : got + len(block)] = block
+        got += len(block)
         trials += block_trials
     return SampleBatch(draws=draws, trials=trials, seed=seed)
 

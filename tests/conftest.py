@@ -246,41 +246,33 @@ def halving_oracle(params: MvmParams, sign: float, cur, direction, gnorm, max_ha
     return found
 
 
-def chunk_stream_block_oracle(params: MvmParams, spec, quota: int, seed_seq):
-    """``(draws, trials)`` of one sampler block rebuilt from a fresh
-    ``PCG64(seed_seq)`` by the documented stream contract: each chunk draws
-    ``vonmises(0, d)`` of 2048 x p, then ``random(2048)``, and keeps its
-    accepted rows, in order, up to the quota.  Reference for
-    ``mvmtorus.sampler._sample_block``."""
+def proposal_stream_oracle(params: MvmParams, spec, n: int, seed: int):
+    """``(draws, trials)`` per block of a run of n sampler draws, rebuilt
+    eagerly by the documented stream contract: whole blocks are drawn until
+    n proposals are accepted, each from the next ``SeedSequence(seed)``
+    child as ``vonmises(0, d)`` of 2048 x p, then ``random(2048)``, and
+    stacked into one stream; its first n accepted rows, shifted by mu, are
+    then split back into their blocks, and the last block counts its
+    proposals up to the one that gave draw n.  Reference for
+    ``mvmtorus.sampler.sample_blocks``, which cuts each block as it comes."""
     from mvmtorus import sampler
 
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    root = np.random.SeedSequence(seed)
     d = np.asarray(spec.d)
-    out = np.empty((quota, params.p))
-    got = trials = 0
-    while got < quota:
-        props = rng.vonmises(0.0, d, size=(2048, params.p))
+    props, hits = [], []
+    while sum(map(len, hits)) < n:
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
+        block = rng.vonmises(0.0, d, size=(2048, params.p))
         u = rng.random(2048)
-        log_acc = sampler._log_acceptance(params, spec, np.cos(props), np.sin(props))
-        hits = np.flatnonzero(u <= np.exp(log_acc))[: quota - got]
-        out[got : got + len(hits)] = props[hits]
-        got += len(hits)
-        trials += int(hits[-1]) + 1 if got == quota else 2048
-    return out, trials
-
-
-def eager_blocks_oracle(params: MvmParams, n: int, spec, seed: int):
-    """``(draws, trials)`` per block, from a plan built whole before the
-    first draw: every quota listed and one ``SeedSequence(seed).spawn`` for
-    all the blocks.  Reference for ``mvmtorus.sampler.sample_blocks``, which
-    works out each block's quota and generator only when it starts."""
-    from mvmtorus import sampler
-
-    size = sampler.BLOCK_SIZE
-    quotas = [size] * (n // size) + ([n % size] if n % size else [])
-    for quota, child in zip(quotas, np.random.SeedSequence(seed).spawn(len(quotas))):
-        centered, trials = sampler._sample_block(params, spec, quota, child)
-        yield wrap_angles(centered + params.mu.angles), trials
+        log_acc = sampler._log_acceptance(params, spec, np.cos(block), np.sin(block))
+        hits.append(2048 * len(props) + np.flatnonzero(u <= np.exp(log_acc)))
+        props.append(block)
+    stream = np.concatenate(hits)[:n]
+    draws = wrap_angles(np.vstack(props)[stream] + params.mu.angles)
+    trials = int(stream[-1]) + 1
+    return [
+        (draws[stream // 2048 == i], min(2048, trials - 2048 * i)) for i in range(len(props))
+    ]
 
 
 def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -727,19 +728,37 @@ def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
 
 
+def test_sample_stall_before_any_draw_prints_nothing(tmp_path, capsys, monkeypatch):
+    # blocks that accept nothing reach the CSV writer as empty blocks; the
+    # header waits for the first draw, so a run that stalls first prints
+    # nothing on stdout
+    path = write_params(tmp_path / "sharp.json", kappa=[1e16], **{"lambda": [[0.0]]})
+    monkeypatch.setattr(sampler, "STALL_FACTOR", 1e4)
+    argv = ["sample", "--params", path, "--n", "5", "--lambda-min", "1e-12"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 10240 proposals produced only 0/5 draws\n")
+
+
 @pytest.mark.parametrize("shards", [1, 2])
 def test_sample_stall_after_the_first_block(
     univariate_file, tmp_path, capsys, monkeypatch, shards
 ):
     real = sampler._sample_block
+    first = []
 
-    def second_block_stalls(params, spec, quota, seed_seq):
-        # the second block: the second call when blocks run in order
-        if seed_seq.spawn_key == (1,):
-            raise sampler.AcceptanceStallError("simulated")
-        return real(params, spec, quota, seed_seq)
+    def later_blocks_accept_nothing(params, spec, seed_seq):
+        rows, hits = real(params, spec, seed_seq)
+        if seed_seq.spawn_key == (0,):
+            first.append(len(rows))
+            return rows, hits
+        return rows[:0], hits[:0]
 
-    monkeypatch.setattr(sampler, "_sample_block", second_block_stalls)
+    monkeypatch.setattr(sampler, "_sample_block", later_blocks_accept_nothing)
+    # at one proposal per draw the guard trips once the second, empty,
+    # block has been drawn
+    monkeypatch.setattr(sampler, "STALL_FACTOR", 1.0)
     argv = ["sample", "--params", univariate_file, "--n", str(sampler.BLOCK_SIZE + 1),
             "--shards", str(shards)]
     out_csv = tmp_path / "draws.csv"
@@ -752,8 +771,9 @@ def test_sample_stall_after_the_first_block(
     captured = capsys.readouterr()
     # the rows printed before the failure stay; no record follows them
     lines = captured.out.splitlines()
-    assert lines[0] == "theta1" and len(lines) == 1 + sampler.BLOCK_SIZE
-    assert captured.err.startswith("error: simulated\nhint: ")
+    assert lines[0] == "theta1" and len(lines) == 1 + first[-1] > 1
+    stall = rf"error: \d+ proposals produced only \d+/{sampler.BLOCK_SIZE + 1} draws\nhint: "
+    assert re.match(stall, captured.err)
     assert not any(line.startswith("{") for line in captured.err.splitlines())
 
 

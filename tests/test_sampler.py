@@ -2,6 +2,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from conftest import (
     RING_COUPLING,
     bessel_i0_series,
     bessel_i1_series,
-    chunk_stream_block_oracle,
-    eager_blocks_oracle,
     heterogeneous_params,
+    proposal_stream_oracle,
     random_params,
 )
 from mvmtorus import (
@@ -185,14 +185,15 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
     st.integers(1, 6),
     st.sampled_from([1.0, 40.0, 3e7]),
     st.booleans(),
-    st.integers(1, BLOCK_SIZE),
+    st.integers(1, BLOCK_SIZE + 1),
     st.integers(0, 2**32 - 1),
 )
-def test_block_follows_the_chunk_stream_contract(p, scale, shared, quota, seed):
-    # a fresh PCG64(seed_seq), read by the documented contract (per chunk,
-    # vonmises of 2048 x p, then random(2048)), rebuilds the block's draws
-    # and trials, for a shared or per-coordinate d, below and above numpy's
-    # wrapped-normal switch at d = 1e6
+def test_block_follows_the_proposal_stream_contract(p, scale, shared, n, seed):
+    # fresh PCG64 generators of the SeedSequence(seed) children, read by
+    # the documented contract (per block, vonmises of 2048 x p, then
+    # random(2048)), rebuild a run's draws and trials, for a shared or
+    # per-coordinate d, below and above numpy's wrapped-normal switch at
+    # d = 1e6
     rng = np.random.default_rng(seed)
     kappa = scale * (np.ones(p) if shared else rng.uniform(1.0, 3.0, size=p))
     lam = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1) * (0.5 * kappa.min() / p)
@@ -203,11 +204,12 @@ def test_block_follows_the_chunk_stream_contract(p, scale, shared, quota, seed):
     d = 0.5 * (kappa - np.sum(np.abs(lam), axis=1))
     d = tuple(np.full(p, d.min()) if shared else d)
     spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=d)
-    child = np.random.SeedSequence(seed)
-    draws, trials = sampler._sample_block(params, spec, quota, child)
-    expected, expected_trials = chunk_stream_block_oracle(params, spec, quota, child)
-    assert np.array_equal(draws, expected)
-    assert trials == expected_trials
+    got = list(sampler._blocks(params, spec, n, seed, 1))
+    expected = proposal_stream_oracle(params, spec, n, seed)
+    assert len(got) == len(expected)
+    for (draws, trials), (want, want_trials) in zip(got, expected):
+        assert np.array_equal(draws, want)
+        assert trials == want_trials
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +441,60 @@ _HETEROGENEOUS = _params(
 def test_sample_blocks_match_an_eagerly_spawned_plan(seed, n, workers):
     spec = ProposalSpec.from_params(_REFERENCE)
     got = list(sample_blocks(_REFERENCE, n, seed=seed, workers=workers))
-    expected = list(eager_blocks_oracle(_REFERENCE, n, spec, seed))
-    assert len(got) == len(expected) == -(-n // BLOCK_SIZE)
+    expected = proposal_stream_oracle(_REFERENCE, spec, n, seed)
+    assert len(got) == len(expected)
     for (draws, trials), (want, want_trials) in zip(got, expected):
         assert np.array_equal(draws, want)
         assert trials == want_trials
 
 
+def _counting_proposals(requested: list):
+    """``sampler._raw_proposals`` that records the rows it draws."""
+    real = sampler._raw_proposals
+
+    def counted(spec, m, rng):
+        requested.append(m)
+        return real(spec, m, rng)
+
+    return counted
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2 * BLOCK_SIZE),
+    st.integers(1, 2 * BLOCK_SIZE),
+    st.sampled_from([1, 2]),
+)
+def test_a_run_is_the_start_of_any_longer_run(seed, a, b, workers):
+    # the draws of n are the first n rows of a run of n' > n, and a run
+    # draws its blocks up to the one that holds draw n, plus at most one
+    # that a second worker started before the run ended
+    n, longer = min(a, b), max(a, b) + 1
+    requested = []
+    with mock.patch.object(sampler, "_raw_proposals", _counting_proposals(requested)):
+        batch = sample_mvm(_HETEROGENEOUS, n, seed=seed, workers=workers)
+    whole = -(-batch.trials // BLOCK_SIZE) * BLOCK_SIZE
+    assert whole <= sum(requested) <= whole + (workers - 1) * BLOCK_SIZE
+    longer_batch = sample_mvm(_HETEROGENEOUS, longer, seed=seed, workers=workers)
+    assert np.array_equal(batch.draws, longer_batch.draws[:n])
+    assert batch.trials <= longer_batch.trials
+
+
 def test_first_block_memory_is_flat_in_n():
-    # each block works out its quota and generator when it starts, so n
-    # sets only the block count; listing every quota and spawning every
+    # each block works out its generator when it starts, so n sets
+    # nothing ahead of the draws; listing every block and spawning every
     # generator up front traced ~95 MB before the first draw at n = 1e9
     tracemalloc.start()
     try:
         blocks = sample_blocks(_REFERENCE, 10**9, seed=3)
-        draws, _ = next(blocks)
+        draws, trials = next(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     blocks.close()
-    assert draws.shape == (BLOCK_SIZE, 3)
+    assert trials == BLOCK_SIZE
+    assert np.array_equal(draws, sample_mvm(_REFERENCE, len(draws), seed=3).draws)
     assert peak < 8_000_000
 
 
@@ -475,13 +511,13 @@ def test_sample_mvm_equals_the_stacked_blocks(workers):
 def test_sample_blocks_keep_at_most_workers_in_flight(monkeypatch, workers):
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
     n = 10 * BLOCK_SIZE + 5
-    batch = sample_mvm(params, n, seed=13)
+    expected = list(sample_blocks(params, n, seed=13))
     started = []
     real = sampler._sample_block
 
-    def counted(*args):
-        started.append(args[3].spawn_key)
-        return real(*args)
+    def counted(params, spec, seed_seq):
+        started.append(seed_seq.spawn_key)
+        return real(params, spec, seed_seq)
 
     monkeypatch.setattr(sampler, "_sample_block", counted)
     with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -490,7 +526,8 @@ def test_sample_blocks_keep_at_most_workers_in_flight(monkeypatch, workers):
     assert started == []
     for k in range(1, 4):
         draws, trials = next(blocks)
-        assert np.array_equal(draws, batch.draws[(k - 1) * BLOCK_SIZE : k * BLOCK_SIZE])
+        assert np.array_equal(draws, expected[k - 1][0])
+        assert trials == expected[k - 1][1]
         # the next block is submitted only once one has been consumed
         assert len(started) <= workers + k - 1
     blocks.close()
@@ -529,11 +566,11 @@ def test_sampler_rejects_a_negative_seed():
         sample_blocks(params, 10, seed=-1)  # checked before any iteration
 
 
-def test_sample_block_counts_trials_up_to_the_filling_proposal(monkeypatch):
-    # the first chunk (2048 proposals) accepts 3, the second exactly the 7
-    # missing ones, the last at index 600 and none after it: trials stop at
-    # that proposal, as when a chunk accepts more than needed
-    accepted = iter([[5, 100, 200], [0, 10, 20, 30, 40, 50, 600]])
+def test_run_counts_trials_up_to_the_proposal_of_draw_n(monkeypatch):
+    # block 0 accepts 3 proposals, block 1 none, block 2 the 7 missing
+    # ones and two more, the 7th at index 600: the empty block counts all
+    # its proposals, and the last stops at the one that gave draw 10
+    accepted = iter([[5, 100, 200], [], [0, 10, 20, 30, 40, 50, 600, 700, 2000]])
 
     def scripted(params, spec, c, s):
         log_acc = np.full(len(c), -np.inf)
@@ -541,41 +578,32 @@ def test_sample_block_counts_trials_up_to_the_filling_proposal(monkeypatch):
         return log_acc
 
     monkeypatch.setattr(sampler, "_log_acceptance", scripted)
-    spec = ProposalSpec.from_params(_REFERENCE)
-    draws, trials = sampler._sample_block(_REFERENCE, spec, 10, np.random.SeedSequence(0))
-    assert draws.shape == (10, 3)
-    assert trials == 2048 + 600 + 1
+    blocks = list(sample_blocks(_REFERENCE, 10, seed=0))
+    assert [draws.shape for draws, _ in blocks] == [(3, 3), (0, 3), (7, 3)]
+    assert [trials for _, trials in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 600 + 1]
 
 
-def test_block_draws_at_most_one_chunk_past_its_filling_proposal(monkeypatch):
-    # at acceptance about 0.8 a block needs about 1.25 proposals per draw;
-    # the proposals it draws end within one chunk of the one that filled
-    # its quota, however many draws it is missing
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_draws_at_most_one_block_past_the_proposal_of_draw_n(monkeypatch, workers):
+    # at acceptance about 0.8 a run needs about 1.25 proposals per draw; a
+    # serial run draws exactly the blocks up to the one that holds draw n,
+    # and with two workers at most one more was started when it ended
     requested = []
-    real = sampler._raw_proposals
-
-    def counted(spec, m, rng):
-        requested.append(m)
-        return real(spec, m, rng)
-
-    monkeypatch.setattr(sampler, "_raw_proposals", counted)
-    spec = ProposalSpec.from_params(_HETEROGENEOUS)
+    monkeypatch.setattr(sampler, "_raw_proposals", _counting_proposals(requested))
     for seed in range(3):
         requested.clear()
-        draws, trials = sampler._sample_block(
-            _HETEROGENEOUS, spec, BLOCK_SIZE, np.random.SeedSequence(seed)
-        )
-        assert len(draws) == BLOCK_SIZE
-        assert BLOCK_SIZE / trials > 0.7
-        assert trials <= sum(requested) <= trials + 2047
+        batch = sample_mvm(_HETEROGENEOUS, 4096, seed=seed, workers=workers)
+        assert batch.empirical_acceptance > 0.7
+        whole = -(-batch.trials // BLOCK_SIZE) * BLOCK_SIZE
+        assert whole <= sum(requested) <= whole + (workers - 1) * BLOCK_SIZE
 
 
 @pytest.mark.parametrize(
-    "params, trials, head",
+    "params, trials, head, last",
     [
         pytest.param(
             _REFERENCE,
-            25113,
+            25537,
             [
                 [6.053490021269226, 4.223061925768872, 1.028903665638305],
                 [0.5777371617493503, 2.7981386053429613, 6.008993297709074],
@@ -583,11 +611,12 @@ def test_block_draws_at_most_one_chunk_past_its_filling_proposal(monkeypatch):
                 [0.09910550060106038, 3.7904326044862557, 1.4998474606380565],
                 [1.1207240694201142, 4.077266562881788, 2.3064117940064737],
             ],
+            [0.6211828394214503, 3.211842077910182, 1.4127574245201453],
             id="reference",
         ),
         pytest.param(
             _HETEROGENEOUS,
-            6257,
+            6272,
             [
                 [1.9884646404472195, 1.2014424459853483, 2.535686915672746, 5.275578179140054],
                 [5.3244966974401065, 0.5361495820680027, 2.5144122468760264, 5.195050874127101],
@@ -595,18 +624,23 @@ def test_block_draws_at_most_one_chunk_past_its_filling_proposal(monkeypatch):
                 [2.5812203015300925, 1.515317716415661, 2.4771880826344277, 5.015427584821088],
                 [5.621445545514915, 1.26781158313005, 2.5878206705025524, 4.859005169769388],
             ],
+            [5.773424126504432, 0.985819580148743, 2.698446783175613, 5.038816215138828],
             id="heterogeneous_p4",
         ),
     ],
 )
-def test_fixed_seed_stream_is_pinned(params, trials, head):
-    # the seed-7 stream of two blocks, pinned across versions: a change to
-    # the chunk layout, the envelope or the generator moves these numbers,
-    # and must update them and say why.  A tolerance, not a hash: libm and
-    # SIMD last bits can differ between hosts
+def test_fixed_seed_stream_is_pinned(params, trials, head, last):
+    # the seed-7 stream of 5000 draws, pinned across versions: a change to
+    # the block layout, the envelope or the generator moves these numbers,
+    # and must update them and say why.  Re-pinned when 4096-draw blocks
+    # of 2048-proposal chunks became 2048-proposal blocks: the head, drawn
+    # from the first 2048 proposals of child 0 either way, stayed; trials
+    # (25113 and 6257 before) and the last draw moved.  A tolerance, not a
+    # hash: libm and SIMD last bits can differ between hosts
     batch = sample_mvm(params, 5000, seed=7)
     assert batch.trials == trials
     np.testing.assert_allclose(batch.draws[:5], head, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(batch.draws[-1], last, rtol=0.0, atol=1e-12)
 
 
 def test_sampler_accounting_identity():
@@ -634,6 +668,21 @@ def test_sampler_stall_guard_trips():
     params = _params([1e16], np.zeros((1, 1)))
     with pytest.raises(AcceptanceStallError):
         sample_mvm(params, 1, lambda_min=1e-12, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 10**6])
+def test_stall_budget_does_not_grow_with_n(monkeypatch, n):
+    # the guard weighs the run's trials against its draws, so an envelope
+    # that accepts nothing stops within STALL_FACTOR + BLOCK_SIZE proposals
+    # at any n; a budget of STALL_FACTOR proposals per draw of each
+    # 4096-draw block took 4.1e6 at n = 10**6
+    monkeypatch.setattr(sampler, "STALL_FACTOR", 1e3)
+    requested = []
+    monkeypatch.setattr(sampler, "_raw_proposals", _counting_proposals(requested))
+    params = _params([1e16], np.zeros((1, 1)))
+    with pytest.raises(AcceptanceStallError, match=f"produced only 0/{n} draws"):
+        sample_mvm(params, n, lambda_min=1e-12, seed=0)
+    assert 0 < sum(requested) <= sampler.STALL_FACTOR + BLOCK_SIZE
 
 
 # ---------------------------------------------------------------------------
