@@ -11,10 +11,11 @@ The search runs one damped-Newton driver three times over the start set
 (ascent toward maxima, descent toward minima, and a root pass that also
 lands on saddles), then polishes the three results, stacked, with
 pseudo-inverse Newton steps.  A pass iteration evaluates the trig of its
-rows once and factors each live Hessian once, which judges whether it
-suits the target and gives the Newton step; an extremum step must raise
-sign * f by more than roundoff, and the step is halved one length at a
-time on the rows still pending.  Only the polish, whose pseudo-inverse
+rows once and takes each live Hessian's Newton step from LAPACK
+(``np.linalg.solve``); an extremum pass also eliminates -sign * H in place,
+which judges whether the Hessian suits the target.  An extremum step must
+raise sign * f by more than roundoff, and the step is halved one length
+at a time on the rows still pending.  Only the polish, whose pseudo-inverse
 drops flat directions, uses ``eigh``; a row leaves it at the gradient's
 roundoff floor.  The Hessian work runs in row blocks of at most
 ``_BLOCK_ROWS`` = 512 rows (:func:`_by_blocks`), so it takes
@@ -334,20 +335,47 @@ def _descent_steps(h: np.ndarray, g: np.ndarray, gnorm: np.ndarray) -> np.ndarra
     return _cap_steps(steps)
 
 
+def _definite(h: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Whether every pivot of Gaussian elimination without row exchanges
+    on each matrix of the symmetric stack ``h`` exceeds ``tol[k]``; ``h``
+    is overwritten.  On a symmetric matrix the pivots are those of its
+    square-root-free Cholesky factorisation L D L^T (Golub & Van Loan,
+    *Matrix Computations*, section 4.1).  Every pivot of a positive definite
+    matrix is at least its smallest eigenvalue, and one that is not meets a
+    pivot <= 0, so this is the eigenvalue test lambda_min > tol except on
+    rows with 0 < lambda_min <= tol.  A failing row divides by inf from its
+    failing pivot on, so no small pivot overflows a multiplier."""
+    ok = np.ones(len(h), dtype=bool)
+    p = h.shape[1]
+    for k in range(p):
+        pivot = h[:, k, k]
+        ok &= pivot > tol
+        if k + 1 < p:
+            factor = h[:, k + 1 :, k] / np.where(ok, pivot, np.inf)[:, None]
+            h[:, k + 1 :, k + 1 :] -= factor[:, :, None] * h[:, k, None, k + 1 :]
+    return ok
+
+
 def _directions(params: MvmParams, sign: float, c, s, g, gnorm) -> tuple[np.ndarray]:
     """A damped pass's direction at the rows with trig ``c``, ``s``: the
-    Newton step where the Hessian suits the target and the step is within
-    ``_MAX_STEP``, else the fallback step (see :func:`_damped_pass`)."""
+    Newton step -H^-1 g (``np.linalg.solve``) where it is finite and within
+    ``_MAX_STEP`` and, for an extremum, -sign * H is :func:`_definite`; else
+    the fallback step (see :func:`_damped_pass`).  Where LAPACK refuses the
+    block, since one of its Hessians is exactly singular, every row falls
+    back."""
     h = _hessian_cs(params, c, s)
-    habs = np.maximum(1.0, spectral.norm_inf(h))
+    try:
+        newton = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        newton = np.full_like(g, np.inf)
+    use_newton = np.max(np.abs(newton), axis=1) <= _MAX_STEP
     if sign:
-        h *= -sign  # in place: the extremum step needs no second stack
-        suited, newton = spectral._solve_stack(h, sign * g, 1e-8 * habs, True)
+        tol = 1e-8 * np.maximum(1.0, spectral.norm_inf(h))
+        h *= -sign  # in place: the verdict needs no second stack
+        use_newton &= _definite(h, tol)
         fallback = _cap_steps(sign * g)
     else:
-        suited, newton = spectral._solve_stack(h, -g, 1e-10 * habs, False)
         fallback = _descent_steps(h, g, gnorm)
-    use_newton = suited & (np.max(np.abs(newton), axis=1) <= _MAX_STEP)
     return (np.where(use_newton[:, None], newton, fallback),)
 
 
@@ -384,15 +412,16 @@ def _damped_pass(
     """Damped Newton iteration from every start toward a maximum of f
     (sign=+1), a minimum (sign=-1) or any root of grad f (sign=0).
 
-    Each iteration evaluates cos and sin of the live rows once and factors
-    every live Hessian once (``spectral._solve_stack``).  Where the Hessian
-    suits the target the step is -H^-1 g: for an extremum, the Cholesky
-    pivots of -sign*H all exceed 1e-8 * max(1, |H|_inf); for a root, the
-    LU pivots all reach 1e-10 * max(1, |H|_inf) in magnitude.  Elsewhere it
-    is the capped gradient step sign*g, or for a root -H g, the steepest
-    descent direction of 0.5*|grad|^2.  The step is halved from length 1
-    until it passes the merit of :func:`_step_lengths`, at most
-    ``_MAX_HALVINGS`` times; a start that no length improves is frozen.
+    Each iteration evaluates cos and sin of the live rows once and solves
+    every live Hessian once with LAPACK for the Newton step -H^-1 g
+    (:func:`_directions`), taken where it is finite and within
+    ``_MAX_STEP`` and, for an extremum, where the L D L^T pivots of
+    -sign*H all exceed 1e-8 * max(1, |H|_inf) (:func:`_definite`).
+    Elsewhere it is the capped gradient step sign*g, or for a root -H g,
+    the steepest descent direction of 0.5*|grad|^2.  The step is halved
+    from length 1 until it passes the merit of :func:`_step_lengths`, at
+    most ``_MAX_HALVINGS`` times; a start that no length improves is
+    frozen.
     Hessian work runs in row blocks (:func:`_by_blocks`), gradients and f
     on all live rows at once.
     """
@@ -440,7 +469,7 @@ def _polish(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     best_norm = np.max(np.abs(g), axis=1)
     floor = 8.0 * np.finfo(float).eps * params.f_range
     live = np.flatnonzero(best_norm > floor)
-    cur, g = (best, g) if len(live) == len(best) else (best[live], g[live])
+    cur, g = best[live], g[live]
     for _ in range(_POLISH_ROUNDS):
         if not len(live):
             break

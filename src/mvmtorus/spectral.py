@@ -10,10 +10,6 @@ of the package relies on, plus a Cholesky-based definiteness test that is indepe
 eigen path (the two are cross-checked in the test suite).  ``certify``, the
 sampler's gate and the closed form all read :func:`certify_unimodal`, the
 package's one test of whether P = diag(kappa) - Lambda is definite.
-``_solve_stack`` is the exception to LAPACK: the mode search solves
-hundreds of small systems at once, one per start, and Gaussian elimination
-vectorised over the stack in numpy gives each row its own verdict where
-``np.linalg.cholesky`` and ``np.linalg.solve`` raise for the whole stack.
 """
 
 from __future__ import annotations
@@ -222,53 +218,3 @@ def certify_unimodal(params: MvmParams) -> UnimodalityCertificate:
         verdict = Verdict.INCONCLUSIVE
     return UnimodalityCertificate(verdict, prop1, cor1, p_matrix, eigenvalues, report)
 
-
-def _solve_stack(
-    a: np.ndarray, b: np.ndarray, tol: np.ndarray, definite: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``a[k] @ x[k] = b[k]`` for a stack of n x n systems by
-    Gaussian elimination vectorised over the stack, one numpy step per
-    column; returns ``(ok, x)``.
-
-    ``definite``: no row exchanges, which on a symmetric matrix computes
-    its square-root-free Cholesky factorisation L D L^T; ``ok`` means every
-    pivot of D exceeds ``tol[k]``.  Every pivot of a positive definite
-    matrix is at least its smallest eigenvalue, and a matrix that is not
-    positive definite meets a pivot <= 0, so ``ok`` is the eigenvalue test
-    lambda_min > tol except on rows with 0 < lambda_min <= tol.
-    Otherwise: LU with partial pivoting; ``ok`` means every pivot has
-    magnitude at least ``tol[k]``.  A failing pivot means the smallest
-    singular value is below n * tol, but the converse does not hold: a
-    (near-)singular matrix can share its small singular value out over
-    several pivots above ``tol``.  A row that fails stops being
-    eliminated at its failing pivot, so no division by a small pivot
-    overflows; its x is 0.  A back substitution that overflows also fails
-    its row.
-    """
-    n, p = b.shape
-    m = np.concatenate([a, b[:, :, None]], axis=2)
-    ok = np.ones(n, dtype=bool)
-    rows = np.arange(n)
-    for k in range(p):
-        last = k + 1 == p
-        if not (definite or last):
-            r = k + np.argmax(np.abs(m[:, k:, k]), axis=1)
-            top = m[:, k].copy()
-            m[:, k] = m[rows, r]
-            m[rows, r] = top
-        pivot = m[:, k, k]
-        ok &= pivot > tol if definite else np.abs(pivot) >= tol
-        if not last:
-            # a failed row divides by inf: zero multipliers, no further change
-            factor = m[:, k + 1 :, k] / np.where(ok, pivot, np.inf)[:, None]
-            m[:, k + 1 :, k + 1 :] -= factor[:, :, None] * m[:, k, None, k + 1 :]
-    diag = np.where(ok[:, None], np.diagonal(m, axis1=1, axis2=2), np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # unit upper triangular rows; a failed row divides by inf, so x = 0
-        m /= diag[:, :, None]
-        x = m[:, :, p].copy()
-        for k in range(p - 2, -1, -1):
-            x[:, k] -= np.einsum("nj,nj->n", m[:, k, k + 1 : p], x[:, k + 1 :])
-    ok &= np.isfinite(x).all(axis=1)
-    x[~ok] = 0.0
-    return ok, x

@@ -177,20 +177,11 @@ def start_points_oracle(params: MvmParams, cfg, max_lattice: int) -> np.ndarray:
     return wrap_angles(starts + params.mu.angles)
 
 
-def solve_stack_oracle(a, b, tol, definite):
-    """Verdict and solution of ``a[k] @ x[k] = b[k]`` from ``eigh``, the
-    test the mode search made before it factored its Hessians: with
-    ``definite`` every eigenvalue must exceed ``tol[k]``, otherwise every
-    magnitude must reach it; x = V diag(1/w) V^T b, and 0 where the verdict
-    fails.  Reference for ``mvmtorus.spectral._solve_stack``."""
-    w, v = np.linalg.eigh(a)
-    if definite:
-        ok = np.all(w > tol[:, None], axis=1)
-    else:
-        ok = np.min(np.abs(w), axis=1) >= tol
-    winv = np.where(ok[:, None], 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    x = np.einsum("nik,nk->ni", v, winv * np.einsum("nik,ni->nk", v, b))
-    return ok, x
+def definite_oracle(a, tol):
+    """Whether every eigenvalue of ``a[k]`` exceeds ``tol[k]``, from
+    ``eigvalsh``: the test the mode search made before it eliminated its
+    Hessians.  Reference for ``mvmtorus.modes._definite``."""
+    return np.all(np.linalg.eigvalsh(a) > tol[:, None], axis=1)
 
 
 def polish_oracle(params: MvmParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

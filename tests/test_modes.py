@@ -16,6 +16,7 @@ from conftest import (
     REFERENCE_COUPLING,
     RING_COUPLING,
     TWO_MODE_COUPLING,
+    definite_oracle,
     first_kept_oracle,
     halving_oracle,
     polish_oracle,
@@ -23,7 +24,6 @@ from conftest import (
     random_symmetric_coupling,
     six_mode_params,
     six_mode_table,
-    solve_stack_oracle,
     start_points_oracle,
 )
 from mvmtorus import (
@@ -943,15 +943,13 @@ def test_search_finds_every_point_at_huge_concentration(kappa):
 
 
 # ---------------------------------------------------------------------------
-# factored Newton steps and the retiring polish against their eigh oracles
+# the extremum verdict and the retiring polish against their eigh oracles
 
 
 @st.composite
 def _stack_case(draw):
-    """A stack of symmetric Q diag(lam) Q^T, p <= 6, with right-hand sides.
-    Each eigenvalue is 0 or has magnitude in [0.1, 10]: away from both
-    verdicts' thresholds, and a nonsingular row has condition number at
-    most 100."""
+    """A stack of symmetric Q diag(lam) Q^T, p <= 6.  Each eigenvalue is 0
+    or has magnitude in [0.1, 10]: away from the verdict's threshold."""
     p = draw(st.integers(1, 6))
     n = draw(st.integers(1, 4))
     eig = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
@@ -960,48 +958,52 @@ def _stack_case(draw):
     raw = np.reshape(draw(st.lists(entries, min_size=n * p * p, max_size=n * p * p)), (n, p, p))
     q = np.linalg.qr(raw)[0]
     a = np.einsum("nik,nk,njk->nij", q, lam, q)
-    rhs = st.floats(-10.0, 10.0, allow_subnormal=False)
-    b = np.reshape(draw(st.lists(rhs, min_size=n * p, max_size=n * p)), (n, p))
-    return 0.5 * (a + a.transpose(0, 2, 1)), b
+    return 0.5 * (a + a.transpose(0, 2, 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_stack_case(), st.booleans())
-def test_solve_stack_matches_eigvalsh_and_solve(case, definite):
-    a, b = case
-    tol = (1e-8 if definite else 1e-10) * np.maximum(1.0, norm_inf(a))
-    ok, x = spectral._solve_stack(a, b, tol, definite)
-    w = np.linalg.eigvalsh(a)
-    nonsingular = np.min(np.abs(w), axis=1) >= 0.05
-    if definite:
-        assert np.array_equal(ok, np.all(w > tol[:, None], axis=1))
-    else:
-        # LU pivots bound the smallest singular value from one side only: a
-        # zero eigenvalue can be shared out over several pivots above tol
-        assert np.all(ok[nonsingular])
-    assert np.all(x[~ok] == 0.0)
-    rows = ok & nonsingular
-    if rows.any():
-        ref = np.linalg.solve(a[rows], b[rows][:, :, None])[:, :, 0]
-        err = np.max(np.abs(x[rows] - ref), axis=1)
-        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+@given(_stack_case())
+def test_definite_matches_eigvalsh(a):
+    tol = 1e-8 * np.maximum(1.0, norm_inf(a))
+    expected = np.all(np.linalg.eigvalsh(a) > tol[:, None], axis=1)
+    assert np.array_equal(modes._definite(a.copy(), tol), expected)
 
 
-def test_solve_stack_matches_its_oracle_on_a_stack():
+def test_definite_matches_its_oracle_on_a_stack():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(64, 5, 5))
     a = a + a.transpose(0, 2, 1)
     a[0] = np.diag([1.0, 0.0, 2.0, -3.0, 4.0])  # an exactly zero pivot fails
-    a[1] = np.fliplr(np.eye(5))  # eigenvalues +-1: LU needs its row exchanges
-    b = rng.normal(size=(64, 5))
+    a[1] = np.fliplr(np.eye(5))  # eigenvalues +-1, a zero first pivot
     tol = 1e-8 * np.maximum(1.0, norm_inf(a))
-    for matrices in (a, a @ a):  # indefinite, then positive definite
-        for definite in (True, False):
-            ok, x = spectral._solve_stack(matrices, b, tol, definite)
-            expected_ok, expected_x = solve_stack_oracle(matrices, b, tol, definite)
-            assert np.array_equal(ok, expected_ok)
-            assert not ok[0]
-            assert np.allclose(x, expected_x, rtol=1e-9, atol=1e-12)
+    for matrices in (a, a @ a):  # indefinite, then definite but for row 0
+        ok = modes._definite(matrices.copy(), tol)
+        assert np.array_equal(ok, definite_oracle(matrices, tol))
+        assert not ok[0]
+    assert ok[1:].all()
+
+
+def test_search_survives_lapack_refusing_every_block(monkeypatch):
+    # kappa_1 = 0 with no coupling: theta_1 never enters f, so every Hessian
+    # has an exactly zero row and column, and LAPACK's solve raises for
+    # every block; those rows take their fallback steps
+    calls, refused = [], []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(len(a))
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            refused.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    report = critical_points(_params([0.0, 1.0], np.zeros((2, 2))))
+    assert calls and refused == calls
+    assert report.extended_mode_suspected
+    assert report.criticals
+    assert all(c.grad_norm <= 1e-10 for c in report.criticals)
 
 
 @pytest.mark.parametrize(
@@ -1015,11 +1017,12 @@ def test_solve_stack_matches_its_oracle_on_a_stack():
     ids=["ref", "six", "rand6", "rand8"],
 )
 def test_search_matches_the_eigh_oracles(monkeypatch, params):
-    # factored Newton steps and the retiring polish find the same unique
-    # points and kinds as eigh steps and eight polish rounds on every row
+    # the eliminated extremum verdict and the retiring polish find the same
+    # unique points and kinds as eigvalsh verdicts and eight polish rounds
+    # on every row
     cfg = SearchConfig(seed=1)
     found = critical_points(params, cfg).criticals
-    monkeypatch.setattr(spectral, "_solve_stack", solve_stack_oracle)
+    monkeypatch.setattr(modes, "_definite", definite_oracle)
     monkeypatch.setattr(modes, "_polish", polish_oracle)
     expected = critical_points(params, cfg).criticals
     assert len(found) == len(expected) > 0
