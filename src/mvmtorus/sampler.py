@@ -2,66 +2,76 @@
 the regime where ``spectral.certify_unimodal`` certifies P positive definite;
 the computed lambda_min(P) only sizes the envelope.
 
-Proposal: coordinate i independently follows the von Mises density
-
-    g_i(t) = exp(d_i cos t) / (2 pi I0(d_i)),
-
-where d >= 0 is a vector with P - diag(d) positive semidefinite (which
-implies d_i <= kappa_i); a draw is one numpy von Mises variate VM(0, d_i).
-Above d_i = 1e6 numpy draws a wrapped normal with variance 1/d_i instead,
-which differs from VM(0, d_i) by O(1/d_i).
-The paper's inequality kappa_i (c_i - 1) <= -kappa_i s_i^2 / 2, applied
-only to the kappa - d part of kappa, gives
+Product envelope: coordinate i follows VM(0, d_i), density
+exp(d_i cos t) / (2 pi I0(d_i)), for a d >= 0 with P - diag(d) positive
+semidefinite (so d_i <= kappa_i); above d_i = 1e6 numpy draws a wrapped
+normal instead, O(1/d_i) away.  The paper's inequality kappa_i (c_i - 1)
+<= -kappa_i s_i^2 / 2, applied to the kappa - d part of kappa, gives
 
     sum (kappa_i - d_i)(c_i - 1) + s^T Lambda s / 2 <= -s^T (P - diag(d)) s / 2 <= 0,
 
-so exp(f) <= exp(sum(kappa) - sum(d)) prod_i exp(d_i c_i) = C g with
+so exp(f) <= C g with log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)),
+and a proposal accepted with probability exp(sum (kappa_i - d_i)(c_i - 1)
++ s^T Lambda s / 2) is an exact draw, shifted by mu on output.  The rate
+tends to sqrt(prod(d) / |P|) <= 1 at high concentration.  The paper uses
+d = b*1 (b <= lambda_min(P)) and the doubled-angle proposal
+exp(-d_i sin^2(t) / 2); since d (c - 1) <= -d s^2 / 2, the von Mises one
+lies below it for every d.
 
-    log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)),
+Collapsed envelope (p >= 2): given the others, theta_q is VM(atan2(b_q,
+kappa_q), r_q), r_q = sqrt(kappa_q^2 + b_q^2), b_q = sum_j lambda_qj s_j
+(Mardia, Hughes, Taylor & Singh, Canad. J. Statist. 36, 2008), so the
+others have the marginal exp(f') 2 pi I0(r_q), f' the terms of f without
+theta_q.  log I0(sqrt(kappa^2 + u)) is concave in u = b^2, so its tangent
+at 0 bounds it: log I0(r_q) <= log I0(kappa_q) + (A(kappa_q) / kappa_q)
+b_q^2 / 2, A = I1/I0.  The marginal is then at most 2 pi I0(kappa_q) times
+a sine model with P_q = (P without row and column q) - (A(kappa_q) /
+kappa_q) lambda_q lambda_q^T (lambda_q: column q of Lambda without entry
+q), which is at least the Schur complement of kappa_q in P since A(k) < 1,
+so positive definite with P.  The product envelope on P_q proposes the
+others, accepted with probability exp(sum' (kappa_i - d_i)(c_i - 1) +
+s'^T Lambda' s' / 2 + log I0(r_q) - log I0(kappa_q)), and theta_q is then
+drawn from its conditional.  With d_q = kappa_q stored in the spec, log C
+and the asymptote keep the formulas above.  ``_exponent`` forms either
+exponent and is the one run-time test of the envelope; ``_log_i0e``,
+log I0(x) - x, is the one Bessel routine.
 
-and accepting a proposal theta with probability
-exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) yields exact draws;
-accepted proposals are shifted by mu on output.  ``_log_acceptance`` forms
-that exponent and is the one run-time test of the envelope; ``_log_i0e``,
-log I0(x) - x, is the one Bessel routine.  In the high-concentration
-limit the acceptance rate tends to sqrt(prod(d) / |P|) <= 1, with equality
-only when Lambda = 0.
-
-The source paper bounds f with the same condition on d but proposes from
-the doubled-angle density exp(-d_i sin^2(t) / 2), which puts a copy of the
-mode at the antipode.  Because d (c - 1) <= -d s^2 / 2, the envelope here
-lies pointwise below that one, so its log C is smaller for every d.
-
-The source paper uses d = b*1 with b a lower bound on the eigenvalues of
-P.  :meth:`ProposalSpec.from_params` also tries the Jacobi-scaled
-d = t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), and keeps the
-one with the smaller log C; with a constant diagonal the two coincide and
-the scalar is kept.
+:meth:`ProposalSpec.from_params` tries d = b*1 and the Jacobi-scaled
+t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), on P and then on
+each P_q, q = 0, 1, ...; a candidate replaces the one kept so far only if
+it lowers log C by more than ``TIE_LOG_GAIN`` per coordinate.
 
 Reproducibility contract: the proposal stream is cut into blocks of
 ``BLOCK_SIZE`` = 2048 proposals.  Block i draws from its own generator, the
 i-th child of ``SeedSequence(seed).spawn()``, worked out from i when the
-block starts, and consumes, in order, (1) one von Mises block of 2048 x p
-rows, (2) 2048 uniforms; a proposal is accepted when its uniform is at
-most its acceptance probability.  A run of n draws keeps the first n
-accepted proposals of the stream, in order, and ends with the block that
-holds draw n.  Worker threads only run whole blocks, at most ``workers``
-(and the CPU count) of them in flight: the next is submitted only when the
-consumer asks for another, and pending blocks are cancelled once draw n
-is found or the consumer stops early.  So output is bit-identical for a
-fixed seed whatever the worker count, the draws of n are the first n rows
-of any longer run, and memory is O(``BLOCK_SIZE`` * p * workers) whatever
-n is.
+block starts, and consumes, in order, (1) 2048 x m von Mises rows (m = p,
+or p - 1 without the collapsed coordinate), (2) 2048 uniforms, a proposal
+being accepted when its uniform is at most its acceptance probability,
+and (3) for a collapsed spec, one call of VM(0, r_q) draws for the
+accepted rows, its concentrations padded with kappa_q to a multiple of 256
+(numpy's generator keeps about 2.6 KB for each new length of an array
+argument), an accepted row's theta_q being its draw plus atan2(b_q,
+kappa_q).  A run of n draws keeps the first n accepted proposals of the
+stream, in order, ends with the block that holds draw n, and hands each
+block's draws on in pieces of at most ``PIECE_ROWS`` rows.  Worker threads
+only run whole blocks, at most ``workers`` (and the CPU count) of them in
+flight: the next is submitted only when the consumer asks for another,
+and pending blocks are cancelled once draw n is found or the consumer
+stops early.  So output is bit-identical for a fixed seed whatever the
+worker count, the draws of n are the first n rows of any longer run, and
+memory is O(``BLOCK_SIZE`` * p * workers) whatever n is.
 
 The error types are defined in :mod:`mvmtorus.model` and re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -99,6 +109,9 @@ __all__ = [
 #: proposals per seeding block; fixed so the stream layout is independent of
 #: worker count
 BLOCK_SIZE = 2048
+#: most draws yielded at once, half a block, so what a consumer builds per
+#: piece (the CSV text of ``sample``) stays bounded as acceptance nears 1
+PIECE_ROWS = 1024
 #: stall guard: a run raises ``AcceptanceStallError`` once its trials exceed
 #: STALL_FACTOR * (draws + 1), checked after each block, so a run with no
 #: draw stops within STALL_FACTOR + BLOCK_SIZE proposals whatever n is
@@ -107,9 +120,9 @@ STALL_FACTOR = 1e6
 #: so eigen-solver rounding cannot push diag(d) past P; scaled by
 #: min(1, inf-norm of P) so a P with tiny entries keeps a positive bound
 ENVELOPE_SLACK = 1e-12
-#: per-coordinate drop in log C below which the Jacobi envelope counts as
-#: a tie with the scalar one (a constant diagonal gives the scalar back up
-#: to rounding) and the scalar is kept
+#: per-coordinate drop in log C below which a candidate envelope counts as
+#: a tie with the one kept before it (a constant diagonal gives the scalar
+#: back up to rounding), which is kept
 TIE_LOG_GAIN = 1e-9
 #: argument above which log I0 switches from log(numpy.i0) to its
 #: asymptotic series (numpy.i0 overflows near 713)
@@ -126,6 +139,8 @@ def _log_i0e(x: np.ndarray) -> np.ndarray:
     + 225/(3072x^3) + 11025/(98304x^4)) above it (truncation error below
     1e-15 there).  The scaling keeps log I0(d) - d accurate for huge d,
     where log I0(d) alone rounds to d."""
+    if np.all(x <= LOG_I0_SWITCH):  # the sampler's usual case: no series
+        return np.log(np.i0(x)) - x
     small = np.minimum(x, LOG_I0_SWITCH)
     big = np.maximum(x, LOG_I0_SWITCH)
     inv = 1.0 / big
@@ -134,18 +149,47 @@ def _log_i0e(x: np.ndarray) -> np.ndarray:
     return np.where(x <= LOG_I0_SWITCH, np.log(np.i0(small)) - small, large)
 
 
+def _slope(kappa: float) -> float:
+    """A(kappa) / kappa, A = I1/I0, raised by 1e-14 relative so that it is
+    never below the true value (its error is under 1e-15 from subnormal
+    kappa to 1e300): up to 64 the continued fraction 1/(2 + k^2/(4 + k^2/(6
+    + ...))), 99 levels deep, else the quotient of the large-kappa series of
+    I1 and I0."""
+    if kappa <= 64.0:
+        u, t = kappa * kappa, 200.0
+        for k in range(99, 0, -1):
+            t = 2.0 * k + u / t
+        ratio = 1.0 / t
+    else:
+        inv = 1.0 / kappa
+        s0 = s1 = t0 = t1 = 1.0
+        for k in range(1, 30):
+            odd = (2 * k - 1) ** 2
+            t0 *= odd * inv / (8 * k)
+            t1 *= (odd - 4) * inv / (8 * k)
+            s0 += t0
+            s1 += t1
+        ratio = s1 / s0 * inv
+    return ratio * (1.0 + 1e-14)
+
+
 @dataclass(frozen=True)
 class ProposalSpec:
     """Product of von Mises proposals with per-coordinate concentrations
-    d_i.
+    d_i, or, with ``collapsed`` = q, of all but q, which is drawn from its
+    conditional.
 
     ``lambda_min_bound`` is a positive lower bound b on the eigenvalues of
     P; ``d`` is the envelope diagonal, a vector with P - diag(d) positive
-    semidefinite, and defaults to the paper's scalar envelope b*1."""
+    semidefinite, and defaults to the paper's scalar envelope b*1.  A
+    collapsed spec has d_q = kappa_q, P_q - diag(d without q) positive
+    semidefinite, and ``coupling`` = column q of Lambda."""
 
     lambda_min_bound: float
     p: int
     d: tuple[float, ...] | None = None
+    collapsed: int | None = None
+    coupling: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         d = (self.lambda_min_bound,) * self.p if self.d is None else self.d
@@ -153,6 +197,20 @@ class ProposalSpec:
         if len(d) != self.p or not all(np.isfinite(x) and x >= 0.0 for x in d):
             raise ValueError(f"d must hold {self.p} finite values >= 0, got {d}")
         object.__setattr__(self, "d", d)
+        q = self.collapsed
+        if q is not None:
+            column = tuple(float(x) for x in self.coupling)
+            if not (self.p >= 2 and 0 <= q < self.p and len(column) == self.p and d[q] > 0.0):
+                raise ValueError(f"collapsed = {q} needs 2 <= p, q < p, d_q > 0, p couplings")
+            object.__setattr__(self, "coupling", column)
+
+    @cached_property
+    def _conditional(self) -> tuple[list[int], np.ndarray, float, float]:
+        """The indices of the proposed coordinates, their couplings to the
+        collapsed one, kappa_q and log I0(kappa_q) - kappa_q."""
+        keep = [i for i in range(self.p) if i != self.collapsed]
+        kappa_q = self.d[self.collapsed]
+        return keep, np.asarray(self.coupling)[keep], kappa_q, float(_log_i0e(np.asarray(kappa_q)))
 
     @property
     def concentration(self) -> float:
@@ -171,13 +229,14 @@ class ProposalSpec:
         certify raises ``NotPositiveDefiniteError``.  By default b is the
         computed smallest eigenvalue minus ``ENVELOPE_SLACK`` times
         min(1, inf-norm of P); a P whose smallest eigenvalue does not exceed
-        that slack raises ``ValueError``.  d is the
-        better (smaller log C) of b*1 and the Jacobi-scaled t*diag(P),
-        where t is the smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2
-        minus ``ENVELOPE_SLACK``.  A drop in log C of at most
-        ``TIE_LOG_GAIN`` per coordinate keeps the scalar.  (At low
-        concentration the larger sum of log d_i can be the worse choice:
-        d = (0.2, 2, 2) beats (1, 1, 1).)  The spec returned has passed the
+        that slack raises ``ValueError``.  The envelope is the one of
+        smallest log C among b*1 and the Jacobi-scaled t*diag(P), t the
+        smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2 minus
+        ``ENVELOPE_SLACK``, and the same two on each P_q with q collapsed
+        (p >= 2); see the module docstring for the order and
+        ``TIE_LOG_GAIN``.  (At low concentration the larger sum of log d_i
+        can be the worse choice: d = (0.2, 2, 2) beats (1, 1, 1).)  The spec
+        returned has passed the
         envelope check; :func:`sample_blocks` and
         :func:`forecast_acceptance` build theirs here from the same
         ``lambda_min``."""
@@ -208,13 +267,15 @@ class SampleBatch:
 @dataclass(frozen=True)
 class AcceptanceForecast:
     """Predicted acceptance rate of the envelope d = ``proposal_d`` (bound
-    ``lambda_min_bound``): the high-concentration asymptote sqrt(prod(d) /
+    ``lambda_min_bound``, coordinate ``collapsed`` drawn from its
+    conditional, or None): the high-concentration asymptote sqrt(prod(d) /
     |P|), and the exact rate Z/C with Z from quadrature (None above p = 4)."""
 
     asymptotic_rate: float
     exact_rate: float | None
     lambda_min_bound: float
     proposal_d: tuple[float, ...]
+    collapsed: int | None
 
 
 # ---------------------------------------------------------------------------
@@ -222,66 +283,107 @@ class AcceptanceForecast:
 
 
 def _raw_proposals(spec: ProposalSpec, m: int, rng: np.random.Generator):
-    """m proposal rows in the mean-zero frame, on [-pi, pi]: one von Mises
-    block."""
+    """m proposal rows of the proposed coordinates (all but the collapsed
+    one) in the mean-zero frame, on [-pi, pi]: one von Mises block."""
     d = np.asarray(spec.d)
+    if spec.collapsed is not None:
+        d = d[spec._conditional[0]]
     # a shared concentration takes numpy's faster scalar-kappa path; the
     # stream is the same either way
     kappa = d[0] if np.all(d == d[0]) else d
-    return rng.vonmises(0.0, kappa, size=(m, spec.p))
+    return rng.vonmises(0.0, kappa, size=(m, len(d)))
 
 
 def sample_proposal_batch(
     spec: ProposalSpec, p: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m independent draws from the proposal density g, wrapped to
-    [0, 2*pi), shape (m, p); ``p`` must equal ``spec.p``.  The benchmark's
-    micro-timings call this by name; remove it, and the ``p`` argument,
-    with the next change to the benchmark."""
+    """m independent draws from the product of VM(0, d_i) over all p
+    coordinates, wrapped to [0, 2*pi), shape (m, p); ``p`` must equal
+    ``spec.p``.  For a collapsed spec the sampler does not draw this
+    product.  The benchmark's micro-timings call this by name; remove it,
+    and the ``p`` argument, with the next change to the benchmark."""
     if p != spec.p:
         raise ValueError(f"p = {p} does not match the proposal's p = {spec.p}")
-    return wrap_angles(_raw_proposals(spec, m, rng))
+    return wrap_angles(_raw_proposals(ProposalSpec(spec.lambda_min_bound, p, spec.d), m, rng))
 
 
 def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
-    """log g at points with shape (..., p) in the mean-zero frame."""
+    """log g at points with shape (..., p) in the mean-zero frame; for a
+    collapsed spec, the product over the proposed coordinates times the
+    conditional density of the collapsed one, the law the sampler draws."""
     thetas = np.asarray(thetas, dtype=float)
     d = np.asarray(spec.d)
     per_coord = d * (np.cos(thetas) - 1.0) - (np.log(TWO_PI) + _log_i0e(d))
-    return np.sum(per_coord, axis=-1)
+    log_g = np.sum(per_coord, axis=-1)
+    q = spec.collapsed
+    if q is not None:
+        # VM(atan2(b, kappa_q), r) at theta_q, over the VM(0, kappa_q) term
+        # already in the sum; r - kappa_q = b^2 / (r + kappa_q)
+        _, _, kappa_q, log_i0e_q = spec._conditional
+        b = np.sin(thetas) @ np.asarray(spec.coupling)
+        r = np.hypot(kappa_q, b)
+        log_g += b * (np.sin(thetas[..., q]) - b / (r + kappa_q)) - _log_i0e(r) + log_i0e_q
+    return log_g
 
 
 def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
     """log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)) for the bound
-    exp(f) <= C g."""
+    exp(f) <= C g (d_q = kappa_q for a collapsed spec)."""
     return float(
         np.sum(params.kappa) + np.sum(np.log(TWO_PI) + _log_i0e(np.asarray(spec.d)))
     )
 
 
-def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
-    """log acceptance probability from cos and sin (shape (..., p)) in the
-    mean-zero frame; <= 0 when P - diag(d) is positive semidefinite, and a
-    value above 1e-12 raises ``BoundViolationError``."""
-    log_acc = (c - 1.0) @ (params.kappa - np.asarray(spec.d)) + _half_quadratic(params.lam, s)
+def _exponent(params: MvmParams, spec: ProposalSpec, t):
+    """(log acceptance probability, b_q, r_q) at the angles t (shape (...,
+    m)) of the proposed coordinates in the mean-zero frame; b_q and r_q are
+    None for an uncollapsed spec.  The exponent is <= 0 when the envelope
+    bounds f, and a value above 1e-12 raises ``BoundViolationError``."""
+    s = np.sin(t)
+    weights = params.kappa - np.asarray(spec.d)
+    if spec.collapsed is None:
+        log_acc = (np.cos(t) - 1.0) @ weights + _half_quadratic(params.lam, s)
+        b = r = None
+    else:
+        keep, column, kappa_q, log_i0e_q = spec._conditional
+        b = s @ column
+        r = np.hypot(kappa_q, b)
+        # c - 1 = -2 sin^2(t/2): cos(t) - 1 rounds to 0 below |t| = 1e-8,
+        # where the Bessel term b^2 A / (2 kappa_q) still counts at large kappa
+        half = np.sin(0.5 * t)
+        log_acc = (-2.0 * half * half) @ weights[keep]
+        log_acc += _half_quadratic(params.lam[keep][:, keep], s)
+        # log I0(r) - log I0(kappa_q), with r - kappa_q = b^2 / (r + kappa_q)
+        log_acc += _log_i0e(r) - log_i0e_q + b * (b / (r + kappa_q))
     if np.any(log_acc > 1e-12):
         raise BoundViolationError(
             f"acceptance exponent {np.max(log_acc):.6g} is positive: envelope "
-            f"d = {spec.d} is not below P"
+            f"d = {spec.d} (collapsed {spec.collapsed}) is not below P"
         )
-    return log_acc
+    return log_acc, b, r
+
+
+def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
+    """log acceptance probability from cos and sin of all p coordinates
+    (shape (..., p)) in the mean-zero frame; a collapsed coordinate's
+    column is not read.  See ``_exponent``."""
+    t = np.arctan2(s, c)
+    return _exponent(params, spec, t if spec.collapsed is None else t[..., spec._conditional[0]])[0]
 
 
 def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> float:
     """Probability of accepting proposal ``theta``,
-    exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) clamped to <= 1; an
-    exponent above 1e-12 raises ``BoundViolationError``."""
+    exp(sum (kappa_i - d_i)(c_i - 1) + 0.5 s^T Lambda s) clamped to <= 1,
+    over the proposed coordinates and plus log I0(r_q) - log I0(kappa_q)
+    for a collapsed spec; an exponent above 1e-12 raises
+    ``BoundViolationError``."""
     theta = as_torus_point(theta)
     if theta.p != params.p:
         raise DimensionMismatchError(f"theta has length {theta.p}, expected p={params.p}")
     delta = theta.angles - params.mu.angles
-    log_acc = _log_acceptance(params, spec, np.cos(delta), np.sin(delta))
-    return min(float(np.exp(log_acc)), 1.0)
+    if spec.collapsed is not None:
+        delta = delta[spec._conditional[0]]
+    return min(float(np.exp(_exponent(params, spec, delta)[0])), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +394,61 @@ def _sample_block(
     params: MvmParams, spec: ProposalSpec, seed_seq: np.random.SeedSequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block of the proposal stream: ``BLOCK_SIZE`` von Mises rows,
-    then ``BLOCK_SIZE`` uniforms, from ``PCG64(seed_seq)``; returns the
-    accepted rows, in the mean-zero frame, and their indices in the block."""
+    then ``BLOCK_SIZE`` uniforms, then, for a collapsed spec, the
+    conditional draws of the accepted rows, from ``PCG64(seed_seq)``;
+    returns the accepted rows, in the mean-zero frame, and their indices in
+    the block."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     props = _raw_proposals(spec, BLOCK_SIZE, rng)
-    log_acc = _log_acceptance(params, spec, np.cos(props), np.sin(props))
+    log_acc, b, r = _exponent(params, spec, props)
     hits = np.flatnonzero(rng.random(BLOCK_SIZE) <= np.exp(log_acc))
-    return props[hits], hits
+    if b is None:
+        return props[hits], hits
+    keep, _, kappa_q, _ = spec._conditional
+    # padded to a multiple of 256: at most 8 lengths (module docstring)
+    n_hits = len(hits)
+    concentration = np.full(-(-n_hits // 256) * 256, kappa_q)
+    concentration[:n_hits] = r[hits]
+    theta_q = rng.vonmises(0.0, concentration)[:n_hits]
+    # the mean m* = atan2(b, kappa_q) from sin and cos, which the block has
+    # loaded already: Newton on sin(m - m*) = cos m* sin m - sin m* cos m
+    # takes an error e to e^3 / 3, here from under 0.01 at m = 2t / (1 +
+    # 0.28 t^2), t = tan(m*/2)
+    cos_q, sin_q = kappa_q / r[hits], b[hits] / r[hits]
+    t = sin_q / (1.0 + cos_q)
+    m = 2.0 * t / (1.0 + 0.28 * t * t)
+    for _ in range(2):
+        sin_m, cos_m = np.sin(m), np.cos(m)
+        m -= (cos_q * sin_m - sin_q * cos_m) / (cos_q * cos_m + sin_q * sin_m)
+    rows = np.empty((len(hits), spec.p))
+    rows[:, keep] = props[hits]
+    rows[:, spec.collapsed] = theta_q + m
+    return rows, hits
+
+
+def _diagonal(matrix: np.ndarray, bound: float) -> np.ndarray:
+    """bound*1 for a positive definite ``matrix`` whose eigenvalues are at
+    least ``bound`` > 0, or the Jacobi-scaled t*diag(matrix) where that
+    lowers log C by more than ``TIE_LOG_GAIN`` per coordinate."""
+    m = len(matrix)
+    # None only for a subnormal diagonal entry; the scalar is kept then
+    scaled = spectral._jacobi_scaled(matrix)
+    t = -1.0 if scaled is None else spectral._eigh(scaled, vectors=False)[0] - ENVELOPE_SLACK
+    if t > 0.0:
+        jacobi = t * np.diag(matrix)
+        # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
+        if m * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi)) > m * TIE_LOG_GAIN:
+            return tuple(jacobi)
+    return (bound,) * m
+
+
+def _collapsed_matrix(p_matrix: np.ndarray, column: np.ndarray, q: int) -> np.ndarray:
+    """P_q for ``column`` = column q of Lambda.  Each factor of the outer
+    product carries sqrt(A/kappa_q), which keeps it below sqrt(kappa_i) for
+    a positive definite P, so nothing overflows."""
+    keep = [i for i in range(len(p_matrix)) if i != q]
+    scaled = math.sqrt(_slope(p_matrix[q, q])) * column[keep]
+    return p_matrix[keep][:, keep] - np.outer(scaled, scaled)
 
 
 def _resolve_spec(
@@ -310,9 +460,10 @@ def _resolve_spec(
 
     P must certify (``spectral.certify_unimodal``), else
     ``NotPositiveDefiniteError``.  The spec must have 0 < b <=
-    lambda_min(P), and P - diag(d) must pass the Cholesky test at
-    -ENVELOPE_SLACK * max(1, inf-norm of P), which absorbs the rounding of
-    the eigen-solver that built d."""
+    lambda_min(P), and P - diag(d), or P_q - diag(d without q) for a
+    collapsed spec, must pass the Cholesky test at -ENVELOPE_SLACK *
+    max(1, inf-norm of P), which absorbs the rounding of the eigen-solver
+    that built d."""
     cert = spectral.certify_unimodal(params)
     p_matrix, eigenvalues = cert.p_matrix, cert.p_eigenvalues
     smallest = float(eigenvalues[0])
@@ -322,7 +473,7 @@ def _resolve_spec(
             f"{smallest:.6g}); see spectral.certify_unimodal"
         )
     norm = float(spectral.norm_inf(p_matrix))
-    bound, d = lambda_min, None
+    bound, d, collapsed = lambda_min, None, None
     if lambda_min is None:
         slack = ENVELOPE_SLACK * min(1.0, norm)
         bound = smallest - slack
@@ -331,20 +482,28 @@ def _resolve_spec(
                 f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
                 f"slack {slack:.6g}: P is too close to singular to sample"
             )
-        # None only for a subnormal diagonal entry; the scalar is kept then
-        scaled = spectral._jacobi_scaled(p_matrix)
-        t = -1.0 if scaled is None else spectral._eigh(scaled, vectors=False)[0] - ENVELOPE_SLACK
-        if t > 0.0:
-            jacobi = t * np.diag(p_matrix)
-            # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
-            gain = params.p * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi))
-            if gain > params.p * TIE_LOG_GAIN:
-                d = tuple(jacobi)
+        d = _diagonal(p_matrix, bound)
+        best = np.sum(_log_i0e(np.asarray(d)))
+        # p - 1 = 0 proposed coordinates would leave no envelope
+        for q in range(params.p if params.p >= 2 else 0):
+            p_q = _collapsed_matrix(p_matrix, params.lam[:, q], q)
+            slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_q)))
+            bound_q = spectral._eigh(p_q, vectors=False)[0] - slack
+            if bound_q > 0.0:
+                sub = _diagonal(p_q, bound_q)
+                candidate = sub[:q] + (params.kappa[q],) + sub[q:]
+                log_sum = np.sum(_log_i0e(np.asarray(candidate)))
+                if best - log_sum > params.p * TIE_LOG_GAIN:
+                    d, best, collapsed = candidate, log_sum, q
     if not 0.0 < bound <= smallest:
         raise ValueError(f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}")
-    spec = ProposalSpec(lambda_min_bound=float(bound), p=params.p, d=d)
+    column = None if collapsed is None else params.lam[:, collapsed]
+    spec = ProposalSpec(float(bound), params.p, d, collapsed, column)
+    gap, kept = p_matrix, np.asarray(spec.d)
+    if collapsed is not None:
+        gap, kept = _collapsed_matrix(p_matrix, column, collapsed), kept[spec._conditional[0]]
     tol = -ENVELOPE_SLACK * max(1.0, norm)
-    if not spectral.is_positive_definite(p_matrix - np.diag(spec.d), tol=tol):
+    if not spectral.is_positive_definite(gap - np.diag(kept), tol=tol):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "
             "P - diag(d) is not positive semidefinite"
@@ -364,11 +523,13 @@ def sample_blocks(
 
     The envelope is built and checked by :meth:`ProposalSpec.from_params`
     from ``lambda_min``, and then the other arguments are checked, before
-    this returns.  The iterator then yields ``(draws, trials)`` per block
-    of ``BLOCK_SIZE`` proposals (see the module docstring), in order, up to
-    the block that holds draw n: its accepted draws, shifted by mu and
-    wrapped to [0, 2*pi), and its proposals, the last block's only up to
-    and including the one that gave draw n.  ``workers`` > 1 runs up to
+    this returns.  The iterator then yields ``(draws, trials)`` for each
+    block of ``BLOCK_SIZE`` proposals (see the module docstring), in order,
+    up to the block that holds draw n: its accepted draws, shifted by mu
+    and wrapped to [0, 2*pi), in pieces of at most ``PIECE_ROWS`` rows (one
+    empty piece for a block with none), the first piece with the block's
+    proposals, the last block's only up to and including the one that gave
+    draw n, and the others with 0.  ``workers`` > 1 runs up to
     that many blocks (and ``os.cpu_count()``) at once and never changes
     the output.  A run whose trials exceed ``STALL_FACTOR`` * (draws + 1)
     raises ``AcceptanceStallError``.
@@ -398,8 +559,9 @@ def _blocks(params: MvmParams, spec: ProposalSpec, n: int, seed: int, workers: i
 
 def _first_draws(stream, mu: np.ndarray, n: int):
     """The first n draws of the block ``stream``, shifted by ``mu``, one
-    block at a time with its trials; closing ``stream`` when it ends
-    cancels the blocks started past draw n."""
+    block at a time in pieces of at most ``PIECE_ROWS`` rows, the first
+    with the block's trials; closing ``stream`` when it ends cancels the
+    blocks started past draw n."""
     draws = trials = 0
     try:
         for rows, hits in stream:
@@ -408,7 +570,9 @@ def _first_draws(stream, mu: np.ndarray, n: int):
             # the last block counts its proposals up to the one that gave draw n
             block_trials = int(hits[-1]) + 1 if draws == n else BLOCK_SIZE
             trials += block_trials
-            yield wrap_angles(rows + mu), block_trials
+            rows = wrap_angles(rows + mu)
+            for start in range(0, max(len(rows), 1), PIECE_ROWS):
+                yield rows[start : start + PIECE_ROWS], 0 if start else block_trials
             if draws == n:
                 return
             if trials > STALL_FACTOR * (draws + 1):
@@ -489,4 +653,4 @@ def forecast_acceptance(
                 f"so {n} nodes per dimension miss the density peak; "
                 "raise n_per_dim (--n-per-dim)"
             )
-    return AcceptanceForecast(asymptotic, exact, spec.lambda_min_bound, spec.d)
+    return AcceptanceForecast(asymptotic, exact, spec.lambda_min_bound, spec.d, spec.collapsed)

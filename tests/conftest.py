@@ -241,22 +241,43 @@ def proposal_stream_oracle(params: MvmParams, spec, n: int, seed: int):
     """``(draws, trials)`` per block of a run of n sampler draws, rebuilt
     eagerly by the documented stream contract: whole blocks are drawn until
     n proposals are accepted, each from the next ``SeedSequence(seed)``
-    child as ``vonmises(0, d)`` of 2048 x p, then ``random(2048)``, and
-    stacked into one stream; its first n accepted rows, shifted by mu, are
-    then split back into their blocks, and the last block counts its
-    proposals up to the one that gave draw n.  Reference for
-    ``mvmtorus.sampler.sample_blocks``, which cuts each block as it comes."""
+    child as ``vonmises(0, d')`` of 2048 x m (d' is d without the collapsed
+    coordinate q, m is p or p - 1), then ``random(2048)``, then, for a
+    collapsed spec, ``vonmises(0, hypot(kappa_q, b))`` for the accepted rows,
+    b their sines times column q of Lambda, the concentrations padded with
+    kappa_q to a multiple of 256, and an accepted row's theta_q is its draw
+    plus ``arctan2(b, kappa_q)``; the blocks are stacked into one
+    stream, its first n accepted rows, shifted by mu, are split back into
+    their blocks, and the last block counts its proposals up to the one
+    that gave draw n.  Reference for ``mvmtorus.sampler.sample_blocks``,
+    which cuts each block as it comes and finds the conditional mean by
+    Newton steps, equal to ``arctan2`` up to rounding."""
     from mvmtorus import sampler
 
     root = np.random.SeedSequence(seed)
-    d = np.asarray(spec.d)
+    q = spec.collapsed
+    keep = [i for i in range(params.p) if i != q]
+    d = np.asarray(spec.d)[keep]
     props, hits = [], []
     while sum(map(len, hits)) < n:
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
-        block = rng.vonmises(0.0, d, size=(2048, params.p))
+        drawn = rng.vonmises(0.0, d, size=(2048, len(keep)))
         u = rng.random(2048)
-        log_acc = sampler._log_acceptance(params, spec, np.cos(block), np.sin(block))
-        hits.append(2048 * len(props) + np.flatnonzero(u <= np.exp(log_acc)))
+        log_acc = sampler._exponent(params, spec, drawn)[0]
+        accepted = np.flatnonzero(u <= np.exp(log_acc))
+        block = np.zeros((2048, params.p))
+        block[:, keep] = drawn
+        if q is not None:
+            # b over the whole C-ordered block, as the sampler forms it
+            # (another row count or memory order may take another BLAS path
+            # and round differently)
+            b = (np.sin(drawn) @ params.lam[keep, q])[accepted]
+            kappa_q = params.kappa[q]
+            padded = np.full(-(-len(b) // 256) * 256, kappa_q)
+            padded[: len(b)] = np.hypot(kappa_q, b)
+            theta_q = rng.vonmises(0.0, padded)[: len(b)]
+            block[accepted, q] = theta_q + np.arctan2(b, kappa_q)
+        hits.append(2048 * len(props) + accepted)
         props.append(block)
     stream = np.concatenate(hits)[:n]
     draws = wrap_angles(np.vstack(props)[stream] + params.mu.angles)

@@ -203,9 +203,16 @@ def test_c07_acceptance_rate_asymptotics():
     with criterion(
         "C7", "acceptance rate approaches the asymptote as concentration grows"
     ):
-        asym3 = forecast_acceptance(
-            MvmParams(mu=np.zeros(3), kappa=np.full(3, 3.0), lam=REFERENCE_COUPLING)
-        ).asymptotic_rate
+        # the default envelope draws one coordinate of ref from its
+        # conditional: its asymptote sqrt(prod(d) / |P|) takes d_q = kappa_q
+        # = 3 and d' = lambda_min(P_q) = 1, so sqrt(3/7), and tends to the
+        # rate as kappa grows (0.845 against exact 0.834 at kappa = 10,
+        # 0.9759 against 0.976 at 80); the paper's scalar envelope, which
+        # lambda_min forces, gives 1/sqrt(7)
+        ref3 = MvmParams(mu=np.zeros(3), kappa=np.full(3, 3.0), lam=REFERENCE_COUPLING)
+        assert abs(forecast_acceptance(ref3).asymptotic_rate - np.sqrt(3.0 / 7.0)) < 1e-12
+        bound = ProposalSpec.from_params(ref3).lambda_min_bound
+        asym3 = forecast_acceptance(ref3, lambda_min=bound).asymptotic_rate
         assert abs(asym3 - 1.0 / np.sqrt(7.0)) < 1e-12
 
         deviations = []

@@ -825,9 +825,55 @@ def test_forecast_isotropic(tmp_path):
 def test_forecast_reference(reference_file):
     out = run_cli("forecast", "--params", reference_file, "--json")
     doc = json.loads(out.stdout)
-    assert doc["forecast"]["asymptotic_rate"] == pytest.approx(
-        1.0 / np.sqrt(7.0), abs=1e-12
+    # one coordinate drawn from its conditional: d_q = kappa_q = 3 beside
+    # d' = 1, so the asymptote is sqrt(3/7); the scalar envelope's is 1/sqrt(7)
+    assert doc["forecast"]["asymptotic_rate"] == pytest.approx(np.sqrt(3.0 / 7.0), abs=1e-12)
+    assert doc["forecast"]["exact_rate"] >= 0.38
+    assert doc["forecast"]["collapsed"] == 0
+
+
+def test_lambda_min_runs_keep_the_product_envelope_stream(tmp_path, capsys):
+    # --lambda-min forces the paper's scalar envelope over all p
+    # coordinates, which draws no coordinate from its conditional: the text
+    # forecast, the sample draws and trials are those pinned before the
+    # default envelope began to collapse a coordinate (draws to 1e-12,
+    # since libm last bits can differ between hosts); --json adds only
+    # "collapsed": null to the forecast
+    path = write_params(
+        tmp_path / "ref.json",
+        kappa=[3.0, 3.0, 3.0],
+        mu=[0.5, 4.0, 2.0],
+        **{"lambda": [list(r) for r in REFERENCE_COUPLING]},
     )
+    assert cli.main(["forecast", "--params", path, "--lambda-min", "0.5"]) == 0
+    assert capsys.readouterr().out == (
+        "asymptotic acceptance rate: 0.133630620956\n"
+        "exact acceptance rate (quadrature): 0.0750383976608\n"
+        "lambda_min bound: 0.5\n"
+        "proposal d: [0.5, 0.5, 0.5]\n"
+    )
+    doc = _json_payload(capsys, "forecast", "--params", path, "--lambda-min", "0.5")
+    assert list(doc["forecast"]) == [
+        "asymptotic_rate", "exact_rate", "lambda_min_bound", "proposal_d", "collapsed",
+    ]
+    assert doc["forecast"]["collapsed"] is None
+    out = tmp_path / "draws.csv"
+    argv = ["sample", "--params", path, "--lambda-min", "0.5", "--n", "4", "--seed", "3"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    np.testing.assert_allclose(
+        np.loadtxt(out, delimiter=",", skiprows=1),
+        [
+            [0.05939881436646566, 3.652717203973003, 1.5596667785349112],
+            [0.35398514778351364, 4.311673781023874, 1.7004745156280099],
+            [5.355055035211989, 3.8976178362581417, 1.0927142820321993],
+            [0.9022782524366288, 3.4215170893824167, 1.8623037742498254],
+        ],
+        rtol=0.0,
+        atol=1e-12,
+    )
+    manifest = json.loads((tmp_path / "draws.csv.manifest.json").read_text())
+    assert manifest["trials"] == 53
+    assert manifest["config"]["proposal_d"] == [0.5, 0.5, 0.5]
 
 
 def test_forecast_reports_proposal_d(heterogeneous_file, capsys):
@@ -1127,7 +1173,7 @@ def test_modes_json_keys_are_the_report_fields(reference_file, capsys):
 def test_forecast_json_keys_are_the_forecast_fields(reference_file, capsys):
     forecast = _json_payload(capsys, "forecast", "--params", reference_file)["forecast"]
     assert list(forecast) == _field_names(sampler.AcceptanceForecast) == [
-        "asymptotic_rate", "exact_rate", "lambda_min_bound", "proposal_d",
+        "asymptotic_rate", "exact_rate", "lambda_min_bound", "proposal_d", "collapsed",
     ]
 
 

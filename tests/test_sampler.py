@@ -2,6 +2,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,39 @@ def test_log_bessel_i0_continuous_at_series_switch():
     assert _log_i0e_at(1e200) == pytest.approx(-0.5 * np.log(TWO_PI * 1e200), rel=1e-15)
 
 
+def _slope_oracle(x: float) -> Decimal:
+    """A(x)/x = I1(x) / (x I0(x)) in 60-digit decimals: from the power
+    series of I0 and I1 up to x = 30, from their large-x series (30 terms)
+    from x = 700 on."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        if x <= 30:
+            u, term, s0, s1 = x * x / 4, Decimal(1), Decimal(0), Decimal(0)
+            for k in range(200):
+                s0 += term
+                s1 += term / (k + 1)
+                term = term * u / ((k + 1) * (k + 1))
+            return s1 / s0 / 2
+        assert x >= 700
+        t0 = t1 = s0 = s1 = Decimal(1)
+        for k in range(1, 30):
+            odd = (2 * k - 1) ** 2
+            t0 = t0 * odd / (8 * k * x)
+            t1 = t1 * (odd - 4) / (8 * k * x)
+            s0 += t0
+            s1 += t1
+        return s1 / s0 / x
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-3, 0.5, 3.0, 30.0, 700.0, 1e4, 1e6, 1e200])
+def test_bessel_ratio_slope_is_tight_and_never_low(x):
+    # the collapsed envelope subtracts (A(k)/k) lambda_q lambda_q^T from P: a
+    # slope below the true one would break the bound, so it is rounded up
+    got, want = Decimal(sampler._slope(x)), _slope_oracle(x)
+    assert want <= got <= want * (1 + Decimal("1e-12"))
+
+
 def test_bessel_functions_keep_array_shape():
     x = np.array([[0.0, 1.0, 699.0], [700.0, 701.0, 5e3]])
     logs = _log_i0e(x)
@@ -180,20 +214,46 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
     assert np.array_equal(got, want)
 
 
-@settings(max_examples=30, deadline=None)
+def _assert_same_blocks(got, expected, collapsed):
+    """``(draws, trials)`` pieces that make up the oracle's blocks: each
+    block's draws in pieces of ``PIECE_ROWS`` rows but the last, the first
+    with its trials and the others with 0; the same trials, and draws
+    equal bit for bit but in a ``collapsed`` coordinate, whose mean the
+    sampler finds by Newton steps and the oracle by arctan2, equal to
+    rounding."""
+    blocks = []
+    for draws, trials in got:
+        if trials:
+            blocks.append(([], trials))
+        else:
+            assert len(blocks[-1][0][-1]) == sampler.PIECE_ROWS
+        assert len(draws) <= sampler.PIECE_ROWS
+        blocks[-1][0].append(draws)
+    got = [(np.vstack(pieces), trials) for pieces, trials in blocks]
+    assert len(got) == len(expected)
+    for (draws, trials), (want, want_trials) in zip(got, expected):
+        assert trials == want_trials
+        others = np.arange(draws.shape[1]) != collapsed
+        assert np.array_equal(draws[:, others], want[:, others])
+        np.testing.assert_allclose(draws, want, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 6),
     st.sampled_from([1.0, 40.0, 3e7]),
     st.booleans(),
     st.integers(1, BLOCK_SIZE + 1),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_block_follows_the_proposal_stream_contract(p, scale, shared, n, seed):
+def test_block_follows_the_proposal_stream_contract(p, scale, shared, n, seed, collapse):
     # fresh PCG64 generators of the SeedSequence(seed) children, read by
-    # the documented contract (per block, vonmises of 2048 x p, then
-    # random(2048)), rebuild a run's draws and trials, for a shared or
-    # per-coordinate d, below and above numpy's wrapped-normal switch at
-    # d = 1e6
+    # the documented contract (per block, vonmises of 2048 x m, then
+    # random(2048), then the conditional draws of a collapsed coordinate),
+    # rebuild a run's draws and trials, for a shared or per-coordinate d,
+    # with or without a collapsed coordinate, below and above numpy's
+    # wrapped-normal switch at d = 1e6
     rng = np.random.default_rng(seed)
     kappa = scale * (np.ones(p) if shared else rng.uniform(1.0, 3.0, size=p))
     lam = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1) * (0.5 * kappa.min() / p)
@@ -202,14 +262,16 @@ def test_block_follows_the_proposal_stream_contract(p, scale, shared, n, seed):
     # P - diag(d) is diagonally dominant, so every acceptance exponent is
     # <= 0; a shared d takes numpy's scalar-kappa path
     d = 0.5 * (kappa - np.sum(np.abs(lam), axis=1))
-    d = tuple(np.full(p, d.min()) if shared else d)
-    spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=d)
+    d = np.full(p, d.min()) if shared else d
+    if collapse and p >= 2:
+        # P_0 - diag(d without 0) stays diagonally dominant: the slope
+        # term is at most lambda_i0 lambda_j0 / kappa_0
+        d[0] = kappa[0]
+        spec = ProposalSpec(min(d), p, tuple(d), 0, tuple(lam[:, 0]))
+    else:
+        spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=tuple(d))
     got = list(sampler._blocks(params, spec, n, seed, 1))
-    expected = proposal_stream_oracle(params, spec, n, seed)
-    assert len(got) == len(expected)
-    for (draws, trials), (want, want_trials) in zip(got, expected):
-        assert np.array_equal(draws, want)
-        assert trials == want_trials
+    _assert_same_blocks(got, proposal_stream_oracle(params, spec, n, seed), spec.collapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +503,7 @@ _HETEROGENEOUS = _params(
 def test_sample_blocks_match_an_eagerly_spawned_plan(seed, n, workers):
     spec = ProposalSpec.from_params(_REFERENCE)
     got = list(sample_blocks(_REFERENCE, n, seed=seed, workers=workers))
-    expected = proposal_stream_oracle(_REFERENCE, spec, n, seed)
-    assert len(got) == len(expected)
-    for (draws, trials), (want, want_trials) in zip(got, expected):
-        assert np.array_equal(draws, want)
-        assert trials == want_trials
+    _assert_same_blocks(got, proposal_stream_oracle(_REFERENCE, spec, n, seed), spec.collapsed)
 
 
 def _counting_proposals(requested: list):
@@ -572,12 +630,14 @@ def test_run_counts_trials_up_to_the_proposal_of_draw_n(monkeypatch):
     # its proposals, and the last stops at the one that gave draw 10
     accepted = iter([[5, 100, 200], [], [0, 10, 20, 30, 40, 50, 600, 700, 2000]])
 
-    def scripted(params, spec, c, s):
-        log_acc = np.full(len(c), -np.inf)
+    def scripted(params, spec, t):
+        log_acc = np.full(len(t), -np.inf)
         log_acc[next(accepted)] = 0.0
-        return log_acc
+        # b_q = 0 and r_q = kappa_q for the collapsed coordinate
+        return log_acc, np.zeros(len(t)), np.full(len(t), spec.d[spec.collapsed])
 
-    monkeypatch.setattr(sampler, "_log_acceptance", scripted)
+    assert ProposalSpec.from_params(_REFERENCE).collapsed is not None
+    monkeypatch.setattr(sampler, "_exponent", scripted)
     blocks = list(sample_blocks(_REFERENCE, 10, seed=0))
     assert [draws.shape for draws, _ in blocks] == [(3, 3), (0, 3), (7, 3)]
     assert [trials for _, trials in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 600 + 1]
@@ -603,28 +663,28 @@ def test_run_draws_at_most_one_block_past_the_proposal_of_draw_n(monkeypatch, wo
     [
         pytest.param(
             _REFERENCE,
-            25537,
+            13055,
             [
-                [6.053490021269226, 4.223061925768872, 1.028903665638305],
-                [0.5777371617493503, 2.7981386053429613, 6.008993297709074],
-                [1.2580417447102814, 4.232683121674661, 2.1286451531747144],
-                [0.09910550060106038, 3.7904326044862557, 1.4998474606380565],
-                [1.1207240694201142, 4.077266562881788, 2.3064117940064737],
+                [6.2562389354776595, 3.940595075067571, 2.0777371617493476],
+                [5.754718900018485, 4.082304226176927, 0.6919491370892352],
+                [0.32152802972985217, 4.758041744710281, 2.2326831216746608],
+                [0.9684108711746893, 4.1286451531747135, 3.0888071788537204],
+                [0.1356498766149281, 4.3828333802257715, 2.121182519085905],
             ],
-            [0.6211828394214503, 3.211842077910182, 1.4127574245201453],
+            [0.45803774866800673, 4.658472885036641, 2.712794823689239],
             id="reference",
         ),
         pytest.param(
             _HETEROGENEOUS,
-            6272,
+            5496,
             [
-                [1.9884646404472195, 1.2014424459853483, 2.535686915672746, 5.275578179140054],
-                [5.3244966974401065, 0.5361495820680027, 2.5144122468760264, 5.195050874127101],
-                [5.472465897709305, 1.119686407990844, 2.788779176711789, 4.901683976063152],
-                [2.5812203015300925, 1.515317716415661, 2.4771880826344277, 5.015427584821088],
-                [5.621445545514915, 1.26781158313005, 2.5878206705025524, 4.859005169769388],
+                [1.5804427977668116, 2.115162193479095, 2.5992579096779824, 5.018010605951185],
+                [0.11357560841528141, 1.614335902412273, 1.8100181453214326, 4.709725562831488],
+                [5.730675490825262, 1.1141229873236034, 2.8663803730728543, 5.004225463709915],
+                [5.736846981171882, 1.6167470054363617, 2.1167238783388407, 5.142275267623534],
+                [0.42257903047604256, 0.9666272939814893, 2.963869442476448, 5.241928166221761],
             ],
-            [5.773424126504432, 0.985819580148743, 2.698446783175613, 5.038816215138828],
+            [5.924587558567922, 1.3623465209577499, 1.988820167671212, 5.127873058609181],
             id="heterogeneous_p4",
         ),
     ],
@@ -633,11 +693,16 @@ def test_fixed_seed_stream_is_pinned(params, trials, head, last):
     # the seed-7 stream of 5000 draws, pinned across versions: a change to
     # the block layout, the envelope or the generator moves these numbers,
     # and must update them and say why.  Re-pinned when 4096-draw blocks
-    # of 2048-proposal chunks became 2048-proposal blocks: the head, drawn
-    # from the first 2048 proposals of child 0 either way, stayed; trials
-    # (25113 and 6257 before) and the last draw moved.  A tolerance, not a
-    # hash: libm and SIMD last bits can differ between hosts
+    # of 2048-proposal chunks became 2048-proposal blocks (trials 25113 and
+    # 6257 before, the head unchanged), and again when the default
+    # envelope began to draw one coordinate from its conditional: each
+    # block now draws 2048 x (p - 1) proposals and one conditional draw per
+    # accepted row, so every draw moved, and trials fell from 25537 to
+    # 13055 (ref, exact rate 0.199 -> 0.382) and from 6272 to 5496.  A
+    # tolerance, not a hash: libm and SIMD last bits can differ between
+    # hosts
     batch = sample_mvm(params, 5000, seed=7)
+    assert ProposalSpec.from_params(params).collapsed == 0
     assert batch.trials == trials
     np.testing.assert_allclose(batch.draws[:5], head, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(batch.draws[-1], last, rtol=0.0, atol=1e-12)
@@ -718,12 +783,21 @@ def test_forecast_isotropic_rate_is_one():
 
 
 def test_forecast_reference_rate():
+    # every coordinate of ref ties; the first, q = 0, is drawn from its
+    # conditional, which nearly doubles the exact rate of the paper's
+    # scalar envelope (0.199)
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     forecast = forecast_acceptance(params)
-    assert forecast.asymptotic_rate == pytest.approx(1.0 / np.sqrt(7.0), abs=1e-12)
+    assert forecast.asymptotic_rate == pytest.approx(np.sqrt(3.0 / 7.0), abs=1e-12)
+    assert forecast.exact_rate >= 0.38
+    bound = forecast.lambda_min_bound
+    assert forecast_acceptance(params, bound).exact_rate == pytest.approx(0.199, abs=5e-4)
     # the forecast reports the envelope it was made for
     spec = ProposalSpec.from_params(params)
-    assert (forecast.lambda_min_bound, forecast.proposal_d) == (spec.lambda_min_bound, spec.d)
+    assert (forecast.lambda_min_bound, forecast.proposal_d, forecast.collapsed) == (
+        spec.lambda_min_bound, spec.d, spec.collapsed
+    )
+    assert spec.collapsed == 0
 
 
 def test_forecast_exact_approaches_asymptote():
@@ -766,7 +840,18 @@ def test_forecast_rate_bounded_by_isotropic_case(rng):
         except NotPositiveDefiniteError:
             continue
         found += 1
-        assert 0.0 < forecast.asymptotic_rate <= 1.0 + 1e-15
+        # prod(d) <= |P| uncollapsed; collapsed, prod(d') <= |P_q| and
+        # |P| = kappa_q |S| with S the Schur complement of kappa_q, so the
+        # asymptote is at most sqrt(|P_q| / |S|) >= 1, which tends to 1 as
+        # the concentration grows; the exact rate never exceeds 1
+        spec = ProposalSpec.from_params(params)
+        ceiling = 1.0
+        if spec.collapsed is not None:
+            q = spec.collapsed
+            p_q = sampler._collapsed_matrix(params.p_matrix(), params.lam[:, q], q)
+            ceiling = np.sqrt(params.kappa[q] * np.linalg.det(p_q) / np.linalg.det(params.p_matrix()))
+        assert 0.0 < forecast.asymptotic_rate <= ceiling * (1.0 + 1e-12)
+        assert 0.0 < forecast.exact_rate <= 1.0 + sampler.EXACT_RATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -783,22 +868,29 @@ _HETERO_LAM = np.array(
 
 
 def test_reference_spec_keeps_scalar_envelope():
+    # ref's P_q has a constant diagonal, so its proposed coordinates keep
+    # the scalar lambda_min(P_q) = 1 = lambda_min(P) (up to the
+    # eigen-solver's rounding), beside d_q = kappa_q
     params = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING)
     spec = ProposalSpec.from_params(params)
-    assert spec.d == (spec.lambda_min_bound,) * 3
-    assert spec == ProposalSpec(lambda_min_bound=spec.lambda_min_bound, p=3)
+    b = spec.lambda_min_bound
+    assert spec.d[0] == 3.0 and spec.d[1] == spec.d[2] == pytest.approx(b, abs=1e-14)
+    assert spec == ProposalSpec(b, 3, (3.0,) + spec.d[1:], 0, tuple(REFERENCE_COUPLING[:, 0]))
 
 
 def test_jacobi_envelope_chosen_for_heterogeneous_kappa():
+    # the kappa = 2 coordinate is drawn from its conditional (d_0 = kappa_0),
+    # and the other three take the Jacobi-scaled d' = t * diag(P_0)
     params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
     spec = ProposalSpec.from_params(params)
-    p_matrix = params.p_matrix()
-    diag = np.diag(p_matrix)
-    ratio = np.asarray(spec.d) / diag
-    assert np.allclose(ratio, ratio[0], rtol=1e-14)  # d = t * diag(P)
-    scaled = p_matrix / np.sqrt(np.outer(diag, diag))
+    assert (spec.collapsed, spec.d[0]) == (0, 2.0)
+    p_q = sampler._collapsed_matrix(params.p_matrix(), _HETERO_LAM[:, 0], 0)
+    diag = np.diag(p_q)
+    ratio = np.asarray(spec.d[1:]) / diag
+    assert np.allclose(ratio, ratio[0], rtol=1e-14)  # d' = t * diag(P_0)
+    scaled = p_q / np.sqrt(np.outer(diag, diag))
     assert ratio[0] == pytest.approx(sym_eigen(scaled).values[0], abs=1e-11)
-    assert np.sum(np.log(spec.d)) > 4 * np.log(spec.lambda_min_bound) + 1.0
+    assert np.sum(np.log(spec.d[1:])) > 3 * np.log(spec.lambda_min_bound) + 1.0
     assert forecast_acceptance(params).asymptotic_rate > 10.0 * (
         forecast_acceptance(params, spec.lambda_min_bound).asymptotic_rate
     )
@@ -945,12 +1037,48 @@ def _definite_params(draw):
 def test_from_params_envelope_is_valid_and_no_worse_than_scalar(params):
     spec = ProposalSpec.from_params(params)
     p_matrix = params.p_matrix()
-    gap = p_matrix - np.diag(spec.d)
+    gap, d = p_matrix, np.asarray(spec.d)
+    if spec.collapsed is not None:
+        # the proposed coordinates bound P_q, and d_q = kappa_q
+        q = spec.collapsed
+        gap = sampler._collapsed_matrix(p_matrix, params.lam[:, q], q)
+        assert d[q] == params.kappa[q]
+        d = np.delete(d, q)
     norm = max(1.0, float(np.max(np.sum(np.abs(p_matrix), axis=1))))
-    assert is_positive_definite(gap, tol=-ENVELOPE_SLACK * norm)
+    assert is_positive_definite(gap - np.diag(d), tol=-ENVELOPE_SLACK * norm)
     assert min(spec.d) > 0.0
-    scalar = ProposalSpec(lambda_min_bound=spec.lambda_min_bound, p=params.p)
-    assert log_envelope_constant(params, spec) <= log_envelope_constant(params, scalar)
+    # no worse than the better of the scalar and Jacobi product envelopes,
+    # which is no worse than the paper's scalar one
+    bound = spec.lambda_min_bound
+    product = ProposalSpec(bound, params.p, sampler._diagonal(p_matrix, bound))
+    scalar = ProposalSpec(lambda_min_bound=bound, p=params.p)
+    log_c = log_envelope_constant(params, spec)
+    assert log_c <= log_envelope_constant(params, product) <= log_envelope_constant(params, scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_definite_params(), st.integers(0, 2**32 - 1))
+def test_collapsed_exponent_never_exceeds_zero(params, seed):
+    # each coordinate q in turn collapsed, with the envelope from_params
+    # would build on P_q: the acceptance exponent stays <= 1e-12 at random
+    # points and where |b_q| is largest, theta_j - mu_j = +-pi/2 by the
+    # sign of lambda_qj (the largest gap between log I0(r_q) and its
+    # tangent); _log_acceptance raises BoundViolationError above 1e-12
+    assume(params.p >= 2)
+    rng = np.random.default_rng(seed)
+    p_matrix = params.p_matrix()
+    for q in range(params.p):
+        p_q = sampler._collapsed_matrix(p_matrix, params.lam[:, q], q)
+        slack = ENVELOPE_SLACK * min(1.0, float(np.max(np.sum(np.abs(p_q), axis=1))))
+        bound = sym_eigen(p_q).values[0] - slack
+        assume(bound > 0.0)
+        d = np.insert(sampler._diagonal(p_q, bound), q, params.kappa[q])
+        spec = ProposalSpec(bound, params.p, tuple(d), q, tuple(params.lam[:, q]))
+        deltas = rng.uniform(-np.pi, np.pi, size=(2000, params.p))
+        widest = np.where(params.lam[:, q] < 0.0, -0.5, 0.5) * np.pi
+        deltas[:2] = widest, -widest
+        log_acc = _log_acceptance(params, spec, np.cos(deltas), np.sin(deltas))
+        assert np.max(log_acc) <= 1e-12
 
 
 def _doubled_angle_log_c(params, d) -> float:
