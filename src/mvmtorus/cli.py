@@ -428,6 +428,7 @@ def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:
             "n": args.n,
             "lambda_min_bound": spec.lambda_min_bound,
             "proposal_d": list(spec.d),
+            "collapsed": spec.collapsed,
             "shards": args.shards,
         },
         body=lambda: {"draws": [row for block in draws() for row in block.tolist()]},
@@ -454,6 +455,7 @@ def _cmd_forecast(args, params: MvmParams, seed: int) -> _Run:
         config={
             "lambda_min_bound": forecast.lambda_min_bound,
             "proposal_d": list(forecast.proposal_d),
+            "collapsed": forecast.collapsed,
             "n_per_dim": args.n_per_dim,
         },
         body=lambda: {"forecast": _plain(forecast)},

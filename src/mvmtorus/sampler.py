@@ -2,39 +2,41 @@
 the regime where ``spectral.certify_unimodal`` certifies P positive definite;
 the computed lambda_min(P) only sizes the envelope.
 
-Product envelope: coordinate i follows VM(0, d_i), density
-exp(d_i cos t) / (2 pi I0(d_i)), for a d >= 0 with P - diag(d) positive
-semidefinite (so d_i <= kappa_i); above d_i = 1e6 numpy draws a wrapped
-normal instead, O(1/d_i) away.  The paper's inequality kappa_i (c_i - 1)
-<= -kappa_i s_i^2 / 2, applied to the kappa - d part of kappa, gives
+One envelope: each proposed coordinate i follows VM(0, d_i), density
+exp(d_i cos t) / (2 pi I0(d_i)), drawn by numpy above d_i = 1e6 as a
+wrapped normal, O(1/d_i) away, and at most one coordinate q (p >= 2) is
+collapsed: not proposed, but drawn from its conditional.  With none
+collapsed all p are proposed, for a d >= 0 with P - diag(d) positive
+semidefinite (so d_i <= kappa_i).  The paper's inequality kappa_i (c_i -
+1) <= -kappa_i s_i^2 / 2, applied to the kappa - d part of kappa, gives
 
     sum (kappa_i - d_i)(c_i - 1) + s^T Lambda s / 2 <= -s^T (P - diag(d)) s / 2 <= 0,
 
 so exp(f) <= C g with log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)),
 and a proposal accepted with probability exp(sum (kappa_i - d_i)(c_i - 1)
-+ s^T Lambda s / 2) is an exact draw, shifted by mu on output.  The rate
-tends to sqrt(prod(d) / |P|) <= 1 at high concentration.  The paper uses
-d = b*1 (b <= lambda_min(P)) and the doubled-angle proposal
++ s^T Lambda s / 2) is an exact draw, shifted by mu on output.  The paper
+uses d = b*1 (b <= lambda_min(P)) and the doubled-angle proposal
 exp(-d_i sin^2(t) / 2); since d (c - 1) <= -d s^2 / 2, the von Mises one
 lies below it for every d.
 
-Collapsed envelope (p >= 2): given the others, theta_q is VM(atan2(b_q,
-kappa_q), r_q), r_q = sqrt(kappa_q^2 + b_q^2), b_q = sum_j lambda_qj s_j
-(Mardia, Hughes, Taylor & Singh, Canad. J. Statist. 36, 2008), so the
-others have the marginal exp(f') 2 pi I0(r_q), f' the terms of f without
-theta_q.  log I0(sqrt(kappa^2 + u)) is concave in u = b^2, so its tangent
-at 0 bounds it: log I0(r_q) <= log I0(kappa_q) + (A(kappa_q) / kappa_q)
-b_q^2 / 2, A = I1/I0.  The marginal is then at most 2 pi I0(kappa_q) times
-a sine model with P_q = (P without row and column q) - (A(kappa_q) /
-kappa_q) lambda_q lambda_q^T (lambda_q: column q of Lambda without entry
-q), which is at least the Schur complement of kappa_q in P since A(k) < 1,
-so positive definite with P.  The product envelope on P_q proposes the
-others, accepted with probability exp(sum' (kappa_i - d_i)(c_i - 1) +
-s'^T Lambda' s' / 2 + log I0(r_q) - log I0(kappa_q)), and theta_q is then
-drawn from its conditional.  With d_q = kappa_q stored in the spec, log C
-and the asymptote keep the formulas above.  ``_exponent`` forms either
-exponent and is the one run-time test of the envelope; ``_log_i0e``,
-log I0(x) - x, is the one Bessel routine.
+Given the others, theta_q is VM(atan2(b_q, kappa_q), r_q), r_q =
+sqrt(kappa_q^2 + b_q^2), b_q = sum_j lambda_qj s_j (Mardia, Hughes, Taylor
+& Singh, Canad. J. Statist. 36, 2008), so the others have the marginal
+exp(f') 2 pi I0(r_q), f' the terms of f without theta_q.  log I0(sqrt(kappa^2
++ u)) is concave in u = b^2, so its tangent at 0 bounds it: log I0(r_q) <=
+log I0(kappa_q) + (A(kappa_q) / kappa_q) b_q^2 / 2, A = I1/I0.  The marginal
+is then at most 2 pi I0(kappa_q) times a sine model with P_q = (P without
+row and column q) - (A(kappa_q) / kappa_q) lambda_q lambda_q^T (lambda_q:
+column q of Lambda without entry q), which is at least the Schur complement
+of kappa_q in P since A(k) < 1, so positive definite with P.  The bound
+above, on P_q and the proposed coordinates, plus log I0(r_q) - log
+I0(kappa_q) in the exponent, accepts an exact draw of the others, and
+theta_q is then drawn from its conditional.  With d_q = kappa_q stored in
+the spec, log C keeps its formula, and the rate tends to sqrt(prod(d) /
+|P|) at high concentration (<= 1 with none collapsed).  ``_exponent`` forms
+the exponent of either case, c - 1 as -2 sin^2(t/2), and is the one
+run-time test of the envelope; ``_log_i0e``, log I0(x) - x, is the one
+Bessel routine.
 
 :meth:`ProposalSpec.from_params` tries d = b*1 and the Jacobi-scaled
 t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), on P and then on
@@ -45,7 +47,7 @@ Reproducibility contract: the proposal stream is cut into blocks of
 ``BLOCK_SIZE`` = 2048 proposals.  Block i draws from its own generator, the
 i-th child of ``SeedSequence(seed).spawn()``, worked out from i when the
 block starts, and consumes, in order, (1) 2048 x m von Mises rows (m = p,
-or p - 1 without the collapsed coordinate), (2) 2048 uniforms, a proposal
+or p - 1 beside a collapsed coordinate), (2) 2048 uniforms, a proposal
 being accepted when its uniform is at most its acceptance probability,
 and (3) for a collapsed spec, one call of VM(0, r_q) draws for the
 accepted rows, its concentrations padded with kappa_q to a multiple of 256
@@ -176,14 +178,15 @@ def _slope(kappa: float) -> float:
 @dataclass(frozen=True)
 class ProposalSpec:
     """Product of von Mises proposals with per-coordinate concentrations
-    d_i, or, with ``collapsed`` = q, of all but q, which is drawn from its
-    conditional.
+    d_i over every coordinate but ``collapsed`` (None: over all p), which
+    is drawn from its conditional.
 
     ``lambda_min_bound`` is a positive lower bound b on the eigenvalues of
     P; ``d`` is the envelope diagonal, a vector with P - diag(d) positive
-    semidefinite, and defaults to the paper's scalar envelope b*1.  A
-    collapsed spec has d_q = kappa_q, P_q - diag(d without q) positive
-    semidefinite, and ``coupling`` = column q of Lambda."""
+    semidefinite, and defaults to the paper's scalar envelope b*1.  An
+    integer ``collapsed`` = q needs d_q = kappa_q, P_q - diag(d without q)
+    positive semidefinite, and ``coupling`` = column q of Lambda, p finite
+    values."""
 
     lambda_min_bound: float
     p: int
@@ -199,16 +202,23 @@ class ProposalSpec:
         object.__setattr__(self, "d", d)
         q = self.collapsed
         if q is not None:
-            column = tuple(float(x) for x in self.coupling)
-            if not (self.p >= 2 and 0 <= q < self.p and len(column) == self.p and d[q] > 0.0):
-                raise ValueError(f"collapsed = {q} needs 2 <= p, q < p, d_q > 0, p couplings")
-            object.__setattr__(self, "coupling", column)
+            column = np.asarray(() if self.coupling is None else self.coupling, dtype=float)
+            valid = isinstance(q, (int, np.integer)) and self.p >= 2 and 0 <= q < self.p
+            if not (valid and column.shape == (self.p,) and np.all(np.isfinite(column)) and d[q] > 0):
+                raise ValueError(
+                    f"collapsed = {q!r} needs an integer 0 <= q < p, 2 <= p, d_q > 0 "
+                    f"and p finite couplings, got {self.coupling!r}"
+                )
+            object.__setattr__(self, "coupling", tuple(column.tolist()))
 
     @cached_property
-    def _conditional(self) -> tuple[list[int], np.ndarray, float, float]:
-        """The indices of the proposed coordinates, their couplings to the
-        collapsed one, kappa_q and log I0(kappa_q) - kappa_q."""
+    def _conditional(self):
+        """The indices of the proposed coordinates (all p when none is
+        collapsed), then, for a collapsed q, their couplings to it, kappa_q
+        and log I0(kappa_q) - kappa_q, or three Nones."""
         keep = [i for i in range(self.p) if i != self.collapsed]
+        if self.collapsed is None:
+            return keep, None, None, None
         kappa_q = self.d[self.collapsed]
         return keep, np.asarray(self.coupling)[keep], kappa_q, float(_log_i0e(np.asarray(kappa_q)))
 
@@ -283,11 +293,9 @@ class AcceptanceForecast:
 
 
 def _raw_proposals(spec: ProposalSpec, m: int, rng: np.random.Generator):
-    """m proposal rows of the proposed coordinates (all but the collapsed
-    one) in the mean-zero frame, on [-pi, pi]: one von Mises block."""
-    d = np.asarray(spec.d)
-    if spec.collapsed is not None:
-        d = d[spec._conditional[0]]
+    """m proposal rows of the proposed coordinates in the mean-zero frame,
+    on [-pi, pi]: one von Mises block."""
+    d = np.asarray(spec.d)[spec._conditional[0]]
     # a shared concentration takes numpy's faster scalar-kappa path; the
     # stream is the same either way
     kappa = d[0] if np.all(d == d[0]) else d
@@ -337,22 +345,20 @@ def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
 def _exponent(params: MvmParams, spec: ProposalSpec, t):
     """(log acceptance probability, b_q, r_q) at the angles t (shape (...,
     m)) of the proposed coordinates in the mean-zero frame; b_q and r_q are
-    None for an uncollapsed spec.  The exponent is <= 0 when the envelope
-    bounds f, and a value above 1e-12 raises ``BoundViolationError``."""
+    None when no coordinate is collapsed.  The exponent is <= 0 when the
+    envelope bounds f, and a value above 1e-12 raises
+    ``BoundViolationError``."""
+    keep, column, kappa_q, log_i0e_q = spec._conditional
     s = np.sin(t)
-    weights = params.kappa - np.asarray(spec.d)
-    if spec.collapsed is None:
-        log_acc = (np.cos(t) - 1.0) @ weights + _half_quadratic(params.lam, s)
-        b = r = None
-    else:
-        keep, column, kappa_q, log_i0e_q = spec._conditional
+    # c - 1 = -2 sin^2(t/2): cos(t) - 1 rounds to 0 below |t| = 1e-8,
+    # where the Bessel term b^2 A / (2 kappa_q) still counts at large kappa
+    half = np.sin(0.5 * t)
+    log_acc = (-2.0 * half * half) @ (params.kappa - np.asarray(spec.d))[keep]
+    log_acc += _half_quadratic(params.lam[keep][:, keep], s)
+    b = r = None
+    if column is not None:
         b = s @ column
         r = np.hypot(kappa_q, b)
-        # c - 1 = -2 sin^2(t/2): cos(t) - 1 rounds to 0 below |t| = 1e-8,
-        # where the Bessel term b^2 A / (2 kappa_q) still counts at large kappa
-        half = np.sin(0.5 * t)
-        log_acc = (-2.0 * half * half) @ weights[keep]
-        log_acc += _half_quadratic(params.lam[keep][:, keep], s)
         # log I0(r) - log I0(kappa_q), with r - kappa_q = b^2 / (r + kappa_q)
         log_acc += _log_i0e(r) - log_i0e_q + b * (b / (r + kappa_q))
     if np.any(log_acc > 1e-12):
@@ -361,14 +367,6 @@ def _exponent(params: MvmParams, spec: ProposalSpec, t):
             f"d = {spec.d} (collapsed {spec.collapsed}) is not below P"
         )
     return log_acc, b, r
-
-
-def _log_acceptance(params: MvmParams, spec: ProposalSpec, c, s) -> np.ndarray:
-    """log acceptance probability from cos and sin of all p coordinates
-    (shape (..., p)) in the mean-zero frame; a collapsed coordinate's
-    column is not read.  See ``_exponent``."""
-    t = np.arctan2(s, c)
-    return _exponent(params, spec, t if spec.collapsed is None else t[..., spec._conditional[0]])[0]
 
 
 def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> float:
@@ -380,9 +378,7 @@ def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> floa
     theta = as_torus_point(theta)
     if theta.p != params.p:
         raise DimensionMismatchError(f"theta has length {theta.p}, expected p={params.p}")
-    delta = theta.angles - params.mu.angles
-    if spec.collapsed is not None:
-        delta = delta[spec._conditional[0]]
+    delta = (theta.angles - params.mu.angles)[spec._conditional[0]]
     return min(float(np.exp(_exponent(params, spec, delta)[0])), 1.0)
 
 
@@ -473,7 +469,7 @@ def _resolve_spec(
             f"{smallest:.6g}); see spectral.certify_unimodal"
         )
     norm = float(spectral.norm_inf(p_matrix))
-    bound, d, collapsed = lambda_min, None, None
+    bound, d, collapsed, gap = lambda_min, None, None, p_matrix
     if lambda_min is None:
         slack = ENVELOPE_SLACK * min(1.0, norm)
         bound = smallest - slack
@@ -482,26 +478,27 @@ def _resolve_spec(
                 f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
                 f"slack {slack:.6g}: P is too close to singular to sample"
             )
-        d = _diagonal(p_matrix, bound)
-        best = np.sum(_log_i0e(np.asarray(d)))
-        # p - 1 = 0 proposed coordinates would leave no envelope
-        for q in range(params.p if params.p >= 2 else 0):
-            p_q = _collapsed_matrix(p_matrix, params.lam[:, q], q)
-            slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(p_q)))
-            bound_q = spectral._eigh(p_q, vectors=False)[0] - slack
-            if bound_q > 0.0:
-                sub = _diagonal(p_q, bound_q)
-                candidate = sub[:q] + (params.kappa[q],) + sub[q:]
+        best = math.inf
+        # P, then P_q for q = 0, 1, ... (p - 1 = 0 proposed coordinates
+        # would leave no envelope), each bounded by its smallest eigenvalue
+        # less its own slack
+        for q in [None, *range(params.p if params.p >= 2 else 0)]:
+            matrix, low = p_matrix, bound
+            if q is not None:
+                matrix = _collapsed_matrix(p_matrix, params.lam[:, q], q)
+                slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(matrix)))
+                low = spectral._eigh(matrix, vectors=False)[0] - slack
+            if low > 0.0:
+                sub = _diagonal(matrix, low)
+                candidate = sub if q is None else sub[:q] + (params.kappa[q],) + sub[q:]
                 log_sum = np.sum(_log_i0e(np.asarray(candidate)))
                 if best - log_sum > params.p * TIE_LOG_GAIN:
-                    d, best, collapsed = candidate, log_sum, q
+                    d, best, collapsed, gap = candidate, log_sum, q, matrix
     if not 0.0 < bound <= smallest:
         raise ValueError(f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}")
     column = None if collapsed is None else params.lam[:, collapsed]
     spec = ProposalSpec(float(bound), params.p, d, collapsed, column)
-    gap, kept = p_matrix, np.asarray(spec.d)
-    if collapsed is not None:
-        gap, kept = _collapsed_matrix(p_matrix, column, collapsed), kept[spec._conditional[0]]
+    kept = np.asarray(spec.d)[spec._conditional[0]]
     tol = -ENVELOPE_SLACK * max(1.0, norm)
     if not spectral.is_positive_definite(gap - np.diag(kept), tol=tol):
         raise ValueError(

@@ -640,6 +640,13 @@ def test_sample_manifest_records_proposal_d(heterogeneous_file, tmp_path):
     assert manifest["config"]["proposal_d"] == list(spec.d)
     assert manifest["config"]["lambda_min_bound"] == spec.lambda_min_bound
     assert len(set(spec.d)) > 1  # the per-coordinate envelope is in use
+    # the record names the coordinate drawn from its conditional, and null
+    # under --lambda-min's product envelope
+    assert manifest["config"]["collapsed"] == spec.collapsed == 0
+    argv = ["sample", "--params", heterogeneous_file, "--n", "20", "--lambda-min", "0.5"]
+    assert cli.main([*argv, "--out", str(out_path)]) == 0
+    manifest = json.loads((tmp_path / "draws.csv.manifest.json").read_text())
+    assert manifest["config"]["collapsed"] is None
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -903,8 +910,9 @@ def test_forecast_manifest_records_n_per_dim(reference_file, capsys):
     assert coarse["manifest"]["config"]["n_per_dim"] == 16
     assert coarse["forecast"]["exact_rate"] != default["forecast"]["exact_rate"]
     assert list(coarse["manifest"]["config"]) == [
-        "params", "lambda_min_bound", "proposal_d", "n_per_dim",
+        "params", "lambda_min_bound", "proposal_d", "collapsed", "n_per_dim",
     ]
+    assert coarse["manifest"]["config"]["collapsed"] == coarse["forecast"]["collapsed"] == 0
 
 
 def test_forecast_rejects_indefinite_p(ring_file):

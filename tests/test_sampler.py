@@ -42,7 +42,7 @@ from mvmtorus.sampler import (
     LOG_I0_SWITCH,
     AcceptanceStallError,
     BoundViolationError,
-    _log_acceptance,
+    _exponent,
     _log_i0e,
     log_envelope_constant,
     log_proposal_density,
@@ -364,11 +364,7 @@ def test_acceptance_probability_never_exceeds_one(rng):
     params = _params([10.0, 10.0, 10.0], REFERENCE_COUPLING / 2.0)
     spec = ProposalSpec.from_params(params)
     thetas = rng.uniform(0.0, TWO_PI, size=(1_000_000, 3))
-    c = np.cos(thetas - params.mu.angles)
-    s = np.sin(thetas - params.mu.angles)
-    from mvmtorus.sampler import _log_acceptance
-
-    log_acc = _log_acceptance(params, spec, c, s)
+    log_acc = _exponent(params, spec, (thetas - params.mu.angles)[:, spec._conditional[0]])[0]
     assert np.max(log_acc) <= 1e-12
     for row in thetas[:100]:
         assert acceptance_probability(params, spec, TorusPoint(row)) <= 1.0
@@ -466,11 +462,15 @@ def test_sampler_deterministic_replay():
 
 
 def test_sampler_workers_do_not_change_output():
+    # both envelope kinds: the default collapses a coordinate, half of
+    # lambda_min(P) = 3 forces the product envelope
     params = _params([5.0, 5.0], np.array([[0.0, 2.0], [2.0, 0.0]]))
-    a = sample_mvm(params, 12_345, seed=13, workers=1)
-    b = sample_mvm(params, 12_345, seed=13, workers=4)
-    assert np.array_equal(a.draws, b.draws)
-    assert a.trials == b.trials
+    for lambda_min, collapsed in [(None, 0), (1.5, None)]:
+        assert ProposalSpec.from_params(params, lambda_min).collapsed == collapsed
+        a = sample_mvm(params, 12_345, lambda_min, seed=13, workers=1)
+        b = sample_mvm(params, 12_345, lambda_min, seed=13, workers=4)
+        assert np.array_equal(a.draws, b.draws)
+        assert a.trials == b.trials
 
 
 _REFERENCE = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.5, 4.0, 2.0])
@@ -904,27 +904,36 @@ def test_lambda_min_override_forces_scalar_envelope():
 
 
 def test_envelope_quantities_use_vector_d():
-    params = _params([2.0, 8.0, 8.0, 30.0], _HETERO_LAM)
-    spec = ProposalSpec.from_params(params)
-    d = np.asarray(spec.d)
-    expected = (
-        np.sum(params.kappa)
-        - np.sum(d)
-        + sum(np.log(TWO_PI * bessel_i0_series(x, terms=200)) for x in d)
-    )
-    assert log_envelope_constant(params, spec) == pytest.approx(expected, abs=1e-12)
-    det = np.prod(sym_eigen(params.p_matrix()).values)
-    assert forecast_acceptance(params).asymptotic_rate == pytest.approx(
-        np.sqrt(np.prod(d) / det), rel=1e-12
-    )
-    # log acceptance = f - log C - log g at arbitrary points
-    thetas = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(64, 4))
-    delta = thetas - params.mu.angles
-    direct = exponent_many(params, thetas) - log_envelope_constant(params, spec)
-    direct -= log_proposal_density(spec, delta)
-    log_acc = _log_acceptance(params, spec, np.cos(delta), np.sin(delta))
-    assert log_acc == pytest.approx(direct, abs=1e-10)
-    assert np.max(log_acc) <= 1e-12
+    # the one exponent on both envelope kinds: the collapsed default, the
+    # scalar product envelope that lambda_min forces, and the Jacobi product
+    # envelope that Lambda = 0 keeps on a tie
+    for lam, lambda_min, collapsed in [
+        (_HETERO_LAM, None, 0),
+        (_HETERO_LAM, 1.5, None),
+        (np.zeros((4, 4)), None, None),
+    ]:
+        params = _params([2.0, 8.0, 8.0, 30.0], lam)
+        spec = ProposalSpec.from_params(params, lambda_min)
+        assert spec.collapsed == collapsed
+        d = np.asarray(spec.d)
+        expected = (
+            np.sum(params.kappa)
+            - np.sum(d)
+            + sum(np.log(TWO_PI * bessel_i0_series(x, terms=200)) for x in d)
+        )
+        assert log_envelope_constant(params, spec) == pytest.approx(expected, abs=1e-12)
+        det = np.prod(sym_eigen(params.p_matrix()).values)
+        assert forecast_acceptance(params, lambda_min).asymptotic_rate == pytest.approx(
+            np.sqrt(np.prod(d) / det), rel=1e-12
+        )
+        # log acceptance = f - log C - log g at arbitrary points
+        thetas = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(64, 4))
+        delta = thetas - params.mu.angles
+        direct = exponent_many(params, thetas) - log_envelope_constant(params, spec)
+        direct -= log_proposal_density(spec, delta)
+        log_acc = _exponent(params, spec, delta[:, spec._conditional[0]])[0]
+        assert log_acc == pytest.approx(direct, abs=1e-10)
+        assert np.max(log_acc) <= 1e-12
 
 
 def test_spec_d_must_match_p_and_be_nonnegative():
@@ -932,6 +941,46 @@ def test_spec_d_must_match_p_and_be_nonnegative():
         ProposalSpec(lambda_min_bound=1.0, p=3, d=(1.0, 1.0))
     with pytest.raises(ValueError, match="d must hold 2"):
         ProposalSpec(lambda_min_bound=1.0, p=2, d=(1.0, -0.5))
+    # a collapsed q needs an integer index and p finite couplings
+    column = (0.0, 1.0, 2.0)
+    for collapsed, coupling in [
+        (0, None),
+        (1.5, column),
+        (0, (0.0, np.nan, 2.0)),
+        (0, (0.0, 1.0)),
+        (3, column),
+    ]:
+        with pytest.raises(ValueError, match="collapsed = "):
+            ProposalSpec(1.0, 3, None, collapsed, coupling)
+    with pytest.raises(ValueError, match="collapsed = "):
+        ProposalSpec(1.0, 1, None, 0, (0.0,))  # p = 1 leaves nothing to propose
+    assert ProposalSpec(1.0, 3, None, 1, column).coupling == column
+
+
+@pytest.mark.parametrize(
+    "kappa, lam, d",
+    [
+        ([5.0, 5.0, 5.0], np.zeros((3, 3)), (5.0 - 1e-12,) * 3),
+        ([1.0, 5.0], np.zeros((2, 2)), (1.0 - 1e-12, 5.0 - 5e-12)),
+        ([2.0], np.zeros((1, 1)), (2.0 - 1e-12,)),
+        (
+            [1e200, 1.0, 1.0],
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            (1e200 * (1.0 - 1e-12), 1.0 - 1e-12, 1.0 - 1e-12),
+        ),
+    ],
+    ids=["iso_555", "iso_15", "p1", "k1e200"],
+)
+def test_ties_keep_the_product_envelope(kappa, lam, d):
+    # P is tried first, and a P_q replaces it only if it lowers log C by
+    # more than TIE_LOG_GAIN per coordinate: decoupled and p = 1 sets, and
+    # the 1e200 set, whose collapsed candidates gain nothing, keep the
+    # product envelope on P
+    params = _params(kappa, lam)
+    spec = ProposalSpec.from_params(params)
+    assert spec.collapsed is None and spec.coupling is None
+    assert spec.d == sampler._diagonal(params.p_matrix(), spec.lambda_min_bound)
+    assert spec.d == pytest.approx(d, rel=1e-14)
 
 
 def test_from_params_checks_the_spec_it_builds(monkeypatch):
@@ -1063,7 +1112,7 @@ def test_collapsed_exponent_never_exceeds_zero(params, seed):
     # would build on P_q: the acceptance exponent stays <= 1e-12 at random
     # points and where |b_q| is largest, theta_j - mu_j = +-pi/2 by the
     # sign of lambda_qj (the largest gap between log I0(r_q) and its
-    # tangent); _log_acceptance raises BoundViolationError above 1e-12
+    # tangent); _exponent raises BoundViolationError above 1e-12
     assume(params.p >= 2)
     rng = np.random.default_rng(seed)
     p_matrix = params.p_matrix()
@@ -1077,7 +1126,7 @@ def test_collapsed_exponent_never_exceeds_zero(params, seed):
         deltas = rng.uniform(-np.pi, np.pi, size=(2000, params.p))
         widest = np.where(params.lam[:, q] < 0.0, -0.5, 0.5) * np.pi
         deltas[:2] = widest, -widest
-        log_acc = _log_acceptance(params, spec, np.cos(deltas), np.sin(deltas))
+        log_acc = _exponent(params, spec, np.delete(deltas, q, axis=1))[0]
         assert np.max(log_acc) <= 1e-12
 
 
