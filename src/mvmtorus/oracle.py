@@ -13,8 +13,18 @@ the workspace is O(n**(p-1)) (under 1 MB per buffer at p = 4, n = 48).
 Quadrature time is still n**p, so these helpers are restricted to p <= 4:
 ``_node_count``, their one gate, resolves the node default, applies the
 16-node floor at every p and gives no node count above that limit.
-The slabs are built by broadcasting per-axis terms, not from
-:func:`mvmtorus.model.lattice_rows`, which sets their memory and float order.
+
+A density grid is not built whole either: one generator,
+``_grid_blocks``, evaluates it in blocks of whole grid rows, about
+``_GRID_BLOCK`` points each.  The CSV writer formats each block as it
+arrives, so its memory is O(n * p) at any n, and :func:`density_grid`
+fills its result, its only O(n**2) memory, from the same blocks.  Both
+check their input before anything is evaluated or written.
+
+The slabs and the grid blocks are built by broadcasting per-axis terms,
+not as rows of :func:`mvmtorus.model.lattice_rows`, whose whole lattice
+would set their memory; for the slabs, broadcasting also sets the float
+order.
 """
 
 from __future__ import annotations
@@ -232,13 +242,15 @@ def kappa_zero_analysis(lam, grid_n: int = 0) -> CubeAnalysis:
 # grids and CSV emission
 
 
-def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarray:
-    """Exponent values over an n-point grid in one or two coordinates,
-    the remaining coordinates held at ``slice_point`` (default: mu).
+#: points in one block of a density grid: whole rows of an n x n grid (at
+#: least one row), or a chunk of a 1-d sweep
+_GRID_BLOCK = 4096
 
-    ``dims`` is a pair of coordinate indices for an n x n grid, or a single
-    index (or a repeated pair) for a 1-d sweep; ``n`` must be >= 1.
-    """
+
+def _grid_axes(params: MvmParams, dims, n: int, slice_point) -> tuple[tuple, np.ndarray]:
+    """The checked ``dims`` of a density grid (a repeated pair as one
+    index) and the angles of its slice point (default: mu); ``ValueError``
+    for n < 1, a bad coordinate index or a slice point of another p."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dims = (dims,) if np.isscalar(dims) else tuple(dims)
@@ -252,11 +264,53 @@ def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarra
     slice_point = params.mu if slice_point is None else as_torus_point(slice_point)
     if slice_point.p != params.p:
         raise ValueError("slice point dimension mismatch")
+    return dims, slice_point.angles
 
+
+def _grid_blocks(params: MvmParams, dims: tuple, n: int, point: np.ndarray):
+    """Exponent values of the grid of :func:`density_grid` (checked
+    ``dims``, slice angles ``point``) in C order, one block of about
+    ``_GRID_BLOCK`` points at a time: (rows, n) arrays of whole grid rows
+    for a pair of dims, (points,) chunks for one; the workspace is
+    O(n * p).
+
+    Each block is evaluated by :func:`mvmtorus.model.exponent_many` as
+    the whole grid is, so its values are the whole grid's bit for bit.
+    kappa^T c is a BLAS gemv per grid row, and a row of an n x n grid is
+    never split.  A 1-d sweep is one gemv, whose kernels sum the points in
+    small groups counted from the first, while numpy takes a product of
+    one point by dot: its chunks start at multiples of ``_GRID_BLOCK``,
+    and a lone last point joins the chunk before it."""
     k = len(dims)
-    thetas = np.tile(slice_point.angles, (n**k, 1))
-    thetas[:, dims] = lattice_rows(TWO_PI * np.arange(n) / n, k)
-    return exponent_many(params, thetas.reshape((n,) * k + (params.p,)))
+    nodes = TWO_PI * np.arange(n) / n
+    step = max(1, _GRID_BLOCK // n ** (k - 1))
+    a = 0
+    while a < n:
+        b = n if n - a <= step + (k == 1) else a + step
+        thetas = np.tile(point, (b - a,) + (n,) * (k - 1) + (1,))
+        thetas[..., dims[0]] = nodes[a:b].reshape((-1,) + (1,) * (k - 1))
+        if k == 2:
+            thetas[..., dims[1]] = nodes
+        yield exponent_many(params, thetas)
+        a = b
+
+
+def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarray:
+    """Exponent values over an n-point grid in one or two coordinates,
+    the remaining coordinates held at ``slice_point`` (default: mu).
+
+    ``dims`` is a pair of coordinate indices for an n x n grid, or a single
+    index (or a repeated pair) for a 1-d sweep; ``n`` must be >= 1.  The
+    grid is evaluated in blocks of rows into the result, its only O(n**2)
+    memory.
+    """
+    dims, point = _grid_axes(params, dims, n, slice_point)
+    out = np.empty((n,) * len(dims))
+    done = 0
+    for block in _grid_blocks(params, dims, n, point):
+        out[done : done + len(block)] = block
+        done += len(block)
+    return out
 
 
 def write_density_grid_csv(
@@ -264,20 +318,28 @@ def write_density_grid_csv(
 ) -> None:
     """Tidy CSV of :func:`density_grid`: node indices, angles, exponent.
 
-    Floats are written as their shortest round-trip ``repr``, which never
-    needs CSV quoting; each node angle is formatted once."""
-    dims = (dims,) if np.isscalar(dims) else tuple(dims)
-    values = density_grid(params, dims, n, slice_point)
-    angles = [repr(x) for x in (TWO_PI * np.arange(n) / n).tolist()]
-    if values.ndim == 1:
+    The input is checked before the header is written, and each block of
+    grid rows is formatted as it is evaluated, so memory is O(n * p) at
+    any n.  Floats are written as their shortest round-trip ``repr``,
+    which never needs CSV quoting; each node angle is formatted once."""
+    dims, point = _grid_axes(params, dims, n, slice_point)
+    blocks = _grid_blocks(params, dims, n, point)
+    nodes = TWO_PI * np.arange(n) / n
+    if len(dims) == 1:
         fileobj.write(f"i,theta{dims[0] + 1},value\n")
-        fileobj.write("".join(f"{i},{angles[i]},{v!r}\n" for i, v in enumerate(values.tolist())))
+        i = 0
+        for block in blocks:
+            rows = enumerate(zip(nodes[i : i + len(block)].tolist(), block.tolist()), i)
+            fileobj.write("".join(f"{k},{a!r},{v!r}\n" for k, (a, v) in rows))
+            i += len(block)
         return
     fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
+    angles = [repr(x) for x in nodes.tolist()]
     # one row template, made once: \0 and \1 stand for i and its angle, and
     # each row is formatted by one C-level '%' ('%r' of a float is its repr)
     line = "".join(f"\0,{j},\1,{angles[j]},%r\n" for j in range(n))
-    for i, row in enumerate(values.tolist()):
+    rows = (row for block in blocks for row in block.tolist())
+    for i, row in enumerate(rows):
         fileobj.write(line.replace("\0", str(i)).replace("\1", angles[i]) % tuple(row))
 
 

@@ -333,6 +333,23 @@ def dense_marginal_density(params: MvmParams, dim: int, angles, n: int) -> np.nd
     return np.exp(log_marg - dense_log_partition(params, n))
 
 
+def density_grid_oracle(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarray:
+    """Exponent values of a density grid from the whole lattice at once:
+    every point stacked by ``meshgrid`` into one (n,)*k + (p,) array, the
+    other coordinates at the wrapped ``slice_point`` (default: mu), and one
+    ``exponent_many`` call.  ``dims`` is one index or a pair (a repeated
+    pair is one index).  Reference for the block-by-block
+    ``mvmtorus.oracle.density_grid``."""
+    dims = (dims,) if np.isscalar(dims) else tuple(dict.fromkeys(dims))
+    point = params.mu.angles if slice_point is None else wrap_angles(slice_point)
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    thetas = np.empty((n,) * len(dims) + (params.p,))
+    thetas[...] = point
+    for axis, grid in zip(dims, np.meshgrid(*[nodes] * len(dims), indexing="ij")):
+        thetas[..., axis] = grid
+    return exponent_many(params, thetas)
+
+
 def csv_writer_text(rows) -> str:
     """The text ``csv.writer`` (with "\\n" line ends) writes for ``rows``,
     each float cell given as ``repr(float(x))``.  Reference for the

@@ -1063,10 +1063,21 @@ def test_grid_json_matches_csv_and_evaluates_once(tmp_path, capsys, monkeypatch)
         assert float(value) == values[int(i)][int(j)]
 
 
-def test_grid_rejects_bad_dims(tmp_path):
+def test_grid_rejects_bad_dims(tmp_path, capsys):
+    # the input is checked before the CSV header: nothing reaches stdout
     path = write_params(tmp_path / "p1.json", kappa=[1.0], **{"lambda": [[0.0]]})
-    out = run_cli("grid", "--params", path, "--dims", "0,5", "--n", "8")
-    assert out.returncode == 1
+    out = tmp_path / "grid.csv"
+    for flags, message in (
+        (["--dims", "0,5"], "coordinate index 5 out of range for p=1"),
+        (["--dims", "0,0,0"], "dims must name one or two coordinates"),
+        (["--dims", "0", "--n", "0"], "n must be >= 1, got 0"),
+    ):
+        for extra in ([], ["--out", str(out)], ["--json"]):
+            assert cli.main(["grid", "--params", path, "--n", "8", *flags, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.json"]
 
 
 @pytest.mark.parametrize(
@@ -1109,7 +1120,7 @@ def test_grid_slice_matches_library(reference_file, tmp_path, given, flags, poin
 )
 def test_grid_bad_slice_is_an_input_error(reference_file, tmp_path, capsys, given, message):
     out = tmp_path / "grid.csv"
-    for flags in (["--out", str(out)], ["--json"]):
+    for flags in ([], ["--out", str(out)], ["--json"]):
         argv = ["grid", "--params", reference_file, "--n", "4", "--slice", given, *flags]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
@@ -1479,17 +1490,19 @@ def test_out_over_the_params_file_is_an_input_error(
 
 
 def test_out_of_memory_is_an_input_error(reference_file, tmp_path, capsys, monkeypatch):
-    # stands in for `grid --n 200000`, whose 2e5 x 2e5 grid numpy cannot
-    # allocate; the test does not try the allocation itself
+    # stands in for `grid --json --n 200000`, whose 2e5 x 2e5 result numpy
+    # cannot allocate (the CSV streams its rows, so only --json holds the
+    # grid); the test does not try the allocation itself
     def fail(*args, **kwargs):
-        raise MemoryError("Unable to allocate 596. GiB")
+        raise MemoryError("Unable to allocate 298. GiB")
 
-    monkeypatch.setattr(oracle, "write_density_grid_csv", fail)
-    out_path = tmp_path / "grid.csv"
-    argv = ["grid", "--params", reference_file, "--n", "200000", "--out", str(out_path)]
+    monkeypatch.setattr(oracle, "density_grid", fail)
+    out_path = tmp_path / "grid.json"
+    argv = ["grid", "--params", reference_file, "--n", "200000", "--json", "--out", str(out_path)]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: out of memory: Unable to allocate 596. GiB\n"
+    assert captured.err == "error: out of memory: Unable to allocate 298. GiB\n"
+    assert captured.out == ""
     assert not out_path.exists()
 
 

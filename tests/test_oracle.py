@@ -16,6 +16,7 @@ from conftest import (
     csv_writer_text,
     dense_log_partition,
     dense_marginal_density,
+    density_grid_oracle,
     random_params,
     random_symmetric_coupling,
 )
@@ -387,6 +388,49 @@ def test_density_grid_matches_pointwise_exponent():
             assert values[i, j] == pytest.approx(exponent_f(params, theta), abs=1e-13)
 
 
+_SLICES = st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_density_grid_matches_whole_lattice_oracle(data):
+    # the blocks give the values of the whole lattice evaluated at once, bit
+    # for bit: pairs in either order, single and repeated indices, any slice
+    p = data.draw(st.integers(1, 8), label="p")
+    n = data.draw(st.integers(1, 40), label="n")
+    index = st.integers(0, p - 1)
+    dims = data.draw(
+        st.one_of(index, st.tuples(index, index), st.lists(index, min_size=2, max_size=2)),
+        label="dims",
+    )
+    slice_point = data.draw(st.one_of(st.none(), _SLICES.map(lambda a: a[:p])), label="slice")
+    params = random_params(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), p)
+    values = density_grid(params, dims, n, slice_point=slice_point)
+    expected = density_grid_oracle(params, dims, n, slice_point)
+    assert values.shape == expected.shape
+    assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,dims,n",
+    [
+        (3, (0, 2), 300),
+        (8, (5, 3), 300),
+        (4, 1, 3 * oracle._GRID_BLOCK + 1),
+        (8, 7, 2 * oracle._GRID_BLOCK + 7),
+    ],
+)
+def test_density_grid_spanning_blocks_matches_whole_lattice_oracle(rng, p, dims, n):
+    # several blocks of whole rows, and a 1-d sweep whose lone last point
+    # joins the chunk before it
+    params = random_params(rng, p)
+    point = rng.uniform(0.0, TWO_PI, size=p)
+    checked = (dims,) if np.isscalar(dims) else dims
+    assert len(list(oracle._grid_blocks(params, checked, n, point))) > 1
+    values = density_grid(params, dims, n, slice_point=point)
+    assert values.tobytes() == density_grid_oracle(params, dims, n, point).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 
@@ -425,14 +469,23 @@ def test_density_grid_csv_matches_csv_writer(rng, dims, n):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_density_grid_csv_matches_csv_writer_on_any_values(data):
-    # the writer's formatting alone: density_grid is replaced by arbitrary
-    # floats (subnormals, signed zeros, infinities and NaN included)
-    n = data.draw(st.integers(1, 12), label="n")
+    # the writer's formatting alone: the block generator is replaced by one
+    # that yields arbitrary floats (subnormals, signed zeros, infinities and
+    # NaN included) in blocks of any height, n up to past one real block
+    n = data.draw(st.integers(1, 70), label="n")
     dims = data.draw(st.sampled_from([(0, 1), (2, 0), 1]), label="dims")
     shape = (n,) if np.isscalar(dims) else (n, n)
-    values = data.draw(hnp.arrays(float, shape, elements=st.floats()), label="values")
+    pool = data.draw(hnp.arrays(float, st.integers(1, 64), elements=st.floats()), label="pool")
+    values = np.resize(pool, shape)
+    step = data.draw(st.integers(1, n), label="rows per block")
+
+    def blocks(params, checked, size, point):
+        assert (checked, size) == ((dims,) if np.isscalar(dims) else dims, n)
+        for a in range(0, n, step):
+            yield values[a : a + step]
+
     buf = io.StringIO()
-    with mock.patch.object(oracle, "density_grid", return_value=values):
+    with mock.patch.object(oracle, "_grid_blocks", blocks):
         write_density_grid_csv(buf, random_params(np.random.default_rng(0), 3), dims, n)
     nodes = 2.0 * np.pi * np.arange(n) / n
     if np.isscalar(dims):
@@ -444,6 +497,30 @@ def test_density_grid_csv_matches_csv_writer_on_any_values(data):
             [i, j, nodes[i], nodes[j], values[i, j]] for i in range(n) for j in range(n)
         ]
     assert buf.getvalue() == csv_writer_text(rows)
+
+
+@pytest.mark.parametrize("p,dims,n", [(3, (0, 1), 512), (8, (3, 5), 512), (3, 2, 100_000)])
+def test_density_grid_csv_streams_in_bounded_memory(rng, p, dims, n):
+    # each text is over 4 MB (16 MB for the 512 x 512 grids); one block of
+    # points, its trig and its text peak near 0.6 MB at p = 3 and 1.2 MB at
+    # p = 8, plus 1.6 MB for the node angles of the 1e5-point sweep.
+    # Evaluating the whole grid first peaked at 25, 67 and 23 MB
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    params = random_params(rng, p)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_density_grid_csv(sink, params, dims, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 4_000_000
+    assert peak < 4_000_000
 
 
 def test_cube_surface_csv_layout():
