@@ -29,8 +29,9 @@ writing.
 
 Exit codes: 0 success / certified, 1 input error (usage errors included),
 2 inconclusive certification, 3 sampler precondition failure (P not
-positive definite, or the envelope fails at run time: an acceptance
-exponent above 0 or a stalled rejection loop).  An output path that
+positive definite, whose hint names ``certify``; or an envelope that fails
+at run time, an acceptance exponent above 0 or a stalled rejection loop,
+whose hint names ``forecast``).  An output path that
 cannot be written is an input error, as are two of ``--params``, ``--out``,
 ``<out>.manifest.json`` and ``--criticals-csv`` that name one file.  Runs
 that exit 1 or 3 write no record and no file: what a run wrote before it
@@ -604,10 +605,13 @@ def main(argv=None) -> int:
         seed = (file_seed or 0) if seed is None else seed
         return _emit(args, params, args.func(args, params, seed), started)
     except (NotPositiveDefiniteError, BoundViolationError, AcceptanceStallError) as exc:
-        print(
-            f"error: {exc}\nhint: run `mvmtorus certify --params {args.params}`",
-            file=sys.stderr,
-        )
+        if isinstance(exc, NotPositiveDefiniteError):
+            hint = f"run `mvmtorus certify --params {args.params}`"
+        else:  # P certifies, but the envelope fails at run time
+            b = getattr(args, "lambda_min", None)
+            b = "" if b is None else f" --lambda-min {b!r}"
+            hint = f"check the envelope: run `mvmtorus forecast --params {args.params}{b}`"
+        print(f"error: {exc}\nhint: {hint}", file=sys.stderr)
         return EXIT_SAMPLER_PRECONDITION
     except (ValueError, OSError) as exc:
         # OSError: an output path that cannot be written (read errors are ValueErrors)

@@ -12,6 +12,10 @@ error types (so the CLI maps them to exit codes without importing
 :mod:`mvmtorus.sampler`).  Normalization constants live in
 :mod:`mvmtorus.oracle`.  Functions here are pure and nothing is mutated
 after construction, so every operation is safe to call concurrently.
+
+One value per point: the kernels take their products by ``np.einsum`` (no
+BLAS call), which sums a row's terms in one order in any batch, so a point
+gets the same bits alone or in a batch of any size.
 """
 
 from __future__ import annotations
@@ -285,18 +289,18 @@ def _half_quadratic(lam: np.ndarray, s) -> np.ndarray:
 
 
 def _exponent_cs(params: MvmParams, c, s) -> np.ndarray:
-    return c @ params.kappa + _half_quadratic(params.lam, s)
+    return np.einsum("...i,i->...", c, params.kappa) + _half_quadratic(params.lam, s)
 
 
 def _grad_cs(params: MvmParams, c, s) -> np.ndarray:
-    return -params.kappa * s + c * (s @ params.lam)
+    return -params.kappa * s + c * np.einsum("...j,ji->...i", s, params.lam)
 
 
 def _hessian_cs(params: MvmParams, c, s) -> np.ndarray:
     h = c[..., :, None] * c[..., None, :]
     h *= params.lam
     idx = np.arange(params.p)
-    h[..., idx, idx] -= params.kappa * c + s * (s @ params.lam)
+    h[..., idx, idx] -= params.kappa * c + s * np.einsum("...j,ji->...i", s, params.lam)
     return h
 
 

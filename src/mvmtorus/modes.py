@@ -25,11 +25,11 @@ standard library's ``random.Random(seed)``, so the search loads no
 Converged points are deduplicated (greedy, first kept, in pool order),
 then :func:`_classified` classifies them in one batch, sorts them into
 report order and builds each point.  :func:`classify_critical` runs the
-same path on one row, but numpy may take another BLAS path for one row
-than for a stack, so its eigenvalues and f can differ from the search's in
-the last bits.  Both run on f scaled by 2**k where its range is below 1
-(:func:`_unit_range`), since their levels are absolute, and
-:func:`_classified` scales f, gradient norms and eigenvalues back.
+same path on one row.  :mod:`mvmtorus.model` gives a point the same bits
+in any batch, so its f and eigenvalues are the search's bit for bit, and
+no block size changes a report.  Both run on f scaled by 2**k where its
+range is below 1 (:func:`_unit_range`), since their levels are absolute,
+and :func:`_classified` scales f, gradient norms and eigenvalues back.
 """
 
 from __future__ import annotations
@@ -115,41 +115,39 @@ _KINDS = (PointKind.MAXIMUM, PointKind.MINIMUM, PointKind.DEGENERATE, PointKind.
 
 
 def _by_blocks(fn, *arrays):
-    """``fn(*arrays)`` over near-equal row blocks of at most ``_BLOCK_ROWS``
-    rows, the blocks' outputs concatenated, so ``fn``'s p x p per-row
-    intermediates never stack more rows.  No block has one row unless the
-    batch has: numpy multiplies one row by a matrix through BLAS gemv,
-    which rounds differently from the gemm of a stack, while blocks of two
-    rows or more give the stacked results bit for bit."""
-    k = -(-len(arrays[0]) // _BLOCK_ROWS)
-    if k <= 1:
+    """``fn(*arrays)`` over blocks of ``_BLOCK_ROWS`` rows (the last may be
+    shorter), the blocks' outputs concatenated, so ``fn``'s p x p per-row
+    intermediates never stack more rows."""
+    n = len(arrays[0])
+    if n <= _BLOCK_ROWS:
         return fn(*arrays)
-    parts = [fn(*block) for block in zip(*(np.array_split(a, k) for a in arrays))]
+    parts = [fn(*(a[i : i + _BLOCK_ROWS] for a in arrays)) for i in range(0, n, _BLOCK_ROWS)]
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending Hessian spectra of ``rows`` and the Hessians' inf-norms."""
-    hessians = hessian_many(params, rows)
-    return spectral._eigh(hessians, vectors=False), spectral.norm_inf(hessians)
+def _spectra(params: MvmParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending Hessian spectra of ``rows``, the Hessians' inf-norms and f,
+    from one evaluation of the trig."""
+    c, s = _trig_many(params, rows)
+    hessians = _hessian_cs(params, c, s)
+    eigenvalues = spectral._eigh(hessians, vectors=False)
+    return eigenvalues, spectral.norm_inf(hessians), _exponent_cs(params, c, s)
 
 
 def _classified(
     params: MvmParams, rows: np.ndarray, grad_norms: np.ndarray, degeneracy_tol: float, k: int = 0
 ) -> list[CriticalPoint]:
     """The critical points ``rows`` (wrapped angles, shape (n, p)) of the f
-    of ``params``, classified in one batch and in report order: Hessians and
-    spectra in row blocks (:func:`_by_blocks`), f on the whole batch, since
-    its ``c @ kappa`` rounds by batch shape.  ``params`` is 2**k times the
+    of ``params``, classified in report order, with f, Hessians and spectra
+    taken in row blocks (:func:`_by_blocks`).  ``params`` is 2**k times the
     caller's set (:func:`_unit_range`): the order is taken on the scaled
     values (:func:`_report_order`), then f, ``grad_norms`` and eigenvalues
     are scaled back by 2**-k."""
-    eigenvalues, norms = _by_blocks(partial(_spectra, params), rows)
+    eigenvalues, norms, f_values = _by_blocks(partial(_spectra, params), rows)
     tol = degeneracy_tol * np.maximum(1.0, norms)
     degenerate = np.any(np.abs(eigenvalues) <= tol[:, None], axis=1)
     maximum, minimum = eigenvalues[:, -1] < -tol, eigenvalues[:, 0] > tol
     kinds = [_KINDS[i] for i in np.select([maximum, minimum, degenerate], [0, 1, 2], 3)]
-    f_values = exponent_many(params, rows)
     order = _report_order(params, f_values, kinds, rows)
     f_values, grad_norms = np.ldexp(f_values, -k).tolist(), np.ldexp(grad_norms, -k).tolist()
     eigenvalues = np.ldexp(eigenvalues, -k)

@@ -19,7 +19,9 @@ A density grid is not built whole either: one generator,
 ``_GRID_BLOCK`` points each.  The CSV writer formats each block as it
 arrives, so its memory is O(n * p) at any n, and :func:`density_grid`
 fills its result, its only O(n**2) memory, from the same blocks.  Both
-check their input before anything is evaluated or written.
+check their input before anything is evaluated or written.  The block
+size bounds memory only: the exponent gives a point the same bits in any
+batch, so no block size changes a value.
 
 The slabs and the grid blocks are built by broadcasting per-axis terms,
 not as rows of :func:`mvmtorus.model.lattice_rows`, whose whole lattice
@@ -272,27 +274,17 @@ def _grid_blocks(params: MvmParams, dims: tuple, n: int, point: np.ndarray):
     ``dims``, slice angles ``point``) in C order, one block of about
     ``_GRID_BLOCK`` points at a time: (rows, n) arrays of whole grid rows
     for a pair of dims, (points,) chunks for one; the workspace is
-    O(n * p).
-
-    Each block is evaluated by :func:`mvmtorus.model.exponent_many` as
-    the whole grid is, so its values are the whole grid's bit for bit.
-    kappa^T c is a BLAS gemv per grid row, and a row of an n x n grid is
-    never split.  A 1-d sweep is one gemv, whose kernels sum the points in
-    small groups counted from the first, while numpy takes a product of
-    one point by dot: its chunks start at multiples of ``_GRID_BLOCK``,
-    and a lone last point joins the chunk before it."""
+    O(n * p)."""
     k = len(dims)
     nodes = TWO_PI * np.arange(n) / n
     step = max(1, _GRID_BLOCK // n ** (k - 1))
-    a = 0
-    while a < n:
-        b = n if n - a <= step + (k == 1) else a + step
+    for a in range(0, n, step):
+        b = min(n, a + step)
         thetas = np.tile(point, (b - a,) + (n,) * (k - 1) + (1,))
         thetas[..., dims[0]] = nodes[a:b].reshape((-1,) + (1,) * (k - 1))
         if k == 2:
             thetas[..., dims[1]] = nodes
         yield exponent_many(params, thetas)
-        a = b
 
 
 def density_grid(params: MvmParams, dims, n: int, slice_point=None) -> np.ndarray:

@@ -695,8 +695,10 @@ def test_sample_envelope_failure_is_a_precondition_error(
     argv = ["sample", "--params", reference_file, "--n", "100", "--out", str(out_csv)]
     assert cli.main(argv) == cli.EXIT_SAMPLER_PRECONDITION == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: acceptance exponent positive\n")
-    assert "mvmtorus certify" in captured.err
+    assert captured.err == (
+        "error: acceptance exponent positive\nhint: check the envelope: run "
+        f"`mvmtorus forecast --params {reference_file}`\n"
+    )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
 
 
@@ -730,9 +732,32 @@ def test_sample_stall_is_a_precondition_error(reference_file, tmp_path, capsys, 
         assert captured.out == ""
         # the error and its hint, and no run record
         assert captured.err == (
-            f"error: simulated\nhint: run `mvmtorus certify --params {reference_file}`\n"
+            "error: simulated\nhint: check the envelope: run "
+            f"`mvmtorus forecast --params {reference_file}`\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json"]
+
+
+def test_a_real_stall_points_at_forecast(tmp_path, capsys, monkeypatch):
+    # P certifies, but the forced envelope d = 0.5 * 1 proposes the first
+    # coordinate far wider than kappa_1 = 1e200 lets a draw land, so the
+    # rejection loop stalls; forecast, not certify, shows why
+    path = write_params(
+        tmp_path / "huge.json",
+        kappa=[1e200, 1.0, 1.0],
+        **{"lambda": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    )
+    monkeypatch.setattr(sampler, "STALL_FACTOR", 10.0)
+    argv = ["sample", "--params", path, "--n", "10", "--lambda-min", "0.5"]
+    assert cli.main(argv) == cli.EXIT_SAMPLER_PRECONDITION == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: \d+ proposals produced only 0/10 draws\nhint: check the envelope: run "
+        + re.escape(f"`mvmtorus forecast --params {path} --lambda-min 0.5`\n"),
+        captured.err,
+    )
+    assert cli.main(["certify", "--params", path]) == 0
 
 
 def test_sample_stall_before_any_draw_prints_nothing(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from mvmtorus import (
     grad_f,
     grad_many,
     hessian_f,
+    hessian_many,
     log_density,
     marginal_density,
     sym_eigen,
@@ -369,6 +370,44 @@ def test_batched_evaluations_match_scalar(rng):
         point = TorusPoint(thetas[k])
         assert fs[k] == pytest.approx(exponent_f(params, point), abs=1e-13)
         assert grad_f(params, point) == pytest.approx(gs[k], abs=1e-13)
+
+
+_KERNELS = ((exponent_many, exponent_f), (grad_many, grad_f), (hessian_many, hessian_f))
+
+
+def _assert_one_value_per_point(params, thetas, subsets):
+    """Each kernel gives the rows of every subset of ``thetas``, and each
+    single-point view one row, the whole batch's bits."""
+    for many, one in _KERNELS:
+        whole = many(params, thetas)
+        for subset in subsets:
+            assert many(params, thetas[subset]).tobytes() == whole[subset].tobytes()
+            for k in subset[:1].tolist() + subset[-1:].tolist():
+                assert np.asarray(one(params, thetas[k])).tobytes() == whole[k].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_point_gets_the_same_bits_in_any_batch(data):
+    # no product of f, grad f or the Hessian goes through BLAS, whose gemv
+    # of one row and gemm of a stack round differently
+    p = data.draw(st.integers(1, 12), label="p")
+    n = data.draw(st.integers(1, 4100), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = random_params(rng, p)
+    thetas = rng.uniform(0.0, TWO_PI, size=(n, p))
+    start = data.draw(st.integers(0, n - 1), label="start")
+    stop = data.draw(st.integers(start + 1, n), label="stop")
+    share = data.draw(st.floats(0.0, 1.0), label="share")
+    subsets = [np.array([start]), np.arange(start, stop), np.flatnonzero(rng.random(n) < share)]
+    _assert_one_value_per_point(params, thetas, subsets)
+
+
+def test_a_point_gets_the_same_bits_in_any_batch_at_p32(rng):
+    params = random_params(rng, 32)
+    thetas = rng.uniform(0.0, TWO_PI, size=(4097, 32))
+    subsets = [np.array([0]), np.array([4096]), np.arange(5, 12), np.arange(3, 4094)]
+    _assert_one_value_per_point(params, thetas, subsets + [rng.permutation(4097)[:100]])
 
 
 # ---------------------------------------------------------------------------

@@ -421,14 +421,28 @@ def test_density_grid_matches_whole_lattice_oracle(data):
     ],
 )
 def test_density_grid_spanning_blocks_matches_whole_lattice_oracle(rng, p, dims, n):
-    # several blocks of whole rows, and a 1-d sweep whose lone last point
-    # joins the chunk before it
+    # several blocks of whole rows, and 1-d sweeps whose last chunk holds
+    # one point or seven
     params = random_params(rng, p)
     point = rng.uniform(0.0, TWO_PI, size=p)
     checked = (dims,) if np.isscalar(dims) else dims
     assert len(list(oracle._grid_blocks(params, checked, n, point))) > 1
     values = density_grid(params, dims, n, slice_point=point)
     assert values.tobytes() == density_grid_oracle(params, dims, n, point).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,dims,n", [(3, (0, 2), 300), (8, (5, 3), 100), (4, 1, 4097), (8, 7, 4097)]
+)
+def test_grid_block_size_changes_no_byte(rng, p, dims, n):
+    # blocks of one point or one row, of 5 and of 333 points give the
+    # values of the default blocks: the block size bounds memory only
+    params = random_params(rng, p)
+    point = rng.uniform(0.0, TWO_PI, size=p)
+    expected = density_grid(params, dims, n, slice_point=point).tobytes()
+    for block in (1, 5, 333):
+        with mock.patch.object(oracle, "_GRID_BLOCK", block):
+            assert density_grid(params, dims, n, slice_point=point).tobytes() == expected
 
 
 # ---------------------------------------------------------------------------
