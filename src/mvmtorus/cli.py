@@ -23,9 +23,9 @@ declaration order, converted by :func:`_plain`.  ``cube`` gives ``vertices``,
 ``sample`` gives ``draws``.
 
 The record is formatted after the payload or CSV is produced, so it can
-count what was produced (``sample`` streams its CSV block by block and
-learns ``trials`` only at the end) and its ``wall_time_s`` includes the
-writing.
+count what was produced (``sample`` streams its CSV as the sampler's
+whole blocks come, in writes of at most 1024 rows, and learns ``trials``
+only at the end) and its ``wall_time_s`` includes the writing.
 
 Exit codes: 0 success / certified, 1 input error (usage errors included),
 2 inconclusive certification, 3 sampler precondition failure (P not
@@ -398,17 +398,19 @@ def _cmd_modes(args, params: MvmParams, seed: int) -> _Run:
 
 
 def _write_sample_csv(fh, blocks: Iterable[np.ndarray]) -> None:
-    """The header with the first block of rows, then one block at a time,
-    so neither the draws nor the CSV text sit in memory whole.  A run
-    that fails before its first draw writes nothing, not even the header."""
+    """The header when the first block comes, then each block in writes of
+    at most 1024 rows (half a block), so neither the draws nor the CSV text
+    sit in memory whole, even as acceptance nears 1.  A run that fails
+    before its first draw writes nothing, not even the header."""
     # '%r' of a float is its repr, which never needs CSV quoting, so one
-    # C-level format per block gives the csv.writer bytes
+    # C-level format per piece gives the csv.writer bytes
     for i, block in enumerate(blocks):
-        n, p = block.shape
-        text = (("%r," * (p - 1) + "%r\n") * n) % tuple(block.ravel().tolist())
+        p = block.shape[1]
         if i == 0:
-            text = ",".join(f"theta{j + 1}" for j in range(p)) + "\n" + text
-        fh.write(text)
+            fh.write(",".join(f"theta{j + 1}" for j in range(p)) + "\n")
+        for start in range(0, len(block), 1024):
+            rows = block[start : start + 1024]
+            fh.write((("%r," * (p - 1) + "%r\n") * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _cmd_sample(args, params: MvmParams, seed: int) -> _Run:

@@ -38,10 +38,11 @@ the exponent of either case, c - 1 as -2 sin^2(t/2), and is the one
 run-time test of the envelope; ``_log_i0e``, log I0(x) - x, is the one
 Bessel routine.
 
-:meth:`ProposalSpec.from_params` tries d = b*1 and the Jacobi-scaled
-t*diag(P), t = lambda_min(diag(P)^-1/2 P diag(P)^-1/2), on P and then on
-each P_q, q = 0, 1, ...; a candidate replaces the one kept so far only if
-it lowers log C by more than ``TIE_LOG_GAIN`` per coordinate.
+:meth:`ProposalSpec.from_params` walks one list, ``_candidates``: d = b*1
+and the Jacobi-scaled t*diag(M), b and t the smallest eigenvalues of M
+and of diag(M)^-1/2 M diag(M)^-1/2 less a slack, for M = P and then each
+P_q, q = 0, 1, ...; a candidate replaces the one kept so far only if it
+lowers log C by more than ``TIE_LOG_GAIN`` per coordinate.
 
 Reproducibility contract: the proposal stream is cut into blocks of
 ``BLOCK_SIZE`` = 2048 proposals.  Block i draws from its own generator, the
@@ -54,16 +55,18 @@ accepted rows, its concentrations padded with kappa_q to a multiple of 256
 (numpy's generator keeps about 2.6 KB for each new length of an array
 argument), an accepted row's theta_q being its draw plus atan2(b_q,
 kappa_q).  A run of n draws keeps the first n accepted proposals of the
-stream, in order, ends with the block that holds draw n, and hands each
-block's draws on in pieces of at most ``PIECE_ROWS`` rows.  Worker threads
-only run whole blocks, at most ``workers`` (and the CPU count) of them in
-flight: the next is submitted only when the consumer asks for another,
-and pending blocks are cancelled once draw n is found or the consumer
-stops early.  So output is bit-identical for a fixed seed whatever the
-worker count, the draws of n are the first n rows of any longer run, and
-memory is O(``BLOCK_SIZE`` * p * workers) whatever n is.
+stream, in order, ends with the block that holds draw n, and yields each
+block's draws whole, with its trials.  Worker threads only run whole
+blocks, at most ``workers`` (and the CPU count) of them in flight: the
+next is submitted only when the consumer asks for another, and pending
+blocks are cancelled once draw n is found or the consumer stops early.
+So output is bit-identical for a fixed seed whatever the worker count,
+the draws of n are the first n rows of any longer run, and memory is
+O(``BLOCK_SIZE`` * p * workers) whatever n is.
 
-The error types are defined in :mod:`mvmtorus.model` and re-exported here.
+The error types are defined in :mod:`mvmtorus.model` and re-exported
+here; a spec of another p than the parameters it meets raises
+``DimensionMismatchError``.
 """
 
 from __future__ import annotations
@@ -111,9 +114,6 @@ __all__ = [
 #: proposals per seeding block; fixed so the stream layout is independent of
 #: worker count
 BLOCK_SIZE = 2048
-#: most draws yielded at once, half a block, so what a consumer builds per
-#: piece (the CSV text of ``sample``) stays bounded as acceptance nears 1
-PIECE_ROWS = 1024
 #: stall guard: a run raises ``AcceptanceStallError`` once its trials exceed
 #: STALL_FACTOR * (draws + 1), checked after each block, so a run with no
 #: draw stops within STALL_FACTOR + BLOCK_SIZE proposals whatever n is
@@ -184,15 +184,14 @@ class ProposalSpec:
     ``lambda_min_bound`` is a positive lower bound b on the eigenvalues of
     P; ``d`` is the envelope diagonal, a vector with P - diag(d) positive
     semidefinite, and defaults to the paper's scalar envelope b*1.  An
-    integer ``collapsed`` = q needs d_q = kappa_q, P_q - diag(d without q)
-    positive semidefinite, and ``coupling`` = column q of Lambda, p finite
-    values."""
+    integer ``collapsed`` = q needs d_q = kappa_q and P_q - diag(d without
+    q) positive semidefinite; the couplings to q are read from the
+    parameters the spec meets."""
 
     lambda_min_bound: float
     p: int
     d: tuple[float, ...] | None = None
     collapsed: int | None = None
-    coupling: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         d = (self.lambda_min_bound,) * self.p if self.d is None else self.d
@@ -201,26 +200,20 @@ class ProposalSpec:
             raise ValueError(f"d must hold {self.p} finite values >= 0, got {d}")
         object.__setattr__(self, "d", d)
         q = self.collapsed
-        if q is not None:
-            column = np.asarray(() if self.coupling is None else self.coupling, dtype=float)
-            valid = isinstance(q, (int, np.integer)) and self.p >= 2 and 0 <= q < self.p
-            if not (valid and column.shape == (self.p,) and np.all(np.isfinite(column)) and d[q] > 0):
-                raise ValueError(
-                    f"collapsed = {q!r} needs an integer 0 <= q < p, 2 <= p, d_q > 0 "
-                    f"and p finite couplings, got {self.coupling!r}"
-                )
-            object.__setattr__(self, "coupling", tuple(column.tolist()))
+        valid = isinstance(q, (int, np.integer)) and self.p >= 2 and 0 <= q < self.p
+        if q is not None and not (valid and d[q] > 0):
+            raise ValueError(f"collapsed = {q!r} needs an integer 0 <= q < p, 2 <= p and d_q > 0")
 
     @cached_property
     def _conditional(self):
         """The indices of the proposed coordinates (all p when none is
-        collapsed), then, for a collapsed q, their couplings to it, kappa_q
-        and log I0(kappa_q) - kappa_q, or three Nones."""
+        collapsed), then, for a collapsed q, kappa_q and log I0(kappa_q) -
+        kappa_q, or two Nones."""
         keep = [i for i in range(self.p) if i != self.collapsed]
         if self.collapsed is None:
-            return keep, None, None, None
+            return keep, None, None
         kappa_q = self.d[self.collapsed]
-        return keep, np.asarray(self.coupling)[keep], kappa_q, float(_log_i0e(np.asarray(kappa_q)))
+        return keep, kappa_q, float(_log_i0e(np.asarray(kappa_q)))
 
     @property
     def concentration(self) -> float:
@@ -238,17 +231,12 @@ class ProposalSpec:
         forces the scalar envelope d = lambda_min * 1.  A P that does not
         certify raises ``NotPositiveDefiniteError``.  By default b is the
         computed smallest eigenvalue minus ``ENVELOPE_SLACK`` times
-        min(1, inf-norm of P); a P whose smallest eigenvalue does not exceed
-        that slack raises ``ValueError``.  The envelope is the one of
-        smallest log C among b*1 and the Jacobi-scaled t*diag(P), t the
-        smallest eigenvalue of diag(P)^-1/2 P diag(P)^-1/2 minus
-        ``ENVELOPE_SLACK``, and the same two on each P_q with q collapsed
-        (p >= 2); see the module docstring for the order and
-        ``TIE_LOG_GAIN``.  (At low concentration the larger sum of log d_i
-        can be the worse choice: d = (0.2, 2, 2) beats (1, 1, 1).)  The spec
-        returned has passed the
-        envelope check; :func:`sample_blocks` and
-        :func:`forecast_acceptance` build theirs here from the same
+        min(1, inf-norm of P), and a b <= 0 raises ``ValueError``; the
+        envelope is the candidate of smallest log C by the rule of the
+        module docstring.  (At low concentration the larger sum of log d_i
+        can be the worse choice: d = (0.2, 2, 2) beats (1, 1, 1).)  The
+        spec returned has passed the envelope check; :func:`sample_blocks`
+        and :func:`forecast_acceptance` build theirs here from the same
         ``lambda_min``."""
         return _resolve_spec(params, lambda_min)[0]
 
@@ -315,10 +303,17 @@ def sample_proposal_batch(
     return wrap_angles(_raw_proposals(ProposalSpec(spec.lambda_min_bound, p, spec.d), m, rng))
 
 
-def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
+def _check_p(params: MvmParams, spec: ProposalSpec) -> None:
+    """``DimensionMismatchError`` unless ``spec`` is for the p of ``params``."""
+    if spec.p != params.p:
+        raise DimensionMismatchError(f"the spec has p = {spec.p}, expected p={params.p}")
+
+
+def log_proposal_density(params: MvmParams, spec: ProposalSpec, thetas) -> np.ndarray:
     """log g at points with shape (..., p) in the mean-zero frame; for a
     collapsed spec, the product over the proposed coordinates times the
     conditional density of the collapsed one, the law the sampler draws."""
+    _check_p(params, spec)
     thetas = np.asarray(thetas, dtype=float)
     d = np.asarray(spec.d)
     per_coord = d * (np.cos(thetas) - 1.0) - (np.log(TWO_PI) + _log_i0e(d))
@@ -327,8 +322,8 @@ def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
     if q is not None:
         # VM(atan2(b, kappa_q), r) at theta_q, over the VM(0, kappa_q) term
         # already in the sum; r - kappa_q = b^2 / (r + kappa_q)
-        _, _, kappa_q, log_i0e_q = spec._conditional
-        b = np.sin(thetas) @ np.asarray(spec.coupling)
+        keep, kappa_q, log_i0e_q = spec._conditional
+        b = np.sin(thetas[..., keep]) @ params.lam[keep, q]
         r = np.hypot(kappa_q, b)
         log_g += b * (np.sin(thetas[..., q]) - b / (r + kappa_q)) - _log_i0e(r) + log_i0e_q
     return log_g
@@ -337,6 +332,7 @@ def log_proposal_density(spec: ProposalSpec, thetas) -> np.ndarray:
 def log_envelope_constant(params: MvmParams, spec: ProposalSpec) -> float:
     """log C = sum(kappa) - sum(d) + sum_i log(2 pi I0(d_i)) for the bound
     exp(f) <= C g (d_q = kappa_q for a collapsed spec)."""
+    _check_p(params, spec)
     return float(
         np.sum(params.kappa) + np.sum(np.log(TWO_PI) + _log_i0e(np.asarray(spec.d)))
     )
@@ -348,7 +344,7 @@ def _exponent(params: MvmParams, spec: ProposalSpec, t):
     None when no coordinate is collapsed.  The exponent is <= 0 when the
     envelope bounds f, and a value above 1e-12 raises
     ``BoundViolationError``."""
-    keep, column, kappa_q, log_i0e_q = spec._conditional
+    keep, kappa_q, log_i0e_q = spec._conditional
     s = np.sin(t)
     # c - 1 = -2 sin^2(t/2): cos(t) - 1 rounds to 0 below |t| = 1e-8,
     # where the Bessel term b^2 A / (2 kappa_q) still counts at large kappa
@@ -356,8 +352,8 @@ def _exponent(params: MvmParams, spec: ProposalSpec, t):
     log_acc = (-2.0 * half * half) @ (params.kappa - np.asarray(spec.d))[keep]
     log_acc += _half_quadratic(params.lam[keep][:, keep], s)
     b = r = None
-    if column is not None:
-        b = s @ column
+    if kappa_q is not None:
+        b = s @ params.lam[keep, spec.collapsed]
         r = np.hypot(kappa_q, b)
         # log I0(r) - log I0(kappa_q), with r - kappa_q = b^2 / (r + kappa_q)
         log_acc += _log_i0e(r) - log_i0e_q + b * (b / (r + kappa_q))
@@ -375,6 +371,7 @@ def acceptance_probability(params: MvmParams, spec: ProposalSpec, theta) -> floa
     over the proposed coordinates and plus log I0(r_q) - log I0(kappa_q)
     for a collapsed spec; an exponent above 1e-12 raises
     ``BoundViolationError``."""
+    _check_p(params, spec)
     theta = as_torus_point(theta)
     if theta.p != params.p:
         raise DimensionMismatchError(f"theta has length {theta.p}, expected p={params.p}")
@@ -400,7 +397,7 @@ def _sample_block(
     hits = np.flatnonzero(rng.random(BLOCK_SIZE) <= np.exp(log_acc))
     if b is None:
         return props[hits], hits
-    keep, _, kappa_q, _ = spec._conditional
+    keep, kappa_q, _ = spec._conditional
     # padded to a multiple of 256: at most 8 lengths (module docstring)
     n_hits = len(hits)
     concentration = np.full(-(-n_hits // 256) * 256, kappa_q)
@@ -422,22 +419,6 @@ def _sample_block(
     return rows, hits
 
 
-def _diagonal(matrix: np.ndarray, bound: float) -> np.ndarray:
-    """bound*1 for a positive definite ``matrix`` whose eigenvalues are at
-    least ``bound`` > 0, or the Jacobi-scaled t*diag(matrix) where that
-    lowers log C by more than ``TIE_LOG_GAIN`` per coordinate."""
-    m = len(matrix)
-    # None only for a subnormal diagonal entry; the scalar is kept then
-    scaled = spectral._jacobi_scaled(matrix)
-    t = -1.0 if scaled is None else spectral._eigh(scaled, vectors=False)[0] - ENVELOPE_SLACK
-    if t > 0.0:
-        jacobi = t * np.diag(matrix)
-        # log C = sum(kappa) + sum(log 2 pi + _log_i0e(d))
-        if m * _log_i0e(np.asarray(bound)) - np.sum(_log_i0e(jacobi)) > m * TIE_LOG_GAIN:
-            return tuple(jacobi)
-    return (bound,) * m
-
-
 def _collapsed_matrix(p_matrix: np.ndarray, column: np.ndarray, q: int) -> np.ndarray:
     """P_q for ``column`` = column q of Lambda.  Each factor of the outer
     product carries sqrt(A/kappa_q), which keeps it below sqrt(kappa_i) for
@@ -445,6 +426,29 @@ def _collapsed_matrix(p_matrix: np.ndarray, column: np.ndarray, q: int) -> np.nd
     keep = [i for i in range(len(p_matrix)) if i != q]
     scaled = math.sqrt(_slope(p_matrix[q, q])) * column[keep]
     return p_matrix[keep][:, keep] - np.outer(scaled, scaled)
+
+
+def _floor(matrix: np.ndarray) -> float:
+    """The smallest eigenvalue of ``matrix`` less ENVELOPE_SLACK * min(1, its inf-norm)."""
+    slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(matrix)))
+    return float(spectral._eigh(matrix, vectors=False)[0]) - slack
+
+
+def _candidates(params: MvmParams, p_matrix: np.ndarray):
+    """(q, matrix, d) for each envelope on P (q None), then on P_q, q = 0,
+    1, ... (p = 1 leaves no P_q): b*1 and then t*diag(matrix), b and t the
+    ``_floor`` of the matrix and of its Jacobi scaling, while they are
+    positive; a collapsed d holds d_q = kappa_q."""
+    for q in [None, *range(params.p if params.p >= 2 else 0)]:
+        matrix = p_matrix if q is None else _collapsed_matrix(p_matrix, params.lam[:, q], q)
+        # the Jacobi scaling is None only for a subnormal diagonal entry
+        jacobi = spectral._jacobi_scaled(matrix)
+        for scaled, unit in ((matrix, np.ones(len(matrix))), (jacobi, np.diag(matrix))):
+            floor = -1.0 if scaled is None else _floor(scaled)
+            if floor <= 0.0:
+                break
+            sub = tuple(floor * unit)
+            yield q, matrix, sub if q is None else sub[:q] + (params.kappa[q],) + sub[q:]
 
 
 def _resolve_spec(
@@ -468,38 +472,24 @@ def _resolve_spec(
             "P is not certified positive definite (computed smallest eigenvalue "
             f"{smallest:.6g}); see spectral.certify_unimodal"
         )
-    norm = float(spectral.norm_inf(p_matrix))
-    bound, d, collapsed, gap = lambda_min, None, None, p_matrix
-    if lambda_min is None:
-        slack = ENVELOPE_SLACK * min(1.0, norm)
-        bound = smallest - slack
-        if bound <= 0.0:
-            raise ValueError(
-                f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
-                f"slack {slack:.6g}: P is too close to singular to sample"
-            )
-        best = math.inf
-        # P, then P_q for q = 0, 1, ... (p - 1 = 0 proposed coordinates
-        # would leave no envelope), each bounded by its smallest eigenvalue
-        # less its own slack
-        for q in [None, *range(params.p if params.p >= 2 else 0)]:
-            matrix, low = p_matrix, bound
-            if q is not None:
-                matrix = _collapsed_matrix(p_matrix, params.lam[:, q], q)
-                slack = ENVELOPE_SLACK * min(1.0, float(spectral.norm_inf(matrix)))
-                low = spectral._eigh(matrix, vectors=False)[0] - slack
-            if low > 0.0:
-                sub = _diagonal(matrix, low)
-                candidate = sub if q is None else sub[:q] + (params.kappa[q],) + sub[q:]
-                log_sum = np.sum(_log_i0e(np.asarray(candidate)))
-                if best - log_sum > params.p * TIE_LOG_GAIN:
-                    d, best, collapsed, gap = candidate, log_sum, q, matrix
+    bound = _floor(p_matrix) if lambda_min is None else lambda_min
+    if lambda_min is None and bound <= 0.0:
+        raise ValueError(
+            f"lambda_min(P) = {smallest:.6g} does not exceed the envelope "
+            f"slack {smallest - bound:.6g}: P is too close to singular to sample"
+        )
     if not 0.0 < bound <= smallest:
         raise ValueError(f"lambda_min bound must lie in (0, {smallest:.6g}], got {bound:.6g}")
-    column = None if collapsed is None else params.lam[:, collapsed]
-    spec = ProposalSpec(float(bound), params.p, d, collapsed, column)
+    forced = [(None, p_matrix, (bound,) * params.p)]
+    candidates = forced if lambda_min is not None else _candidates(params, p_matrix)
+    best = math.inf
+    for candidate in candidates:
+        log_sum = np.sum(_log_i0e(np.asarray(candidate[2])))
+        if best - log_sum > params.p * TIE_LOG_GAIN:
+            best, (collapsed, gap, d) = log_sum, candidate
+    spec = ProposalSpec(float(bound), params.p, d, collapsed)
     kept = np.asarray(spec.d)[spec._conditional[0]]
-    tol = -ENVELOPE_SLACK * max(1.0, norm)
+    tol = -ENVELOPE_SLACK * max(1.0, float(spectral.norm_inf(p_matrix)))
     if not spectral.is_positive_definite(gap - np.diag(kept), tol=tol):
         raise ValueError(
             f"spec envelope d = {spec.d} does not bound these parameters: "
@@ -520,15 +510,14 @@ def sample_blocks(
 
     The envelope is built and checked by :meth:`ProposalSpec.from_params`
     from ``lambda_min``, and then the other arguments are checked, before
-    this returns.  The iterator then yields ``(draws, trials)`` for each
-    block of ``BLOCK_SIZE`` proposals (see the module docstring), in order,
-    up to the block that holds draw n: its accepted draws, shifted by mu
-    and wrapped to [0, 2*pi), in pieces of at most ``PIECE_ROWS`` rows (one
-    empty piece for a block with none), the first piece with the block's
-    proposals, the last block's only up to and including the one that gave
-    draw n, and the others with 0.  ``workers`` > 1 runs up to
-    that many blocks (and ``os.cpu_count()``) at once and never changes
-    the output.  A run whose trials exceed ``STALL_FACTOR`` * (draws + 1)
+    this returns.  The iterator then yields one ``(draws, trials)`` for
+    each block of ``BLOCK_SIZE`` proposals (see the module docstring), in
+    order, up to the block that holds draw n: its accepted draws (an empty
+    array for a block with none), shifted by mu and wrapped to [0, 2*pi),
+    and its proposals, ``BLOCK_SIZE`` but for the last block, which counts
+    them up to and including the one that gave draw n.  ``workers`` > 1
+    runs up to that many blocks (and ``os.cpu_count()``) at once and never
+    changes the output.  A run whose trials exceed ``STALL_FACTOR`` * (draws + 1)
     raises ``AcceptanceStallError``.
     """
     return _blocks(params, ProposalSpec.from_params(params, lambda_min), n, seed, workers)
@@ -536,6 +525,7 @@ def sample_blocks(
 
 def _blocks(params: MvmParams, spec: ProposalSpec, n: int, seed: int, workers: int):
     """:func:`sample_blocks` for a ``spec`` that ``from_params`` built."""
+    _check_p(params, spec)
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
     if workers < 1:
@@ -555,10 +545,9 @@ def _blocks(params: MvmParams, spec: ProposalSpec, n: int, seed: int, workers: i
 
 
 def _first_draws(stream, mu: np.ndarray, n: int):
-    """The first n draws of the block ``stream``, shifted by ``mu``, one
-    block at a time in pieces of at most ``PIECE_ROWS`` rows, the first
-    with the block's trials; closing ``stream`` when it ends cancels the
-    blocks started past draw n."""
+    """The first n draws of the block ``stream``, shifted by ``mu``, with
+    the trials of each block, one block at a time; closing ``stream`` when
+    it ends cancels the blocks started past draw n."""
     draws = trials = 0
     try:
         for rows, hits in stream:
@@ -567,9 +556,7 @@ def _first_draws(stream, mu: np.ndarray, n: int):
             # the last block counts its proposals up to the one that gave draw n
             block_trials = int(hits[-1]) + 1 if draws == n else BLOCK_SIZE
             trials += block_trials
-            rows = wrap_angles(rows + mu)
-            for start in range(0, max(len(rows), 1), PIECE_ROWS):
-                yield rows[start : start + PIECE_ROWS], 0 if start else block_trials
+            yield wrap_angles(rows + mu), block_trials
             if draws == n:
                 return
             if trials > STALL_FACTOR * (draws + 1):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 
 import numpy as np
@@ -285,6 +286,60 @@ def proposal_stream_oracle(params: MvmParams, spec, n: int, seed: int):
     return [
         (draws[stream // 2048 == i], min(2048, trials - 2048 * i)) for i in range(len(props))
     ]
+
+
+def diagonal_oracle(matrix: np.ndarray, bound: float) -> tuple:
+    """bound*1 for a positive definite ``matrix`` whose eigenvalues are at
+    least ``bound`` > 0, or the Jacobi-scaled t*diag(matrix), t the smallest
+    eigenvalue of diag(matrix)^-1/2 matrix diag(matrix)^-1/2 less 1e-12,
+    where that lowers sum log I0(d_i) - d_i by more than 1e-9 per
+    coordinate of ``matrix``."""
+    from mvmtorus import sampler, spectral
+
+    m = len(matrix)
+    scaled = spectral._jacobi_scaled(matrix)
+    t = -1.0 if scaled is None else spectral._eigh(scaled, vectors=False)[0] - 1e-12
+    if t > 0.0:
+        jacobi = t * np.diag(matrix)
+        if m * sampler._log_i0e(np.asarray(bound)) - np.sum(sampler._log_i0e(jacobi)) > m * 1e-9:
+            return tuple(jacobi)
+    return (bound,) * m
+
+
+def envelope_choice_oracle(params: MvmParams):
+    """(lambda_min_bound, d, collapsed) of the default envelope by a nested
+    rule: on P and then on each P_q, q = 0, 1, ..., whose smallest
+    eigenvalue b less 1e-12 * min(1, its inf-norm) is positive,
+    ``diagonal_oracle`` picks b*1 or the Jacobi diagonal; that pick, with
+    d_q = kappa_q on P_q, replaces the one kept before it only if it
+    lowers sum log I0(d_i) - d_i by more than p * 1e-9.  None when b <= 0
+    on P.  Reference for ``mvmtorus.sampler.ProposalSpec.from_params``,
+    which walks the scalar and Jacobi candidates of every matrix as one
+    flat list; the two differ only on candidates within about 1e-9 of each
+    other in log C."""
+    from mvmtorus import sampler, spectral
+
+    def floor(matrix):
+        slack = 1e-12 * min(1.0, float(spectral.norm_inf(matrix)))
+        return spectral._eigh(matrix, vectors=False)[0] - slack
+
+    p_matrix = params.p_matrix()
+    bound = floor(p_matrix)
+    if bound <= 0.0:
+        return None
+    best, d, collapsed = math.inf, None, None
+    for q in [None, *range(params.p if params.p >= 2 else 0)]:
+        matrix = p_matrix
+        if q is not None:
+            matrix = sampler._collapsed_matrix(p_matrix, params.lam[:, q], q)
+        low = floor(matrix)
+        if low > 0.0:
+            sub = diagonal_oracle(matrix, low)
+            candidate = sub if q is None else sub[:q] + (params.kappa[q],) + sub[q:]
+            log_sum = np.sum(sampler._log_i0e(np.asarray(candidate)))
+            if best - log_sum > params.p * 1e-9:
+                d, best, collapsed = candidate, log_sum, q
+    return float(bound), tuple(float(x) for x in d), collapsed
 
 
 def exponent_on_axes(params: MvmParams, axes) -> np.ndarray:

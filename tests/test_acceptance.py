@@ -285,7 +285,7 @@ def test_c09_envelope_bound_validity():
             log_c = log_envelope_constant(params, spec)
             thetas = rng.uniform(0.0, TWO_PI, size=(100_000, params.p))
             f = exponent_many(params, thetas)
-            log_g = log_proposal_density(spec, thetas - params.mu.angles)
+            log_g = log_proposal_density(params, spec, thetas - params.mu.angles)
             assert np.max(f - (log_c + log_g)) <= 1e-10
 
 

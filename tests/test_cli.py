@@ -562,6 +562,36 @@ def test_sample_csv_matches_csv_writer_on_any_block_partition(data):
     assert buf.getvalue() == _csv_writer_text(draws)
 
 
+def test_sample_csv_writes_at_most_1024_rows_at_once(tmp_path):
+    # the sampler yields whole blocks, about 1870 draws each on the p = 4
+    # set at acceptance 0.91; the writer formats and writes each in pieces
+    # of at most 1024 rows, so its text stays bounded as acceptance nears
+    # 1, and the bytes are those of one csv.writer pass
+    class Spy:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    path = write_params(
+        tmp_path / "het4.json",
+        kappa=[2.0, 8.0, 8.0, 30.0],
+        mu=[0.3, 1.1, 2.5, 5.0],
+        **{"lambda": [[0.0, 0.4, -0.3, 0.2], [0.4, 0.0, 0.5, -0.1],
+                      [-0.3, 0.5, 0.0, 0.3], [0.2, -0.1, 0.3, 0.0]]},
+    )
+    params, _ = cli.load_param_file(path)
+    n = 3 * sampler.BLOCK_SIZE + 5
+    blocks = [draws for draws, _ in sampler.sample_blocks(params, n, seed=3)]
+    assert max(map(len, blocks)) > 1024
+    spy = Spy()
+    cli._write_sample_csv(spy, blocks)
+    rows = [text.count("\n") for text in spy.writes]
+    assert max(rows) <= 1024 and sum(rows) == n + 1
+    assert "".join(spy.writes) == _csv_writer_text(sampler.sample_mvm(params, n, seed=3).draws)
+
+
 def test_sample_csv_streams_in_bounded_memory():
     class Sink:
         size = 0

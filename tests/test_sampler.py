@@ -15,11 +15,14 @@ from conftest import (
     RING_COUPLING,
     bessel_i0_series,
     bessel_i1_series,
+    diagonal_oracle,
+    envelope_choice_oracle,
     heterogeneous_params,
     proposal_stream_oracle,
     random_params,
 )
 from mvmtorus import (
+    DimensionMismatchError,
     MvmParams,
     NotPositiveDefiniteError,
     ProposalSpec,
@@ -215,21 +218,10 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
 
 
 def _assert_same_blocks(got, expected, collapsed):
-    """``(draws, trials)`` pieces that make up the oracle's blocks: each
-    block's draws in pieces of ``PIECE_ROWS`` rows but the last, the first
-    with its trials and the others with 0; the same trials, and draws
-    equal bit for bit but in a ``collapsed`` coordinate, whose mean the
-    sampler finds by Newton steps and the oracle by arctan2, equal to
-    rounding."""
-    blocks = []
-    for draws, trials in got:
-        if trials:
-            blocks.append(([], trials))
-        else:
-            assert len(blocks[-1][0][-1]) == sampler.PIECE_ROWS
-        assert len(draws) <= sampler.PIECE_ROWS
-        blocks[-1][0].append(draws)
-    got = [(np.vstack(pieces), trials) for pieces, trials in blocks]
+    """One ``(draws, trials)`` per block of the oracle's: the same trials,
+    and draws equal bit for bit but in a ``collapsed`` coordinate, whose
+    mean the sampler finds by Newton steps and the oracle by arctan2, equal
+    to rounding."""
     assert len(got) == len(expected)
     for (draws, trials), (want, want_trials) in zip(got, expected):
         assert trials == want_trials
@@ -267,7 +259,7 @@ def test_block_follows_the_proposal_stream_contract(p, scale, shared, n, seed, c
         # P_0 - diag(d without 0) stays diagonally dominant: the slope
         # term is at most lambda_i0 lambda_j0 / kappa_0
         d[0] = kappa[0]
-        spec = ProposalSpec(min(d), p, tuple(d), 0, tuple(lam[:, 0]))
+        spec = ProposalSpec(min(d), p, tuple(d), 0)
     else:
         spec = ProposalSpec(lambda_min_bound=min(d), p=p, d=tuple(d))
     got = list(sampler._blocks(params, spec, n, seed, 1))
@@ -331,10 +323,11 @@ def test_proposal_single_draw(rng):
 
 
 def test_proposal_log_density_normalizes():
+    params = _params([5.0], np.zeros((1, 1)))
     spec = ProposalSpec(lambda_min_bound=4.0, p=1)
     n = 4096
     grid = TWO_PI * np.arange(n) / n
-    total = np.sum(np.exp(log_proposal_density(spec, grid[:, None]))) * TWO_PI / n
+    total = np.sum(np.exp(log_proposal_density(params, spec, grid[:, None]))) * TWO_PI / n
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -392,7 +385,7 @@ def test_envelope_bounds_exponent_everywhere(rng):
         log_c = log_envelope_constant(params, spec)
         thetas = rng.uniform(0.0, TWO_PI, size=(100_000, params.p))
         f = exponent_many(params, thetas)
-        log_g = log_proposal_density(spec, thetas - params.mu.angles)
+        log_g = log_proposal_density(params, spec, thetas - params.mu.angles)
         assert np.max(f - (log_c + log_g)) <= 1e-10
 
 
@@ -476,7 +469,7 @@ def test_sampler_workers_do_not_change_output():
 _REFERENCE = _params([3.0, 3.0, 3.0], REFERENCE_COUPLING, mu=[0.5, 4.0, 2.0])
 #: a heterogeneous p = 4 set like the sample_rare benchmark's: kappa =
 #: (2, 8, 8, 30), |lambda_ij| <= 0.5, so the Jacobi envelope's per-coordinate
-#: d takes numpy's array-kappa path; acceptance about 0.8
+#: d takes numpy's array-kappa path; acceptance about 0.91
 _HETEROGENEOUS = _params(
     [2.0, 8.0, 8.0, 30.0],
     np.array(
@@ -563,6 +556,19 @@ def test_sample_mvm_equals_the_stacked_blocks(workers):
     blocks = list(sample_blocks(_REFERENCE, n, seed=8))
     assert np.array_equal(batch.draws, np.vstack([draws for draws, _ in blocks]))
     assert batch.trials == sum(trials for _, trials in blocks)
+
+
+def test_sample_blocks_yield_one_item_per_block():
+    # at acceptance 0.91 a block holds about 1870 draws, and comes whole:
+    # BLOCK_SIZE trials each, but the last, which counts up to draw n
+    n = 3 * BLOCK_SIZE + 5
+    blocks = list(sample_blocks(_HETEROGENEOUS, n, seed=4))
+    trials = [block_trials for _, block_trials in blocks]
+    assert len(blocks) == -(-sum(trials) // BLOCK_SIZE)
+    assert trials[:-1] == [BLOCK_SIZE] * (len(blocks) - 1) and 0 < trials[-1] <= BLOCK_SIZE
+    assert sum(trials) == sample_mvm(_HETEROGENEOUS, n, seed=4).trials
+    assert all(len(draws) > 1024 for draws, _ in blocks[:-1])
+    assert sum(len(draws) for draws, _ in blocks) == n
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -875,7 +881,7 @@ def test_reference_spec_keeps_scalar_envelope():
     spec = ProposalSpec.from_params(params)
     b = spec.lambda_min_bound
     assert spec.d[0] == 3.0 and spec.d[1] == spec.d[2] == pytest.approx(b, abs=1e-14)
-    assert spec == ProposalSpec(b, 3, (3.0,) + spec.d[1:], 0, tuple(REFERENCE_COUPLING[:, 0]))
+    assert spec == ProposalSpec(b, 3, (3.0,) + spec.d[1:], 0)
 
 
 def test_jacobi_envelope_chosen_for_heterogeneous_kappa():
@@ -930,7 +936,7 @@ def test_envelope_quantities_use_vector_d():
         thetas = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(64, 4))
         delta = thetas - params.mu.angles
         direct = exponent_many(params, thetas) - log_envelope_constant(params, spec)
-        direct -= log_proposal_density(spec, delta)
+        direct -= log_proposal_density(params, spec, delta)
         log_acc = _exponent(params, spec, delta[:, spec._conditional[0]])[0]
         assert log_acc == pytest.approx(direct, abs=1e-10)
         assert np.max(log_acc) <= 1e-12
@@ -941,20 +947,33 @@ def test_spec_d_must_match_p_and_be_nonnegative():
         ProposalSpec(lambda_min_bound=1.0, p=3, d=(1.0, 1.0))
     with pytest.raises(ValueError, match="d must hold 2"):
         ProposalSpec(lambda_min_bound=1.0, p=2, d=(1.0, -0.5))
-    # a collapsed q needs an integer index and p finite couplings
-    column = (0.0, 1.0, 2.0)
-    for collapsed, coupling in [
-        (0, None),
-        (1.5, column),
-        (0, (0.0, np.nan, 2.0)),
-        (0, (0.0, 1.0)),
-        (3, column),
-    ]:
+    # a collapsed q needs an integer index in range and d_q > 0
+    for collapsed, d in [(1.5, None), (3, None), (-1, None), (0, (0.0, 1.0, 1.0))]:
         with pytest.raises(ValueError, match="collapsed = "):
-            ProposalSpec(1.0, 3, None, collapsed, coupling)
+            ProposalSpec(1.0, 3, d, collapsed)
     with pytest.raises(ValueError, match="collapsed = "):
-        ProposalSpec(1.0, 1, None, 0, (0.0,))  # p = 1 leaves nothing to propose
-    assert ProposalSpec(1.0, 3, None, 1, column).coupling == column
+        ProposalSpec(1.0, 1, None, 0)  # p = 1 leaves nothing to propose
+    assert ProposalSpec(1.0, 3, None, np.int64(1)).collapsed == 1
+
+
+_SPEC_CALLS = {
+    "log_proposal_density": lambda params, spec: log_proposal_density(params, spec, np.zeros(3)),
+    "log_envelope_constant": log_envelope_constant,
+    "acceptance_probability": lambda params, spec: acceptance_probability(
+        params, spec, params.mu
+    ),
+    "_blocks": lambda params, spec: sampler._blocks(params, spec, 10, 0, 1),
+}
+
+
+@pytest.mark.parametrize("call", list(_SPEC_CALLS.values()), ids=list(_SPEC_CALLS))
+def test_a_spec_of_another_p_is_a_dimension_mismatch(call):
+    # a p = 3 spec read against p = 4 parameters gave a number (log C) or
+    # a numpy broadcast error; each function that takes both checks p
+    params = _HETEROGENEOUS
+    for spec in (ProposalSpec(1.0, 3), ProposalSpec(1.0, 5, None, 0)):
+        with pytest.raises(DimensionMismatchError, match=r"the spec has p = \d, expected p=4"):
+            call(params, spec)
 
 
 @pytest.mark.parametrize(
@@ -978,9 +997,83 @@ def test_ties_keep_the_product_envelope(kappa, lam, d):
     # product envelope on P
     params = _params(kappa, lam)
     spec = ProposalSpec.from_params(params)
-    assert spec.collapsed is None and spec.coupling is None
-    assert spec.d == sampler._diagonal(params.p_matrix(), spec.lambda_min_bound)
+    assert spec.collapsed is None
+    assert spec.d == diagonal_oracle(params.p_matrix(), spec.lambda_min_bound)
     assert spec.d == pytest.approx(d, rel=1e-14)
+
+
+def _assert_nested_choice(params):
+    """``from_params`` gives the bound, the d (bit for bit) and the
+    collapsed coordinate of ``envelope_choice_oracle``, or the same
+    slack error where the oracle finds no bound."""
+    expected = envelope_choice_oracle(params)
+    if expected is None:
+        with pytest.raises(ValueError, match="envelope slack"):
+            ProposalSpec.from_params(params)
+        return
+    spec = ProposalSpec.from_params(params)
+    bound, d, collapsed = expected
+    assert np.asarray(spec.lambda_min_bound).tobytes() == np.asarray(bound).tobytes()
+    assert np.asarray(spec.d).tobytes() == np.asarray(d).tobytes()
+    assert spec.collapsed == collapsed
+
+
+def _pair(kappa, coupling):
+    """p = len(kappa) parameters with lambda_01 = ``coupling``, else 0."""
+    lam = np.zeros((len(kappa), len(kappa)))
+    if len(kappa) > 1:
+        lam[0, 1] = lam[1, 0] = coupling
+    return _params(kappa, lam)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _params([3.0, 3.0, 3.0], REFERENCE_COUPLING),
+        _HETEROGENEOUS,
+        _params([5.0, 5.0, 5.0], np.zeros((3, 3))),
+        _params([1.0, 5.0], np.zeros((2, 2))),
+        _params([2.0], np.zeros((1, 1))),
+        _pair([1e200, 1.0, 1.0], 1.0),
+        _pair([1e-300, 1e-300], 1e-301),
+        _pair([1e-300, 1e-300], 0.0),
+        _pair([1e6, 1e6], 1.0),
+        _pair([1e300, 1e300], 1.0),
+    ],
+    ids=["ref", "het4", "iso_555", "iso_15", "p1", "k1e200", "k1e-300", "k1e-300_free",
+         "k1e6", "k1e300"],
+)
+def test_envelope_choice_on_fixed_sets(params):
+    _assert_nested_choice(params)
+
+
+@st.composite
+def _certified_shapes(draw):
+    """Certified p <= 8 parameters with a dense, chain, 40%-sparse or
+    constant-kappa coupling, lambda_ab a uniform of +-sqrt(kappa_a kappa_b)
+    scaled by U(0, 1.5) / sqrt(p)."""
+    p = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["dense", "chain", "sparse", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kappa = rng.uniform(0.5, 5.0, size=1 if shape == "constant" else p) * np.ones(p)
+    upper = np.triu(rng.uniform(-1.0, 1.0, size=(p, p)), k=1)
+    if shape == "chain":
+        upper = np.tril(upper, k=1)
+    elif shape == "sparse":
+        upper *= rng.random((p, p)) < 0.4
+    scale = rng.uniform(0.0, 1.5) / np.sqrt(p)
+    lam = (upper + upper.T) * np.sqrt(np.outer(kappa, kappa)) * scale
+    params = _params(kappa, lam, mu=rng.uniform(0.0, TWO_PI, size=p))
+    assume(certify_unimodal(params).prop1_holds)
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certified_shapes())
+def test_envelope_choice_is_the_nested_rule(params):
+    # the flat candidate list keeps the spec that the scalar-or-Jacobi pick
+    # per matrix, then the pick across matrices, gave
+    _assert_nested_choice(params)
 
 
 def test_from_params_checks_the_spec_it_builds(monkeypatch):
@@ -1099,7 +1192,7 @@ def test_from_params_envelope_is_valid_and_no_worse_than_scalar(params):
     # no worse than the better of the scalar and Jacobi product envelopes,
     # which is no worse than the paper's scalar one
     bound = spec.lambda_min_bound
-    product = ProposalSpec(bound, params.p, sampler._diagonal(p_matrix, bound))
+    product = ProposalSpec(bound, params.p, diagonal_oracle(p_matrix, bound))
     scalar = ProposalSpec(lambda_min_bound=bound, p=params.p)
     log_c = log_envelope_constant(params, spec)
     assert log_c <= log_envelope_constant(params, product) <= log_envelope_constant(params, scalar)
@@ -1121,8 +1214,8 @@ def test_collapsed_exponent_never_exceeds_zero(params, seed):
         slack = ENVELOPE_SLACK * min(1.0, float(np.max(np.sum(np.abs(p_q), axis=1))))
         bound = sym_eigen(p_q).values[0] - slack
         assume(bound > 0.0)
-        d = np.insert(sampler._diagonal(p_q, bound), q, params.kappa[q])
-        spec = ProposalSpec(bound, params.p, tuple(d), q, tuple(params.lam[:, q]))
+        d = np.insert(diagonal_oracle(p_q, bound), q, params.kappa[q])
+        spec = ProposalSpec(bound, params.p, tuple(d), q)
         deltas = rng.uniform(-np.pi, np.pi, size=(2000, params.p))
         widest = np.where(params.lam[:, q] < 0.0, -0.5, 0.5) * np.pi
         deltas[:2] = widest, -widest
@@ -1152,7 +1245,7 @@ def test_vm_envelope_bounds_f_and_lies_below_doubled_angle(params, seed):
         thetas = rng.uniform(0.0, TWO_PI, size=(2000, params.p))
         thetas[0] = params.mu.angles  # the mode, where the bound is tightest
         f = exponent_many(params, thetas)
-        log_g = log_proposal_density(spec, thetas - params.mu.angles)
+        log_g = log_proposal_density(params, spec, thetas - params.mu.angles)
         scale = max(1.0, float(np.sum(params.kappa)))
         assert np.max(f - (log_c + log_g)) <= 1e-12 * scale
         assert log_c <= _doubled_angle_log_c(params, spec.d) + 1e-12 * scale
