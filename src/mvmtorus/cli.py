@@ -347,16 +347,12 @@ _SEARCH_FLAGS = (
 
 
 def _criticals_csv(report: modes.ModeReport, p: int) -> str:
-    header = (
-        ["kind", "f_value", "grad_norm"]
-        + [f"theta{i + 1}" for i in range(p)]
-        + [f"eig{i + 1}" for i in range(p)]
-    )
-    lines = [",".join(header) + "\n"]
+    names = [f"{x}{i + 1}" for x in ("theta", "eig") for i in range(p)]
+    lines = [",".join(["kind", "f_value", "grad_norm", *names]) + "\n"]
+    line = "%s" + ",%r" * (2 + 2 * p) + "\n"
     for c in report.criticals:
-        values = [float(c.f_value), float(c.grad_norm)] + c.theta.angles.tolist()
-        values += c.hessian_eigenvalues.tolist()
-        lines.append(",".join([c.kind.value] + list(map(repr, values))) + "\n")
+        values = (float(c.f_value), float(c.grad_norm), *c.theta.angles.tolist())
+        lines.append(line % (c.kind.value, *values, *c.hessian_eigenvalues.tolist()))
     return "".join(lines)
 
 
@@ -477,10 +473,7 @@ def _cmd_cube(args, params: MvmParams, seed: int) -> _Run:
     return _Run(
         config={"grid_n": args.grid_n, "kappa_ignored": bool(np.any(params.kappa != 0.0))},
         body=lambda: {
-            "vertices": {
-                ",".join(str(x) for x in k): v
-                for k, v in sorted(analysis.vertex_values.items())
-            },
+            "vertices": {",".join(map(str, k)): v for k, v in analysis.vertex_values.items()},
             "best_vertices": [list(v) for v in analysis.best_vertices],
             "top_eigenvalue": analysis.top_eigenpair[0],
         },

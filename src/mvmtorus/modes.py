@@ -117,7 +117,8 @@ _KINDS = (PointKind.MAXIMUM, PointKind.MINIMUM, PointKind.DEGENERATE, PointKind.
 def _by_blocks(fn, *arrays):
     """``fn(*arrays)`` over blocks of ``_BLOCK_ROWS`` rows (the last may be
     shorter), the blocks' outputs concatenated, so ``fn``'s p x p per-row
-    intermediates never stack more rows."""
+    intermediates never stack more rows.  Up to one block is one call; that
+    is also the path of no rows, whose loop has no parts to concatenate."""
     n = len(arrays[0])
     if n <= _BLOCK_ROWS:
         return fn(*arrays)

@@ -32,11 +32,13 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import spectral
 from .model import MvmParams, TWO_PI, _half_quadratic, as_torus_point, exponent_many, lattice_rows
+from .model import DimensionMismatchError
 
 __all__ = [
     "MAX_QUADRATURE_DIM",
@@ -250,9 +252,9 @@ _GRID_BLOCK = 4096
 
 
 def _grid_axes(params: MvmParams, dims, n: int, slice_point) -> tuple[tuple, np.ndarray]:
-    """The checked ``dims`` of a density grid (a repeated pair as one
-    index) and the angles of its slice point (default: mu); ``ValueError``
-    for n < 1, a bad coordinate index or a slice point of another p."""
+    """The checked ``dims`` of a density grid (a repeated pair as one index)
+    and the angles of its slice point (default: mu); ``ValueError`` for
+    n < 1, a bad index or (``DimensionMismatchError``) a slice of another p."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dims = (dims,) if np.isscalar(dims) else tuple(dims)
@@ -265,7 +267,7 @@ def _grid_axes(params: MvmParams, dims, n: int, slice_point) -> tuple[tuple, np.
             raise ValueError(f"coordinate index {d} out of range for p={params.p}")
     slice_point = params.mu if slice_point is None else as_torus_point(slice_point)
     if slice_point.p != params.p:
-        raise ValueError("slice point dimension mismatch")
+        raise DimensionMismatchError("slice point dimension mismatch")
     return dims, slice_point.angles
 
 
@@ -321,9 +323,10 @@ def write_density_grid_csv(
         fileobj.write(f"i,theta{dims[0] + 1},value\n")
         i = 0
         for block in blocks:
-            rows = enumerate(zip(nodes[i : i + len(block)].tolist(), block.tolist()), i)
-            fileobj.write("".join(f"{k},{a!r},{v!r}\n" for k, (a, v) in rows))
-            i += len(block)
+            j = i + len(block)
+            rows = zip(range(i, j), nodes[i:j].tolist(), block.tolist())
+            fileobj.write("%d,%r,%r\n" * len(block) % tuple(chain.from_iterable(rows)))
+            i = j
         return
     fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
     angles = [repr(x) for x in nodes.tolist()]
@@ -340,19 +343,18 @@ def write_cube_surface_csv(fileobj, analysis: CubeAnalysis) -> None:
 
     Columns: record ('vertex' or 'face'), face label, grid row/col (empty
     for vertices), the s vector, and g(s).  Floats are written as their
-    shortest round-trip ``repr``.
+    shortest round-trip ``repr``, each row by one C-level '%'.  Vertices are
+    written in the order of ``vertex_values``, a hand-built one's too, which
+    :func:`kappa_zero_analysis` builds sorted: C order over (-1, 1).
     """
     p = len(next(iter(analysis.vertex_values)))
-    header = ["record", "face", "row", "col"] + [f"s{i + 1}" for i in range(p)]
-    fileobj.write(",".join(header + ["value"]) + "\n")
-    for vertex in sorted(analysis.vertex_values):
-        cells = ["vertex", "", "", ""] + [str(x) for x in vertex]
-        fileobj.write(",".join(cells + [repr(analysis.vertex_values[vertex])]) + "\n")
+    fileobj.write("record,face,row,col," + "".join(f"s{i + 1}," for i in range(p)) + "value\n")
+    line = "vertex,,,," + "%d," * p + "%r\n"
+    for vertex, value in analysis.vertex_values.items():
+        fileobj.write(line % (*vertex, value))
     for face in analysis.surface_grid or []:
-        for i, (s_row, v_row) in enumerate(zip(face.s.tolist(), face.values.tolist())):
-            fileobj.write(
-                "".join(
-                    f"face,{face.label},{i},{j}," + ",".join(map(repr, s + [v])) + "\n"
-                    for j, (s, v) in enumerate(zip(s_row, v_row))
-                )
-            )
+        # one row template per face, \0 standing for the row index
+        line = "".join(f"face,{face.label},\0,{j},%r,%r,%r,%r\n" for j in range(len(face.s[0])))
+        for i, (s_row, v_row) in enumerate(zip(face.s, face.values)):
+            cells = np.column_stack((s_row, v_row)).ravel().tolist()
+            fileobj.write(line.replace("\0", str(i)) % tuple(cells))

@@ -21,7 +21,14 @@ from conftest import (
     random_symmetric_coupling,
 )
 from mvmtorus import (
-    MvmParams, TorusPoint, certify_unimodal, exponent_f, log_density, oracle, spectral,
+    DimensionMismatchError,
+    MvmParams,
+    TorusPoint,
+    certify_unimodal,
+    exponent_f,
+    log_density,
+    oracle,
+    spectral,
 )
 from mvmtorus.oracle import (
     MAX_QUADRATURE_DIM,
@@ -377,6 +384,18 @@ def test_density_grid_slice_and_errors():
         density_grid(params, (0, 1, 2), 8)
 
 
+@pytest.mark.parametrize("point", [[0.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
+def test_slice_point_of_another_p_is_a_dimension_mismatch(point):
+    params = _params([1.0, 2.0, 3.0], np.zeros((3, 3)))
+    buf = io.StringIO()
+    for dims in ((0, 2), 1):
+        with pytest.raises(DimensionMismatchError, match="^slice point dimension mismatch$"):
+            density_grid(params, dims, 4, slice_point=point)
+        with pytest.raises(DimensionMismatchError, match="^slice point dimension mismatch$"):
+            write_density_grid_csv(buf, params, dims, 4, slice_point=point)
+    assert buf.getvalue() == ""
+
+
 def test_density_grid_matches_pointwise_exponent():
     params = _params([1.0, 0.5], np.array([[0.0, 0.7], [0.7, 0.0]]), mu=[0.2, 0.9])
     n = 8
@@ -552,7 +571,15 @@ def test_cube_surface_csv_layout():
     assert float(parts[7]) == analysis.vertex_values[key]
 
 
-@pytest.mark.parametrize("p,grid_n", [(3, 7), (3, 0), (4, 0)])
+@pytest.mark.parametrize("p", range(1, 17))
+def test_kappa_zero_vertex_table_is_built_in_sorted_order(rng, p):
+    # write_cube_surface_csv and `cube --json` write the table in this order
+    vertices = list(kappa_zero_analysis(random_symmetric_coupling(rng, p)).vertex_values)
+    assert len(vertices) == 2**p
+    assert vertices == sorted(vertices)
+
+
+@pytest.mark.parametrize("p,grid_n", [(3, 7), (3, 0), (4, 0), (3, 1), (8, 0), (12, 0), (16, 0)])
 def test_cube_surface_csv_matches_csv_writer(rng, p, grid_n):
     analysis = kappa_zero_analysis(random_symmetric_coupling(rng, p), grid_n=grid_n)
     buf = io.StringIO()
@@ -567,3 +594,39 @@ def test_cube_surface_csv_matches_csv_writer(rng, p, grid_n):
             for j in range(grid_n):
                 rows.append(["face", face.label, i, j, *face.s[i, j], face.values[i, j]])
     assert buf.getvalue() == csv_writer_text(rows)
+
+
+def test_cube_surface_csv_writes_a_hand_built_table_in_its_dict_order():
+    analysis = oracle.CubeAnalysis(
+        vertex_values={(1, 1): 2.5, (-1, 1): -0.5, (1, -1): 0.1},
+        best_vertices=[(1, 1)],
+        top_eigenpair=(1.0, np.ones(2)),
+        surface_grid=None,
+    )
+    buf = io.StringIO()
+    write_cube_surface_csv(buf, analysis)
+    assert buf.getvalue() == (
+        "record,face,row,col,s1,s2,value\n"
+        "vertex,,,,1,1,2.5\nvertex,,,,-1,1,-0.5\nvertex,,,,1,-1,0.1\n"
+    )
+
+
+def test_cube_surface_csv_streams_each_face_in_bounded_memory():
+    # one face row (256 cells, their floats and their text) peaks near
+    # 0.1 MB; converting each face to Python floats whole peaked at 12.1 MB
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    analysis = kappa_zero_analysis(REFERENCE_COUPLING, grid_n=256)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_cube_surface_csv(sink, analysis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 6 * 256**2 * 40
+    assert peak < 1_000_000
