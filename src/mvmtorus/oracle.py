@@ -16,12 +16,13 @@ Quadrature time is still n**p, so these helpers are restricted to p <= 4:
 
 A density grid is not built whole either: one generator,
 ``_grid_blocks``, evaluates it in blocks of whole grid rows, about
-``_GRID_BLOCK`` points each.  The CSV writer formats each block as it
-arrives, so its memory is O(n * p) at any n, and :func:`density_grid`
-fills its result, its only O(n**2) memory, from the same blocks.  Both
-check their input before anything is evaluated or written.  The block
-size bounds memory only: the exponent gives a point the same bits in any
-batch, so no block size changes a value.
+``_GRID_BLOCK`` points each, each block with the node angles of its own
+rows.  The CSV writer formats each block as it arrives, so its memory is
+O(n * p) for an n x n grid and O(``_GRID_BLOCK`` * p) for a 1-d sweep,
+and :func:`density_grid` fills its result, its only O(n**2) memory, from
+the same blocks.  Both check their input before anything is evaluated or
+written.  The block size bounds memory only: the exponent gives a point
+the same bits in any batch, so no block size changes a value.
 
 The slabs and the grid blocks are built by broadcasting per-axis terms,
 not as rows of :func:`mvmtorus.model.lattice_rows`, whose whole lattice
@@ -276,16 +277,17 @@ def _grid_blocks(params: MvmParams, dims: tuple, n: int, point: np.ndarray):
     ``dims``, slice angles ``point``) in C order, one block of about
     ``_GRID_BLOCK`` points at a time: (rows, n) arrays of whole grid rows
     for a pair of dims, (points,) chunks for one; the workspace is
-    O(n * p)."""
+    O(n * p), and O(``_GRID_BLOCK`` * p) for one dim."""
     k = len(dims)
-    nodes = TWO_PI * np.arange(n) / n
+    columns = TWO_PI * np.arange(n) / n if k == 2 else None
     step = max(1, _GRID_BLOCK // n ** (k - 1))
     for a in range(0, n, step):
         b = min(n, a + step)
         thetas = np.tile(point, (b - a,) + (n,) * (k - 1) + (1,))
-        thetas[..., dims[0]] = nodes[a:b].reshape((-1,) + (1,) * (k - 1))
+        rows = TWO_PI * np.arange(a, b) / n
+        thetas[..., dims[0]] = rows.reshape((-1,) + (1,) * (k - 1))
         if k == 2:
-            thetas[..., dims[1]] = nodes
+            thetas[..., dims[1]] = columns
         yield exponent_many(params, thetas)
 
 
@@ -313,23 +315,24 @@ def write_density_grid_csv(
     """Tidy CSV of :func:`density_grid`: node indices, angles, exponent.
 
     The input is checked before the header is written, and each block of
-    grid rows is formatted as it is evaluated, so memory is O(n * p) at
-    any n.  Floats are written as their shortest round-trip ``repr``,
+    grid rows is formatted as it is evaluated, with the node angles of its
+    rows, so memory is O(n * p) at any n, and O(``_GRID_BLOCK`` * p) for a
+    1-d sweep.  Floats are written as their shortest round-trip ``repr``,
     which never needs CSV quoting; each node angle is formatted once."""
     dims, point = _grid_axes(params, dims, n, slice_point)
     blocks = _grid_blocks(params, dims, n, point)
-    nodes = TWO_PI * np.arange(n) / n
     if len(dims) == 1:
         fileobj.write(f"i,theta{dims[0] + 1},value\n")
         i = 0
         for block in blocks:
             j = i + len(block)
-            rows = zip(range(i, j), nodes[i:j].tolist(), block.tolist())
+            nodes = (TWO_PI * np.arange(i, j) / n).tolist()
+            rows = zip(range(i, j), nodes, block.tolist())
             fileobj.write("%d,%r,%r\n" * len(block) % tuple(chain.from_iterable(rows)))
             i = j
         return
     fileobj.write(f"i,j,theta{dims[0] + 1},theta{dims[1] + 1},value\n")
-    angles = [repr(x) for x in nodes.tolist()]
+    angles = [repr(x) for x in (TWO_PI * np.arange(n) / n).tolist()]
     # one row template, made once: \0 and \1 stand for i and its angle, and
     # each row is formatted by one C-level '%' ('%r' of a float is its repr)
     line = "".join(f"\0,{j},\1,{angles[j]},%r\n" for j in range(n))

@@ -53,13 +53,14 @@ being accepted when its uniform is at most its acceptance probability,
 and (3) for a collapsed spec, one call of VM(0, r_q) draws for the
 accepted rows, its concentrations padded with kappa_q to a multiple of 256
 (numpy's generator keeps about 2.6 KB for each new length of an array
-argument), an accepted row's theta_q being its draw plus atan2(b_q,
-kappa_q).  A run of n draws keeps the first n accepted proposals of the
-stream, in order, ends with the block that holds draw n, and yields each
-block's draws whole, with its trials.  Worker threads only run whole
-blocks, at most ``workers`` (and the CPU count) of them in flight: the
-next is submitted only when the consumer asks for another, and pending
-blocks are cancelled once draw n is found or the consumer stops early.
+argument), an accepted row's theta_q being its draw plus
+numpy.arctan2(b_q, kappa_q).  A run of n draws keeps the first n accepted
+proposals of the stream, in order, ends with the block that holds draw n,
+and yields each block's draws whole, with its trials.  Worker threads
+only run whole blocks, at most ``workers`` (and the CPU count) of them in
+flight: the next is submitted only when the consumer asks for another,
+and pending blocks are cancelled once draw n is found or the consumer
+stops early.
 So output is bit-identical for a fixed seed whatever the worker count,
 the draws of n are the first n rows of any longer run, and memory is
 O(``BLOCK_SIZE`` * p * workers) whatever n is.
@@ -397,26 +398,11 @@ def _sample_block(
     hits = np.flatnonzero(rng.random(BLOCK_SIZE) <= np.exp(log_acc))
     if b is None:
         return props[hits], hits
-    keep, kappa_q, _ = spec._conditional
+    kappa_q = spec._conditional[1]
     # padded to a multiple of 256: at most 8 lengths (module docstring)
-    n_hits = len(hits)
-    concentration = np.full(-(-n_hits // 256) * 256, kappa_q)
-    concentration[:n_hits] = r[hits]
-    theta_q = rng.vonmises(0.0, concentration)[:n_hits]
-    # the mean m* = atan2(b, kappa_q) from sin and cos, which the block has
-    # loaded already: Newton on sin(m - m*) = cos m* sin m - sin m* cos m
-    # takes an error e to e^3 / 3, here from under 0.01 at m = 2t / (1 +
-    # 0.28 t^2), t = tan(m*/2)
-    cos_q, sin_q = kappa_q / r[hits], b[hits] / r[hits]
-    t = sin_q / (1.0 + cos_q)
-    m = 2.0 * t / (1.0 + 0.28 * t * t)
-    for _ in range(2):
-        sin_m, cos_m = np.sin(m), np.cos(m)
-        m -= (cos_q * sin_m - sin_q * cos_m) / (cos_q * cos_m + sin_q * sin_m)
-    rows = np.empty((len(hits), spec.p))
-    rows[:, keep] = props[hits]
-    rows[:, spec.collapsed] = theta_q + m
-    return rows, hits
+    concentration = np.pad(r[hits], (0, -len(hits) % 256), constant_values=kappa_q)
+    theta_q = rng.vonmises(0.0, concentration)[: len(hits)] + np.arctan2(b[hits], kappa_q)
+    return np.insert(props[hits], spec.collapsed, theta_q, axis=1), hits
 
 
 def _collapsed_matrix(p_matrix: np.ndarray, column: np.ndarray, q: int) -> np.ndarray:

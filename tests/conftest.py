@@ -251,8 +251,7 @@ def proposal_stream_oracle(params: MvmParams, spec, n: int, seed: int):
     stream, its first n accepted rows, shifted by mu, are split back into
     their blocks, and the last block counts its proposals up to the one
     that gave draw n.  Reference for ``mvmtorus.sampler.sample_blocks``,
-    which cuts each block as it comes and finds the conditional mean by
-    Newton steps, equal to ``arctan2`` up to rounding."""
+    which cuts each block as it comes."""
     from mvmtorus import sampler
 
     root = np.random.SeedSequence(seed)

@@ -532,12 +532,15 @@ def test_density_grid_csv_matches_csv_writer_on_any_values(data):
     assert buf.getvalue() == csv_writer_text(rows)
 
 
-@pytest.mark.parametrize("p,dims,n", [(3, (0, 1), 512), (8, (3, 5), 512), (3, 2, 100_000)])
+@pytest.mark.parametrize(
+    "p,dims,n", [(3, (0, 1), 512), (8, (3, 5), 512), (3, 2, 100_000), (8, 3, 10**6)]
+)
 def test_density_grid_csv_streams_in_bounded_memory(rng, p, dims, n):
     # each text is over 4 MB (16 MB for the 512 x 512 grids); one block of
     # points, its trig and its text peak near 0.6 MB at p = 3 and 1.2 MB at
-    # p = 8, plus 1.6 MB for the node angles of the 1e5-point sweep.
-    # Evaluating the whole grid first peaked at 25, 67 and 23 MB
+    # p = 8, and a sweep builds the node angles of each block alone.
+    # Evaluating the whole grid first peaked at 25, 67 and 23 MB, and whole
+    # node vectors took the 1e6-point sweep to 24 MB
     class Sink:
         size = 0
 

@@ -219,9 +219,9 @@ def test_constant_d_takes_the_scalar_path_with_the_same_stream(d):
 
 def _assert_same_blocks(got, expected, collapsed):
     """One ``(draws, trials)`` per block of the oracle's: the same trials,
-    and draws equal bit for bit but in a ``collapsed`` coordinate, whose
-    mean the sampler finds by Newton steps and the oracle by arctan2, equal
-    to rounding."""
+    and draws equal bit for bit but in a ``collapsed`` coordinate, held
+    here to 1e-13 only; both add ``numpy.arctan2(b, kappa_q)`` to its
+    conditional draw, and a test below pins that column bit for bit."""
     assert len(got) == len(expected)
     for (draws, trials), (want, want_trials) in zip(got, expected):
         assert trials == want_trials
@@ -712,6 +712,33 @@ def test_fixed_seed_stream_is_pinned(params, trials, head, last):
     assert batch.trials == trials
     np.testing.assert_allclose(batch.draws[:5], head, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(batch.draws[-1], last, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params", [_REFERENCE, _HETEROGENEOUS], ids=["reference", "heterogeneous_p4"]
+)
+def test_collapsed_block_is_its_conditional_draw_plus_the_arctan2_mean(params):
+    # the first seed-7 block rebuilt by hand from its generator: 2048 x
+    # (p - 1) proposals, 2048 uniforms, then one VM(0, r) call for the
+    # accepted rows, padded with kappa_q to a multiple of 256; theta_q is
+    # that draw plus numpy.arctan2(b, kappa_q), bit for bit
+    spec = ProposalSpec.from_params(params)
+    q = spec.collapsed
+    keep = [i for i in range(params.p) if i != q]
+    kappa_q = params.kappa[q]
+    seed_seq = np.random.SeedSequence(7).spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    props = rng.vonmises(0.0, np.asarray(spec.d)[keep], size=(BLOCK_SIZE, params.p - 1))
+    u = rng.random(BLOCK_SIZE)
+    hits = np.flatnonzero(u <= np.exp(_exponent(params, spec, props)[0]))
+    b = (np.sin(props) @ params.lam[keep, q])[hits]
+    padded = np.full(-(-len(hits) // 256) * 256, kappa_q)
+    padded[: len(hits)] = np.hypot(kappa_q, b)
+    draw = rng.vonmises(0.0, padded)[: len(hits)]
+    rows, got_hits = sampler._sample_block(params, spec, seed_seq)
+    assert len(hits) > 256
+    assert np.array_equal(got_hits, hits)
+    assert np.array_equal(rows, np.insert(props[hits], q, draw + np.arctan2(b, kappa_q), axis=1))
 
 
 def test_sampler_accounting_identity():
